@@ -12,10 +12,15 @@
 //!   one sub-row.
 //! * **Fine phase** (§4.6): the residual per-column rotation is bounded
 //!   (`< w` for all the rotation families the algorithm uses), so it is
-//!   applied block-by-block through an on-cache block buffer, with the
-//!   wrap-around rows served from a small stash. The fine pass is skipped
-//!   entirely when every residual is zero — common for the pre-rotation,
-//!   whose amount `floor(j/b)` changes only every `b` columns.
+//!   **staged** block by block through an on-cache window of `h`
+//!   sub-rows: each block's source sub-rows are copied in with one
+//!   contiguous run apiece (the `maxres` rows it shares with the next
+//!   block carried forward, the wrap-around rows served from a small
+//!   stash), the rotation runs inside the window, and each destination
+//!   sub-row is stored back with one run. The strided matrix sees only whole sub-rows, never a
+//!   per-element diagonal gather. The fine pass is skipped entirely when
+//!   every residual is zero — common for the pre-rotation, whose amount
+//!   `floor(j/b)` changes only every `b` columns.
 //! * **Row permute** (§4.7): `q`'s cycles have no closed form, so they are
 //!   computed once (at most `m/2` non-trivial cycles, within the `O(m)`
 //!   scratch budget) and every column group follows them in parallel,
@@ -27,9 +32,9 @@
 //!   saving one full read+write pass over the array.
 
 use crate::cols::row_permute_groups;
-use crate::group_grain;
 use crate::recover;
 use crate::unsafe_slice::{CheckScope, UnsafeSlice};
+use crate::{assert_shape, group_grain};
 use ipt_core::cycles::CycleSet;
 use ipt_core::gcd::gcd;
 use ipt_core::index::C2rParams;
@@ -50,11 +55,12 @@ where
     T: Copy + Send + Sync,
     A: Fn(usize) -> usize + Send + Sync,
 {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_shape(data.len(), m, n);
     if m <= 1 || n == 0 {
         return Ok(());
     }
     let h = block_rows.max(1);
+    let fill = data[0];
     let groups = n.div_ceil(w);
     let amount = &amount;
     recover::run_op(
@@ -70,8 +76,11 @@ where
             ipt_pool::par_chunks_init(
                 0..groups,
                 group_grain(m * w),
-                Scratch::new,
-                |scratch: &mut Scratch<T>, sub| {
+                || {
+                    let shifts: Vec<usize> = Vec::with_capacity(w);
+                    (FineWindow::new(fill), vec![fill; w], shifts, Scratch::new())
+                },
+                |(fine, buf, shifts, scratch), sub| {
                     for g in sub {
                         if journal.is_some_and(|j| j.is_done(g)) {
                             continue;
@@ -87,8 +96,9 @@ where
                                 us.get(idx)
                             });
                         }
-                        let amounts: Vec<usize> = (j0..j0 + gw).map(|j| amount(j) % m).collect();
-                        rotate_group(us, m, n, j0, gw, &amounts, h);
+                        shifts.clear();
+                        shifts.extend((j0..j0 + gw).map(|j| amount(j) % m));
+                        rotate_group(us, m, n, j0, shifts, h, fine, &mut buf[..gw]);
                         if let Some(j) = journal {
                             j.commit(g);
                         }
@@ -104,16 +114,19 @@ where
     )
 }
 
-/// One group's two-phase rotation. `amounts[k]` is the (already reduced)
-/// left-rotation of column `j0 + k`.
+/// One group's two-phase rotation. `shifts[k]` is the (already reduced)
+/// left-rotation of column `j0 + k`; it is overwritten with the fine
+/// residual. `buf` holds one sub-row.
+#[allow(clippy::too_many_arguments)] // internal helper; grouping would obscure the call site
 fn rotate_group<T: Copy + Send + Sync>(
     us: UnsafeSlice<'_, T>,
     m: usize,
     n: usize,
     j0: usize,
-    gw: usize,
-    amounts: &[usize],
+    shifts: &mut [usize],
     h: usize,
+    fine: &mut FineWindow<T>,
+    buf: &mut [T],
 ) {
     // Pick the coarse amount that minimizes the worst residual. For the
     // four rotation families the algorithm uses, amounts step by +1 or -1
@@ -121,58 +134,57 @@ fn rotate_group<T: Copy + Send + Sync>(
     // residuals bounded by the group width (§4.6); any other amount
     // function still gets a correct, if less tight, bound.
     let residual_bound = |coarse: usize| {
-        amounts
+        shifts
             .iter()
             .map(|&a| (a + m - coarse) % m)
             .max()
             .unwrap_or(0)
     };
-    let (first, last) = (amounts[0], amounts[gw - 1]);
+    let (first, last) = (shifts[0], shifts[shifts.len() - 1]);
     let coarse = if residual_bound(first) <= residual_bound(last) {
         first
     } else {
         last
     };
-    let residuals: Vec<usize> = amounts.iter().map(|&a| (a + m - coarse) % m).collect();
+    for a in shifts.iter_mut() {
+        *a = (*a + m - coarse) % m;
+    }
 
     // Coarse phase: rotate the group's m sub-rows left by `coarse`,
     // following the analytic cycles with one sub-row of scratch.
-    coarse_rotate_subrows(us, m, n, j0, gw, coarse);
+    coarse_rotate_subrows(us, m, n, j0, coarse, buf);
 
     // Fine phase: apply the bounded residual rotations block by block.
-    fine_rotate_left(us, m, n, j0, gw, &residuals, h);
+    fine.rotate(us, m, n, j0, shifts, h, false);
 }
 
 /// Coarse sub-row rotation: rows of the group move `i <- (i + r) mod m`
-/// as whole `gw`-wide units along the rotation's analytic cycles (§4.6).
+/// as whole `buf.len()`-wide units along the rotation's analytic cycles
+/// (§4.6), with `buf` holding each cycle's first sub-row.
 fn coarse_rotate_subrows<T: Copy + Send + Sync>(
     us: UnsafeSlice<'_, T>,
     m: usize,
     n: usize,
     j0: usize,
-    gw: usize,
     r: usize,
+    buf: &mut [T],
 ) {
     let r = r % m;
     if r == 0 {
         return;
     }
+    let gw = buf.len();
     // SAFETY (whole function): all indices are row * n + (j0 + k) with
     // k < gw — inside this task's column group.
     let idx = |row: usize, k: usize| row * n + j0 + k;
     let z = gcd(m as u64, r as u64) as usize;
-    let mut buf = vec![unsafe { us.get(idx(0, 0)) }; gw];
     for y in 0..z {
-        for (k, slot) in buf.iter_mut().enumerate() {
-            *slot = unsafe { us.get(idx(y, k)) };
-        }
+        unsafe { us.read_run(idx(y, 0), buf) };
         let mut i = y;
         loop {
             let src = i + r - if i + r >= m { m } else { 0 };
             if src == y {
-                for (k, &v) in buf.iter().enumerate() {
-                    unsafe { us.set(idx(i, k), v) };
-                }
+                unsafe { us.write_run(idx(i, 0), buf) };
                 break;
             }
             for k in 0..gw {
@@ -183,111 +195,139 @@ fn coarse_rotate_subrows<T: Copy + Send + Sync>(
     }
 }
 
-/// Fine blocked rotation: column `j0 + k` rotates left by `residuals[k]`
-/// (each `< m`), processed in on-cache row blocks of height `h`, with the
-/// wrap-around rows stashed up front (§4.6). Skipped when all residuals
-/// are zero.
-fn fine_rotate_left<T: Copy + Send + Sync>(
-    us: UnsafeSlice<'_, T>,
-    m: usize,
-    n: usize,
-    j0: usize,
-    gw: usize,
-    residuals: &[usize],
-    h: usize,
-) {
-    let maxres = residuals.iter().copied().max().unwrap_or(0);
-    if maxres == 0 {
-        return;
-    }
-    // SAFETY: column-group ownership, as in `coarse_rotate_subrows`.
-    let idx = |row: usize, k: usize| row * n + j0 + k;
-    // Stash rows [0, maxres): overwritten by the first blocks but still
-    // needed as wrap-around sources by the last ones.
-    let fill = unsafe { us.get(idx(0, 0)) };
-    let mut stash = vec![fill; maxres * gw];
-    for i in 0..maxres {
-        for (k, slot) in stash[i * gw..(i + 1) * gw].iter_mut().enumerate() {
-            *slot = unsafe { us.get(idx(i, k)) };
-        }
-    }
-    let mut block = vec![fill; h.min(m) * gw];
-    let mut i0 = 0usize;
-    while i0 < m {
-        let he = h.min(m - i0);
-        // Gather the whole destination block before writing any of it:
-        // sources within the block must be read pre-update.
-        for i in 0..he {
-            for (k, &r) in residuals.iter().enumerate() {
-                let src = i0 + i + r;
-                block[i * gw + k] = if src < m {
-                    unsafe { us.get(idx(src, k)) }
-                } else {
-                    stash[(src - m) * gw + k]
-                };
-            }
-        }
-        for i in 0..he {
-            for k in 0..gw {
-                unsafe { us.set(idx(i0 + i, k), block[i * gw + k]) };
-            }
-        }
-        i0 += he;
-    }
+/// The staged §4.6 fine rotation. Column `j0 + k` of one group rotates
+/// by `residuals[k]` (each `< m`), one block at a time:
+///
+/// 1. the block's source sub-rows are copied, each with one contiguous
+///    run, into an on-cache **window** of `h` sub-rows (`block_rows`;
+///    `2 * maxres` if that is more). The block stores `h - maxres`
+///    destination rows; its last `maxres` source rows are carried forward
+///    to open the next block rather than re-read. Rows that wrap around
+///    come from a **stash** of the `maxres` rows the sweep overwrites
+///    before it reaches them;
+/// 2. each destination sub-row is gathered from the window into one
+///    sub-row buffer (the rotation proper, entirely on cache);
+/// 3. and stored back with one contiguous run.
+///
+/// So the strided matrix is touched only by whole sub-rows (one cache
+/// line or a few each), never by a per-element diagonal gather. The
+/// buffers belong to one worker for one call (`par_chunks_init` creates
+/// them) and are reused by every group it runs: they grow only when a
+/// group needs more rows than any before it. The pass is skipped when
+/// every residual is zero — common for the pre-rotation, whose amount
+/// `floor(j/b)` changes only every `b` columns.
+struct FineWindow<T> {
+    window: Vec<T>,
+    stash: Vec<T>,
+    /// One destination sub-row.
+    row: Vec<T>,
+    /// Column `k`'s source offset from the start of its destination
+    /// row's window row.
+    offs: Vec<usize>,
+    fill: T,
 }
 
-/// Fine blocked rotation to the **right**: column `j0 + k` rotates right
-/// by `residuals[k]` (gather `dst[i] = src[(i - r) mod m]`). Blocks are
-/// processed bottom-up so sources above each block stay unmodified, with
-/// the *last* `maxres` rows stashed for the wrap-around at the top.
-fn fine_rotate_right<T: Copy + Send + Sync>(
-    us: UnsafeSlice<'_, T>,
-    m: usize,
-    n: usize,
-    j0: usize,
-    gw: usize,
-    residuals: &[usize],
-    h: usize,
-) {
-    let maxres = residuals.iter().copied().max().unwrap_or(0);
-    if maxres == 0 {
-        return;
-    }
-    // SAFETY: column-group ownership, as above.
-    let idx = |row: usize, k: usize| row * n + j0 + k;
-    // Stash rows [m - maxres, m): they wrap to the top destinations but
-    // are overwritten by the bottom-up sweep before the top is reached.
-    let fill = unsafe { us.get(idx(0, 0)) };
-    let mut stash = vec![fill; maxres * gw];
-    for i in 0..maxres {
-        for (k, slot) in stash[i * gw..(i + 1) * gw].iter_mut().enumerate() {
-            *slot = unsafe { us.get(idx(m - maxres + i, k)) };
+impl<T: Copy + Send + Sync> FineWindow<T> {
+    fn new(fill: T) -> Self {
+        FineWindow {
+            window: Vec::new(),
+            stash: Vec::new(),
+            row: Vec::new(),
+            offs: Vec::new(),
+            fill,
         }
     }
-    let mut block = vec![fill; h.min(m) * gw];
-    let mut end = m;
-    while end > 0 {
-        let he = h.min(end);
-        let i0 = end - he;
-        for i in 0..he {
-            for (k, &r) in residuals.iter().enumerate() {
-                let dst_row = i0 + i;
-                block[i * gw + k] = if dst_row >= r {
-                    unsafe { us.get(idx(dst_row - r, k)) }
+
+    /// Rotate column `j0 + k` by `residuals[k]`: **left** (gather
+    /// `dst[i] = src[(i + r) mod m]`), or **right** when `right` is set
+    /// (gather `dst[i] = src[(i - r) mod m]`).
+    ///
+    /// A right rotation is a left rotation of the rows taken in reverse
+    /// order, so both directions run one top-down sweep over *sweep rows*
+    /// `s`, which are matrix rows `s` (left) or `m - 1 - s` (right). Window
+    /// row `t` holds sweep row `i0 + t`, and the stash holds sweep rows
+    /// `[0, maxres)` — the rows the sweep overwrites first and reads last.
+    #[allow(clippy::too_many_arguments)] // internal helper; grouping would obscure the call sites
+    fn rotate(
+        &mut self,
+        us: UnsafeSlice<'_, T>,
+        m: usize,
+        n: usize,
+        j0: usize,
+        residuals: &[usize],
+        h: usize,
+        right: bool,
+    ) {
+        let gw = residuals.len();
+        let maxres = residuals.iter().copied().max().unwrap_or(0);
+        if maxres == 0 {
+            return;
+        }
+        // Each block stages `span` source sub-rows and stores the first
+        // `span - maxres` as destination rows; the last `maxres` open the
+        // next block. `span` is the `h`-row block buffer of §4.6 unless
+        // the residuals need more, so a block always stores at least as
+        // many rows as it carries.
+        let span = h.min(m).max(2 * maxres);
+        for (buf, len) in [
+            (&mut self.window, span * gw),
+            (&mut self.stash, maxres * gw),
+            (&mut self.row, gw),
+        ] {
+            if buf.len() < len {
+                // Every group rebuilds the contents, so free the old
+                // buffer first and allocate exactly `len`: a growing
+                // window never holds two allocations, nor a doubled one.
+                *buf = Vec::new();
+                buf.resize(len, self.fill);
+            }
+        }
+        // Destination sweep row i, column k reads window row i + r.
+        self.offs.clear();
+        self.offs
+            .extend(residuals.iter().enumerate().map(|(k, &r)| r * gw + k));
+        let FineWindow {
+            window,
+            stash,
+            row,
+            offs,
+            ..
+        } = self;
+        // SAFETY (whole function): every run is idx(s) .. + gw for a sweep
+        // row s < m — one sub-row of this task's column group.
+        let idx = |s: usize| if right { m - 1 - s } else { s } * n + j0;
+        for (s, run) in stash[..maxres * gw].chunks_exact_mut(gw).enumerate() {
+            unsafe { us.read_run(idx(s), run) };
+        }
+        let mut carried = 0;
+        let mut i0 = 0;
+        while i0 < m {
+            let he = (span - maxres).min(m - i0);
+            let rows = he + maxres;
+            for t in carried..rows {
+                let (src, run) = (i0 + t, &mut window[t * gw..(t + 1) * gw]);
+                if src < m {
+                    unsafe { us.read_run(idx(src), run) };
                 } else {
-                    // Wrap: source row m - r + dst_row lives in the stash
-                    // (it is within the last maxres rows since r <= maxres).
-                    let src = m - r + dst_row;
-                    stash[(src - (m - maxres)) * gw + k]
-                };
+                    run.copy_from_slice(&stash[(src - m) * gw..(src - m + 1) * gw]);
+                }
             }
-        }
-        for i in 0..he {
-            for k in 0..gw {
-                unsafe { us.set(idx(i0 + i, k), block[i * gw + k]) };
+            // The rotation proper, on cache: gather each destination
+            // sub-row from the window (only read, so every source is its
+            // pre-update value) and store it with one run.
+            let row = &mut row[..gw];
+            for i in 0..he {
+                let src = &window[i * gw..rows * gw];
+                for (slot, &off) in row.iter_mut().zip(offs.iter()) {
+                    *slot = src[off];
+                }
+                unsafe { us.write_run(idx(i0 + i), row) };
             }
+            // Sweep rows [i0 + he, i0 + rows) open the next window.
+            window.copy_within(he * gw..rows * gw, 0);
+            carried = maxres;
+            i0 += he;
         }
-        end = i0;
     }
 }
 
@@ -427,12 +467,14 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync>(
     h: usize,
 ) -> Result<(), PoolError> {
     let (m, n) = (p.m, p.n);
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_shape(data.len(), m, n);
     if m <= 1 || n == 0 {
         return Ok(());
     }
     let fill = data[0];
     let groups = n.div_ceil(w);
+    // Column j0 + k's fine residual is k mod m in every group.
+    let residuals: Vec<usize> = (0..w).map(|k| k % m).collect();
     recover::run_op(
         data,
         groups,
@@ -444,8 +486,15 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync>(
             ipt_pool::par_chunks_init(
                 0..groups,
                 group_grain(m * w),
-                || (vec![false; m], vec![fill; w], Scratch::new()),
-                |(visited, buf, scratch), sub| {
+                || {
+                    (
+                        FineWindow::new(fill),
+                        vec![false; m],
+                        vec![fill; w],
+                        Scratch::new(),
+                    )
+                },
+                |(fine, visited, buf, scratch), sub| {
                     for g in sub {
                         if journal.is_some_and(|j| j.is_done(g)) {
                             continue;
@@ -460,8 +509,7 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync>(
                                 us.get(idx)
                             });
                         }
-                        let residuals: Vec<usize> = (0..gw).map(|k| k % m).collect();
-                        fine_rotate_left(us, m, n, j0, gw, &residuals, h);
+                        fine.rotate(us, m, n, j0, &residuals[..gw], h, false);
                         let j0m = j0 % m;
                         permute_subrows(us, m, n, j0, gw, |i| (p.q(i) + j0m) % m, visited, buf);
                         if let Some(j) = journal {
@@ -490,12 +538,13 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
     h: usize,
 ) -> Result<(), PoolError> {
     let (m, n) = (p.m, p.n);
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_shape(data.len(), m, n);
     if m <= 1 || n == 0 {
         return Ok(());
     }
     let fill = data[0];
     let groups = n.div_ceil(w);
+    let residuals: Vec<usize> = (0..w).map(|k| k % m).collect();
     recover::run_op(
         data,
         groups,
@@ -509,8 +558,15 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
             ipt_pool::par_chunks_init(
                 0..groups,
                 group_grain(m * w),
-                || (vec![false; m], vec![fill; w], Scratch::new()),
-                |(visited, buf, scratch), sub| {
+                || {
+                    (
+                        FineWindow::new(fill),
+                        vec![false; m],
+                        vec![fill; w],
+                        Scratch::new(),
+                    )
+                },
+                |(fine, visited, buf, scratch), sub| {
                     for g in sub {
                         if journal.is_some_and(|j| j.is_done(g)) {
                             continue;
@@ -536,8 +592,7 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
                             visited,
                             buf,
                         );
-                        let residuals: Vec<usize> = (0..gw).map(|k| k % m).collect();
-                        fine_rotate_right(us, m, n, j0, gw, &residuals, h);
+                        fine.rotate(us, m, n, j0, &residuals[..gw], h, true);
                         if let Some(j) = journal {
                             j.commit(g);
                         }
@@ -557,7 +612,7 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipt_core::check::fill_pattern;
+    use ipt_core::check::{fill_pattern, Rng};
     use ipt_core::permute;
 
     fn reference_rotate(
@@ -621,6 +676,107 @@ mod tests {
         assert_eq!(a, reference_rotate(&orig, m, n, |j| j / b));
     }
 
+    /// Run the staged fine pass over every column group of an `m x n`
+    /// matrix, column `j` rotating by `res[j]` (left, or right), with one
+    /// `FineWindow` reused across the groups as a worker reuses it.
+    fn staged_fine<T: Copy + Send + Sync>(
+        a: &mut [T],
+        (m, n): (usize, usize),
+        w: usize,
+        h: usize,
+        res: &[usize],
+        right: bool,
+    ) {
+        let mut fine = FineWindow::new(a[0]);
+        let scope = CheckScope::new(m * n, n, || "staged fine test".to_string());
+        let us = UnsafeSlice::new(a, &scope);
+        for g in 0..n.div_ceil(w) {
+            let j0 = g * w;
+            let gw = w.min(n - j0);
+            us.claim_columns(g, j0, gw);
+            fine.rotate(us, m, n, j0, &res[j0..j0 + gw], h, right);
+        }
+    }
+
+    /// Column `j` rotated left (gather `(i + r) mod m`) or right (gather
+    /// `(i - r) mod m`) by `res[j]`, element by element.
+    fn reference_fine<T: Copy>(
+        orig: &[T],
+        m: usize,
+        n: usize,
+        res: &[usize],
+        right: bool,
+    ) -> Vec<T> {
+        let mut out = orig.to_vec();
+        for (j, &r) in res.iter().enumerate() {
+            for i in 0..m {
+                let src = if right { (i + m - r) % m } else { (i + r) % m };
+                out[i * n + j] = orig[src * n + j];
+            }
+        }
+        out
+    }
+
+    /// Random shapes, group widths, block heights and per-column
+    /// residuals against the reference rotation, both directions, for
+    /// one element type. `encode` must be injective below `max_elems`.
+    /// Every case counts toward the edge conditions the staged window
+    /// has to get right, and each must be hit.
+    fn staged_fine_property<T>(seed: u64, max_elems: usize, encode: impl Fn(usize) -> T)
+    where
+        T: Copy + Send + Sync + PartialEq + std::fmt::Debug,
+    {
+        let mut rng = Rng::new(seed);
+        let (mut wide_residual, mut tall_block, mut one_wide, mut short_last) = (0, 0, 0, 0);
+        for case in 0..192 {
+            let m = rng.range(2..40);
+            let n = rng.range(1..(max_elems / m).clamp(2, 48));
+            let w = rng.range(1..n + 2);
+            let h = rng.range(1..m + 5);
+            // Half the cases keep residuals below the group width (the
+            // algorithm's families); the rest use any residual < m.
+            let cap = if rng.chance(1, 2) { w.min(m) } else { m };
+            let res: Vec<usize> = (0..n).map(|_| rng.range(0..cap)).collect();
+            let maxres = res.iter().copied().max().unwrap_or(0);
+            wide_residual += usize::from(maxres > h && h < m);
+            tall_block += usize::from(h >= m && maxres > 0);
+            one_wide += usize::from(w == 1 && maxres > 0);
+            short_last += usize::from(n % w != 0 && n > w && maxres > 0);
+            let orig: Vec<T> = (0..m * n).map(&encode).collect();
+            for right in [false, true] {
+                let mut a = orig.clone();
+                staged_fine(&mut a, (m, n), w, h, &res, right);
+                assert_eq!(
+                    a,
+                    reference_fine(&orig, m, n, &res, right),
+                    "case {case}: {m}x{n} w={w} h={h} right={right} res={res:?}"
+                );
+            }
+        }
+        for (name, hits) in [
+            (
+                "maxres > h: widened window over several blocks",
+                wide_residual,
+            ),
+            ("h >= m", tall_block),
+            ("gw = 1", one_wide),
+            ("short last group", short_last),
+        ] {
+            assert!(hits > 0, "no case covered {name}");
+        }
+    }
+
+    #[test]
+    fn staged_fine_pass_matches_reference_rotation() {
+        staged_fine_property(0xf1e0_0001, 256, |i| i as u8);
+        staged_fine_property(0xf1e0_0002, 1 << 16, |i| i as u16);
+        staged_fine_property(0xf1e0_0003, 1 << 24, |i| {
+            let b = i.to_le_bytes();
+            [b[0], b[1], b[2]]
+        });
+        staged_fine_property(0xf1e0_0004, usize::MAX, |i| i as u64);
+    }
+
     #[test]
     fn fine_right_inverts_fine_left() {
         for (m, n) in [(9usize, 13usize), (20, 7), (5, 40)] {
@@ -629,17 +785,9 @@ mod tests {
                     let mut a = vec![0u64; m * n];
                     fill_pattern(&mut a);
                     let orig = a.clone();
-                    let scope = CheckScope::new(m * n, n, || "fine rotate test".to_string());
-                    let us = UnsafeSlice::new(&mut a, &scope);
-                    let groups = n.div_ceil(w);
-                    for g in 0..groups {
-                        let j0 = g * w;
-                        let gw = w.min(n - j0);
-                        us.claim_columns(g, j0, gw);
-                        let res: Vec<usize> = (0..gw).map(|k| (k * 2 + 1) % m).collect();
-                        fine_rotate_left(us, m, n, j0, gw, &res, h);
-                        fine_rotate_right(us, m, n, j0, gw, &res, h);
-                    }
+                    let res: Vec<usize> = (0..n).map(|j| ((j % w) * 2 + 1) % m).collect();
+                    staged_fine(&mut a, (m, n), w, h, &res, false);
+                    staged_fine(&mut a, (m, n), w, h, &res, true);
                     assert_eq!(a, orig, "{m}x{n} w={w} h={h}");
                 }
             }

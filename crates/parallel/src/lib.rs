@@ -136,6 +136,22 @@ pub mod phases {
 /// `ipt-pool` primitives run inline on the calling thread.
 const PAR_MIN_ELEMS: usize = 4096;
 
+/// Panic unless a buffer of `len` elements holds a `rows x cols` matrix.
+/// The product is taken with `checked_mul`: a shape whose element count
+/// overflows `usize` panics with a message naming it, instead of wrapping
+/// to a small count that a short buffer could match (and the passes
+/// would then index far outside it).
+#[track_caller]
+pub(crate) fn assert_shape(len: usize, rows: usize, cols: usize) {
+    let Some(elems) = rows.checked_mul(cols) else {
+        panic!("matrix shape {rows} x {cols} overflows usize");
+    };
+    assert_eq!(
+        len, elems,
+        "buffer length must be rows * cols ({rows} x {cols})"
+    );
+}
+
 /// `min_grain` (in rows) for row-wise parallel loops over `n`-element rows.
 pub(crate) fn row_grain(n: usize) -> usize {
     (PAR_MIN_ELEMS / n.max(1)).max(1)
@@ -169,7 +185,8 @@ pub struct ParOptions {
     /// which measures fastest for the CPU cache hierarchies this crate
     /// targets (see the `ablations` bench).
     pub col_group: usize,
-    /// Row-block height for the fine rotation pass (§4.6).
+    /// Row-block height for the fine rotation pass (§4.6): the sub-rows
+    /// its on-cache window stages per block.
     pub block_rows: usize,
     /// Use the cache-aware column primitives (§4.6–4.7) instead of plain
     /// strided column walks.
@@ -213,7 +230,7 @@ pub fn c2r_parallel<T: Copy + Send + Sync>(
     n: usize,
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_shape(data.len(), m, n);
     if m <= 1 || n <= 1 {
         return Ok(());
     }
@@ -262,7 +279,7 @@ pub fn r2c_parallel<T: Copy + Send + Sync>(
     n: usize,
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_shape(data.len(), m, n);
     if m <= 1 || n <= 1 {
         return Ok(());
     }
@@ -309,7 +326,7 @@ pub fn transpose_parallel<T: Copy + Send + Sync>(
     layout: Layout,
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
-    assert_eq!(data.len(), rows * cols, "buffer length must be rows * cols");
+    assert_shape(data.len(), rows, cols);
     let (m, n) = match layout {
         Layout::RowMajor => (rows, cols),
         Layout::ColMajor => (cols, rows),
@@ -332,7 +349,7 @@ pub fn transpose_parallel_with<T: Copy + Send + Sync>(
     algorithm: ipt_core::Algorithm,
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
-    assert_eq!(data.len(), rows * cols, "buffer length must be rows * cols");
+    assert_shape(data.len(), rows, cols);
     let (m, n) = match layout {
         Layout::RowMajor => (rows, cols),
         Layout::ColMajor => (cols, rows),
@@ -349,6 +366,17 @@ mod tests {
     use super::*;
     use ipt_core::check::{fill_pattern, is_transposed_pattern};
     use ipt_core::Scratch;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes every test here that runs timed phases: phase times and
+    /// bytes are process-global, so a sibling test's transpose would land
+    /// in another test's snapshot delta. Poison is ignored, so one failing
+    /// test does not fail the rest on the lock.
+    fn phase_lock() -> MutexGuard<'static, ()> {
+        static PHASES: Mutex<()> = Mutex::new(());
+        PHASES.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn sizes() -> Vec<(usize, usize)> {
         let mut v = Vec::new();
@@ -377,6 +405,7 @@ mod tests {
 
     #[test]
     fn parallel_c2r_matches_sequential() {
+        let _phases = phase_lock();
         crate::force_multithreaded_pool();
         for opts in [ParOptions::default(), ParOptions::plain()] {
             for (m, n) in sizes() {
@@ -392,6 +421,7 @@ mod tests {
 
     #[test]
     fn parallel_r2c_matches_sequential() {
+        let _phases = phase_lock();
         crate::force_multithreaded_pool();
         for opts in [ParOptions::default(), ParOptions::plain()] {
             for (m, n) in sizes() {
@@ -407,6 +437,7 @@ mod tests {
 
     #[test]
     fn parallel_transpose_both_layouts() {
+        let _phases = phase_lock();
         crate::force_multithreaded_pool();
         for layout in [Layout::RowMajor, Layout::ColMajor] {
             for (m, n) in sizes() {
@@ -423,6 +454,7 @@ mod tests {
 
     #[test]
     fn tiny_group_widths_still_correct() {
+        let _phases = phase_lock();
         crate::force_multithreaded_pool();
         for w in [1usize, 2, 3, 5] {
             let opts = ParOptions {
@@ -443,6 +475,7 @@ mod tests {
 
     #[test]
     fn forced_algorithms_agree_with_heuristic() {
+        let _phases = phase_lock();
         for alg in [
             ipt_core::Algorithm::C2r,
             ipt_core::Algorithm::R2c,
@@ -463,6 +496,7 @@ mod tests {
 
     #[test]
     fn phases_are_attributed() {
+        let _phases = phase_lock();
         crate::force_multithreaded_pool();
         let (m, n) = (60usize, 48usize); // gcd > 1: pre/post rotations run
         let before = ipt_pool::stats::snapshot();
@@ -492,6 +526,7 @@ mod tests {
 
     #[test]
     fn coprime_shapes_report_no_rotation_bytes() {
+        let _phases = phase_lock();
         crate::force_multithreaded_pool();
         let (m, n) = (61usize, 48usize); // gcd = 1: rotations are no-ops
         let before = ipt_pool::stats::snapshot();
@@ -507,7 +542,42 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_shapes_panic_before_any_pass() {
+        // 2^(bits-1) x 2 wraps to 0 elements, which an empty buffer would
+        // match: the checked product must refuse the shape by name.
+        let big = 1usize << (usize::BITS - 1);
+        let opts = ParOptions::default();
+        type Call<'a> = &'a dyn Fn(&mut [u8]) -> bool;
+        let calls: [(&str, Call); 5] = [
+            ("c2r_parallel", &|a| c2r_parallel(a, big, 2, &opts).is_ok()),
+            ("r2c_parallel", &|a| r2c_parallel(a, 2, big, &opts).is_ok()),
+            ("transpose_parallel", &|a| {
+                transpose_parallel(a, big, 2, Layout::RowMajor, &opts).is_ok()
+            }),
+            ("transpose_parallel_with", &|a| {
+                let alg = ipt_core::Algorithm::Auto;
+                transpose_parallel_with(a, 2, big, Layout::ColMajor, alg, &opts).is_ok()
+            }),
+            ("rotate_columns_cache_aware", &|a| {
+                cache_aware::rotate_columns_cache_aware(a, big, 2, 4, 8, |j| j).is_ok()
+            }),
+        ];
+        for (name, call) in calls {
+            let err = catch_unwind(AssertUnwindSafe(|| call(&mut []))).unwrap_err();
+            let msg = err.downcast_ref::<String>().unwrap();
+            assert!(msg.contains("overflows usize"), "{name}: {msg}");
+        }
+        let err = catch_unwind(|| c2r_parallel(&mut [0u8; 5], 2, 3, &opts)).unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(
+            msg.contains("buffer length must be rows * cols (2 x 3)"),
+            "{msg}"
+        );
+    }
+
+    #[test]
     fn roundtrip_parallel() {
+        let _phases = phase_lock();
         crate::force_multithreaded_pool();
         let (m, n) = (40usize, 72usize);
         let mut a = vec![0u64; m * n];

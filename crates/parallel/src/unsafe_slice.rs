@@ -26,7 +26,8 @@
 //! checker turns it into a deterministic panic: each parallel operation
 //! opens a [`CheckScope`] backed by a *shadow map* (one `AtomicU32` per
 //! element). Workers **claim** their index sets up front; every
-//! subsequent `get`/`set` verifies the element was claimed by the calling
+//! subsequent `get`/`set` — and every index of a `read_run`/`write_run`
+//! sub-row copy — verifies the element was claimed by the calling
 //! worker's owner group. Overlapping claims across owners, or any access
 //! to an unclaimed/foreign element, aborts with both owner groups, the
 //! offending `(row, col)`, and the operation's geometry (m, n, group
@@ -364,6 +365,48 @@ impl<'a, T: Copy> UnsafeSlice<'a, T> {
         // SAFETY: caller guarantees bounds and exclusivity.
         unsafe { *self.ptr.add(idx) = v };
     }
+
+    /// Copy the run of `out.len()` elements starting at `idx` into `out`
+    /// (one sub-row). In checked mode every index of the run is verified
+    /// exactly as [`get`](Self::get) verifies one.
+    ///
+    /// # Safety
+    ///
+    /// `idx + out.len() <= len`, and no concurrent task may be writing
+    /// any element of the run.
+    #[inline]
+    pub(crate) unsafe fn read_run(&self, idx: usize, out: &mut [T]) {
+        debug_assert!(idx + out.len() <= self.len);
+        if let Some(sh) = self.shadow {
+            for i in idx..idx + out.len() {
+                self.check_access(sh, i, "unclaimed read");
+            }
+        }
+        // SAFETY: caller guarantees bounds and non-aliasing; `out` is a
+        // caller-owned buffer, so it cannot overlap the wrapped slice.
+        unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(idx), out.as_mut_ptr(), out.len()) }
+    }
+
+    /// Copy `run` into the `run.len()` elements starting at `idx` (one
+    /// sub-row). In checked mode every index of the run is verified
+    /// exactly as [`set`](Self::set) verifies one.
+    ///
+    /// # Safety
+    ///
+    /// `idx + run.len() <= len`, and no concurrent task may be reading or
+    /// writing any element of the run.
+    #[inline]
+    pub(crate) unsafe fn write_run(&self, idx: usize, run: &[T]) {
+        debug_assert!(idx + run.len() <= self.len);
+        if let Some(sh) = self.shadow {
+            for i in idx..idx + run.len() {
+                self.check_access(sh, i, "unclaimed write");
+            }
+        }
+        // SAFETY: caller guarantees bounds and exclusivity; `run` is a
+        // caller-owned buffer, so it cannot overlap the wrapped slice.
+        unsafe { std::ptr::copy_nonoverlapping(run.as_ptr(), self.ptr.add(idx), run.len()) }
+    }
 }
 
 #[cfg(test)]
@@ -472,6 +515,56 @@ mod tests {
         let err = catch_unwind(AssertUnwindSafe(|| unsafe { us.get(6) })).unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("unclaimed read"), "{msg}");
+    }
+
+    #[test]
+    fn runs_copy_whole_sub_rows() {
+        let (m, n) = (3usize, 5usize);
+        let mut data: Vec<u32> = (0..(m * n) as u32).collect();
+        let scope = scope_for(m * n, n);
+        let us = UnsafeSlice::new(&mut data, &scope);
+        us.claim_columns(0, 1, 3);
+        let mut run = [0u32; 3];
+        // SAFETY: single-threaded; the runs stay inside columns 1..4.
+        unsafe {
+            us.read_run(n + 1, &mut run);
+            assert_eq!(run, [6, 7, 8]);
+            us.write_run(2 * n + 1, &run);
+        }
+        assert_eq!(&data[2 * n..], [10, 6, 7, 8, 14]);
+    }
+
+    #[test]
+    fn runs_reaching_into_a_foreign_group_abort() {
+        if !checking_enabled() {
+            return;
+        }
+        let (m, n) = (4usize, 6usize);
+        let mut data = vec![0u32; m * n];
+        let scope = scope_for(m * n, n);
+        let us = UnsafeSlice::new(&mut data, &scope);
+        us.claim_columns(1, 3, 3);
+        us.claim_columns(0, 0, 3); // this thread is group 0 again
+                                   // A 4-wide run from column 0 of row 2 reaches group 1's column 3
+                                   // — the shape of an off-by-one sub-row width.
+        let mut run = [0u32; 4];
+        let err =
+            catch_unwind(AssertUnwindSafe(|| unsafe { us.read_run(2 * n, &mut run) })).unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("unclaimed read"), "{msg}");
+        assert!(
+            msg.contains("row 2, col 3") && msg.contains("group 1"),
+            "{msg}"
+        );
+        let err = catch_unwind(AssertUnwindSafe(|| unsafe { us.write_run(n, &run) })).unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("unclaimed write"), "{msg}");
+        assert!(msg.contains("row 1, col 3"), "{msg}");
+        // The checker fires before the copy: group 1's cells are intact.
+        assert!(data[3..6]
+            .iter()
+            .chain(&data[n + 3..n + 6])
+            .all(|&v| v == 0));
     }
 
     #[test]

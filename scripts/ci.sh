@@ -10,6 +10,9 @@
 #   tier 0  shellcheck   scripts/*.sh, if installed
 #   tier 1  verify       scripts/verify.sh            (hermetic build+test)
 #   tier 2  rustdoc      -D warnings across the workspace
+#   tier 2  perfbench    the layer-ledger benchmark's own tests (its
+#                        verifier, percentiles, trace export), so a
+#                        library API change cannot break it unnoticed
 #   tier 2  calibrate    ipt-cli calibrate --force writes this box's
 #                        kernel-crossover profile into the history dir;
 #                        the smoke runs below execute with it loaded
@@ -213,6 +216,11 @@ main_pipeline() {
 
     stage "rustdoc -D warnings (tier 2)"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+
+    stage "perfbench: benchmark self-tests (tier 2)"
+    # perfbench/ is its own Cargo package (not a workspace member), so the
+    # workspace build and test stages above never compile it.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
     stage "bench smoke: fixed suites vs committed baselines (tier 2)"
     # A --quick run keeps the full (algorithm, shape) entry set of each

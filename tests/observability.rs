@@ -9,14 +9,16 @@
 
 use ipt::pool::stats;
 use ipt::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Serializes the stats-sensitive regions across this binary's tests.
+/// Guards are taken through poison, so a failing test reports its own
+/// assertion and does not fail the tests after it on the lock.
 static STATS_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn parallel_transpose_attributes_all_three_phases() {
-    let _guard = STATS_LOCK.lock().unwrap();
+    let _guard = STATS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     // 60 x 48: gcd = 12 > 1, so C2R runs pre-rotate + row + col shuffle.
     let (m, n) = (60usize, 48usize);
     let mut a: Vec<u64> = (0..(m * n) as u64).collect();
@@ -37,7 +39,7 @@ fn parallel_transpose_attributes_all_three_phases() {
 
 #[test]
 fn coprime_shapes_skip_the_rotation_phase() {
-    let _guard = STATS_LOCK.lock().unwrap();
+    let _guard = STATS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     // 25 x 12: gcd = 1, so the pre-rotation is the identity and C2R
     // skips it entirely (paper §4.1) — no pre_rotate time may appear.
     let (m, n) = (25usize, 12usize);
@@ -54,7 +56,7 @@ fn coprime_shapes_skip_the_rotation_phase() {
 
 #[test]
 fn r2c_reports_its_inverse_phases_and_roundtrips() {
-    let _guard = STATS_LOCK.lock().unwrap();
+    let _guard = STATS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (m, n) = (48usize, 36usize); // gcd = 12: post-rotation runs
     let orig: Vec<u64> = (0..(m * n) as u64).collect();
     let mut a = orig.clone();
@@ -72,7 +74,7 @@ fn r2c_reports_its_inverse_phases_and_roundtrips() {
 
 #[test]
 fn scratch_reaches_steady_state_reuse() {
-    let _guard = STATS_LOCK.lock().unwrap();
+    let _guard = STATS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     // The plain (non-cache-aware) path stages columns through per-worker
     // ipt_pool::Scratch buffers; across repeated same-shape transposes
     // the buffers must be reused, not reallocated per call.
@@ -94,7 +96,7 @@ fn scratch_reaches_steady_state_reuse() {
 
 #[test]
 fn sequential_facade_records_no_phases() {
-    let _guard = STATS_LOCK.lock().unwrap();
+    let _guard = STATS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     // ipt-core is phase-free by design: only the parallel layer reports
     // into the pool's phase table, so single-threaded users pay nothing.
     let mut a: Vec<u64> = (0..35).collect();
