@@ -38,6 +38,7 @@
 
 pub mod skinny;
 
+use ipt_core::shape_len;
 pub use skinny::{transpose_skinny_c2r, transpose_skinny_r2c};
 
 /// Convert an Array of Structures to a Structure of Arrays in place.
@@ -70,7 +71,11 @@ pub fn aos_to_soa<T: Copy + Send + Sync>(
     fields: usize,
 ) -> Result<(), ipt_parallel::TransposeAborted> {
     assert!(n_structs > 0 && fields > 0, "degenerate AoS shape");
-    assert_eq!(data.len(), n_structs * fields, "buffer/shape mismatch");
+    assert_eq!(
+        data.len(),
+        shape_len(n_structs, fields),
+        "buffer/shape mismatch"
+    );
     // R2C with the small dimension as the view's row count: consumes the
     // N x s buffer, produces s x N.
     skinny::transpose_skinny_r2c(data, fields, n_structs)
@@ -90,7 +95,11 @@ pub fn soa_to_aos<T: Copy + Send + Sync>(
     fields: usize,
 ) -> Result<(), ipt_parallel::TransposeAborted> {
     assert!(n_structs > 0 && fields > 0, "degenerate SoA shape");
-    assert_eq!(data.len(), n_structs * fields, "buffer/shape mismatch");
+    assert_eq!(
+        data.len(),
+        shape_len(n_structs, fields),
+        "buffer/shape mismatch"
+    );
     skinny::transpose_skinny_c2r(data, fields, n_structs)
 }
 
@@ -110,7 +119,7 @@ impl<'a, T: Copy> SoaView<'a, T> {
     ///
     /// Panics if `data.len() != fields * len`.
     pub fn new(data: &'a [T], fields: usize, len: usize) -> SoaView<'a, T> {
-        assert_eq!(data.len(), fields * len, "buffer/shape mismatch");
+        assert_eq!(data.len(), shape_len(fields, len), "buffer/shape mismatch");
         SoaView { data, fields, len }
     }
 
@@ -204,5 +213,12 @@ mod tests {
     fn wrong_shape_panics() {
         let mut a = vec![0u8; 7];
         let _ = aos_to_soa(&mut a, 3, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn overflowing_shape_panics() {
+        let big = 1usize << (usize::BITS - 1);
+        let _ = aos_to_soa::<u8>(&mut [], big, 2);
     }
 }

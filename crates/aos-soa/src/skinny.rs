@@ -20,9 +20,9 @@
 //! Figure 7's median advantage over the general transpose.
 
 use ipt_core::index::C2rParams;
-use ipt_parallel::cols::par_process_column_blocks;
+use ipt_core::shape_len;
 use ipt_parallel::rows::row_shuffle_incremental;
-use ipt_parallel::{phases, TransposeAborted};
+use ipt_parallel::{phases, stage_column_blocks, TransposeAborted};
 use ipt_pool::PoolError;
 
 /// Lift a contained pool panic into a phase-attributed abort error.
@@ -83,7 +83,7 @@ pub fn transpose_skinny_c2r<T: Copy + Send + Sync>(
     m: usize,
     n: usize,
 ) -> Result<(), TransposeAborted> {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return Ok(());
     }
@@ -92,11 +92,17 @@ pub fn transpose_skinny_c2r<T: Copy + Send + Sync>(
 
     // Pass 1 (only if gcd > 1): pre-rotation, fully block-local.
     if !p.coprime() {
-        par_process_column_blocks(data, m, n, w, |j0, block, gw, _scratch| {
-            for k in 0..gw {
-                rotate_block_column(block, m, gw, k, p.rotate_amount(j0 + k) % m);
-            }
-        })
+        stage_column_blocks(
+            data,
+            (m, n, w),
+            "skinny_pre_rotate",
+            |j0, block, gw, _scratch| {
+                for k in 0..gw {
+                    rotate_block_column(block, m, gw, k, p.rotate_amount(j0 + k) % m);
+                }
+            },
+            |i, j| (i + p.rotate_amount(j)) % m,
+        )
         .map_err(aborted(phases::PRE_ROTATE))?;
     }
 
@@ -107,12 +113,18 @@ pub fn transpose_skinny_c2r<T: Copy + Send + Sync>(
     // fused into one block-local pass — the "on-chip" column operations
     // of §6.1.
     let q_table: Vec<usize> = (0..m).map(|i| p.q(i)).collect();
-    par_process_column_blocks(data, m, n, w, |j0, block, gw, scratch| {
-        for k in 0..gw {
-            rotate_block_column(block, m, gw, k, (j0 + k) % m);
-        }
-        permute_block_rows(block, m, gw, &q_table, scratch);
-    })
+    stage_column_blocks(
+        data,
+        (m, n, w),
+        "skinny_col_shuffle",
+        |j0, block, gw, scratch| {
+            for k in 0..gw {
+                rotate_block_column(block, m, gw, k, (j0 + k) % m);
+            }
+            permute_block_rows(block, m, gw, &q_table, scratch);
+        },
+        |i, j| p.s(j, i),
+    )
     .map_err(aborted(phases::COL_SHUFFLE))
 }
 
@@ -124,7 +136,7 @@ pub fn transpose_skinny_r2c<T: Copy + Send + Sync>(
     m: usize,
     n: usize,
 ) -> Result<(), TransposeAborted> {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return Ok(());
     }
@@ -134,12 +146,18 @@ pub fn transpose_skinny_r2c<T: Copy + Send + Sync>(
     // Pass 1: inverse column shuffle (permutation q^-1 then rotation
     // p^-1_j), fused block-local.
     let q_inv_table: Vec<usize> = (0..m).map(|i| p.q_inv(i)).collect();
-    par_process_column_blocks(data, m, n, w, |j0, block, gw, scratch| {
-        permute_block_rows(block, m, gw, &q_inv_table, scratch);
-        for k in 0..gw {
-            rotate_block_column(block, m, gw, k, (m - (j0 + k) % m) % m);
-        }
-    })
+    stage_column_blocks(
+        data,
+        (m, n, w),
+        "skinny_col_shuffle_inverse",
+        |j0, block, gw, scratch| {
+            permute_block_rows(block, m, gw, &q_inv_table, scratch);
+            for k in 0..gw {
+                rotate_block_column(block, m, gw, k, (m - (j0 + k) % m) % m);
+            }
+        },
+        |i, j| p.q_inv((i + m - j % m) % m),
+    )
     .map_err(aborted(phases::COL_SHUFFLE))?;
 
     // Pass 2: row shuffle, gathering with incrementally-computed d' (§4.3).
@@ -147,11 +165,18 @@ pub fn transpose_skinny_r2c<T: Copy + Send + Sync>(
 
     // Pass 3 (only if gcd > 1): undo the pre-rotation, block-local.
     if !p.coprime() {
-        par_process_column_blocks(data, m, n, w, |j0, block, gw, _scratch| {
-            for k in 0..gw {
-                rotate_block_column(block, m, gw, k, (m - p.rotate_amount(j0 + k) % m) % m);
-            }
-        })
+        let amount = |j: usize| (m - p.rotate_amount(j) % m) % m;
+        stage_column_blocks(
+            data,
+            (m, n, w),
+            "skinny_post_rotate",
+            |j0, block, gw, _scratch| {
+                for k in 0..gw {
+                    rotate_block_column(block, m, gw, k, amount(j0 + k));
+                }
+            },
+            |i, j| (i + amount(j)) % m,
+        )
         .map_err(aborted(phases::POST_ROTATE))?;
     }
     Ok(())

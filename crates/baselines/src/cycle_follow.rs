@@ -24,6 +24,7 @@
 //! hard to parallelize and why the paper's decomposition matters.
 
 use crate::bitset::BitSet;
+use ipt_core::shape_len;
 
 /// Gather source for destination `p`: `(p * n) mod (m*n - 1)`.
 #[inline]
@@ -47,7 +48,7 @@ fn source(p: usize, n: usize, mn1: usize) -> usize {
 /// assert_eq!(a, [1, 4, 2, 5, 3, 6]);
 /// ```
 pub fn transpose_cycle_following<T: Copy>(data: &mut [T], m: usize, n: usize) {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return;
     }
@@ -85,7 +86,7 @@ pub fn transpose_cycle_following<T: Copy>(data: &mut [T], m: usize, n: usize) {
 /// space/throughput trade-off against the decomposed algorithm's
 /// `O(max(m, n))` elements.
 pub fn transpose_cycle_following_marked<T: Copy>(data: &mut [T], m: usize, n: usize) -> usize {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return 0;
     }

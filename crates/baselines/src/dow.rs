@@ -13,6 +13,7 @@
 
 use crate::bitset::BitSet;
 use crate::tiled::chunk_transpose;
+use ipt_core::shape_len;
 
 /// Whether [`transpose_dow`] supports an `m x n` shape.
 pub fn dow_supports(m: usize, n: usize) -> bool {
@@ -28,7 +29,7 @@ pub fn dow_supports(m: usize, n: usize) -> bool {
 /// Panics if the shape is unsupported (check [`dow_supports`]) or the
 /// buffer length mismatches.
 pub fn transpose_dow<T: Copy>(data: &mut [T], m: usize, n: usize) -> usize {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     assert!(
         dow_supports(m, n),
         "Dow requires m | n or n | m (got {m} x {n})"

@@ -18,6 +18,7 @@
 
 use crate::factor::largest_divisor_at_most;
 use crate::tiled::tiled_transpose;
+use ipt_core::shape_len;
 
 /// Default tile-dimension target (elements), sized so an f64 tile fills a
 /// handful of cache lines per row.
@@ -38,7 +39,7 @@ pub fn transpose_gustavson_with_target<T: Copy>(
     n: usize,
     target: usize,
 ) -> usize {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return 0;
     }

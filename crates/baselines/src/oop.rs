@@ -4,6 +4,7 @@
 //! this ideal. The harnesses use it both as the speed-of-light reference
 //! and as a correctness oracle for large randomized inputs.
 
+use ipt_core::shape_len;
 use ipt_core::Layout;
 
 /// Out-of-place transpose into a fresh allocation.
@@ -28,8 +29,8 @@ pub fn transpose_out_of_place<T: Copy>(
 ///
 /// Panics if the buffer lengths don't match `m * n`.
 pub fn transpose_into<T: Copy>(src: &[T], dst: &mut [T], m: usize, n: usize) {
-    assert_eq!(src.len(), m * n, "src length must be m * n");
-    assert_eq!(dst.len(), m * n, "dst length must be m * n");
+    assert_eq!(src.len(), shape_len(m, n), "src length must be m * n");
+    assert_eq!(dst.len(), shape_len(m, n), "dst length must be m * n");
     for j in 0..n {
         let out_row = &mut dst[j * m..(j + 1) * m];
         for (i, slot) in out_row.iter_mut().enumerate() {

@@ -20,6 +20,7 @@
 
 use crate::factor::sung_tile_dim;
 use crate::tiled::tiled_transpose;
+use ipt_core::shape_len;
 
 /// The paper's tile-size threshold: "we set t = 72, so that the maximum
 /// tile size was 72 x 72" (§5.2).
@@ -40,7 +41,7 @@ pub fn transpose_sung_with_threshold<T: Copy>(
     n: usize,
     threshold: usize,
 ) -> usize {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return 0;
     }

@@ -19,6 +19,7 @@
 //! paper attributes to these algorithms.
 
 use crate::bitset::BitSet;
+use ipt_core::shape_len;
 
 /// Gather source slot for destination slot `p` in an `R x C` grid
 /// transpose: `(p * C) mod (R*C - 1)`.
@@ -41,7 +42,11 @@ pub fn chunk_transpose<T: Copy>(
     buf: &mut [T],
     marks: &mut BitSet,
 ) -> usize {
-    assert_eq!(data.len(), r * c * chunk, "grid/buffer mismatch");
+    assert_eq!(
+        data.len(),
+        shape_len(shape_len(r, c), chunk),
+        "grid/buffer mismatch"
+    );
     assert!(buf.len() >= chunk, "chunk buffer too small");
     if r <= 1 || c <= 1 || chunk == 0 {
         return 0;
@@ -100,7 +105,7 @@ pub fn transpose_tile_content<T: Copy>(tile: &mut [T], tr: usize, tc: usize, buf
 /// with tile dimensions `(tr, tc)`; `tr` must divide `m` and `tc` divide
 /// `n`. Returns peak auxiliary bytes used (marks + buffers).
 pub fn tiled_transpose<T: Copy>(data: &mut [T], m: usize, n: usize, tr: usize, tc: usize) -> usize {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     assert!(
         tr >= 1 && tc >= 1 && m % tr == 0 && n % tc == 0,
         "tile dims must divide matrix dims"

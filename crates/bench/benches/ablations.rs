@@ -3,7 +3,8 @@
 //!
 //! * §4.4 arithmetic strength reduction — `C2rParams` (fixed-point
 //!   reciprocals) vs the naive `/`, `%` transcription;
-//! * §4.6–4.7 cache-aware column primitives vs plain strided walks;
+//! * §4.6–4.7 cache-aware parallel engine vs the sequential strided
+//!   `c2r_decomposed`;
 //! * gather- vs scatter-based row shuffle (§5.1 chose gather);
 //! * direct column shuffle vs the §4.1 restricted decomposition;
 //! * §4.6 zero-scratch cycle rotation vs Algorithm 1's scratch rotation;
@@ -65,11 +66,11 @@ fn cache_aware_columns(c: &mut Criterion) {
             ipt_parallel::c2r_parallel(black_box(&mut buf), m, n, &opts).unwrap();
         })
     });
-    g.bench_function("plain-strided", |b| {
-        let opts = ParOptions::plain();
+    g.bench_function("sequential-strided", |b| {
+        let mut s = Scratch::new();
         b.iter(|| {
             fill(&mut buf);
-            ipt_parallel::c2r_parallel(black_box(&mut buf), m, n, &opts).unwrap();
+            ipt_core::c2r::c2r_decomposed(black_box(&mut buf), m, n, &mut s);
         })
     });
     g.finish();
@@ -211,11 +212,13 @@ fn direction_heuristic(c: &mut Criterion) {
 }
 
 fn incremental_indexing(c: &mut Criterion) {
-    // The engine's incremental d' recurrence vs the §4.4 fastdiv gather —
-    // both permute identically; only the index generation differs.
+    // The engine's incremental d' recurrence vs the sequential §4.4
+    // fastdiv gather — both permute identically; only the index
+    // generation (and the parallel split) differs.
     let (m, n) = (768usize, 2048usize);
     let p = C2rParams::new(m, n);
     let mut buf = vec![0u64; m * n];
+    let mut tmp = vec![0u64; n];
     let mut g = c.benchmark_group("ablation/row-shuffle-indexing");
     g.throughput(Throughput::Bytes((2 * m * n * 8) as u64));
     g.sample_size(10);
@@ -228,30 +231,7 @@ fn incremental_indexing(c: &mut Criterion) {
     g.bench_function("fastdiv-gather", |b| {
         b.iter(|| {
             fill(&mut buf);
-            ipt_parallel::rows::row_shuffle_parallel_fastdiv(black_box(&mut buf), &p).unwrap();
-        })
-    });
-    g.finish();
-}
-
-fn fused_column_shuffle(c: &mut Criterion) {
-    let (m, n) = (1024usize, 768usize);
-    let p = C2rParams::new(m, n);
-    let mut buf = vec![0u64; m * n];
-    let mut g = c.benchmark_group("ablation/fused-col-shuffle");
-    g.throughput(Throughput::Bytes((2 * m * n * 8) as u64));
-    g.sample_size(10);
-    g.bench_function("fused", |b| {
-        b.iter(|| {
-            fill(&mut buf);
-            ipt_parallel::cache_aware::col_shuffle_fused(black_box(&mut buf), &p, 32, 256).unwrap();
-        })
-    });
-    g.bench_function("rotate-then-permute", |b| {
-        b.iter(|| {
-            fill(&mut buf);
-            ipt_parallel::cache_aware::col_rotate_j(black_box(&mut buf), &p, 32, 256).unwrap();
-            ipt_parallel::cache_aware::row_permute(black_box(&mut buf), &p, 32, false).unwrap();
+            permute::row_shuffle_gather(black_box(&mut buf), &p, &mut tmp);
         })
     });
     g.finish();
@@ -322,7 +302,6 @@ criterion_group!(
     skinny_specialization,
     direction_heuristic,
     incremental_indexing,
-    fused_column_shuffle,
     copy_vs_swap_formulations,
     special_case_dow
 );

@@ -476,7 +476,6 @@ mod tests {
             p10_gbps: median,
             p90_gbps: median,
             phases: Vec::new(),
-            sched: None,
             model: None,
             recovery: None,
         }

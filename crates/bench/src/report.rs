@@ -126,62 +126,6 @@ impl ModelBreak {
     }
 }
 
-/// The row-permute cycle-bundle scheduler's shape while an entry was
-/// measured (deltas of `ipt_pool::stats` scheduler counters): how many
-/// bundle schedules ran and how balanced the LPT partition came out.
-/// `None` for entries that never scheduled cycle bundles, and for
-/// reports written before the scheduler existed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedBreak {
-    /// Bundle schedules (one per row-permute pass) during measurement.
-    pub schedules: u64,
-    /// Total cycle bundles across those schedules.
-    pub bundles: u64,
-    /// Sum of per-schedule maximum bundle weights (rows moved).
-    pub max_weight: u64,
-    /// Sum of per-schedule minimum bundle weights.
-    pub min_weight: u64,
-}
-
-impl SchedBreak {
-    /// Steal-free imbalance ratio `max_weight / min_weight` (1.0 =
-    /// perfectly balanced); `None` when no weighted bundle was recorded.
-    pub fn imbalance(&self) -> Option<f64> {
-        if self.min_weight == 0 {
-            None
-        } else {
-            Some(self.max_weight as f64 / self.min_weight as f64)
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("schedules", Json::Num(self.schedules as f64)),
-            ("bundles", Json::Num(self.bundles as f64)),
-            ("max_weight", Json::Num(self.max_weight as f64)),
-            ("min_weight", Json::Num(self.min_weight as f64)),
-        ];
-        if let Some(r) = self.imbalance() {
-            fields.push(("imbalance", Json::Num(r)));
-        }
-        Json::obj(fields)
-    }
-
-    fn from_json(v: &Json) -> Result<SchedBreak, String> {
-        let int = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("sched missing {k:?}"))
-        };
-        Ok(SchedBreak {
-            schedules: int("schedules")?,
-            bundles: int("bundles")?,
-            max_weight: int("max_weight")?,
-            min_weight: int("min_weight")?,
-        })
-    }
-}
-
 /// The self-healing layer's activity while an entry was measured (deltas
 /// of `ipt_pool::stats` recovery counters): how many retry rungs ran, how
 /// many ops ultimately recovered, and how many rungs ran degraded.
@@ -245,9 +189,6 @@ pub struct BenchEntry {
     /// Per-phase wall-time breakdown (empty when the algorithm doesn't
     /// report phases, e.g. single-threaded cycle-following).
     pub phases: Vec<PhaseBreak>,
-    /// Cycle-bundle scheduler counters for the measurement (`None` when
-    /// no row-permute pass scheduled bundles, and in older reports).
-    pub sched: Option<SchedBreak>,
     /// Predicted-vs-measured phase-share stamp (`bench --model`); `None`
     /// for plain runs and reports written before the model existed.
     pub model: Option<ModelBreak>,
@@ -295,9 +236,6 @@ impl BenchEntry {
             ("p90_gbps", Json::Num(self.p90_gbps)),
             ("phases", Json::Arr(phases)),
         ];
-        if let Some(sched) = &self.sched {
-            fields.push(("sched", sched.to_json()));
-        }
         if let Some(model) = &self.model {
             fields.push(("model", model.to_json()));
         }
@@ -339,10 +277,6 @@ impl BenchEntry {
                 })
                 .collect::<Result<Vec<_>, String>>()?,
         };
-        let sched = match v.get("sched") {
-            None => None,
-            Some(s) => Some(SchedBreak::from_json(s)?),
-        };
         let model = match v.get("model") {
             None => None,
             Some(m) => Some(ModelBreak::from_json(m)?),
@@ -364,7 +298,6 @@ impl BenchEntry {
             p10_gbps: num("p10_gbps")?,
             p90_gbps: num("p90_gbps")?,
             phases,
-            sched,
             model,
             recovery,
         })
@@ -664,7 +597,6 @@ mod tests {
                     bytes: 2_048,
                 },
             ],
-            sched: None,
             model: None,
             recovery: None,
         }
@@ -709,15 +641,6 @@ mod tests {
         }
     }
 
-    fn sched_break() -> SchedBreak {
-        SchedBreak {
-            schedules: 5,
-            bundles: 20,
-            max_weight: 1_024,
-            min_weight: 896,
-        }
-    }
-
     fn recovery_break() -> RecoveryBreak {
         RecoveryBreak {
             retries: 3,
@@ -752,7 +675,6 @@ mod tests {
     #[test]
     fn json_keys_appear_in_schema_order() {
         let mut e = entry("c2r", 8, 4, 1.0);
-        e.sched = Some(sched_break());
         e.model = Some(model_break());
         e.recovery = Some(recovery_break());
         let text = report(vec![e]).to_json().render();
@@ -774,12 +696,6 @@ mod tests {
             "\"phases\"",
             "\"bytes\"",
             "\"fraction\"",
-            "\"sched\"",
-            "\"schedules\"",
-            "\"bundles\"",
-            "\"max_weight\"",
-            "\"min_weight\"",
-            "\"imbalance\"",
             "\"model\"",
             "\"device\"",
             "\"divergence\"",
@@ -825,18 +741,27 @@ mod tests {
     }
 
     #[test]
-    fn sched_stamp_round_trips_and_stays_optional() {
-        let mut e = entry("r2c_parallel_plain", 65536, 8, 4.0);
-        e.sched = Some(sched_break());
-        let r = report(vec![e]);
-        let text = r.to_json().render();
-        let back = BenchReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-        // Baselines written before the scheduler stamp existed still load.
-        let mut doc = Json::parse(&text).unwrap();
-        drop_keys(&mut doc, "sched");
-        let back = BenchReport::from_json(&doc).unwrap();
-        assert!(back.entries[0].sched.is_none());
+    fn retired_sched_stamp_still_loads() {
+        // Reports written while the cycle-bundle scheduler existed carry
+        // a "sched" block per entry; they must still load, the block
+        // ignored.
+        let r = report(vec![entry("r2c_parallel_plain", 65536, 8, 4.0)]);
+        let mut doc = Json::parse(&r.to_json().render()).unwrap();
+        let sched = Json::parse(
+            r#"{"schedules": 5, "bundles": 20, "max_weight": 1024, "min_weight": 896}"#,
+        )
+        .unwrap();
+        let Json::Obj(top) = &mut doc else {
+            panic!("report is not an object");
+        };
+        let Some((_, Json::Arr(entries))) = top.iter_mut().find(|(k, _)| k == "entries") else {
+            panic!("entries array missing");
+        };
+        let Json::Obj(fields) = &mut entries[0] else {
+            panic!("entry is not an object");
+        };
+        fields.push(("sched".to_string(), sched));
+        assert_eq!(BenchReport::from_json(&doc).unwrap(), r);
     }
 
     #[test]
@@ -852,20 +777,6 @@ mod tests {
         drop_keys(&mut doc, "recovery");
         let back = BenchReport::from_json(&doc).unwrap();
         assert!(back.entries[0].recovery.is_none());
-    }
-
-    #[test]
-    fn sched_imbalance_guards_division_by_zero() {
-        assert_eq!(sched_break().imbalance(), Some(1_024.0 / 896.0));
-        let starved = SchedBreak {
-            schedules: 1,
-            bundles: 2,
-            max_weight: 10,
-            min_weight: 0,
-        };
-        assert_eq!(starved.imbalance(), None);
-        // The JSON stamp omits the key rather than emitting NaN/inf.
-        assert!(starved.to_json().get("imbalance").is_none());
     }
 
     #[test]

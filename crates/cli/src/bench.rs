@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 
 use ipt_bench::harness;
 use ipt_bench::history;
-use ipt_bench::report::{compare, BenchEntry, BenchReport, PhaseBreak, RecoveryBreak, SchedBreak};
+use ipt_bench::report::{compare, BenchEntry, BenchReport, PhaseBreak, RecoveryBreak};
 use ipt_core::index::C2rParams;
 use ipt_core::kernels::{self, RowShuffleKernel, ShuffleDirection};
 use ipt_core::{transpose_with, Algorithm, Layout, Scratch};
@@ -56,13 +56,11 @@ and only cuts samples. --history DIR also archives the run into DIR as
 a dated file (SOURCE_DATE_EPOCH makes the stamp deterministic); --keep N
 then prunes the suite's archive to the N newest files, oldest first
 (default from IPT_BENCH_HISTORY_KEEP when set). --scaling (parallel and
-aos suites only) appends a tall-skinny 65536x8 shape — the regime where
-the cycle-bundle row-permute scheduler carries all the parallelism — and,
-for the parallel suite on a multi-thread pool, additionally measures a
-1-thread r2c_parallel_plain_1t twin so one report carries both ends of
-the scaling-efficiency ratio. Parallel entries also stamp the
-cycle-bundle scheduler's tallies (schedules, bundles, weight imbalance)
-under \"sched\".
+aos suites only) appends a tall-skinny 65536x8 shape — one column group
+of the default u64 width, so only the row shuffle splits across workers
+— and, for the parallel suite on a multi-thread pool, additionally
+measures a 1-thread r2c_parallel_1t twin so one report carries both ends
+of the scaling-efficiency ratio against r2c_parallel.
 Every report stamps the kernel-dispatch decision tier (override when
 IPT_KERNEL forces a kernel, calibrated when an IPT_CALIBRATION profile
 loaded, static otherwise) and the loaded profile's content hash.
@@ -126,9 +124,10 @@ const BATCHED_SHAPES: [(usize, usize); 3] = [(192, 256), (320, 96), (257, 131)];
 /// matrices, small enough that a `--quick` debug run stays fast.
 const BATCH: usize = 16;
 
-/// The `--scaling` shape: tall-skinny enough (one column group of the
-/// default u64 width) that the cycle-bundle row-permute scheduler is the
-/// *only* source of parallelism — the regime the scaling twin measures.
+/// The `--scaling` shape: tall-skinny enough that its column passes are
+/// one column group of the default u64 width, so the row shuffle is the
+/// only pass that splits across workers — the regime the scaling twin
+/// measures.
 const TALL_SKINNY: (usize, usize) = (65536, 8);
 
 struct BenchOpts {
@@ -141,8 +140,8 @@ struct BenchOpts {
     /// share breakdown (`crate::model::model_stamp`).
     model: bool,
     /// Append the [`TALL_SKINNY`] shape (and, for the parallel suite on
-    /// a multi-thread pool, a 1-thread plain-R2C twin entry) so one
-    /// report carries the cycle-bundle scaling-efficiency ratio.
+    /// a multi-thread pool, a 1-thread R2C twin entry) so one report
+    /// carries the scaling-efficiency ratio.
     scaling: bool,
     /// `--compare` paths: `(OLD, Some(NEW))` pairwise, `(NEW, None)`
     /// with `--history`.
@@ -576,18 +575,6 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
                         .unwrap_or_else(|e| abort_exit(e))
                 }),
             ),
-            (
-                "c2r_parallel_plain",
-                Box::new(|buf: &mut [u64], m, n| {
-                    c2r_parallel(buf, m, n, &ParOptions::plain()).unwrap_or_else(|e| abort_exit(e))
-                }),
-            ),
-            (
-                "r2c_parallel_plain",
-                Box::new(|buf: &mut [u64], m, n| {
-                    r2c_parallel(buf, m, n, &ParOptions::plain()).unwrap_or_else(|e| abort_exit(e))
-                }),
-            ),
         ],
         "kernels" => {
             // Row-shuffle pass only (the hot path the kernel family
@@ -688,16 +675,16 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
         }
     }
     if suite == "parallel" && opts.scaling && threads > 1 {
-        // The 1-thread twin of the plain R2C path: the denominator of the
-        // cycle-bundle scaling-efficiency ratio, in the same report so
-        // one file answers "what did N threads buy on this host".
+        // The 1-thread twin of the R2C path: the denominator of the
+        // scaling-efficiency ratio, in the same report so one file
+        // answers "what did N threads buy on this host".
         ipt_pool::set_num_threads(1);
         let mut run = |buf: &mut [u64], m: usize, n: usize| {
-            r2c_parallel(buf, m, n, &ParOptions::plain()).unwrap_or_else(|e| abort_exit(e))
+            r2c_parallel(buf, m, n, &ParOptions::default()).unwrap_or_else(|e| abort_exit(e))
         };
         for &(m, n) in &shapes {
             let e = measure(
-                "r2c_parallel_plain_1t",
+                "r2c_parallel_1t",
                 m,
                 n,
                 elems_per_call(m, n),
@@ -708,7 +695,7 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
             print_entry(&e);
             let nt = entries
                 .iter()
-                .find(|x| x.algorithm == "r2c_parallel_plain" && x.m == m && x.n == n);
+                .find(|x| x.algorithm == "r2c_parallel" && x.m == m && x.n == n);
             if let Some(nt) = nt {
                 if e.median_gbps > 0.0 && nt.median_gbps.is_finite() {
                     let speedup = nt.median_gbps / e.median_gbps;
@@ -793,14 +780,6 @@ fn measure(
     } else {
         None
     };
-    // Cycle-bundle scheduler tallies, stamped only when the timed region
-    // actually dispatched a bundle schedule (serial paths stay unstamped).
-    let sched = (delta.sched.schedules > 0).then_some(SchedBreak {
-        schedules: delta.sched.schedules,
-        bundles: delta.sched.bundles,
-        max_weight: delta.sched.max_weight,
-        min_weight: delta.sched.min_weight,
-    });
     // Recovery-ladder tallies, stamped only when a retry rung actually ran
     // during the timed region — a stamped entry flags that faults fired
     // (and were healed) mid-measurement, so its timings include recovery.
@@ -819,7 +798,6 @@ fn measure(
         p10_gbps: harness::percentile(&tputs, 10.0),
         p90_gbps: harness::percentile(&tputs, 90.0),
         phases,
-        sched,
         model,
         recovery,
     }
@@ -841,15 +819,6 @@ fn print_entry(e: &BenchEntry) {
         "  {:<20} {:>5}x{:<5} median {:8.3} GB/s  (p10 {:.3}, p90 {:.3}){split}",
         e.algorithm, e.m, e.n, e.median_gbps, e.p10_gbps, e.p90_gbps
     );
-    if let Some(s) = &e.sched {
-        let imbalance = s
-            .imbalance()
-            .map_or_else(|| "n/a".to_string(), |x| format!("{x:.2}"));
-        println!(
-            "  {:<20} sched: {} schedule(s), {} bundle(s), weight imbalance {imbalance}",
-            "", s.schedules, s.bundles
-        );
-    }
     if let Some(model) = &e.model {
         println!(
             "  {:<20} model({}): divergence {:.3}, rank {}",

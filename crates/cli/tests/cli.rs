@@ -452,7 +452,6 @@ fn bench_compare_flags_injected_regression() {
         p10_gbps: median,
         p90_gbps: median,
         phases: Vec::new(),
-        sched: None,
         model: None,
         recovery: None,
     };
@@ -494,7 +493,6 @@ fn bench_compare_skips_on_mismatched_environment_stamps() {
         p10_gbps: median,
         p90_gbps: median,
         phases: Vec::new(),
-        sched: None,
         model: None,
         recovery: None,
     };
@@ -631,7 +629,6 @@ fn bench_compare_zero_baseline_cannot_mask_regression() {
         p10_gbps: median,
         p90_gbps: median,
         phases: Vec::new(),
-        sched: None,
         model: None,
         recovery: None,
     };
@@ -675,7 +672,6 @@ fn bench_compare_surfaces_one_sided_entries() {
         p10_gbps: 1.0,
         p90_gbps: 1.0,
         phases: Vec::new(),
-        sched: None,
         model: None,
         recovery: None,
     };
@@ -769,7 +765,6 @@ fn bench_trend_gate_flags_creeping_regression() {
         p10_gbps: median,
         p90_gbps: median,
         phases: Vec::new(),
-        sched: None,
         model: None,
         recovery: None,
     };

@@ -15,6 +15,7 @@ use crate::index::C2rParams;
 use crate::kernels;
 use crate::permute;
 use crate::scratch::Scratch;
+use crate::shape_len;
 
 /// Transpose an `m x n` row-major buffer in place; the result is the
 /// `n x m` row-major transpose occupying the same slice.
@@ -38,7 +39,7 @@ use crate::scratch::Scratch;
 ///
 /// Panics if `data.len() != m * n`.
 pub fn c2r<T: Copy>(data: &mut [T], m: usize, n: usize, scratch: &mut Scratch<T>) {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return; // a vector's transpose occupies the identical buffer
     }
@@ -59,7 +60,7 @@ pub fn c2r<T: Copy>(data: &mut [T], m: usize, n: usize, scratch: &mut Scratch<T>
 /// primitives of §4.1 (rotation + identical row permutation), the form the
 /// cache-aware and SIMD implementations build on.
 pub fn c2r_decomposed<T: Copy>(data: &mut [T], m: usize, n: usize, scratch: &mut Scratch<T>) {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return;
     }
@@ -74,7 +75,7 @@ pub fn c2r_decomposed<T: Copy>(data: &mut [T], m: usize, n: usize, scratch: &mut
 /// scratch-buffer rotation) — the reference the optimized variants are
 /// tested against.
 pub fn c2r_literal<T: Copy>(data: &mut [T], m: usize, n: usize, scratch: &mut Scratch<T>) {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return;
     }
@@ -213,5 +214,14 @@ mod tests {
     fn wrong_len_panics() {
         let mut a = vec![0u8; 7];
         c2r(&mut a, 2, 4, &mut Scratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn overflowing_shape_panics() {
+        // 2^(bits-1) x 2 wraps to 0 elements, which an empty buffer would
+        // match: the checked product refuses the shape instead.
+        let big = 1usize << (usize::BITS - 1);
+        c2r::<u8>(&mut [], big, 2, &mut Scratch::new());
     }
 }

@@ -7,6 +7,7 @@
 //! every crate's tests honest about what "transposed" means.
 
 use crate::layout::Layout;
+use crate::shape_len;
 
 /// Element types that can encode a linear index, for test patterns.
 ///
@@ -70,7 +71,7 @@ pub fn reference_transpose<T: Copy>(
     cols: usize,
     layout: Layout,
 ) -> Vec<T> {
-    assert_eq!(data.len(), rows * cols);
+    assert_eq!(data.len(), shape_len(rows, cols));
     let mut out = data.to_vec();
     for i in 0..rows {
         for j in 0..cols {

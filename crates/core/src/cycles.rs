@@ -88,78 +88,6 @@ impl CycleSet {
     }
 }
 
-/// One balanced bundle of cycles produced by [`partition_bundles`].
-///
-/// `members` are indices into the owning [`CycleSet`]'s parallel
-/// `leaders` / `lengths` arrays, and `weight` is the total number of rows
-/// the bundle moves (the sum of its member cycle lengths) — the quantity
-/// the partitioner balances.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CycleBundle {
-    /// Indices into [`CycleSet::leaders`] (and `lengths`) of the cycles
-    /// assigned to this bundle.
-    pub members: Vec<usize>,
-    /// Sum of the member cycles' lengths (rows moved by this bundle).
-    pub weight: usize,
-}
-
-/// Partition a cycle set's non-trivial cycles into at most `max_bundles`
-/// weight-balanced bundles using longest-processing-time (LPT) list
-/// scheduling on cycle length.
-///
-/// Cycle lengths are badly distributed in general — the very reason the
-/// paper prefers the C2R decomposition over raw cycle following — so a
-/// naive even split of *leaders* can put one giant cycle next to a pile of
-/// 2-cycles. LPT (place each cycle, longest first, into the currently
-/// lightest bundle) guarantees a makespan within 4/3 of optimal, which is
-/// all the balance a static scheduler needs.
-///
-/// Every non-trivial cycle appears in exactly one bundle. Empty bundles
-/// are never returned: the result has `min(max_bundles, cycle_count)`
-/// entries (zero for an identity permutation). `max_bundles == 0` is
-/// treated as 1.
-///
-/// ```
-/// use ipt_core::cycles::{partition_bundles, CycleSet};
-///
-/// // i -> (i + 2) mod 8: two 4-cycles.
-/// let cycles = CycleSet::build(8, |i| (i + 2) % 8);
-/// let bundles = partition_bundles(&cycles, 2);
-/// assert_eq!(bundles.len(), 2);
-/// assert!(bundles.iter().all(|b| b.weight == 4));
-/// ```
-pub fn partition_bundles(cycles: &CycleSet, max_bundles: usize) -> Vec<CycleBundle> {
-    let count = cycles.cycle_count();
-    let n_bundles = max_bundles.max(1).min(count);
-    if n_bundles == 0 {
-        return Vec::new();
-    }
-    // Longest first: sort cycle indices by length descending (stable, so
-    // equal-length cycles keep leader order and the result is
-    // deterministic).
-    let mut order: Vec<usize> = (0..count).collect();
-    order.sort_by(|&a, &b| cycles.lengths[b].cmp(&cycles.lengths[a]));
-    let mut bundles: Vec<CycleBundle> = (0..n_bundles)
-        .map(|_| CycleBundle {
-            members: Vec::new(),
-            weight: 0,
-        })
-        .collect();
-    for idx in order {
-        // Bundle counts are a small multiple of the thread count, so a
-        // linear scan for the lightest bundle beats heap bookkeeping.
-        let lightest = bundles
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, b)| b.weight)
-            .map(|(i, _)| i)
-            .expect("n_bundles >= 1");
-        bundles[lightest].members.push(idx);
-        bundles[lightest].weight += cycles.lengths[idx];
-    }
-    bundles
-}
-
 /// Apply the gather permutation `dst[i] = src[perm(i)]` in place on `v`,
 /// following precomputed cycles with one element of temporary storage.
 pub fn apply_gather_in_place<T: Copy>(
@@ -296,105 +224,6 @@ mod tests {
                 assert_eq!(v[i * width + j], orig[perm(i) * width + j]);
             }
         }
-    }
-
-    /// Shared property check: every cycle index in exactly one bundle,
-    /// weights consistent, and LPT balance within 2x of the optimal lower
-    /// bound max(ceil(total / k), longest cycle).
-    fn check_bundles(cycles: &CycleSet, max_bundles: usize) {
-        let bundles = partition_bundles(cycles, max_bundles);
-        let count = cycles.cycle_count();
-        assert_eq!(bundles.len(), max_bundles.max(1).min(count));
-        let mut seen = vec![0usize; count];
-        for b in &bundles {
-            assert!(!b.members.is_empty(), "no empty bundles");
-            let mut weight = 0;
-            for &idx in &b.members {
-                seen[idx] += 1;
-                weight += cycles.lengths[idx];
-            }
-            assert_eq!(b.weight, weight, "stored weight matches members");
-        }
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "every cycle in exactly one bundle: {seen:?}"
-        );
-        if count == 0 {
-            return;
-        }
-        let total: usize = cycles.moved();
-        let k = bundles.len();
-        let longest = *cycles.lengths.iter().max().unwrap();
-        let optimal_floor = longest.max(total.div_ceil(k));
-        let max_weight = bundles.iter().map(|b| b.weight).max().unwrap();
-        // LPT guarantees 4/3 of optimal; 2x leaves slack without letting a
-        // naive leader-order split (which can be k times worse) pass.
-        assert!(
-            max_weight <= 2 * optimal_floor,
-            "max bundle weight {max_weight} > 2 x optimal floor {optimal_floor}"
-        );
-    }
-
-    #[test]
-    fn bundles_partition_exactly_and_balance() {
-        // Multiplicative permutations give badly distributed cycle lengths
-        // (the motivating case), rotations give uniform ones.
-        for (p, g) in [(11usize, 7usize), (97, 5), (127, 3), (251, 6)] {
-            let cs = CycleSet::build(p, move |i| (i * g) % p);
-            for k in [1, 2, 3, 4, 7, 16, 1000] {
-                check_bundles(&cs, k);
-            }
-        }
-        for shift in 1..8 {
-            let cs = CycleSet::build(24, move |i| (i + shift) % 24);
-            for k in [1, 2, 4, 8] {
-                check_bundles(&cs, k);
-            }
-        }
-    }
-
-    #[test]
-    fn bundles_handle_degenerate_inputs() {
-        // Identity: no cycles, no bundles.
-        let id = CycleSet::build(16, |i| i);
-        assert!(partition_bundles(&id, 4).is_empty());
-        // Single swap: one bundle no matter how many were requested.
-        let swap = CycleSet::build(4, |i| match i {
-            0 => 1,
-            1 => 0,
-            other => other,
-        });
-        let bundles = partition_bundles(&swap, 8);
-        assert_eq!(bundles.len(), 1);
-        assert_eq!(bundles[0].weight, 2);
-        // max_bundles == 0 is treated as 1.
-        assert_eq!(partition_bundles(&swap, 0).len(), 1);
-    }
-
-    #[test]
-    fn lpt_splits_one_giant_cycle_away_from_the_small_ones() {
-        // Permutation with one long cycle (length 13) plus six 2-cycles:
-        // a leader-order split into 2 bundles of 3-4 cycles each would put
-        // weight 13+ in one bundle; LPT isolates the giant.
-        let perm = |i: usize| {
-            if i < 13 {
-                (i + 1) % 13
-            } else {
-                // pairs (13 14)(15 16)...(23 24)
-                if (i - 13) % 2 == 0 {
-                    i + 1
-                } else {
-                    i - 1
-                }
-            }
-        };
-        let cs = CycleSet::build(25, perm);
-        assert_eq!(cs.cycle_count(), 7);
-        let bundles = partition_bundles(&cs, 2);
-        let mut weights: Vec<usize> = bundles.iter().map(|b| b.weight).collect();
-        weights.sort();
-        assert_eq!(weights, [12, 13], "giant cycle isolated from the 2-cycles");
-        check_bundles(&cs, 2);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! *reported* on stderr exactly once and then ignored — never silently
 //! swallowed (a knob the user set deserves a diagnostic) and never fatal
 //! (an env typo must not abort a long batch job). [`parse_once`]
-//! centralizes that contract so `IPT_THREADS`, `IPT_KERNEL`, `IPT_FAULT`,
-//! `IPT_CYCLE_GRAIN`, and `IPT_BENCH_HISTORY_KEEP` cannot drift apart
-//! again (`IPT_FAULT` had already drifted: it rejected the case/whitespace
+//! centralizes that contract so `IPT_THREADS`, `IPT_KERNEL`, `IPT_FAULT`
+//! and `IPT_BENCH_HISTORY_KEEP` cannot drift apart again (`IPT_FAULT` had already drifted: it rejected the case/whitespace
 //! variants the other knobs accept).
 //!
 //! Parsers receive the raw value and are expected to `trim()` (and
@@ -55,7 +54,7 @@ pub fn parse_once<T: Clone>(
         .clone()
 }
 
-/// Parse a positive-integer knob value (`IPT_THREADS`, `IPT_CYCLE_GRAIN`,
+/// Parse a positive-integer knob value (`IPT_THREADS`,
 /// `IPT_BENCH_HISTORY_KEEP`): whitespace-trimmed; zero and garbage are
 /// explicit errors naming `var` and quoting the offending value.
 pub fn parse_positive(var: &str, raw: &str) -> Result<usize, String> {

@@ -23,6 +23,7 @@
 
 use crate::index::C2rParams;
 use crate::layout::Layout;
+use crate::shape_len;
 
 /// Swap two `elem`-byte chunks at element indices `a` and `b`.
 #[inline]
@@ -117,7 +118,7 @@ pub fn c2r_erased(data: &mut [u8], m: usize, n: usize, elem_size: usize) {
     assert!(elem_size > 0, "element size must be positive");
     assert_eq!(
         data.len(),
-        m * n * elem_size,
+        shape_len(shape_len(m, n), elem_size),
         "buffer length must be m * n * elem_size"
     );
     if m <= 1 || n <= 1 {
@@ -151,7 +152,7 @@ pub fn r2c_erased(data: &mut [u8], m: usize, n: usize, elem_size: usize) {
     assert!(elem_size > 0, "element size must be positive");
     assert_eq!(
         data.len(),
-        m * n * elem_size,
+        shape_len(shape_len(m, n), elem_size),
         "buffer length must be m * n * elem_size"
     );
     if m <= 1 || n <= 1 {
@@ -195,7 +196,7 @@ pub fn transpose_erased(
     assert!(elem_size > 0, "element size must be positive");
     assert_eq!(
         data.len(),
-        rows * cols * elem_size,
+        shape_len(shape_len(rows, cols), elem_size),
         "buffer length {} does not match {rows} x {cols} x {elem_size}",
         data.len()
     );

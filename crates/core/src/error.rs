@@ -44,6 +44,31 @@ impl core::fmt::Display for TransposeError {
 
 impl std::error::Error for TransposeError {}
 
+/// The element count `rows * cols` of a matrix shape, taken with
+/// `checked_mul`.
+///
+/// The panicking entry points check their buffer against this count: a
+/// shape whose count overflows `usize` panics here, naming the shape,
+/// instead of wrapping to a small count that a short buffer could match
+/// (and the passes would then index far outside it).
+///
+/// ```
+/// assert_eq!(ipt_core::shape_len(3, 4), 12);
+/// let big = 1usize << (usize::BITS - 1);
+/// assert!(std::panic::catch_unwind(|| ipt_core::shape_len(big, 2)).is_err());
+/// ```
+///
+/// # Panics
+///
+/// Panics if `rows * cols` overflows `usize`.
+#[track_caller]
+pub fn shape_len(rows: usize, cols: usize) -> usize {
+    match rows.checked_mul(cols) {
+        Some(len) => len,
+        None => panic!("matrix shape {rows} x {cols} overflows usize"),
+    }
+}
+
 fn validate(len: usize, rows: usize, cols: usize) -> Result<(), TransposeError> {
     if rows == 0 || cols == 0 {
         return Err(TransposeError::Degenerate);

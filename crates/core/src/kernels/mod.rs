@@ -59,6 +59,7 @@ mod blocked;
 mod scalar;
 
 use crate::index::C2rParams;
+use crate::shape_len;
 use std::sync::OnceLock;
 
 /// Which way the row shuffle permutes, named after the paper's `d'_i`.
@@ -258,7 +259,7 @@ pub fn row_shuffle<T: Copy>(
     dir: ShuffleDirection,
 ) {
     let (m, n) = (p.m, p.n);
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     assert!(tmp.len() >= n, "tmp must hold at least n elements");
     let tmp = &mut tmp[..n];
     for (i, row) in data.chunks_exact_mut(n).enumerate() {

@@ -85,7 +85,7 @@ pub mod rotate;
 pub mod scratch;
 
 pub use c2r::c2r;
-pub use error::{try_transpose, TransposeError};
+pub use error::{shape_len, try_transpose, TransposeError};
 pub use index::C2rParams;
 pub use layout::Layout;
 pub use matrix::{Matrix, MatrixMut};
@@ -114,7 +114,7 @@ pub fn transpose<T: Copy>(
 ) {
     assert_eq!(
         data.len(),
-        rows * cols,
+        shape_len(rows, cols),
         "buffer length {} does not match {rows} x {cols}",
         data.len()
     );
@@ -147,7 +147,7 @@ pub fn transpose_with<T: Copy>(
     algorithm: Algorithm,
     scratch: &mut Scratch<T>,
 ) {
-    assert_eq!(data.len(), rows * cols);
+    assert_eq!(data.len(), shape_len(rows, cols));
     let (m, n) = match layout {
         Layout::RowMajor => (rows, cols),
         Layout::ColMajor => (cols, rows),

@@ -9,6 +9,7 @@
 
 use crate::layout::Layout;
 use crate::scratch::Scratch;
+use crate::shape_len;
 
 /// An owned dense matrix with explicit storage order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +27,7 @@ impl<T: Copy> Matrix<T> {
     ///
     /// Panics on a length mismatch.
     pub fn from_vec(data: Vec<T>, rows: usize, cols: usize, layout: Layout) -> Matrix<T> {
-        assert_eq!(data.len(), rows * cols, "buffer/shape mismatch");
+        assert_eq!(data.len(), shape_len(rows, cols), "buffer/shape mismatch");
         Matrix {
             data,
             rows,
@@ -224,7 +225,7 @@ impl<'a, T: Copy> MatrixMut<'a, T> {
     ///
     /// Panics on a length mismatch.
     pub fn new(data: &'a mut [T], rows: usize, cols: usize, layout: Layout) -> MatrixMut<'a, T> {
-        assert_eq!(data.len(), rows * cols, "buffer/shape mismatch");
+        assert_eq!(data.len(), shape_len(rows, cols), "buffer/shape mismatch");
         MatrixMut {
             data,
             rows,

@@ -30,6 +30,7 @@
 
 use crate::index::C2rParams;
 use crate::layout::Layout;
+use crate::shape_len;
 
 /// Reverse the strided subsequence `data[start + k*stride]`,
 /// `k` in `[lo, hi)`, by swaps.
@@ -99,7 +100,7 @@ fn apply_gather_swaps<T>(
 /// Consumes an `m x n` row-major buffer, leaves the `n x m` row-major
 /// transpose. Auxiliary space: `max(m, n)` bytes of cycle marks.
 pub fn c2r_swaps<T>(data: &mut [T], m: usize, n: usize) {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return;
     }
@@ -125,7 +126,7 @@ pub fn c2r_swaps<T>(data: &mut [T], m: usize, n: usize) {
 /// Swap-only R2C: same contract as [`crate::r2c()`] but for any `T` —
 /// the exact inverse of [`c2r_swaps`]`(data, m, n)`.
 pub fn r2c_swaps<T>(data: &mut [T], m: usize, n: usize) {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return;
     }
@@ -159,7 +160,7 @@ pub fn r2c_swaps<T>(data: &mut [T], m: usize, n: usize) {
 pub fn transpose_any<T>(data: &mut [T], rows: usize, cols: usize, layout: Layout) {
     assert_eq!(
         data.len(),
-        rows * cols,
+        shape_len(rows, cols),
         "buffer length {} does not match {rows} x {cols}",
         data.len()
     );

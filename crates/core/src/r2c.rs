@@ -18,6 +18,7 @@ use crate::index::C2rParams;
 use crate::kernels;
 use crate::permute;
 use crate::scratch::Scratch;
+use crate::shape_len;
 
 /// Inverse-transpose an `n x m` row-major buffer in place, producing the
 /// `m x n` row-major result; exactly undoes [`crate::c2r::c2r`]`(data, m, n)`.
@@ -39,7 +40,7 @@ use crate::scratch::Scratch;
 ///
 /// Panics if `data.len() != m * n`.
 pub fn r2c<T: Copy>(data: &mut [T], m: usize, n: usize, scratch: &mut Scratch<T>) {
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
     if m <= 1 || n <= 1 {
         return;
     }

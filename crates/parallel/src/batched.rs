@@ -13,6 +13,7 @@ use crate::recover;
 use crate::TransposeAborted;
 use ipt_core::index::C2rParams;
 use ipt_core::kernels::faulty;
+use ipt_core::shape_len;
 use ipt_core::{permute, Layout};
 
 /// C2R-transpose `batch` contiguous `m x n` row-major matrices in place;
@@ -39,7 +40,7 @@ pub fn c2r_batched<T: Copy + Send + Sync>(
 ) -> Result<(), TransposeAborted> {
     assert_eq!(
         data.len(),
-        batch * m * n,
+        shape_len(batch, shape_len(m, n)),
         "buffer must hold `batch` m x n matrices"
     );
     if m <= 1 || n <= 1 || batch == 0 {
@@ -99,7 +100,7 @@ pub fn r2c_batched<T: Copy + Send + Sync>(
 ) -> Result<(), TransposeAborted> {
     assert_eq!(
         data.len(),
-        batch * m * n,
+        shape_len(batch, shape_len(m, n)),
         "buffer must hold `batch` matrices"
     );
     if m <= 1 || n <= 1 || batch == 0 {
@@ -161,7 +162,7 @@ pub fn transpose_batched<T: Copy + Send + Sync>(
 ) -> Result<(), TransposeAborted> {
     assert_eq!(
         data.len(),
-        batch * rows * cols,
+        shape_len(batch, shape_len(rows, cols)),
         "buffer must hold `batch` matrices"
     );
     let (m, n) = match layout {
@@ -238,5 +239,21 @@ mod tests {
     fn wrong_batch_len_panics() {
         let mut a = vec![0u8; 10];
         let _ = c2r_batched(&mut a, 2, 2, 3);
+    }
+
+    #[test]
+    fn overflowing_batch_shapes_panic() {
+        let big = 1usize << (usize::BITS - 1);
+        // The per-matrix product and the batch product both overflow
+        // before any pass runs.
+        for (batch, m, n) in [(2usize, big, 2usize), (big, 2, 1)] {
+            let err =
+                std::panic::catch_unwind(|| c2r_batched::<u8>(&mut [], batch, m, n)).unwrap_err();
+            let msg = err.downcast_ref::<String>().unwrap();
+            assert!(
+                msg.contains("overflows usize"),
+                "{batch} x {m} x {n}: {msg}"
+            );
+        }
     }
 }

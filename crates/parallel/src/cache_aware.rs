@@ -17,29 +17,29 @@
 //!   contiguous run apiece (the `maxres` rows it shares with the next
 //!   block carried forward, the wrap-around rows served from a small
 //!   stash), the rotation runs inside the window, and each destination
-//!   sub-row is stored back with one run. The strided matrix sees only whole sub-rows, never a
-//!   per-element diagonal gather. The fine pass is skipped entirely when
-//!   every residual is zero — common for the pre-rotation, whose amount
-//!   `floor(j/b)` changes only every `b` columns.
-//! * **Row permute** (§4.7): `q`'s cycles have no closed form, so they are
-//!   computed once (at most `m/2` non-trivial cycles, within the `O(m)`
-//!   scratch budget) and every column group follows them in parallel,
-//!   moving sub-rows.
+//!   sub-row is stored back with one run. The strided matrix sees only
+//!   whole sub-rows, never a per-element diagonal gather. The fine pass
+//!   is skipped entirely when every residual is zero — common for the
+//!   pre-rotation, whose amount `floor(j/b)` changes only every `b`
+//!   columns.
+//! * **Row permute** (§4.7): `q`'s cycles have no closed form, so each
+//!   group follows them with a visited mask (`O(m)` scratch per worker),
+//!   moving whole sub-rows.
 //! * **Fused column shuffle** ([`col_shuffle_fused`]): per group,
 //!   `s'_j = p_j ∘ q` factors as a *fine* rotation by `(j - j0) mod m`
 //!   followed by the group-uniform permutation `g(i) = (q(i) + j0) mod m`
 //!   — folding the coarse rotation into the permutation's cycle walk and
 //!   saving one full read+write pass over the array.
+//!
+//! Every pass runs on the column-group executor
+//! (`exec::run_column_groups`), which owns the claims, fault sites,
+//! journal and redo; the functions here only say how one group is
+//! permuted.
 
-use crate::cols::row_permute_groups;
-use crate::recover;
-use crate::unsafe_slice::{CheckScope, UnsafeSlice};
-use crate::{assert_shape, group_grain};
-use ipt_core::cycles::CycleSet;
+use crate::exec::{run_column_groups, Group};
 use ipt_core::gcd::gcd;
 use ipt_core::index::C2rParams;
-use ipt_core::kernels::faulty;
-use ipt_pool::{PoolError, Scratch};
+use ipt_pool::PoolError;
 
 /// Rotate every column `j` left by `amount(j)` using the two-phase
 /// cache-aware scheme, column groups of width `w` in parallel.
@@ -55,79 +55,37 @@ where
     T: Copy + Send + Sync,
     A: Fn(usize) -> usize + Send + Sync,
 {
-    assert_shape(data.len(), m, n);
+    crate::assert_shape(data.len(), m, n);
     if m <= 1 || n == 0 {
         return Ok(());
     }
     let h = block_rows.max(1);
     let fill = data[0];
-    let groups = n.div_ceil(w);
-    let amount = &amount;
-    recover::run_op(
+    run_column_groups(
         data,
-        groups,
-        |data, journal, _degraded| {
-            let scope = CheckScope::new(data.len(), n, || {
-                format!(
-                    "rotate_columns_cache_aware (§4.6 two-phase): m={m}, n={n}, group width w={w}"
-                )
-            });
-            let us = UnsafeSlice::new(data, &scope);
-            ipt_pool::par_chunks_init(
-                0..groups,
-                group_grain(m * w),
-                || {
-                    let shifts: Vec<usize> = Vec::with_capacity(w);
-                    (FineWindow::new(fill), vec![fill; w], shifts, Scratch::new())
-                },
-                |(fine, buf, shifts, scratch), sub| {
-                    for g in sub {
-                        if journal.is_some_and(|j| j.is_done(g)) {
-                            continue;
-                        }
-                        faulty::maybe_panic("col_cache_aware", g);
-                        let j0 = g * w;
-                        let gw = w.min(n - j0);
-                        us.claim_columns(g, j0, gw);
-                        if let Some(j) = journal {
-                            // SAFETY: snapshot reads stay inside the
-                            // group this worker just claimed.
-                            j.begin(scratch, g, (0..m).map(|r| (r * n + j0, gw)), |idx| unsafe {
-                                us.get(idx)
-                            });
-                        }
-                        shifts.clear();
-                        shifts.extend((j0..j0 + gw).map(|j| amount(j) % m));
-                        rotate_group(us, m, n, j0, shifts, h, fine, &mut buf[..gw]);
-                        if let Some(j) = journal {
-                            j.commit(g);
-                        }
-                    }
-                },
-            )
+        (m, n, w),
+        ("col_cache_aware", "§4.6 two-phase rotation"),
+        || (FineWindow::new(fill), vec![fill; w], Vec::with_capacity(w)),
+        |(fine, buf, shifts), g| {
+            shifts.clear();
+            shifts.extend((g.j0()..g.j0() + g.gw()).map(|j| amount(j) % m));
+            rotate_group(g, shifts, h, fine, &mut buf[..g.gw()]);
         },
-        |data, g| {
-            // The two-phase scheme is an optimization of the plain
-            // per-column gather; redo with the plain form directly.
-            recover::redo_col_gather(data, m, n, w, g, |i, j| (i + amount(j)) % m)
-        },
+        |i, j| (i + amount(j)) % m,
     )
 }
 
 /// One group's two-phase rotation. `shifts[k]` is the (already reduced)
 /// left-rotation of column `j0 + k`; it is overwritten with the fine
 /// residual. `buf` holds one sub-row.
-#[allow(clippy::too_many_arguments)] // internal helper; grouping would obscure the call site
 fn rotate_group<T: Copy + Send + Sync>(
-    us: UnsafeSlice<'_, T>,
-    m: usize,
-    n: usize,
-    j0: usize,
+    g: Group<'_, T>,
     shifts: &mut [usize],
     h: usize,
     fine: &mut FineWindow<T>,
     buf: &mut [T],
 ) {
+    let m = g.m();
     // Pick the coarse amount that minimizes the worst residual. For the
     // four rotation families the algorithm uses, amounts step by +1 or -1
     // (per column or per b columns), so one of the group's endpoints gives
@@ -152,43 +110,35 @@ fn rotate_group<T: Copy + Send + Sync>(
 
     // Coarse phase: rotate the group's m sub-rows left by `coarse`,
     // following the analytic cycles with one sub-row of scratch.
-    coarse_rotate_subrows(us, m, n, j0, coarse, buf);
+    coarse_rotate_subrows(g, coarse, buf);
 
     // Fine phase: apply the bounded residual rotations block by block.
-    fine.rotate(us, m, n, j0, shifts, h, false);
+    fine.rotate(g, shifts, h, false);
 }
 
 /// Coarse sub-row rotation: rows of the group move `i <- (i + r) mod m`
 /// as whole `buf.len()`-wide units along the rotation's analytic cycles
 /// (§4.6), with `buf` holding each cycle's first sub-row.
-fn coarse_rotate_subrows<T: Copy + Send + Sync>(
-    us: UnsafeSlice<'_, T>,
-    m: usize,
-    n: usize,
-    j0: usize,
-    r: usize,
-    buf: &mut [T],
-) {
+fn coarse_rotate_subrows<T: Copy + Send + Sync>(g: Group<'_, T>, r: usize, buf: &mut [T]) {
+    let m = g.m();
     let r = r % m;
     if r == 0 {
         return;
     }
-    let gw = buf.len();
-    // SAFETY (whole function): all indices are row * n + (j0 + k) with
-    // k < gw — inside this task's column group.
-    let idx = |row: usize, k: usize| row * n + j0 + k;
+    // SAFETY (whole function): every row is < m and every column offset
+    // k < buf.len() = gw.
     let z = gcd(m as u64, r as u64) as usize;
     for y in 0..z {
-        unsafe { us.read_run(idx(y, 0), buf) };
+        unsafe { g.read_run(y, buf) };
         let mut i = y;
         loop {
             let src = i + r - if i + r >= m { m } else { 0 };
             if src == y {
-                unsafe { us.write_run(idx(i, 0), buf) };
+                unsafe { g.write_run(i, buf) };
                 break;
             }
-            for k in 0..gw {
-                unsafe { us.set(idx(i, k), us.get(idx(src, k))) };
+            for k in 0..buf.len() {
+                unsafe { g.set(i, k, g.get(src, k)) };
             }
             i = src;
         }
@@ -247,17 +197,8 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
     /// `s`, which are matrix rows `s` (left) or `m - 1 - s` (right). Window
     /// row `t` holds sweep row `i0 + t`, and the stash holds sweep rows
     /// `[0, maxres)` — the rows the sweep overwrites first and reads last.
-    #[allow(clippy::too_many_arguments)] // internal helper; grouping would obscure the call sites
-    fn rotate(
-        &mut self,
-        us: UnsafeSlice<'_, T>,
-        m: usize,
-        n: usize,
-        j0: usize,
-        residuals: &[usize],
-        h: usize,
-        right: bool,
-    ) {
+    fn rotate(&mut self, g: Group<'_, T>, residuals: &[usize], h: usize, right: bool) {
+        let m = g.m();
         let gw = residuals.len();
         let maxres = residuals.iter().copied().max().unwrap_or(0);
         if maxres == 0 {
@@ -293,11 +234,11 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
             offs,
             ..
         } = self;
-        // SAFETY (whole function): every run is idx(s) .. + gw for a sweep
-        // row s < m — one sub-row of this task's column group.
-        let idx = |s: usize| if right { m - 1 - s } else { s } * n + j0;
+        // SAFETY (whole function): every run is the gw-wide sub-row of a
+        // matrix row row(s) < m — one sub-row of this task's group.
+        let row_of = |s: usize| if right { m - 1 - s } else { s };
         for (s, run) in stash[..maxres * gw].chunks_exact_mut(gw).enumerate() {
-            unsafe { us.read_run(idx(s), run) };
+            unsafe { g.read_run(row_of(s), run) };
         }
         let mut carried = 0;
         let mut i0 = 0;
@@ -307,7 +248,7 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
             for t in carried..rows {
                 let (src, run) = (i0 + t, &mut window[t * gw..(t + 1) * gw]);
                 if src < m {
-                    unsafe { us.read_run(idx(src), run) };
+                    unsafe { g.read_run(row_of(src), run) };
                 } else {
                     run.copy_from_slice(&stash[(src - m) * gw..(src - m + 1) * gw]);
                 }
@@ -321,7 +262,7 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
                 for (slot, &off) in row.iter_mut().zip(offs.iter()) {
                     *slot = src[off];
                 }
-                unsafe { us.write_run(idx(i0 + i), row) };
+                unsafe { g.write_run(row_of(i0 + i), row) };
             }
             // Sweep rows [i0 + he, i0 + rows) open the next window.
             window.copy_within(he * gw..rows * gw, 0);
@@ -334,21 +275,18 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
 /// Uniform sub-row permutation within one group: gather `dst[i] =
 /// src[perm(i)]`, cycles followed with a visited mask and one sub-row of
 /// scratch (both caller-provided and reused across groups).
-#[allow(clippy::too_many_arguments)] // internal helper; grouping would obscure the call sites
 fn permute_subrows<T: Copy + Send + Sync>(
-    us: UnsafeSlice<'_, T>,
-    m: usize,
-    n: usize,
-    j0: usize,
-    gw: usize,
+    g: Group<'_, T>,
     perm: impl Fn(usize) -> usize,
     visited: &mut [bool],
     buf: &mut [T],
 ) {
-    debug_assert!(visited.len() >= m && buf.len() >= gw);
-    let idx = |row: usize, k: usize| row * n + j0 + k;
+    let m = g.m();
+    debug_assert!(visited.len() >= m && buf.len() >= g.gw());
     visited[..m].fill(false);
-    let buf = &mut buf[..gw];
+    let buf = &mut buf[..g.gw()];
+    // SAFETY (whole function): every row is < m and every column offset
+    // k < gw.
     for start in 0..m {
         if visited[start] {
             continue;
@@ -359,21 +297,20 @@ fn permute_subrows<T: Copy + Send + Sync>(
             continue;
         }
         for (k, slot) in buf.iter_mut().enumerate() {
-            // SAFETY: column-group ownership (rows < m, cols in group).
-            *slot = unsafe { us.get(idx(start, k)) };
+            *slot = unsafe { g.get(start, k) };
         }
         let mut i = start;
         loop {
             let src = perm(i);
             if src == start {
                 for (k, &v) in buf.iter().enumerate() {
-                    unsafe { us.set(idx(i, k), v) };
+                    unsafe { g.set(i, k, v) };
                 }
                 break;
             }
             visited[src] = true;
-            for k in 0..gw {
-                unsafe { us.set(idx(i, k), us.get(idx(src, k))) };
+            for k in 0..buf.len() {
+                unsafe { g.set(i, k, g.get(src, k)) };
             }
             i = src;
         }
@@ -394,31 +331,6 @@ pub fn prerotate<T: Copy + Send + Sync>(
     rotate_columns_cache_aware(data, p.m, p.n, w, h, |j| p.rotate_amount(j))
 }
 
-/// Cache-aware C2R step 3a: column rotation by `p_j(i) = (i + j) mod m`
-/// (Eq. 32) — amount `j mod m`. Kept for the fused-vs-separate ablation;
-/// the engine uses [`col_shuffle_fused`].
-pub fn col_rotate_j<T: Copy + Send + Sync>(
-    data: &mut [T],
-    p: &C2rParams,
-    w: usize,
-    h: usize,
-) -> Result<(), PoolError> {
-    let m = p.m;
-    rotate_columns_cache_aware(data, m, p.n, w, h, move |j| j % m)
-}
-
-/// Cache-aware R2C step 2: inverse column rotation `p^-1_j` (Eq. 35).
-/// Kept for the fused-vs-separate ablation.
-pub fn col_rotate_j_inverse<T: Copy + Send + Sync>(
-    data: &mut [T],
-    p: &C2rParams,
-    w: usize,
-    h: usize,
-) -> Result<(), PoolError> {
-    let m = p.m;
-    rotate_columns_cache_aware(data, m, p.n, w, h, move |j| (m - j % m) % m)
-}
-
 /// Cache-aware R2C step 4: undo the pre-rotation (`r^-1_j`, Eq. 36).
 pub fn postrotate_inverse<T: Copy + Send + Sync>(
     data: &mut [T],
@@ -435,24 +347,6 @@ pub fn postrotate_inverse<T: Copy + Send + Sync>(
     })
 }
 
-/// Cache-aware row permutation (§4.7): apply `q` (C2R) or `q^-1` (R2C,
-/// `invert = true`) by moving sub-rows along dynamically computed cycles,
-/// column groups in parallel. Kept for the fused-vs-separate ablation.
-pub fn row_permute<T: Copy + Send + Sync>(
-    data: &mut [T],
-    p: &C2rParams,
-    w: usize,
-    invert: bool,
-) -> Result<(), PoolError> {
-    if invert {
-        let cycles = CycleSet::build(p.m, |i| p.q_inv(i));
-        row_permute_groups(data, p.m, p.n, w, |i| p.q_inv(i), &cycles)
-    } else {
-        let cycles = CycleSet::build(p.m, |i| p.q(i));
-        row_permute_groups(data, p.m, p.n, w, |i| p.q(i), &cycles)
-    }
-}
-
 /// The entire C2R column shuffle (Eq. 26) in two cache-friendly passes
 /// per group: a *fine* left rotation by `(j - j0) mod m` followed by the
 /// group-uniform sub-row permutation `g(i) = (q(i) + j0) mod m`.
@@ -466,66 +360,7 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync>(
     w: usize,
     h: usize,
 ) -> Result<(), PoolError> {
-    let (m, n) = (p.m, p.n);
-    assert_shape(data.len(), m, n);
-    if m <= 1 || n == 0 {
-        return Ok(());
-    }
-    let fill = data[0];
-    let groups = n.div_ceil(w);
-    // Column j0 + k's fine residual is k mod m in every group.
-    let residuals: Vec<usize> = (0..w).map(|k| k % m).collect();
-    recover::run_op(
-        data,
-        groups,
-        |data, journal, _degraded| {
-            let scope = CheckScope::new(data.len(), n, || {
-                format!("col_shuffle_fused (Eq. 26 = fine rotate + g(i)=(q(i)+j0) mod m): m={m}, n={n}, group width w={w}")
-            });
-            let us = UnsafeSlice::new(data, &scope);
-            ipt_pool::par_chunks_init(
-                0..groups,
-                group_grain(m * w),
-                || {
-                    (
-                        FineWindow::new(fill),
-                        vec![false; m],
-                        vec![fill; w],
-                        Scratch::new(),
-                    )
-                },
-                |(fine, visited, buf, scratch), sub| {
-                    for g in sub {
-                        if journal.is_some_and(|j| j.is_done(g)) {
-                            continue;
-                        }
-                        faulty::maybe_panic("col_fused", g);
-                        let j0 = g * w;
-                        let gw = w.min(n - j0);
-                        us.claim_columns(g, j0, gw);
-                        if let Some(j) = journal {
-                            // SAFETY: snapshot reads stay inside the claim.
-                            j.begin(scratch, g, (0..m).map(|r| (r * n + j0, gw)), |idx| unsafe {
-                                us.get(idx)
-                            });
-                        }
-                        fine.rotate(us, m, n, j0, &residuals[..gw], h, false);
-                        let j0m = j0 % m;
-                        permute_subrows(us, m, n, j0, gw, |i| (p.q(i) + j0m) % m, visited, buf);
-                        if let Some(j) = journal {
-                            j.commit(g);
-                        }
-                    }
-                },
-            )
-        },
-        |data, g| {
-            // Per group, the fused pair composes to the direct column
-            // shuffle `dst[i][j] = old[s'_j(i)][j]` (see the fn docs);
-            // redo with that plain gather.
-            recover::redo_col_gather(data, m, n, w, g, |i, j| p.s(j, i))
-        },
-    )
+    fused(data, p, w, h, false)
 }
 
 /// The inverse of [`col_shuffle_fused`] (the R2C side): the group-uniform
@@ -537,74 +372,57 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
     w: usize,
     h: usize,
 ) -> Result<(), PoolError> {
+    fused(data, p, w, h, true)
+}
+
+/// [`col_shuffle_fused`] (`inverse = false`) or
+/// [`col_shuffle_fused_inverse`] on the executor: one fine rotation and
+/// one sub-row permutation per group, in the direction's order.
+fn fused<T: Copy + Send + Sync>(
+    data: &mut [T],
+    p: &C2rParams,
+    w: usize,
+    h: usize,
+    inverse: bool,
+) -> Result<(), PoolError> {
     let (m, n) = (p.m, p.n);
-    assert_shape(data.len(), m, n);
+    crate::assert_shape(data.len(), m, n);
     if m <= 1 || n == 0 {
         return Ok(());
     }
     let fill = data[0];
-    let groups = n.div_ceil(w);
+    // Column j0 + k's fine residual is k mod m in every group.
     let residuals: Vec<usize> = (0..w).map(|k| k % m).collect();
-    recover::run_op(
+    let residuals = &residuals;
+    let (site, what) = if inverse {
+        ("col_fused_inverse", "Eq. 32-36 inverse")
+    } else {
+        ("col_fused", "Eq. 26 = fine rotate + g(i)=(q(i)+j0) mod m")
+    };
+    run_column_groups(
         data,
-        groups,
-        |data, journal, _degraded| {
-            let scope = CheckScope::new(data.len(), n, || {
-                format!(
-                    "col_shuffle_fused_inverse (Eq. 32-36 inverse): m={m}, n={n}, group width w={w}"
-                )
-            });
-            let us = UnsafeSlice::new(data, &scope);
-            ipt_pool::par_chunks_init(
-                0..groups,
-                group_grain(m * w),
-                || {
-                    (
-                        FineWindow::new(fill),
-                        vec![false; m],
-                        vec![fill; w],
-                        Scratch::new(),
-                    )
-                },
-                |(fine, visited, buf, scratch), sub| {
-                    for g in sub {
-                        if journal.is_some_and(|j| j.is_done(g)) {
-                            continue;
-                        }
-                        faulty::maybe_panic("col_fused_inverse", g);
-                        let j0 = g * w;
-                        let gw = w.min(n - j0);
-                        us.claim_columns(g, j0, gw);
-                        if let Some(j) = journal {
-                            // SAFETY: snapshot reads stay inside the claim.
-                            j.begin(scratch, g, (0..m).map(|r| (r * n + j0, gw)), |idx| unsafe {
-                                us.get(idx)
-                            });
-                        }
-                        let j0m = j0 % m;
-                        permute_subrows(
-                            us,
-                            m,
-                            n,
-                            j0,
-                            gw,
-                            |i| p.q_inv((i + m - j0m) % m),
-                            visited,
-                            buf,
-                        );
-                        fine.rotate(us, m, n, j0, &residuals[..gw], h, true);
-                        if let Some(j) = journal {
-                            j.commit(g);
-                        }
-                    }
-                },
-            )
+        (m, n, w),
+        (site, what),
+        || (FineWindow::new(fill), vec![false; m], vec![fill; w]),
+        |(fine, visited, buf), g| {
+            let j0m = g.j0() % m;
+            let res = &residuals[..g.gw()];
+            if inverse {
+                permute_subrows(g, |i| p.q_inv((i + m - j0m) % m), visited, buf);
+                fine.rotate(g, res, h, true);
+            } else {
+                fine.rotate(g, res, h, false);
+                permute_subrows(g, |i| (p.q(i) + j0m) % m, visited, buf);
+            }
         },
-        |data, g| {
-            // Per column, permute-then-rotate-right composes to
-            // `dst[i][j] = old[q^-1((i + m - j mod m) mod m)][j]` — the
-            // plain row-permute-inverse + column-rotate-inverse pair.
-            recover::redo_col_gather(data, m, n, w, g, |i, j| p.q_inv((i + m - j % m) % m))
+        // Per column, the pair composes to the direct gather: s'_j(i)
+        // forward (see the fn docs), q^-1((i - j) mod m) inverse.
+        |i, j| {
+            if inverse {
+                p.q_inv((i + m - j % m) % m)
+            } else {
+                p.s(j, i)
+            }
         },
     )
 }
@@ -677,8 +495,8 @@ mod tests {
     }
 
     /// Run the staged fine pass over every column group of an `m x n`
-    /// matrix, column `j` rotating by `res[j]` (left, or right), with one
-    /// `FineWindow` reused across the groups as a worker reuses it.
+    /// matrix on the executor, column `j` rotating by `res[j]` (left, or
+    /// right), one `FineWindow` per worker reused across its groups.
     fn staged_fine<T: Copy + Send + Sync>(
         a: &mut [T],
         (m, n): (usize, usize),
@@ -687,15 +505,22 @@ mod tests {
         res: &[usize],
         right: bool,
     ) {
-        let mut fine = FineWindow::new(a[0]);
-        let scope = CheckScope::new(m * n, n, || "staged fine test".to_string());
-        let us = UnsafeSlice::new(a, &scope);
-        for g in 0..n.div_ceil(w) {
-            let j0 = g * w;
-            let gw = w.min(n - j0);
-            us.claim_columns(g, j0, gw);
-            fine.rotate(us, m, n, j0, &res[j0..j0 + gw], h, right);
-        }
+        let fill = a[0];
+        run_column_groups(
+            a,
+            (m, n, w),
+            ("test_fine", "staged fine test"),
+            || FineWindow::new(fill),
+            |fine, g| fine.rotate(g, &res[g.j0()..g.j0() + g.gw()], h, right),
+            |i, j| {
+                if right {
+                    (i + m - res[j]) % m
+                } else {
+                    (i + res[j]) % m
+                }
+            },
+        )
+        .unwrap();
     }
 
     /// Column `j` rotated left (gather `(i + r) mod m`) or right (gather
@@ -811,8 +636,8 @@ mod tests {
                 fill_pattern(&mut fused);
                 let mut separate = fused.clone();
                 col_shuffle_fused(&mut fused, &p, w, 8).unwrap();
-                col_rotate_j(&mut separate, &p, w, 8).unwrap();
-                row_permute(&mut separate, &p, w, false).unwrap();
+                let mut tmp = vec![0u32; m.max(n)];
+                permute::col_shuffle_decomposed(&mut separate, &p, &mut tmp);
                 assert_eq!(fused, separate, "{m}x{n} w={w}");
             }
         }
@@ -850,8 +675,7 @@ mod tests {
             permute::col_shuffle_decomposed(&mut b, &p, &mut tmp);
             assert_eq!(a, b, "col shuffle {m}x{n}");
 
-            row_permute(&mut a, &p, 4, true).unwrap();
-            col_rotate_j_inverse(&mut a, &p, 4, 8).unwrap();
+            col_shuffle_fused_inverse(&mut a, &p, 4, 8).unwrap();
             permute::row_permute_inverse(&mut b, &p, &mut tmp);
             permute::col_rotate_inverse(&mut b, &p);
             assert_eq!(a, b, "inverse col shuffle {m}x{n}");

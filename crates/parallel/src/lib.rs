@@ -16,6 +16,10 @@
 //!   blocked) column rotation and the §4.7 sub-row cycle-following row
 //!   permute, which turn strided column traffic into cache-line-sized
 //!   sub-row traffic;
+//! * [`stage_column_blocks`] — the §6.1 staged column blocks the skinny
+//!   AoS⇄SoA specialization runs on. It and every [`cache_aware`] pass
+//!   share one column-group executor, which owns their claims, fault
+//!   sites and recovery;
 //! * per-thread scratch buffers, the CPU analogue of the §4.5 "on-chip"
 //!   row shuffle (each worker's temporary row lives in its own cache).
 //!
@@ -41,10 +45,12 @@
 
 pub mod batched;
 pub mod cache_aware;
-pub mod cols;
+mod exec;
 mod recover;
 pub mod rows;
 mod unsafe_slice;
+
+pub use exec::stage_column_blocks;
 
 use ipt_core::index::C2rParams;
 use ipt_core::Layout;
@@ -137,17 +143,14 @@ pub mod phases {
 const PAR_MIN_ELEMS: usize = 4096;
 
 /// Panic unless a buffer of `len` elements holds a `rows x cols` matrix.
-/// The product is taken with `checked_mul`: a shape whose element count
-/// overflows `usize` panics with a message naming it, instead of wrapping
-/// to a small count that a short buffer could match (and the passes
-/// would then index far outside it).
+/// The product is taken by [`ipt_core::shape_len`], which panics on
+/// overflow instead of wrapping to a small count that a short buffer
+/// could match.
 #[track_caller]
 pub(crate) fn assert_shape(len: usize, rows: usize, cols: usize) {
-    let Some(elems) = rows.checked_mul(cols) else {
-        panic!("matrix shape {rows} x {cols} overflows usize");
-    };
     assert_eq!(
-        len, elems,
+        len,
+        ipt_core::shape_len(rows, cols),
         "buffer length must be rows * cols ({rows} x {cols})"
     );
 }
@@ -188,9 +191,6 @@ pub struct ParOptions {
     /// Row-block height for the fine rotation pass (§4.6): the sub-rows
     /// its on-cache window stages per block.
     pub block_rows: usize,
-    /// Use the cache-aware column primitives (§4.6–4.7) instead of plain
-    /// strided column walks.
-    pub cache_aware: bool,
 }
 
 impl Default for ParOptions {
@@ -198,7 +198,6 @@ impl Default for ParOptions {
         ParOptions {
             col_group: 0,
             block_rows: 256,
-            cache_aware: true,
         }
     }
 }
@@ -210,14 +209,6 @@ impl ParOptions {
             self.col_group
         } else {
             (256 / core::mem::size_of::<T>().max(1)).max(1)
-        }
-    }
-
-    /// Plain (non-cache-aware) variant of these options.
-    pub fn plain() -> ParOptions {
-        ParOptions {
-            cache_aware: false,
-            ..ParOptions::default()
         }
     }
 }
@@ -237,21 +228,13 @@ pub fn c2r_parallel<T: Copy + Send + Sync>(
     let p = C2rParams::new(m, n);
     let w = opts.group_width::<T>();
     let pass_bytes = phase_pass_bytes::<T>(data.len());
-    if opts.cache_aware {
-        run_phase(phases::PRE_ROTATE, || {
-            cache_aware::prerotate(data, &p, w, opts.block_rows)
-        })?;
-        run_phase(phases::ROW_SHUFFLE, || rows::row_shuffle_parallel(data, &p))?;
-        run_phase(phases::COL_SHUFFLE, || {
-            cache_aware::col_shuffle_fused(data, &p, w, opts.block_rows)
-        })?;
-    } else {
-        run_phase(phases::PRE_ROTATE, || cols::prerotate_parallel(data, &p, w))?;
-        run_phase(phases::ROW_SHUFFLE, || rows::row_shuffle_parallel(data, &p))?;
-        run_phase(phases::COL_SHUFFLE, || {
-            cols::col_shuffle_parallel(data, &p, w)
-        })?;
-    }
+    run_phase(phases::PRE_ROTATE, || {
+        cache_aware::prerotate(data, &p, w, opts.block_rows)
+    })?;
+    run_phase(phases::ROW_SHUFFLE, || rows::row_shuffle_parallel(data, &p))?;
+    run_phase(phases::COL_SHUFFLE, || {
+        cache_aware::col_shuffle_fused(data, &p, w, opts.block_rows)
+    })?;
     // Traffic is attributed only after the whole transpose succeeds: an
     // aborted run's partial passes would skew the phase cost model.
     if p.c > 1 {
@@ -286,28 +269,15 @@ pub fn r2c_parallel<T: Copy + Send + Sync>(
     let p = C2rParams::new(m, n);
     let w = opts.group_width::<T>();
     let pass_bytes = phase_pass_bytes::<T>(data.len());
-    if opts.cache_aware {
-        run_phase(phases::COL_SHUFFLE, || {
-            cache_aware::col_shuffle_fused_inverse(data, &p, w, opts.block_rows)
-        })?;
-        run_phase(phases::ROW_SHUFFLE, || {
-            rows::row_shuffle_forward_parallel(data, &p)
-        })?;
-        run_phase(phases::POST_ROTATE, || {
-            cache_aware::postrotate_inverse(data, &p, w, opts.block_rows)
-        })?;
-    } else {
-        run_phase(phases::COL_SHUFFLE, || {
-            cols::row_permute_inverse_parallel(data, &p, w)?;
-            cols::col_rotate_inverse_parallel(data, &p, w)
-        })?;
-        run_phase(phases::ROW_SHUFFLE, || {
-            rows::row_shuffle_forward_parallel(data, &p)
-        })?;
-        run_phase(phases::POST_ROTATE, || {
-            cols::postrotate_inverse_parallel(data, &p, w)
-        })?;
-    }
+    run_phase(phases::COL_SHUFFLE, || {
+        cache_aware::col_shuffle_fused_inverse(data, &p, w, opts.block_rows)
+    })?;
+    run_phase(phases::ROW_SHUFFLE, || {
+        rows::row_shuffle_forward_parallel(data, &p)
+    })?;
+    run_phase(phases::POST_ROTATE, || {
+        cache_aware::postrotate_inverse(data, &p, w, opts.block_rows)
+    })?;
     ipt_pool::stats::record_phase_bytes(phases::COL_SHUFFLE, pass_bytes);
     ipt_pool::stats::record_phase_bytes(phases::ROW_SHUFFLE, pass_bytes);
     if p.c > 1 {
@@ -407,15 +377,13 @@ mod tests {
     fn parallel_c2r_matches_sequential() {
         let _phases = phase_lock();
         crate::force_multithreaded_pool();
-        for opts in [ParOptions::default(), ParOptions::plain()] {
-            for (m, n) in sizes() {
-                let mut a = vec![0u64; m * n];
-                fill_pattern(&mut a);
-                let mut b = a.clone();
-                c2r_parallel(&mut a, m, n, &opts).unwrap();
-                ipt_core::c2r(&mut b, m, n, &mut Scratch::new());
-                assert_eq!(a, b, "{m}x{n} cache_aware={}", opts.cache_aware);
-            }
+        for (m, n) in sizes() {
+            let mut a = vec![0u64; m * n];
+            fill_pattern(&mut a);
+            let mut b = a.clone();
+            c2r_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
+            ipt_core::c2r(&mut b, m, n, &mut Scratch::new());
+            assert_eq!(a, b, "{m}x{n}");
         }
     }
 
@@ -423,15 +391,13 @@ mod tests {
     fn parallel_r2c_matches_sequential() {
         let _phases = phase_lock();
         crate::force_multithreaded_pool();
-        for opts in [ParOptions::default(), ParOptions::plain()] {
-            for (m, n) in sizes() {
-                let mut a = vec![0u32; m * n];
-                fill_pattern(&mut a);
-                let mut b = a.clone();
-                r2c_parallel(&mut a, m, n, &opts).unwrap();
-                ipt_core::r2c(&mut b, m, n, &mut Scratch::new());
-                assert_eq!(a, b, "{m}x{n} cache_aware={}", opts.cache_aware);
-            }
+        for (m, n) in sizes() {
+            let mut a = vec![0u32; m * n];
+            fill_pattern(&mut a);
+            let mut b = a.clone();
+            r2c_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
+            ipt_core::r2c(&mut b, m, n, &mut Scratch::new());
+            assert_eq!(a, b, "{m}x{n}");
         }
     }
 
@@ -460,7 +426,6 @@ mod tests {
             let opts = ParOptions {
                 col_group: w,
                 block_rows: 4,
-                cache_aware: true,
             };
             for (m, n) in [(13usize, 21usize), (21, 13), (8, 8), (30, 45)] {
                 let mut a = vec![0u16; m * n];

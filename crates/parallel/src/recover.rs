@@ -25,10 +25,10 @@
 //! passthrough: one attempt, no journal, no snapshots — the historical
 //! first-failure-aborts contract, bit for bit.
 //!
-//! The ladder runs *per op*, not per phase: a multi-op phase (the plain
-//! R2C column shuffle runs a row permute then a column rotation) gives
-//! each op its own journal and budget, so a later op's failure can never
-//! rewind an earlier op's completed work.
+//! The ladder runs *per op*, not per phase: each op gets its own journal
+//! and budget, so a later op's failure can never rewind an earlier op's
+//! completed work. Column passes reach it through the column-group
+//! executor (`exec`), whose redo is [`redo_col_gather`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -122,27 +122,6 @@ pub fn row_shuffle_parallel<T: Copy + Send + Sync>(
     row_shuffle_parallel_with(data, p, kernel, ShuffleDirection::Inverse)
 }
 
-/// Parallel C2R row shuffle in the paper's gather form (`d'^-1` via the
-/// strength-reduced `C2rParams`): the §4.4 ablation baseline for
-/// [`row_shuffle_parallel`]'s incremental indexing.
-pub fn row_shuffle_parallel_fastdiv<T: Copy + Send + Sync>(
-    data: &mut [T],
-    p: &C2rParams,
-) -> Result<(), PoolError> {
-    let n = p.n;
-    ipt_pool::par_chunks_exact_mut(
-        data,
-        n,
-        row_grain(n),
-        || Vec::with_capacity(n),
-        |tmp: &mut Vec<T>, i, row| {
-            tmp.clear();
-            tmp.extend((0..n).map(|j| row[p.d_inv(i, j)]));
-            row.copy_from_slice(tmp);
-        },
-    )
-}
-
 /// Parallel R2C row shuffle: gather with `d'_i` directly (§4.3), with
 /// the same [`kernels::select_with_tier`] dispatch and hit/tier
 /// recording as [`row_shuffle_parallel`].
@@ -220,7 +199,7 @@ mod tests {
             fill_pattern(&mut a);
             let mut b = a.clone();
             row_shuffle_parallel(&mut a, &p).unwrap();
-            row_shuffle_parallel_fastdiv(&mut b, &p).unwrap();
+            permute::row_shuffle_gather(&mut b, &p, &mut vec![0u64; n]);
             assert_eq!(a, b, "{m}x{n}");
         }
     }

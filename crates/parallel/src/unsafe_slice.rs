@@ -33,17 +33,10 @@
 //! offending `(row, col)`, and the operation's geometry (m, n, group
 //! width — the Eq. 24/31 parameters).
 //!
-//! Two claim shapes form the lattice the engine's schedulers use:
-//!
-//! * **column-group** ([`UnsafeSlice::claim_columns`]) — all rows of a
-//!   contiguous column range; one owner per column group (the §5.1
-//!   column-parallel operations);
-//! * **row-set × column-group**
-//!   ([`UnsafeSlice::claim_rows_in_columns`]) — an arbitrary set of rows
-//!   restricted to a column range; one owner per (cycle bundle, column
-//!   group) task (the Eq. 31 row-permute scheduler, whose composite owner
-//!   encoding the scope label documents so a violation names both owner
-//!   bundles).
+//! Claims have one shape, the **column group**
+//! ([`UnsafeSlice::claim_columns`]): all rows of a contiguous column
+//! range, one owner per group (the §5.1 column-parallel passes, all run
+//! by the column-group executor in `exec`).
 //!
 //! Each shadow cell stores `epoch << 16 | owner_tag` (`owner_tag` = owner
 //! group + 1; 0 = unclaimed). Claims use an atomic `swap`, so of two
@@ -273,51 +266,6 @@ impl<'a, T: Copy> UnsafeSlice<'a, T> {
         }
     }
 
-    /// Claim the cells `(row, j)` for every `row` in `rows` and every
-    /// `j` in `[j0, j0 + gw)` for `owner`, and make `owner` this thread's
-    /// identity for subsequent accesses — the (row-set × column-group)
-    /// claim shape of the cycle-bundle row-permute scheduler, where
-    /// `rows` enumerates the rows of one bundle's cycles and `owner` is
-    /// the composite `bundle * groups + group` task id (decoded by the
-    /// scope label). Idempotent per owner; panics on a cross-owner
-    /// overlap. No-op (and `rows` never consumed) when checking is off.
-    #[inline]
-    pub(crate) fn claim_rows_in_columns(
-        &self,
-        owner: usize,
-        rows: impl IntoIterator<Item = usize>,
-        j0: usize,
-        gw: usize,
-    ) {
-        let Some(sh) = self.shadow else { return };
-        let tag = owner_tag(owner);
-        CURRENT_CLAIM.with(|c| c.set((sh.id, tag)));
-        let word = sh.word(tag);
-        for row in rows {
-            let base = row * sh.cols + j0;
-            for idx in base..base + gw {
-                // swap: of two racing claimants, one must see the other.
-                let prev = sh.cells[idx].swap(word, Ordering::Relaxed);
-                match sh.decode(prev) {
-                    Some(t) if t != 0 && t != tag => {
-                        violation(sh, "overlapping row-cycle claim", idx, t, tag)
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    /// Claim the full row `row` for `owner` (e.g. a cycle follower that
-    /// owns whole rows), and make `owner` this thread's identity.
-    /// Idempotent per owner; panics on a cross-owner overlap.
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn claim_row(&self, owner: usize, row: usize) {
-        let cols = self.shadow.map_or(0, |s| s.cols);
-        self.claim_rows_in_columns(owner, std::iter::once(row), 0, cols);
-    }
-
     /// Verify `idx` is claimed by this thread's current owner.
     #[inline]
     fn check_access(&self, sh: &ShadowScope, idx: usize, kind: &str) {
@@ -452,7 +400,7 @@ mod tests {
         let mut data = vec![7u8, 8, 9];
         let scope = scope_for(3, 3);
         let us = UnsafeSlice::new(&mut data, &scope);
-        us.claim_row(0, 0);
+        us.claim_columns(0, 0, 3);
         // SAFETY: single-threaded access.
         unsafe {
             assert_eq!(us.get(0), 7);
@@ -579,77 +527,6 @@ mod tests {
         let err = catch_unwind(AssertUnwindSafe(|| unsafe { us.get(0) })).unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("ipt disjointness violation"), "{msg}");
-    }
-
-    #[test]
-    fn row_set_claims_restricted_to_columns_are_disjoint() {
-        // 8 x 6 matrix, two row sets x two column halves = 4 owners; each
-        // task touches only its (rows x columns) rectangle-set.
-        let (m, n) = (8usize, 6usize);
-        let mut data = vec![0u32; m * n];
-        let scope = scope_for(m * n, n);
-        let us = UnsafeSlice::new(&mut data, &scope);
-        let row_sets: [&[usize]; 2] = [&[0, 2, 5], &[1, 3, 7]];
-        ipt_pool::Pool::new(4)
-            .par_chunks(0..4, 1, |sub| {
-                for t in sub {
-                    let (b, g) = (t / 2, t % 2);
-                    let j0 = g * 3;
-                    us.claim_rows_in_columns(t, row_sets[b].iter().copied(), j0, 3);
-                    for &i in row_sets[b] {
-                        for j in j0..j0 + 3 {
-                            // SAFETY: (i, j) is inside this task's claim.
-                            unsafe { us.set(i * n + j, (t + 1) as u32) };
-                        }
-                    }
-                }
-            })
-            .unwrap();
-        for (idx, &v) in data.iter().enumerate() {
-            let (i, j) = (idx / n, idx % n);
-            let want = match (row_sets[0].contains(&i), row_sets[1].contains(&i)) {
-                (true, _) => 1 + (j / 3) as u32,
-                (_, true) => 3 + (j / 3) as u32,
-                _ => 0, // rows 4 and 6 belong to no set: untouched
-            };
-            assert_eq!(v, want, "({i},{j})");
-        }
-    }
-
-    #[test]
-    fn overlapping_row_cycle_claims_abort_with_both_owners() {
-        if !checking_enabled() {
-            return;
-        }
-        let (m, n) = (6usize, 4usize);
-        let mut data = vec![0u32; m * n];
-        let scope = scope_for(m * n, n);
-        let us = UnsafeSlice::new(&mut data, &scope);
-        us.claim_rows_in_columns(0, [1usize, 3], 0, 2);
-        // Owner 2 claims a row set that shares (3, 1) with owner 0.
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            us.claim_rows_in_columns(2, [3usize, 4], 1, 2)
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("overlapping row-cycle claim"), "{msg}");
-        assert!(msg.contains("group 0") && msg.contains("group 2"), "{msg}");
-        assert!(msg.contains("row 3") && msg.contains("col 1"), "{msg}");
-    }
-
-    #[test]
-    fn row_cycle_claim_does_not_cover_foreign_columns() {
-        if !checking_enabled() {
-            return;
-        }
-        let mut data = vec![0u32; 4 * 4];
-        let scope = scope_for(4 * 4, 4);
-        let us = UnsafeSlice::new(&mut data, &scope);
-        us.claim_rows_in_columns(0, [2usize], 0, 2);
-        // Same row, column outside the claimed range: must abort.
-        let err = catch_unwind(AssertUnwindSafe(|| unsafe { us.set(2 * 4 + 3, 1) })).unwrap_err();
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("unclaimed write"), "{msg}");
     }
 
     #[test]

@@ -16,11 +16,10 @@ use ipt_parallel::{batched, c2r_parallel, cache_aware, r2c_parallel, ParOptions}
 
 const CASES: usize = 128;
 
-fn opts(w: usize, h: usize, ca: bool) -> ParOptions {
+fn opts(w: usize, h: usize) -> ParOptions {
     ParOptions {
         col_group: w,
         block_rows: h,
-        cache_aware: ca,
     }
 }
 
@@ -42,13 +41,12 @@ fn c2r_parallel_equals_core() {
     for case in 0..CASES {
         let (m, n) = (rng.range(1..80), rng.range(1..80));
         let (w, h) = (rng.range(1..20), rng.range(1..20));
-        let ca = rng.chance(1, 2);
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let mut b = a.clone();
-        c2r_parallel(&mut a, m, n, &opts(w, h, ca)).unwrap();
+        c2r_parallel(&mut a, m, n, &opts(w, h)).unwrap();
         ipt_core::c2r(&mut b, m, n, &mut Scratch::new());
-        assert_eq!(a, b, "case {case}: {m}x{n} w={w} h={h} ca={ca}");
+        assert_eq!(a, b, "case {case}: {m}x{n} w={w} h={h}");
     }
 }
 
@@ -59,13 +57,12 @@ fn r2c_parallel_equals_core() {
     for case in 0..CASES {
         let (m, n) = (rng.range(1..80), rng.range(1..80));
         let (w, h) = (rng.range(1..20), rng.range(1..20));
-        let ca = rng.chance(1, 2);
         let mut a = vec![0u32; m * n];
         fill_pattern(&mut a);
         let mut b = a.clone();
-        r2c_parallel(&mut a, m, n, &opts(w, h, ca)).unwrap();
+        r2c_parallel(&mut a, m, n, &opts(w, h)).unwrap();
         ipt_core::r2c(&mut b, m, n, &mut Scratch::new());
-        assert_eq!(a, b, "case {case}: {m}x{n} w={w} h={h} ca={ca}");
+        assert_eq!(a, b, "case {case}: {m}x{n} w={w} h={h}");
     }
 }
 

@@ -1,9 +1,9 @@
 //! Task-level undo journaling and the `IPT_RETRY` recovery knob.
 //!
 //! The decomposition's parallel phases partition the matrix into disjoint
-//! rectangles — (cycle-bundle × column-group) claims, rows, whole batch
-//! matrices — which is exactly the granularity at which failed work can
-//! be rolled back and re-executed. This module supplies the bookkeeping:
+//! rectangles — column groups, rows, whole batch matrices — which is
+//! exactly the granularity at which failed work can be rolled back and
+//! re-executed. This module supplies the bookkeeping:
 //!
 //! * [`TaskJournal`] — a per-op journal recording, for every task, an
 //!   **undo snapshot** taken *before* the task first mutates its claimed
@@ -235,8 +235,7 @@ mod tests {
             // Claim shape A: a column group [j0, j0 + gw) — m ranges of
             // gw contiguous elements, one per row (column passes).
             // Claim shape B: rows-in-columns — the same column window
-            // restricted to a random subset of rows (row-permute cycle
-            // bundles).
+            // restricted to a random subset of rows (a sparse range set).
             let j0 = rng.range(0..n);
             let gw = rng.range(1..n - j0 + 1);
             let rows: Vec<usize> = if trial % 2 == 0 {

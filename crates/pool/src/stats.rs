@@ -83,15 +83,6 @@ static WATCHDOG_TRIPS: AtomicU64 = AtomicU64::new(0);
 /// watchdog reads it to attribute a stuck task to a decomposition pass.
 static CURRENT_PHASE: Mutex<Option<&'static str>> = Mutex::new(None);
 
-/// Cycle-bundle schedules dispatched (see [`record_bundle_schedule`]).
-static SCHED_SCHEDULES: AtomicU64 = AtomicU64::new(0);
-/// Total bundles across all schedules.
-static SCHED_BUNDLES: AtomicU64 = AtomicU64::new(0);
-/// Sum of per-schedule heaviest-bundle weights.
-static SCHED_MAX_WEIGHT: AtomicU64 = AtomicU64::new(0);
-/// Sum of per-schedule lightest-bundle weights.
-static SCHED_MIN_WEIGHT: AtomicU64 = AtomicU64::new(0);
-
 /// One named wall-time accumulator. Registration is append-only; slots
 /// are identified by their `&'static str` name.
 struct PhaseSlot {
@@ -184,23 +175,6 @@ pub fn record_decision(name: &'static str) {
         Some(slot) => slot.hits += 1,
         None => table.push(KernelSlot { name, hits: 1 }),
     }
-}
-
-/// Record one cycle-bundle schedule: a static partition of permutation
-/// cycles into `bundles` balanced work bundles whose heaviest member
-/// weighs `max_weight` rows and lightest `min_weight`.
-///
-/// Called by `ipt-parallel`'s row-permute scheduler once per partition
-/// (never per task), so the cost class matches `record_dispatch`. The
-/// per-schedule extremes accumulate as *sums*, keeping snapshot deltas
-/// well-defined: over a delta covering one schedule,
-/// [`SchedStats::imbalance`] is exactly that schedule's max/min weight
-/// ratio — the load imbalance a steal-free static split commits to.
-pub fn record_bundle_schedule(bundles: u64, max_weight: u64, min_weight: u64) {
-    SCHED_SCHEDULES.fetch_add(1, Ordering::Relaxed);
-    SCHED_BUNDLES.fetch_add(bundles, Ordering::Relaxed);
-    SCHED_MAX_WEIGHT.fetch_add(max_weight, Ordering::Relaxed);
-    SCHED_MIN_WEIGHT.fetch_add(min_weight, Ordering::Relaxed);
 }
 
 /// Flush one worker's scratch alloc/reuse tallies (called on
@@ -412,35 +386,6 @@ pub struct DecisionStats {
     pub hits: u64,
 }
 
-/// Accumulated cycle-bundle scheduler tallies
-/// (see [`record_bundle_schedule`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Bundle schedules (static cycle partitions) dispatched.
-    pub schedules: u64,
-    /// Total bundles across those schedules.
-    pub bundles: u64,
-    /// Sum of each schedule's heaviest bundle weight (rows moved).
-    pub max_weight: u64,
-    /// Sum of each schedule's lightest bundle weight (rows moved).
-    pub min_weight: u64,
-}
-
-impl SchedStats {
-    /// The steal-free imbalance ratio: heaviest over lightest bundle
-    /// weight (summed over the covered schedules), or `None` when no
-    /// weighted schedule was recorded. `1.0` is a perfect static split;
-    /// the LPT partitioner guarantees the heaviest bundle stays within
-    /// 4/3 of optimal, so sustained large ratios indicate one dominant
-    /// cycle, not a scheduler bug.
-    pub fn imbalance(&self) -> Option<f64> {
-        if self.min_weight == 0 {
-            return None;
-        }
-        Some(self.max_weight as f64 / self.min_weight as f64)
-    }
-}
-
 /// A point-in-time snapshot of every executor counter and phase timer.
 ///
 /// Obtained from [`snapshot`]; two snapshots bracket a region of interest
@@ -474,8 +419,6 @@ pub struct PoolStats {
     /// Tasks the hang watchdog found past their `IPT_WATCHDOG_MS`
     /// deadline (see [`crate::watchdog`]).
     pub watchdog_trips: u64,
-    /// Cycle-bundle scheduler tallies (see [`record_bundle_schedule`]).
-    pub sched: SchedStats,
     /// Per-phase wall-time totals, in first-recorded order.
     pub phases: Vec<PhaseStats>,
     /// Per-worker dispatch tallies, indexed by worker id. The
@@ -587,18 +530,6 @@ impl PoolStats {
             recovered: self.recovered.saturating_sub(earlier.recovered),
             degraded: self.degraded.saturating_sub(earlier.degraded),
             watchdog_trips: self.watchdog_trips.saturating_sub(earlier.watchdog_trips),
-            sched: SchedStats {
-                schedules: self.sched.schedules.saturating_sub(earlier.sched.schedules),
-                bundles: self.sched.bundles.saturating_sub(earlier.sched.bundles),
-                max_weight: self
-                    .sched
-                    .max_weight
-                    .saturating_sub(earlier.sched.max_weight),
-                min_weight: self
-                    .sched
-                    .min_weight
-                    .saturating_sub(earlier.sched.min_weight),
-            },
             phases,
             workers,
             kernels,
@@ -664,12 +595,6 @@ pub fn snapshot() -> PoolStats {
         recovered: RECOVERED.load(Ordering::Relaxed),
         degraded: DEGRADED.load(Ordering::Relaxed),
         watchdog_trips: WATCHDOG_TRIPS.load(Ordering::Relaxed),
-        sched: SchedStats {
-            schedules: SCHED_SCHEDULES.load(Ordering::Relaxed),
-            bundles: SCHED_BUNDLES.load(Ordering::Relaxed),
-            max_weight: SCHED_MAX_WEIGHT.load(Ordering::Relaxed),
-            min_weight: SCHED_MIN_WEIGHT.load(Ordering::Relaxed),
-        },
         phases,
         workers,
         kernels,
@@ -692,10 +617,6 @@ pub fn reset() {
     RECOVERED.store(0, Ordering::Relaxed);
     DEGRADED.store(0, Ordering::Relaxed);
     WATCHDOG_TRIPS.store(0, Ordering::Relaxed);
-    SCHED_SCHEDULES.store(0, Ordering::Relaxed);
-    SCHED_BUNDLES.store(0, Ordering::Relaxed);
-    SCHED_MAX_WEIGHT.store(0, Ordering::Relaxed);
-    SCHED_MIN_WEIGHT.store(0, Ordering::Relaxed);
     PHASES.lock().unwrap().clear();
     WORKERS.lock().unwrap().clear();
     KERNELS.lock().unwrap().clear();
@@ -781,24 +702,6 @@ mod tests {
         assert_eq!(d.decision("stats_test_tier").unwrap().hits, 2);
         assert_eq!(d.decision("stats_other_tier").unwrap().hits, 1);
         assert!(d.decision("stats_never_recorded").is_none());
-    }
-
-    #[test]
-    fn bundle_schedules_accumulate_and_expose_imbalance() {
-        let before = snapshot();
-        record_bundle_schedule(4, 100, 80);
-        record_bundle_schedule(2, 50, 50);
-        let d = snapshot().delta_since(&before);
-        assert_eq!(d.sched.schedules, 2);
-        assert_eq!(d.sched.bundles, 6);
-        assert_eq!(d.sched.max_weight, 150);
-        assert_eq!(d.sched.min_weight, 130);
-        let ratio = d.sched.imbalance().expect("weighted schedules recorded");
-        assert!((ratio - 150.0 / 130.0).abs() < 1e-12, "{ratio}");
-        // A delta with no scheduler activity has no ratio.
-        let quiet = snapshot().delta_since(&snapshot());
-        assert_eq!(quiet.sched, SchedStats::default());
-        assert!(quiet.sched.imbalance().is_none());
     }
 
     #[test]

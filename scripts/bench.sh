@@ -21,9 +21,9 @@
 #                          is omitted; this script just supplies a default.
 #
 # On a multi-core host (nproc > 1) the parallel and aos suites run with
-# --scaling: the report gains the tall-skinny cycle-bundle shape and (for
-# parallel) a 1-thread r2c_parallel_plain_1t twin, so each archive entry
-# carries the host's scaling-efficiency ratio. Single-core hosts skip it
+# --scaling: the report gains the tall-skinny 65536x8 shape and (for
+# parallel) a 1-thread r2c_parallel_1t twin of r2c_parallel, so each
+# archive entry carries the host's scaling-efficiency ratio. Single-core hosts skip it
 # — a 1-vs-1 "scaling" entry would be noise.
 #
 # Numbers are machine-dependent: regenerate on the machine you compare

@@ -24,8 +24,8 @@
 #                        (trailing-median + drift gate, --history)
 #   tier 3  sanitize     release test run of the concurrency layer with
 #                        the disjointness checker live (IPT_CHECK=1) plus
-#                        the fault-injection suite, then a cycle-scheduler
-#                        smoke: a tall-skinny --scaling bench under
+#                        the fault-injection suite and the fault soak,
+#                        then a tall-skinny smoke: a --scaling bench under
 #                        IPT_FAULT + IPT_CHECK=1 must exit 4 (structured
 #                        abort) or 0 — never SIGSEGV
 #   tier 3  miri         cargo +nightly miri over ipt-core + ipt-pool;
@@ -68,17 +68,22 @@ sanitize_stage() {
     # release codepath + IPT_CHECK=1 combination (the one ops would flip
     # on a misbehaving host) is equally clean, at the CI matrix's thread
     # counts.
-    IPT_CHECK=1 cargo test --release -p ipt-parallel -p ipt-pool
+    IPT_CHECK=1 cargo test --release -p ipt-parallel -p ipt-pool -p ipt-aos-soa
     IPT_CHECK=1 cargo test --release -p ipt --features fault-inject \
         --test fault_injection
+    # The fault soak: thousands of random shapes under injected panics and
+    # skews, at budget 0 and armed. Its own test binary, so it sets
+    # IPT_CHECK=1 itself before the checker's one-time read.
+    cargo test --release -p ipt --features fault-inject --test soak_faults \
+        -- --ignored
 
-    stage "cycle-scheduler smoke: tall-skinny bundles under faults (tier 3)"
-    # --scaling appends the 65536x8 shape — one column group of the
-    # default u64 width, so every row-permute task comes from the
-    # cycle-bundle scheduler — and measures the 1-thread plain-R2C twin.
-    # Under a 5% panic rate with the checker live, the containment
-    # contract is the same as the fault stage's: structured abort or
-    # clean pass, never a crash.
+    stage "tall-skinny smoke: 65536x8 under faults (tier 3)"
+    # --scaling appends the 65536x8 shape on the default path — its
+    # column passes are one column group of the default u64 width, so
+    # only the row shuffle splits across workers — and measures the
+    # 1-thread R2C twin. Under a 5% panic rate with the checker live, the
+    # containment contract is the same as the fault stage's: structured
+    # abort or clean pass, never a crash.
     cargo build --release -p ipt-cli --features fault-inject --quiet
     contained_bench --scaling
 }

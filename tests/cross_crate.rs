@@ -68,12 +68,6 @@ fn implementations() -> Vec<(&'static str, Impl)> {
             }),
         ),
         (
-            "parallel plain",
-            Box::new(|d: &mut Vec<u64>, m, n| {
-                ipt_parallel::c2r_parallel(d, m, n, &ParOptions::plain()).unwrap()
-            }),
-        ),
-        (
             "parallel r2c (swapped dims)",
             Box::new(|d: &mut Vec<u64>, m, n| {
                 ipt_parallel::r2c_parallel(d, n, m, &ParOptions::default()).unwrap()
@@ -195,7 +189,7 @@ fn mixed_sequence_of_implementations_composes() {
     assert_eq!(data, orig, "parallel c2r then core r2c");
 
     transpose_gustavson(&mut data, m, n);
-    ipt_parallel::r2c_parallel(&mut data, m, n, &ParOptions::plain()).unwrap();
+    ipt_parallel::r2c_parallel(&mut data, m, n, &ParOptions::default()).unwrap();
     assert_eq!(data, orig, "gustavson then parallel r2c");
 
     transpose_cycle_following(&mut data, m, n);

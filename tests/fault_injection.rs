@@ -17,6 +17,7 @@
 //! doesn't — the tests assert the biconditional: injection happened if
 //! and only if the call reported an abort.
 
+use ipt::aos_soa::{aos_to_soa, soa_to_aos};
 use ipt::core::check::reference_transpose;
 use ipt::core::kernels::faulty::{self, FaultMode};
 use ipt::core::{Layout, Scratch};
@@ -73,11 +74,11 @@ impl Drop for Armed {
 }
 
 /// Run one forced-fault C2R and return `(result, panics, skews)` deltas.
-fn run_c2r(m: usize, n: usize, opts: &ParOptions) -> (Result<(), TransposeAborted>, u64, u64) {
+fn run_c2r(m: usize, n: usize) -> (Result<(), TransposeAborted>, u64, u64) {
     let mut a: Vec<u64> = (0..(m * n) as u64).collect();
     let want = reference_transpose(&a, m, n, Layout::RowMajor);
     let (p0, s0, _) = faulty::injection_counts();
-    let result = c2r_parallel(&mut a, m, n, opts);
+    let result = c2r_parallel(&mut a, m, n, &ParOptions::default());
     let (p1, s1, _) = faulty::injection_counts();
     if result.is_ok() {
         assert_eq!(a, want, "Ok result must mean a correct {m}x{n} transpose");
@@ -85,92 +86,18 @@ fn run_c2r(m: usize, n: usize, opts: &ParOptions) -> (Result<(), TransposeAborte
     (result, p1 - p0, s1 - s0)
 }
 
-/// Run one forced-fault plain R2C — the path whose first pass is the
-/// cycle-bundle row permute — and return `(result, panics, skews)` deltas.
-fn run_r2c_plain(m: usize, n: usize) -> (Result<(), TransposeAborted>, u64, u64) {
+/// Run one forced-fault R2C and return `(result, panics, skews)` deltas.
+fn run_r2c(m: usize, n: usize) -> (Result<(), TransposeAborted>, u64, u64) {
     let mut a: Vec<u64> = (0..(m * n) as u64).collect();
     let mut want = a.clone();
     ipt::core::r2c(&mut want, m, n, &mut Scratch::new());
     let (p0, s0, _) = faulty::injection_counts();
-    let result = r2c_parallel(&mut a, m, n, &ParOptions::plain());
+    let result = r2c_parallel(&mut a, m, n, &ParOptions::default());
     let (p1, s1, _) = faulty::injection_counts();
     if result.is_ok() {
         assert_eq!(a, want, "Ok result must mean a correct {m}x{n} R2C");
     }
     (result, p1 - p0, s1 - s0)
-}
-
-#[test]
-fn row_cycle_bundle_panics_are_contained_across_thread_counts() {
-    let _guard = setup();
-    let _forced = Forced::new(FaultMode::Panic(0.1));
-    let mut aborted = 0u64;
-    for threads in [1usize, 2, 4] {
-        set_num_threads(threads);
-        // Tall-skinny shapes collapse to one column group, so these sweeps
-        // only parallelize (and only inject "row_cycle_bundle" panics)
-        // through the cycle-bundle axis.
-        for (m, n) in [(4096usize, 8usize), (2048, 48), (513, 96)] {
-            let (result, panics, _) = run_r2c_plain(m, n);
-            match result {
-                Err(e) => {
-                    assert!(panics > 0, "abort without injection: {e} ({m}x{n})");
-                    assert!(
-                        e.source.payload.contains("ipt fault injection"),
-                        "unexpected payload: {e}"
-                    );
-                    aborted += 1;
-                }
-                Ok(()) => assert_eq!(panics, 0, "{m}x{n} swallowed an injected panic"),
-            }
-        }
-    }
-    assert!(aborted > 0, "the sweep never injected a bundle panic");
-}
-
-#[test]
-fn row_cycle_bundle_skews_abort_via_the_shadow_claims() {
-    let _guard = setup();
-    let _forced = Forced::new(FaultMode::Skew(1.0));
-    // Plain R2C runs the cycle-bundle row permute first, so with rate 1.0
-    // the first skewed write lands outside the task's row-set x
-    // column-group claim and must trip the checker before any other
-    // phase's sites fire. Shapes span several column groups of the
-    // default u64 width (skews need a foreign group to land in).
-    let mut named_the_scheduler = 0u64;
-    let mut caught = 0u64;
-    for threads in [1usize, 2, 4] {
-        set_num_threads(threads);
-        for (m, n) in [(200usize, 96usize), (96, 192), (513, 64)] {
-            let (result, _, skews) = run_r2c_plain(m, n);
-            match result {
-                Err(e) => {
-                    assert!(skews > 0, "abort without a skew: {e} ({m}x{n})");
-                    assert!(
-                        e.source.payload.contains("disjointness"),
-                        "skew must abort via the checker, got: {e}"
-                    );
-                    caught += 1;
-                    // The violation label should name the bundle scheduler
-                    // and its composite-owner decode rule.
-                    if e.source.payload.contains("row_permute")
-                        && e.source.payload.contains("cycle bundle")
-                    {
-                        named_the_scheduler += 1;
-                    }
-                }
-                Ok(()) => assert_eq!(
-                    skews, 0,
-                    "threads={threads} {m}x{n}: {skews} skews went undetected"
-                ),
-            }
-        }
-    }
-    assert!(caught > 0, "the sweep never injected a bundle skew");
-    assert!(
-        named_the_scheduler > 0,
-        "no abort named the row-permute bundle scheduler"
-    );
 }
 
 #[test]
@@ -182,22 +109,20 @@ fn injected_panics_are_contained_across_thread_counts() {
         set_num_threads(threads);
         let mut aborted_here = 0u64;
         let before = stats::snapshot();
-        // Sweep shapes on both the cache-aware and plain paths; 5% per
-        // (site, item) over hundreds of rows/groups injects many times.
+        // 5% per (site, item) over hundreds of rows/groups injects many
+        // times.
         for (m, n) in [(64usize, 96usize), (97, 64), (200, 300), (33, 1024)] {
-            for opts in [ParOptions::default(), ParOptions::plain()] {
-                let (result, panics, _) = run_c2r(m, n, &opts);
-                match result {
-                    Err(e) => {
-                        assert!(panics > 0, "abort without injection: {e} ({m}x{n})");
-                        assert!(
-                            e.source.payload.contains("ipt fault injection"),
-                            "unexpected payload: {e}"
-                        );
-                        aborted_here += 1;
-                    }
-                    Ok(()) => assert_eq!(panics, 0, "{m}x{n} swallowed an injected panic"),
+            let (result, panics, _) = run_c2r(m, n);
+            match result {
+                Err(e) => {
+                    assert!(panics > 0, "abort without injection: {e} ({m}x{n})");
+                    assert!(
+                        e.source.payload.contains("ipt fault injection"),
+                        "unexpected payload: {e}"
+                    );
+                    aborted_here += 1;
                 }
+                Ok(()) => assert_eq!(panics, 0, "{m}x{n} swallowed an injected panic"),
             }
         }
         let d = stats::snapshot().delta_since(&before);
@@ -236,17 +161,16 @@ fn injected_panics_in_batched_transposes_are_contained() {
 fn every_injected_skew_is_caught_by_the_checker() {
     let _guard = setup();
     let _forced = Forced::new(FaultMode::Skew(1.0));
-    // Skew sites live on the plain column path; rate 1.0 skews the first
-    // processed column of every group, which must land in a foreign
-    // group and trip the shadow map before any data is torn silently.
-    let opts = ParOptions::plain();
+    // Every column-group write is a skew site; rate 1.0 skews the first
+    // write of every group, which must land in a foreign group and trip
+    // the shadow map before any data is torn silently.
     let mut caught = 0u64;
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
         // gcd(m, n) > 1 so the pre-rotation (a skew site) actually runs,
         // and n spans several column groups of the default width.
         for (m, n) in [(64usize, 96usize), (96, 192), (48, 300)] {
-            let (result, _, skews) = run_c2r(m, n, &opts);
+            let (result, _, skews) = run_c2r(m, n);
             match result {
                 Err(e) => {
                     assert!(skews > 0, "abort without a skew: {e} ({m}x{n})");
@@ -273,11 +197,10 @@ fn every_injected_skew_is_caught_by_the_checker() {
 fn low_rate_skews_are_still_all_detected() {
     let _guard = setup();
     let _forced = Forced::new(FaultMode::Skew(0.08));
-    let opts = ParOptions::plain();
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
         for (m, n) in [(64usize, 96usize), (72, 160), (96, 224), (120, 288)] {
-            let (result, _, skews) = run_c2r(m, n, &opts);
+            let (result, _, skews) = run_c2r(m, n);
             match result {
                 Err(e) => assert!(
                     skews > 0 && e.source.payload.contains("disjointness"),
@@ -303,19 +226,17 @@ fn armed_retry_recovers_every_injected_panic() {
         // with IPT_RETRY=2 armed, every call must now complete with Ok
         // and byte-identical output (run_c2r asserts equality on Ok).
         for (m, n) in [(64usize, 96usize), (97, 64), (200, 300), (33, 1024)] {
-            for opts in [ParOptions::default(), ParOptions::plain()] {
-                let (result, panics, _) = run_c2r(m, n, &opts);
-                assert!(
-                    result.is_ok(),
-                    "threads={threads} {m}x{n}: armed run aborted: {}",
-                    result.unwrap_err()
-                );
-                injected_here += panics;
-            }
+            let (result, panics, _) = run_c2r(m, n);
+            assert!(
+                result.is_ok(),
+                "threads={threads} {m}x{n}: armed run aborted: {}",
+                result.unwrap_err()
+            );
+            injected_here += panics;
         }
-        // The plain R2C path (cycle-bundle row permute first) too.
+        // The R2C path too.
         for (m, n) in [(4096usize, 8usize), (513, 96)] {
-            let (result, panics, _) = run_r2c_plain(m, n);
+            let (result, panics, _) = run_r2c(m, n);
             assert!(
                 result.is_ok(),
                 "threads={threads} {m}x{n}: armed R2C aborted: {}",
@@ -343,12 +264,11 @@ fn armed_retry_recovers_injected_skews_in_checked_mode() {
     // sequential-redo rung, which has no skew sites. The checker
     // (IPT_CHECK=1, set in setup()) rejects each skewed write before it
     // lands, so the undo snapshots fully describe the torn state.
-    let opts = ParOptions::plain();
     let mut injected = 0u64;
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
         for (m, n) in [(64usize, 96usize), (96, 192), (48, 300)] {
-            let (result, _, skews) = run_c2r(m, n, &opts);
+            let (result, _, skews) = run_c2r(m, n);
             assert!(
                 result.is_ok(),
                 "threads={threads} {m}x{n}: armed skew run aborted: {}",
@@ -357,10 +277,10 @@ fn armed_retry_recovers_injected_skews_in_checked_mode() {
             injected += skews;
         }
         for (m, n) in [(200usize, 96usize), (513, 64)] {
-            let (result, _, skews) = run_r2c_plain(m, n);
+            let (result, _, skews) = run_r2c(m, n);
             assert!(
                 result.is_ok(),
-                "threads={threads} {m}x{n}: armed bundle-skew run aborted: {}",
+                "threads={threads} {m}x{n}: armed R2C skew run aborted: {}",
                 result.unwrap_err()
             );
             injected += skews;
@@ -391,6 +311,47 @@ fn armed_retry_recovers_batched_panics() {
 }
 
 #[test]
+fn armed_retry_recovers_aos_soa_faults() {
+    let _guard = setup();
+    let _armed = Armed::new(2);
+    // The §6.1 staged-block passes run on the column-group executor, so
+    // armed recovery heals them like every other column pass: both
+    // conversions complete byte-identically under injected panics and
+    // (checker live) skews. 4096 x 3 is coprime (two passes each way);
+    // 1000 x 12 has gcd 4, so the pre/post rotations run too.
+    for mode in [FaultMode::Panic(0.3), FaultMode::Skew(1.0)] {
+        let _forced = Forced::new(mode);
+        let mut injected = 0u64;
+        for threads in [1usize, 2, 4] {
+            set_num_threads(threads);
+            for (n_structs, fields) in [(4096usize, 3usize), (1000, 12)] {
+                let orig: Vec<u64> = (0..(n_structs * fields) as u64).collect();
+                let soa = reference_transpose(&orig, n_structs, fields, Layout::RowMajor);
+                let mut a = orig.clone();
+                let (p0, s0, _) = faulty::injection_counts();
+                let to_soa = aos_to_soa(&mut a, n_structs, fields);
+                assert!(
+                    to_soa.is_ok(),
+                    "{mode:?} threads={threads} {n_structs}x{fields}: armed aos_to_soa aborted: {}",
+                    to_soa.unwrap_err()
+                );
+                assert_eq!(a, soa, "{mode:?} {n_structs}x{fields}: aos_to_soa");
+                let to_aos = soa_to_aos(&mut a, n_structs, fields);
+                assert!(
+                    to_aos.is_ok(),
+                    "{mode:?} threads={threads} {n_structs}x{fields}: armed soa_to_aos aborted: {}",
+                    to_aos.unwrap_err()
+                );
+                assert_eq!(a, orig, "{mode:?} {n_structs}x{fields}: soa_to_aos");
+                let (p1, s1, _) = faulty::injection_counts();
+                injected += (p1 - p0) + (s1 - s0);
+            }
+        }
+        assert!(injected > 0, "the armed §6.1 sweep never injected {mode:?}");
+    }
+}
+
+#[test]
 fn budget_zero_keeps_the_abort_contract() {
     let _guard = setup();
     let _forced = Forced::new(FaultMode::Panic(0.1));
@@ -400,7 +361,7 @@ fn budget_zero_keeps_the_abort_contract() {
     set_num_threads(4);
     let mut aborted = 0u64;
     for (m, n) in [(4096usize, 8usize), (2048, 48), (513, 96)] {
-        let (result, panics, _) = run_r2c_plain(m, n);
+        let (result, panics, _) = run_r2c(m, n);
         match result {
             Err(e) => {
                 assert!(panics > 0, "abort without injection: {e} ({m}x{n})");
@@ -418,16 +379,14 @@ fn zero_rate_injects_nothing_and_transposes_correctly() {
     let _forced = Forced::new(FaultMode::Panic(0.0));
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
-        for opts in [ParOptions::default(), ParOptions::plain()] {
-            let (result, panics, skews) = run_c2r(60, 48, &opts);
-            assert!(result.is_ok(), "rate 0.0 must never abort");
-            assert_eq!((panics, skews), (0, 0));
-        }
-        // Clean cycle-bundle runs: byte-identical to the serial reference
-        // with zero shadow-map aborts under IPT_CHECK=1 (run_r2c_plain
-        // asserts equality on Ok).
-        let (result, panics, skews) = run_r2c_plain(4096, 8);
-        assert!(result.is_ok(), "clean bundle run must never abort");
+        let (result, panics, skews) = run_c2r(60, 48);
+        assert!(result.is_ok(), "rate 0.0 must never abort");
+        assert_eq!((panics, skews), (0, 0));
+        // Clean tall-skinny runs: byte-identical to the serial reference
+        // with zero shadow-map aborts under IPT_CHECK=1 (run_r2c asserts
+        // equality on Ok).
+        let (result, panics, skews) = run_r2c(4096, 8);
+        assert!(result.is_ok(), "clean tall-skinny run must never abort");
         assert_eq!((panics, skews), (0, 0));
     }
 }

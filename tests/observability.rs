@@ -75,12 +75,12 @@ fn r2c_reports_its_inverse_phases_and_roundtrips() {
 #[test]
 fn scratch_reaches_steady_state_reuse() {
     let _guard = STATS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    // The plain (non-cache-aware) path stages columns through per-worker
-    // ipt_pool::Scratch buffers; across repeated same-shape transposes
-    // the buffers must be reused, not reallocated per call.
+    // Every pass keeps per-worker ipt_pool::Scratch buffers; across
+    // repeated same-shape transposes the buffers must be reused, not
+    // reallocated per call.
     let (m, n) = (96usize, 64usize);
     let mut a: Vec<u64> = (0..(m * n) as u64).collect();
-    let opts = ParOptions::plain();
+    let opts = ParOptions::default();
     c2r_parallel(&mut a, m, n, &opts).unwrap(); // warm-up
 
     let before = stats::snapshot();

@@ -79,7 +79,7 @@ fn repeated_transposes_walk_back_to_identity() {
         // ...and back with another.
         match round % 2 {
             0 => ipt_core::r2c(&mut data, m, n, &mut Scratch::new()),
-            _ => ipt_parallel::r2c_parallel(&mut data, m, n, &ParOptions::plain()).unwrap(),
+            _ => ipt_parallel::r2c_parallel(&mut data, m, n, &ParOptions::default()).unwrap(),
         }
         assert_eq!(data, orig, "round {round}");
     }
