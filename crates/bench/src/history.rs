@@ -213,8 +213,8 @@ fn scan(dir: &str, suite: &str) -> Result<Vec<ScanEntry>, String> {
 /// default. Chronological order is the same (stamp, seq) order
 /// [`load`] uses, so the reports the trend gate's window actually
 /// reads are always the ones that survive. Other suites' archives (and
-/// unrelated files, e.g. a calibration profile stored alongside) are
-/// untouched.
+/// unrelated files, e.g. a legacy calibration profile stored alongside)
+/// are untouched.
 pub fn prune(dir: &str, suite: &str, keep: usize) -> Result<Vec<String>, String> {
     let found = scan(dir, suite)?;
     if found.len() <= keep {
@@ -307,7 +307,7 @@ pub struct TrendReport {
     /// Archived reports skipped because exactly one side of the pair ran
     /// under an `IPT_KERNEL` override (`dispatch_tier == "override"`) —
     /// forced-kernel numbers are not comparable to dispatcher-chosen
-    /// ones. Calibrated-vs-static pairs still participate.
+    /// ones. Legacy calibrated-vs-static pairs still participate.
     pub skipped_stamps: usize,
     /// New-report entries with no archived sample (first appearance).
     pub new_only: usize,
@@ -486,7 +486,6 @@ mod tests {
             name: suite.to_string(),
             threads,
             dispatch_tier: "static".to_string(),
-            calibration: "none".to_string(),
             entries: medians.iter().map(|&(a, x)| entry(a, x)).collect(),
         }
     }
@@ -686,8 +685,8 @@ mod tests {
     #[test]
     fn override_runs_only_compare_against_override_runs() {
         // A fast forced-kernel archive must not gate a dispatcher-chosen
-        // run (and the skip is surfaced, not hidden); calibrated archives
-        // still participate against a static run.
+        // run (and the skip is surfaced, not hidden); legacy calibrated
+        // archives still participate against a static run.
         let mut forced = report("t", 1, &[("c2r", 100.0)]);
         forced.dispatch_tier = "override".to_string();
         let mut calibrated = report("t", 1, &[("c2r", 10.0)]);

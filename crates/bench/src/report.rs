@@ -312,16 +312,11 @@ pub struct BenchReport {
     /// Worker thread count the suite ran with.
     pub threads: usize,
     /// Which kernel-dispatch tier was active for the run: `"override"`
-    /// (`IPT_KERNEL` forced a kernel), `"calibrated"` (a loaded
-    /// calibration profile decided), or `"static"` (the built-in
-    /// heuristic). Reports written before this field existed load as
-    /// `"static"` — the only tier that existed then.
+    /// (`IPT_KERNEL` forced a kernel) or `"static"` (the built-in
+    /// table). Reports written before this field existed load as
+    /// `"static"`; older archives may also carry `"calibrated"`, from a
+    /// since-removed per-host tier, which loads as written.
     pub dispatch_tier: String,
-    /// Content hash of the loaded calibration profile (see
-    /// `ipt_core::kernels::calibrate::CalibrationProfile::hash`), or
-    /// `"none"` when no profile was loaded — so bench history can tell
-    /// calibrated runs apart, and apart from each other.
-    pub calibration: String,
     /// One entry per measured (algorithm, shape) pair.
     pub entries: Vec<BenchEntry>,
 }
@@ -334,7 +329,6 @@ impl BenchReport {
             ("name", Json::Str(self.name.clone())),
             ("threads", Json::Num(self.threads as f64)),
             ("dispatch_tier", Json::Str(self.dispatch_tier.clone())),
-            ("calibration", Json::Str(self.calibration.clone())),
             (
                 "entries",
                 Json::Arr(self.entries.iter().map(BenchEntry::to_json).collect()),
@@ -343,8 +337,9 @@ impl BenchReport {
     }
 
     /// Decode from a parsed [`Json`] document, checking the schema tag.
-    /// The dispatch stamps default to `"static"` / `"none"` so baselines
-    /// written before calibration existed keep loading.
+    /// The dispatch stamp defaults to `"static"` so baselines written
+    /// before it existed keep loading; a legacy `"calibration"` key is
+    /// ignored.
     pub fn from_json(v: &Json) -> Result<BenchReport, String> {
         match v.get("schema").and_then(Json::as_str) {
             Some(SCHEMA) => {}
@@ -365,11 +360,6 @@ impl BenchReport {
                 .get("dispatch_tier")
                 .and_then(Json::as_str)
                 .unwrap_or("static")
-                .to_string(),
-            calibration: v
-                .get("calibration")
-                .and_then(Json::as_str)
-                .unwrap_or("none")
                 .to_string(),
             entries: v
                 .get("entries")
@@ -401,9 +391,8 @@ impl BenchReport {
     /// differ (a 4-thread run gated against a 1-core baseline reports
     /// bogus regressions/improvements), or when exactly one of the two
     /// ran under a forced `IPT_KERNEL` override (`dispatch_tier ==
-    /// "override"`). A `"calibrated"` vs `"static"` difference is *not* a
-    /// mismatch — both mean the dispatcher chose, and CI deliberately
-    /// gates calibrated runs against static baselines.
+    /// "override"`). A legacy `"calibrated"` vs `"static"` difference is
+    /// *not* a mismatch — both mean the dispatcher chose.
     pub fn stamp_mismatch(&self, new: &BenchReport) -> Option<String> {
         if self.threads != new.threads {
             return Some(format!(
@@ -654,7 +643,6 @@ mod tests {
             name: "test".to_string(),
             threads: 4,
             dispatch_tier: "static".to_string(),
-            calibration: "none".to_string(),
             entries,
         }
     }
@@ -683,7 +671,6 @@ mod tests {
             "\"name\"",
             "\"threads\"",
             "\"dispatch_tier\"",
-            "\"calibration\"",
             "\"entries\"",
             "\"algorithm\"",
             "\"m\"",
@@ -812,15 +799,37 @@ mod tests {
 
     #[test]
     fn calibrated_vs_static_is_still_comparable() {
-        // CI deliberately gates calibrated smoke runs against static
-        // committed baselines — that pairing must never skip.
-        let old = report(vec![entry("c2r", 8, 8, 10.0)]);
-        let mut new = report(vec![entry("c2r", 8, 8, 0.1)]);
-        new.dispatch_tier = "calibrated".to_string();
-        new.calibration = "00d1f2e3a4b5c697".to_string();
-        let cmp = compare(&old, &new, 10.0);
+        // Reports and history archives written while a per-host
+        // calibrated dispatch tier existed carry its stamp plus a profile
+        // hash. They must still load, compare and trend against today's
+        // static runs — that pairing must never skip.
+        let entries = report(vec![entry("c2r", 8, 8, 10.0)])
+            .to_json()
+            .get("entries")
+            .unwrap()
+            .clone();
+        let doc = Json::obj(vec![
+            ("schema", Json::Str(SCHEMA.to_string())),
+            ("name", Json::Str("test".to_string())),
+            ("threads", Json::Num(4.0)),
+            ("dispatch_tier", Json::Str("calibrated".to_string())),
+            ("calibration", Json::Str("00d1f2e3a4b5c697".to_string())),
+            ("entries", entries),
+        ]);
+        let legacy = BenchReport::from_json(&Json::parse(&doc.render()).unwrap()).unwrap();
+        assert_eq!(legacy.dispatch_tier, "calibrated");
+        let new = report(vec![entry("c2r", 8, 8, 0.1)]);
+        let cmp = compare(&legacy, &new, 10.0);
         assert!(cmp.skipped.is_none());
         assert_eq!(cmp.regressions(), 1);
+        let archive = [crate::history::HistoryFile {
+            file: "legacy".to_string(),
+            seq: 1,
+            report: legacy,
+        }];
+        let t = crate::history::trend(&archive, &new, 10.0, crate::history::DEFAULT_WINDOW);
+        assert_eq!((t.reports_used, t.skipped_stamps), (1, 0));
+        assert_eq!(t.flagged(), 1);
     }
 
     #[test]
@@ -839,9 +848,8 @@ mod tests {
 
     #[test]
     fn pre_calibration_reports_load_with_default_stamps() {
-        // A baseline written before the dispatch stamps existed has no
-        // dispatch_tier/calibration keys; it must load as the only tier
-        // that existed then.
+        // A baseline written before the dispatch stamp existed has no
+        // dispatch_tier key; it must load as the static tier.
         let doc = Json::obj(vec![
             ("schema", Json::Str(SCHEMA.to_string())),
             ("name", Json::Str("old".to_string())),
@@ -850,14 +858,12 @@ mod tests {
         ]);
         let r = BenchReport::from_json(&doc).unwrap();
         assert_eq!(r.dispatch_tier, "static");
-        assert_eq!(r.calibration, "none");
     }
 
     #[test]
     fn dispatch_stamps_round_trip() {
         let mut r = report(vec![entry("c2r", 8, 4, 1.0)]);
-        r.dispatch_tier = "calibrated".to_string();
-        r.calibration = "00d1f2e3a4b5c697".to_string();
+        r.dispatch_tier = "override".to_string();
         let back = BenchReport::from_json(&Json::parse(&r.to_json().render()).unwrap()).unwrap();
         assert_eq!(back, r);
     }

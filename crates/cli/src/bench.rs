@@ -62,8 +62,7 @@ of the default u64 width, so only the row shuffle splits across workers
 measures a 1-thread r2c_parallel_1t twin so one report carries both ends
 of the scaling-efficiency ratio against r2c_parallel.
 Every report stamps the kernel-dispatch decision tier (override when
-IPT_KERNEL forces a kernel, calibrated when an IPT_CALIBRATION profile
-loaded, static otherwise) and the loaded profile's content hash.
+IPT_KERNEL forces a kernel, static otherwise).
 --model additionally stamps every c2r*/r2c* entry with the
 phase-attributed cost model's predicted-vs-measured share breakdown
 (memsim::phases against the cpu preset — see `ipt model --help` and
@@ -83,8 +82,8 @@ only one file are counted and reported, never silently dropped. When the
 two reports' environment stamps disagree (different thread counts, or an
 IPT_KERNEL override on exactly one side) the comparison is skipped with
 a loud reason and exit 0 — apples-to-oranges numbers must not gate.
-Calibrated-vs-static pairs still compare (CI gates calibrated smoke runs
-against static committed baselines by design).
+Reports written by older builds with a \"calibrated\" stamp still compare
+against static ones.
 
 With --history instead of an OLD file, NEW is gated against the
 trailing median of the last K archived runs (default window 8) with the
@@ -586,14 +585,7 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
                 let mut s = Scratch::new();
                 Box::new(move |buf: &mut [u64], m, n| {
                     let p = C2rParams::new(m, n);
-                    let kernel = match forced {
-                        Some(k) => k,
-                        None => {
-                            let (k, tier) = kernels::select_with_tier(&p);
-                            ipt_pool::stats::record_decision(tier.name());
-                            k
-                        }
-                    };
+                    let kernel = forced.unwrap_or_else(|| kernels::select(&p));
                     ipt_pool::stats::record_kernel(kernel.name());
                     let tmp = s.ensure(n, 0u64);
                     kernels::row_shuffle(buf, &p, tmp, kernel, ShuffleDirection::Inverse);
@@ -715,9 +707,6 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
         name: suite.to_string(),
         threads,
         dispatch_tier: kernels::active_tier().name().to_string(),
-        calibration: kernels::calibrate::loaded()
-            .map(|p| p.hash())
-            .unwrap_or_else(|| "none".to_string()),
         entries,
     })
 }

@@ -15,7 +15,6 @@
 //! ipt bench      --suite transpose|parallel|kernels|aos|batched [...]
 //! ipt bench      --compare OLD NEW | --compare NEW --history DIR
 //! ipt model      --rows R --cols C --elem N [--max-divergence X]
-//! ipt calibrate  [--force] [--show] [--out PATH]
 //! ```
 //!
 //! `gen` writes a position-identifying pattern; `verify` checks that a
@@ -25,7 +24,6 @@
 //! `BENCH_*.json` baselines and diffs two such reports.
 
 mod bench;
-mod calibrate;
 mod model;
 
 use std::collections::HashMap;
@@ -50,7 +48,6 @@ USAGE:
   ipt bench     --compare NEW.json --history DIR [--threshold PCT] [--window K]
   ipt model     --rows R --cols C --elem N [--algorithm c2r|r2c|auto]
                 [--device cpu|k20c] [--max-divergence X]
-  ipt calibrate [--force] [--show] [--out PATH]
 
 Matrices are dense binary dumps: rows x cols elements of elem-size bytes.
 `transpose` rewrites FILE in place unless --out is given. `gen` fills a
@@ -60,9 +57,7 @@ transpose says it must. `bench` runs the fixed benchmark suite and emits
 machine-readable BENCH_*.json baselines (see `ipt bench --help`).
 `model` prints memsim's predicted per-phase cost shares next to the
 measured phase timers for one shape and gates on their divergence (see
-`ipt model --help`). `calibrate` measures this host's kernel crossovers
-and persists them so dispatch uses measured thresholds (see
-`ipt calibrate --help`).
+`ipt model --help`).
 
 EXIT CODES:
   0  success
@@ -77,9 +72,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("bench") {
         return bench::main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("calibrate") {
-        return calibrate::main(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("model") {
         return model::main(&args[1..]);

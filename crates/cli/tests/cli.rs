@@ -459,7 +459,6 @@ fn bench_compare_flags_injected_regression() {
         name: "injected".to_string(),
         threads: 1,
         dispatch_tier: "static".to_string(),
-        calibration: "none".to_string(),
         entries: vec![entry(median)],
     };
     let old = tmpfile("BENCH_old.json");
@@ -500,7 +499,6 @@ fn bench_compare_skips_on_mismatched_environment_stamps() {
         name: "stamped".to_string(),
         threads,
         dispatch_tier: "static".to_string(),
-        calibration: "none".to_string(),
         entries: vec![entry(median)],
     };
     let old = tmpfile("BENCH_stamp_old.json");
@@ -638,7 +636,6 @@ fn bench_compare_zero_baseline_cannot_mask_regression() {
         name: "injected".to_string(),
         threads: 1,
         dispatch_tier: "static".to_string(),
-        calibration: "none".to_string(),
         entries: vec![entry(0.0)],
     }
     .save(&old)
@@ -647,7 +644,6 @@ fn bench_compare_zero_baseline_cannot_mask_regression() {
         name: "injected".to_string(),
         threads: 1,
         dispatch_tier: "static".to_string(),
-        calibration: "none".to_string(),
         entries: vec![entry(0.001)],
     }
     .save(&new)
@@ -679,7 +675,6 @@ fn bench_compare_surfaces_one_sided_entries() {
         name: "sided".to_string(),
         threads: 1,
         dispatch_tier: "static".to_string(),
-        calibration: "none".to_string(),
         entries: algs.iter().map(|a| entry(a)).collect(),
     };
     let old = tmpfile("BENCH_sided_old.json");
@@ -772,7 +767,6 @@ fn bench_trend_gate_flags_creeping_regression() {
         name: "synthetic".to_string(),
         threads: 1,
         dispatch_tier: "static".to_string(),
-        calibration: "none".to_string(),
         entries: vec![entry(median)],
     };
     let dir = tmpfile("hist_creeping");
@@ -821,7 +815,6 @@ fn bench_trend_compare_needs_existing_history() {
         name: "lonely".to_string(),
         threads: 1,
         dispatch_tier: "static".to_string(),
-        calibration: "none".to_string(),
         entries: Vec::new(),
     }
     .save(&newest)
@@ -913,7 +906,7 @@ fn invalid_ipt_threads_warns_exactly_once_and_falls_back() {
                 "--out",
                 &f,
             ],
-            &[("IPT_THREADS", threads), ("IPT_CALIBRATION", "off")],
+            &[("IPT_THREADS", threads)],
         )
     };
     for bad in ["0", "  0 ", "lots", "-3", ""] {
@@ -941,146 +934,33 @@ fn invalid_ipt_threads_warns_exactly_once_and_falls_back() {
 }
 
 #[test]
-fn calibrate_writes_shows_and_skips_an_up_to_date_profile() {
-    use ipt_core::kernels::calibrate::CalibrationProfile;
-    let profile_path = tmpfile("calibrate_rt.json");
-    let _ = std::fs::remove_file(&profile_path);
-
-    // First run probes and writes the profile.
-    let out = ipt(&["calibrate", "--out", &profile_path]);
-    assert_ok(&out);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("calibrated"), "{stdout}");
-    let profile =
-        CalibrationProfile::load(std::path::Path::new(&profile_path)).expect("valid profile");
-    assert!(stdout.contains(&profile.hash()), "{stdout}");
-
-    // A second run without --force skips the probe.
-    let out = ipt(&["calibrate", "--out", &profile_path]);
-    assert_ok(&out);
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("up to date"),
-        "existing valid profile should short-circuit"
-    );
-
-    // --show prints the stored table without re-probing.
-    let out = ipt(&["calibrate", "--show", "--out", &profile_path]);
-    assert_ok(&out);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains(&profile.hash()) && stdout.contains("best"),
-        "--show should print the stored rung table and hash: {stdout}"
-    );
-
-    // --force re-measures and rewrites (the file stays valid).
-    let out = ipt(&["calibrate", "--force", "--out", &profile_path]);
-    assert_ok(&out);
-    CalibrationProfile::load(std::path::Path::new(&profile_path)).expect("still valid");
-
-    // --show on a missing path is a clean error.
-    let missing = tmpfile("calibrate_missing.json");
-    let _ = std::fs::remove_file(&missing);
-    let out = ipt(&["calibrate", "--show", "--out", &missing]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
-}
-
-#[test]
-fn bench_stamps_the_dispatch_tier_and_profile_hash() {
-    use ipt_core::kernels::calibrate::CalibrationProfile;
-    let profile_path = tmpfile("calibrate_stamp.json");
-    assert_ok(&ipt(&["calibrate", "--force", "--out", &profile_path]));
-    let hash = CalibrationProfile::load(std::path::Path::new(&profile_path))
-        .expect("valid profile")
-        .hash();
-
-    // With the profile loaded, reports stamp the calibrated tier + hash.
+fn bench_stamps_the_dispatch_tier() {
     let f = tmpfile("BENCH_stamped.json");
-    assert_ok(&ipt_env(
-        &[
-            "bench",
-            "--suite",
-            "kernels",
-            "--quick",
-            "--samples",
-            "1",
-            "--out",
-            &f,
-        ],
-        &[("IPT_CALIBRATION", &profile_path)],
-    ));
-    let report = ipt_bench::report::BenchReport::load(&f).expect("well-formed report");
-    assert_eq!(report.dispatch_tier, "calibrated");
-    assert_eq!(report.calibration, hash);
+    let bench = |envs: &[(&str, &str)]| {
+        ipt_env(
+            &[
+                "bench",
+                "--suite",
+                "kernels",
+                "--quick",
+                "--samples",
+                "1",
+                "--out",
+                &f,
+            ],
+            envs,
+        )
+    };
 
-    // With calibration off, the stamp records the static heuristic.
-    assert_ok(&ipt_env(
-        &[
-            "bench",
-            "--suite",
-            "kernels",
-            "--quick",
-            "--samples",
-            "1",
-            "--out",
-            &f,
-        ],
-        &[("IPT_CALIBRATION", "off")],
-    ));
+    // Without an override, the stamp records the static table.
+    assert_ok(&bench(&[]));
     let report = ipt_bench::report::BenchReport::load(&f).expect("well-formed report");
     assert_eq!(report.dispatch_tier, "static");
-    assert_eq!(report.calibration, "none");
 
-    // An IPT_KERNEL override outranks the loaded profile.
-    assert_ok(&ipt_env(
-        &[
-            "bench",
-            "--suite",
-            "kernels",
-            "--quick",
-            "--samples",
-            "1",
-            "--out",
-            &f,
-        ],
-        &[("IPT_CALIBRATION", &profile_path), ("IPT_KERNEL", "scalar")],
-    ));
+    // An IPT_KERNEL override is stamped as such.
+    assert_ok(&bench(&[("IPT_KERNEL", "scalar")]));
     let report = ipt_bench::report::BenchReport::load(&f).expect("well-formed report");
     assert_eq!(report.dispatch_tier, "override");
-}
-
-#[test]
-fn corrupt_calibration_profile_warns_once_and_falls_back_to_static() {
-    let profile_path = tmpfile("calibrate_corrupt.json");
-    std::fs::write(&profile_path, "{\"schema\": \"wat\"").unwrap();
-    let f = tmpfile("BENCH_corrupt_profile.json");
-    let out = ipt_env(
-        &[
-            "bench",
-            "--suite",
-            "kernels",
-            "--quick",
-            "--samples",
-            "1",
-            "--out",
-            &f,
-        ],
-        &[("IPT_CALIBRATION", &profile_path)],
-    );
-    // Never a panic or abort: the run completes on the static heuristic.
-    assert_ok(&out);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let warnings = stderr
-        .lines()
-        .filter(|l| l.contains("calibration profile"))
-        .count();
-    assert_eq!(
-        warnings, 1,
-        "corrupt profile should warn exactly once: {stderr}"
-    );
-    let report = ipt_bench::report::BenchReport::load(&f).expect("well-formed report");
-    assert_eq!(report.dispatch_tier, "static");
-    assert_eq!(report.calibration, "none");
 }
 
 #[test]
@@ -1141,30 +1021,6 @@ fn bench_keep_prunes_history_oldest_first() {
         let out = ipt(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
     }
-}
-
-#[test]
-fn calibrate_rejects_bad_flags() {
-    for args in [
-        &["calibrate", "--bogus"][..],
-        &["calibrate", "--out"][..],
-        &["calibrate", "--force", "--show"][..],
-    ] {
-        let out = ipt(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("error:"),
-            "{args:?} should explain itself"
-        );
-    }
-    // Persistence disabled and no --out: nothing to write, clean error.
-    let out = ipt_env(&["calibrate"], &[("IPT_CALIBRATION", "off")]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("disabled"));
-    // --help prints usage.
-    let out = ipt(&["calibrate", "--help"]);
-    assert_ok(&out);
-    assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 }
 
 #[test]

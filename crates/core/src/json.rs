@@ -1,11 +1,10 @@
 //! A hand-rolled JSON value type: serializer and parser, zero deps.
 //!
 //! The workspace policy is zero external dependencies (see `DESIGN.md`
-//! §5), so every machine-readable artifact — the `BENCH_*.json` baselines
-//! and the [`kernels::calibrate`](crate::kernels::calibrate) profiles —
-//! is produced and consumed by this ~300-line module instead of `serde`.
-//! It lives in `ipt-core` so the calibration subsystem can persist
-//! profiles without inverting the `bench -> core` dependency. Scope is
+//! §5), so every machine-readable artifact — the `BENCH_*.json` baselines,
+//! bench history archives and the layer-ledger traces — is produced and
+//! consumed by this ~300-line module instead of `serde`. It lives in
+//! `ipt-core`, the one crate every writer already depends on. Scope is
 //! exactly what those artifacts need:
 //!
 //! * **Stable output** — objects are ordered `Vec`s of key/value pairs,
@@ -160,7 +159,7 @@ impl Json {
     /// zero-duration sample) would otherwise round-trip as `Json::Null`
     /// and only surface much later, as a confusing schema error when the
     /// report is re-loaded. Writers that persist documents for later
-    /// parsing (the bench reports and the calibration profiles) use this
+    /// parsing (the bench reports and history archives) use this
     /// checked form; the error names the path of the offending value.
     pub fn render_checked(&self) -> Result<String, String> {
         self.check_finite("$")?;

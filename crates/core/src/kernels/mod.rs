@@ -26,14 +26,12 @@
 //! `O(max(m, n))` auxiliary bound of Theorem 6 is untouched — the kernels
 //! change the *order of index evaluation*, not the data movement.
 //!
-//! [`select`] picks a kernel per shape at runtime through three tiers:
-//! the `IPT_KERNEL` environment variable (`auto` / `scalar` / `block4` /
-//! `block8`) overrides everything for ablation studies; otherwise a
-//! per-host [`calibrate::CalibrationProfile`] — measured crossovers,
-//! persisted and lazily loaded — decides; otherwise the static
-//! [`select_auto`] heuristic (runs shorter than a strip are not worth
-//! the per-run setup) is the fallback. [`select_with_tier`] additionally
-//! reports which tier decided, for observability.
+//! [`select`] picks a kernel per shape at runtime through two tiers: the
+//! `IPT_KERNEL` environment variable (`auto` / `scalar` / `block4` /
+//! `block8`) overrides everything for ablation studies; otherwise the
+//! static [`select_auto`] table (runs shorter than a strip are not worth
+//! the per-run setup) decides from the shape alone. [`active_tier`]
+//! reports which tier is in force, for observability.
 //!
 //! ```
 //! use ipt_core::index::C2rParams;
@@ -52,7 +50,6 @@
 //! assert_eq!(a, b);
 //! ```
 
-pub mod calibrate;
 pub mod faulty;
 
 mod blocked;
@@ -167,9 +164,11 @@ fn env_override() -> Option<RowShuffleKernel> {
 /// wider strip needs the longer run. Coprime shapes (`c == 1`) degenerate
 /// to one-element runs — one Eq. 31 evaluation per element — where the
 /// scalar recurrence is unbeatable. When `b == 1`, runs are contiguous
-/// copies and blocking wins as soon as any useful run length exists.
+/// copies, so from `c >= 16` blocking already pays; below that the
+/// scalar recurrence measured faster even on memcpy runs (the crossover
+/// is recorded in `EXPERIMENTS.md`).
 pub fn select_auto(p: &C2rParams) -> RowShuffleKernel {
-    if (p.b == 1 && p.c >= 4) || p.c >= 64 {
+    if (p.b == 1 && p.c >= 16) || p.c >= 64 {
         RowShuffleKernel::Block8
     } else if p.c >= 16 {
         RowShuffleKernel::Block4
@@ -178,67 +177,42 @@ pub fn select_auto(p: &C2rParams) -> RowShuffleKernel {
     }
 }
 
-/// Which resolution tier decided a kernel choice (see [`select_with_tier`]).
+/// Which resolution tier decides kernel choices (see [`active_tier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecisionTier {
-    /// The `IPT_KERNEL` environment variable forced the kernel.
+    /// The `IPT_KERNEL` environment variable forces the kernel.
     Override,
-    /// A loaded [`calibrate::CalibrationProfile`] decided from
-    /// measurements.
-    Calibrated,
-    /// The static [`select_auto`] heuristic decided.
+    /// The static [`select_auto`] table decides.
     Static,
 }
 
 impl DecisionTier {
-    /// Stable identifier used by the pool's decision counters and the
-    /// bench report stamps.
+    /// Stable identifier used by the bench report stamps.
     pub fn name(self) -> &'static str {
         match self {
             DecisionTier::Override => "override",
-            DecisionTier::Calibrated => "calibrated",
             DecisionTier::Static => "static",
         }
     }
 }
 
-/// Pick the kernel to run for this shape and report which tier decided:
+/// Pick the kernel to run for this shape — the call every dispatch site
+/// uses:
 ///
 /// 1. **override** — the `IPT_KERNEL` environment variable forces a
 ///    specific member (`scalar` / `block4` / `block8`; `auto` and unset
 ///    defer — unknown values warn once and defer too);
-/// 2. **calibrated** — a persisted per-host profile
-///    ([`calibrate::loaded`], cache path `IPT_CALIBRATION`) answers from
-///    measured crossovers;
-/// 3. **static** — the built-in [`select_auto`] heuristic.
-///
-/// With no profile on disk (or a corrupt one, which warns once) tier 3
-/// makes this byte-identical to the uncalibrated dispatch.
-pub fn select_with_tier(p: &C2rParams) -> (RowShuffleKernel, DecisionTier) {
-    if let Some(kernel) = env_override() {
-        return (kernel, DecisionTier::Override);
-    }
-    if let Some(profile) = calibrate::loaded() {
-        return (profile.select(p), DecisionTier::Calibrated);
-    }
-    (select_auto(p), DecisionTier::Static)
-}
-
-/// [`select_with_tier`] without the provenance — the call every dispatch
-/// site uses.
+/// 2. **static** — the built-in [`select_auto`] table.
 pub fn select(p: &C2rParams) -> RowShuffleKernel {
-    select_with_tier(p).0
+    env_override().unwrap_or_else(|| select_auto(p))
 }
 
-/// The tier that will decide dispatch for *any* shape in this process:
-/// [`DecisionTier::Override`] when `IPT_KERNEL` forces a kernel,
-/// [`DecisionTier::Calibrated`] when a profile loaded, else
+/// The tier that decides dispatch for *any* shape in this process:
+/// [`DecisionTier::Override`] when `IPT_KERNEL` forces a kernel, else
 /// [`DecisionTier::Static`]. Benchmarks stamp this into their reports.
 pub fn active_tier() -> DecisionTier {
     if env_override().is_some() {
         DecisionTier::Override
-    } else if calibrate::loaded().is_some() {
-        DecisionTier::Calibrated
     } else {
         DecisionTier::Static
     }
@@ -431,6 +405,19 @@ mod tests {
             select_auto(&C2rParams::new(96, 80)),
             RowShuffleKernel::Block4
         );
+        // b == 1 with short runs: the measured crossover (u32 and u64, 4 KiB-8 MiB,
+        // EXPERIMENTS.md) keeps scalar up to c = 12 and blocks from 16.
+        for (m, n, want) in [
+            (32768, 4, RowShuffleKernel::Scalar),
+            (16384, 8, RowShuffleKernel::Scalar),
+            (10920, 12, RowShuffleKernel::Scalar),
+            (131072, 8, RowShuffleKernel::Scalar),
+            (8192, 16, RowShuffleKernel::Block8),
+        ] {
+            let p = C2rParams::new(m, n);
+            assert_eq!(p.b, 1, "{m}x{n}");
+            assert_eq!(select_auto(&p), want, "{m}x{n}");
+        }
     }
 
     #[test]
@@ -470,7 +457,6 @@ mod tests {
     #[test]
     fn decision_tier_names_are_stable() {
         assert_eq!(DecisionTier::Override.name(), "override");
-        assert_eq!(DecisionTier::Calibrated.name(), "calibrated");
         assert_eq!(DecisionTier::Static.name(), "static");
     }
 

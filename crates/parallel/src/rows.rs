@@ -108,30 +108,27 @@ pub fn row_shuffle_incremental<T: Copy + Send + Sync>(
 }
 
 /// Parallel C2R row shuffle: row `i` becomes `row[j] = old[d'^-1_i(j)]`
-/// (Eq. 31), with the kernel chosen by [`kernels::select_with_tier`]
-/// (`IPT_KERNEL` override, else a loaded calibration profile, else the
-/// static heuristic). The selection — and the tier that made it — is
+/// (Eq. 31), with the kernel chosen by [`kernels::select`]
+/// (`IPT_KERNEL` override, else the static table). The selection is
 /// recorded once per pass in [`ipt_pool::stats`]'s hit counters.
 pub fn row_shuffle_parallel<T: Copy + Send + Sync>(
     data: &mut [T],
     p: &C2rParams,
 ) -> Result<(), PoolError> {
-    let (kernel, tier) = kernels::select_with_tier(p);
+    let kernel = kernels::select(p);
     ipt_pool::stats::record_kernel(kernel.name());
-    ipt_pool::stats::record_decision(tier.name());
     row_shuffle_parallel_with(data, p, kernel, ShuffleDirection::Inverse)
 }
 
 /// Parallel R2C row shuffle: gather with `d'_i` directly (§4.3), with
-/// the same [`kernels::select_with_tier`] dispatch and hit/tier
-/// recording as [`row_shuffle_parallel`].
+/// the same [`kernels::select`] dispatch and hit recording as
+/// [`row_shuffle_parallel`].
 pub fn row_shuffle_forward_parallel<T: Copy + Send + Sync>(
     data: &mut [T],
     p: &C2rParams,
 ) -> Result<(), PoolError> {
-    let (kernel, tier) = kernels::select_with_tier(p);
+    let kernel = kernels::select(p);
     ipt_pool::stats::record_kernel(kernel.name());
-    ipt_pool::stats::record_decision(tier.name());
     row_shuffle_parallel_with(data, p, kernel, ShuffleDirection::Forward)
 }
 

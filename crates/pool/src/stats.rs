@@ -18,9 +18,6 @@
 //! * **Kernel hits** — which row-shuffle kernel the `ipt-core` dispatcher
 //!   selected for each pass ([`record_kernel`]), making `IPT_KERNEL`
 //!   ablations and silent dispatch changes observable.
-//! * **Decision tiers** — *why* the dispatcher chose that kernel
-//!   ([`record_decision`]): an `IPT_KERNEL` override, a loaded
-//!   calibration profile, or the static heuristic.
 //! * **Phases** — named wall-time accumulators driven by monotonic
 //!   [`std::time::Instant`] timestamps. Engine code wraps each pass in
 //!   [`phase`]; `ipt-parallel` uses the names `pre_rotate`,
@@ -118,10 +115,6 @@ struct KernelSlot {
     hits: u64,
 }
 
-/// Dispatch decision-tier tallies (`"override"` / `"calibrated"` /
-/// `"static"`), append-only by name (see [`record_decision`]).
-static DECISIONS: Mutex<Vec<KernelSlot>> = Mutex::new(Vec::new());
-
 /// Record one parallel-loop dispatch: `parts` worker parts covering
 /// `items` work items, split as the executor splits them (`items / parts`
 /// each, the first `items % parts` workers taking one extra).
@@ -153,24 +146,6 @@ pub(crate) fn record_dispatch(parts: u64, items: u64) {
 ///     https://docs.rs/ipt-core/latest/ipt_core/kernels/enum.RowShuffleKernel.html
 pub fn record_kernel(name: &'static str) {
     let mut table = KERNELS.lock().unwrap();
-    match table.iter_mut().find(|s| s.name == name) {
-        Some(slot) => slot.hits += 1,
-        None => table.push(KernelSlot { name, hits: 1 }),
-    }
-}
-
-/// Attribute one kernel dispatch to the resolution tier that decided it.
-///
-/// Called by `ipt-parallel` with the `DecisionTier::name` from
-/// `ipt-core`'s `kernels::select_with_tier` — `"override"` when
-/// `IPT_KERNEL` forced the kernel, `"calibrated"` when a loaded
-/// calibration profile answered, `"static"` when the built-in heuristic
-/// decided — once per pass, alongside [`record_kernel`]. Snapshot deltas
-/// then show not just *which* kernel ran but *why*, so a calibration
-/// profile that silently failed to load is observable as a run of
-/// `"static"` decisions.
-pub fn record_decision(name: &'static str) {
-    let mut table = DECISIONS.lock().unwrap();
     match table.iter_mut().find(|s| s.name == name) {
         Some(slot) => slot.hits += 1,
         None => table.push(KernelSlot { name, hits: 1 }),
@@ -376,16 +351,6 @@ pub struct KernelStats {
     pub hits: u64,
 }
 
-/// Accumulated hit count for one dispatch decision tier
-/// (see [`record_decision`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecisionStats {
-    /// The tier's stable name (`"override"`, `"calibrated"`, `"static"`).
-    pub name: &'static str,
-    /// Kernel dispatches this tier decided.
-    pub hits: u64,
-}
-
 /// A point-in-time snapshot of every executor counter and phase timer.
 ///
 /// Obtained from [`snapshot`]; two snapshots bracket a region of interest
@@ -429,9 +394,6 @@ pub struct PoolStats {
     /// Row-shuffle kernel hit counts, in first-recorded order
     /// (see [`record_kernel`]).
     pub kernels: Vec<KernelStats>,
-    /// Dispatch decision-tier hit counts, in first-recorded order
-    /// (see [`record_decision`]).
-    pub decisions: Vec<DecisionStats>,
 }
 
 impl PoolStats {
@@ -443,12 +405,6 @@ impl PoolStats {
     /// The hit count recorded for kernel `name`, if it ever ran.
     pub fn kernel(&self, name: &str) -> Option<&KernelStats> {
         self.kernels.iter().find(|k| k.name == name)
-    }
-
-    /// The hit count recorded for decision tier `name`, if it ever
-    /// decided a dispatch.
-    pub fn decision(&self, name: &str) -> Option<&DecisionStats> {
-        self.decisions.iter().find(|d| d.name == name)
     }
 
     /// The tallies for worker id `worker`, if it was ever dispatched to.
@@ -504,18 +460,6 @@ impl PoolStats {
             })
             .filter(|k| k.hits > 0)
             .collect();
-        let decisions = self
-            .decisions
-            .iter()
-            .map(|d| {
-                let prev = earlier.decision(d.name);
-                DecisionStats {
-                    name: d.name,
-                    hits: d.hits.saturating_sub(prev.map_or(0, |q| q.hits)),
-                }
-            })
-            .filter(|d| d.hits > 0)
-            .collect();
         PoolStats {
             tasks: self.tasks.saturating_sub(earlier.tasks),
             chunks: self.chunks.saturating_sub(earlier.chunks),
@@ -533,7 +477,6 @@ impl PoolStats {
             phases,
             workers,
             kernels,
-            decisions,
         }
     }
 }
@@ -576,15 +519,6 @@ pub fn snapshot() -> PoolStats {
             hits: s.hits,
         })
         .collect();
-    let decisions = DECISIONS
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|s| DecisionStats {
-            name: s.name,
-            hits: s.hits,
-        })
-        .collect();
     PoolStats {
         tasks: TASKS.load(Ordering::Relaxed),
         chunks: CHUNKS.load(Ordering::Relaxed),
@@ -598,7 +532,6 @@ pub fn snapshot() -> PoolStats {
         phases,
         workers,
         kernels,
-        decisions,
     }
 }
 
@@ -620,7 +553,6 @@ pub fn reset() {
     PHASES.lock().unwrap().clear();
     WORKERS.lock().unwrap().clear();
     KERNELS.lock().unwrap().clear();
-    DECISIONS.lock().unwrap().clear();
 }
 
 #[cfg(test)]
@@ -690,18 +622,6 @@ mod tests {
             .collect();
         assert_eq!(per_worker, [4, 3, 3]);
         assert!((0..3).all(|k| d.worker(k).unwrap().tasks >= 1));
-    }
-
-    #[test]
-    fn decision_tiers_accumulate_and_delta_by_name() {
-        let before = snapshot();
-        record_decision("stats_test_tier");
-        record_decision("stats_test_tier");
-        record_decision("stats_other_tier");
-        let d = snapshot().delta_since(&before);
-        assert_eq!(d.decision("stats_test_tier").unwrap().hits, 2);
-        assert_eq!(d.decision("stats_other_tier").unwrap().hits, 1);
-        assert!(d.decision("stats_never_recorded").is_none());
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! [`OpCounts`] accumulates the instruction budget so benches can verify
 //! the `ceil(log2 m)` select cost claimed by the paper.
 
+use ipt_core::shape_len;
+
 /// The warp width of the paper's target (Tesla K20c): 32 lanes.
 pub const WARP_LANES: usize = 32;
 
@@ -55,11 +57,11 @@ impl<T: Copy> Warp<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `m == 0` or `lanes == 0`.
+    /// Panics if `m == 0`, `lanes == 0` or `m * lanes` overflows `usize`.
     pub fn new(m: usize, lanes: usize, fill: T) -> Warp<T> {
         assert!(m > 0 && lanes > 0, "degenerate warp {m} x {lanes}");
         Warp {
-            regs: vec![fill; m * lanes],
+            regs: vec![fill; shape_len(m, lanes)],
             m,
             lanes,
             counts: OpCounts::default(),
@@ -67,8 +69,17 @@ impl<T: Copy> Warp<T> {
     }
 
     /// Build from an `m x lanes` row-major matrix (register-major buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m * lanes` overflows `usize`, `data.len() != m * lanes`,
+    /// or either dimension is zero.
     pub fn from_matrix(data: &[T], m: usize, lanes: usize) -> Warp<T> {
-        assert_eq!(data.len(), m * lanes, "matrix/warp shape mismatch");
+        assert_eq!(
+            data.len(),
+            shape_len(m, lanes),
+            "matrix/warp shape mismatch"
+        );
         assert!(m > 0 && lanes > 0, "degenerate warp {m} x {lanes}");
         Warp {
             regs: data.to_vec(),
@@ -323,5 +334,17 @@ mod tests {
     #[should_panic(expected = "degenerate")]
     fn zero_lane_warp_rejected() {
         Warp::new(1, 0, 0u8);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn oversized_warp_rejected_instead_of_wrapping() {
+        Warp::new(1 << (usize::BITS - 1), 2, 0u8);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn oversized_matrix_rejected_instead_of_wrapping() {
+        Warp::<u8>::from_matrix(&[], 1 << (usize::BITS - 1), 2);
     }
 }

@@ -13,13 +13,11 @@
 #   tier 2  perfbench    the layer-ledger benchmark's own tests (its
 #                        verifier, percentiles, trace export), so a
 #                        library API change cannot break it unnoticed
-#   tier 2  calibrate    ipt-cli calibrate --force writes this box's
-#                        kernel-crossover profile into the history dir;
-#                        the smoke runs below execute with it loaded
 #   tier 2  bench smoke  kernels/aos/batched suites: emit -> parse ->
 #                        compare against the committed BENCH_*.json
 #                        baselines, archiving each run into the history
-#                        dir
+#                        dir; every report must stamp the static
+#                        dispatch tier
 #   tier 2  bench trend  a second kernels run gated against that history
 #                        (trailing-median + drift gate, --history)
 #   tier 3  sanitize     release test run of the concurrency layer with
@@ -48,10 +46,9 @@
 #   IPT_BENCH_THRESHOLD    regression gate percent for the bench smoke
 #                          (default 40 — see the note at that stage).
 #   IPT_BENCH_HISTORY_DIR  where the smoke runs archive their dated
-#                          reports and the calibrate stage its profile
-#                          (default: a temp dir, removed on exit; set it
-#                          to keep the archive, e.g. for a CI artifact
-#                          upload).
+#                          reports (default: a temp dir, removed on
+#                          exit; set it to keep the archive, e.g. for a
+#                          CI artifact upload).
 #   IPT_THREADS            pool size for the sanitize/fault stages (the
 #                          CI sanitize job sweeps 1, 2 and 4).
 
@@ -256,24 +253,14 @@ main_pipeline() {
     }
     trap cleanup EXIT
 
-    stage "calibrate: per-host kernel crossovers (tier 2)"
-    # Measure this box's scalar/block4/block8 crossovers and persist the
-    # profile next to the bench archive (so a CI artifact upload of the
-    # history dir carries it too). Exporting IPT_CALIBRATION makes every
-    # bench run below resolve dispatch through the measured profile — the
-    # smoke gates then double as an assertion that calibrated dispatch
-    # keeps the committed baselines' headline wins.
-    export IPT_CALIBRATION="$IPT_BENCH_HISTORY_DIR/ipt-calibration.json"
-    "$CLI" calibrate --force
-
     run_smoke() {
         local suite="$1"
         "$CLI" bench --suite "$suite" --quick --samples 3 --out "$SMOKE" \
             --history "$IPT_BENCH_HISTORY_DIR" > /dev/null
         grep -q '"schema": "ipt-bench-report-v1"' "$SMOKE"
-        # The calibrate stage exported IPT_CALIBRATION: every smoke report
-        # must record that the profile (not the static fallback) decided.
-        grep -q '"dispatch_tier": "calibrated"' "$SMOKE"
+        # No IPT_KERNEL override is set here: every smoke report must
+        # record that the static table decided dispatch.
+        grep -q '"dispatch_tier": "static"' "$SMOKE"
         "$CLI" bench --compare "$SMOKE" "$SMOKE" > /dev/null  # parse round-trip
         "$CLI" bench --compare "BENCH_${suite}.json" "$SMOKE" --threshold "$THRESHOLD"
     }
