@@ -65,7 +65,7 @@ pub use skinny::{transpose_skinny_c2r, transpose_skinny_r2c};
 ///
 /// Returns [`ipt_parallel::TransposeAborted`] if a worker panicked
 /// mid-conversion (the buffer may be torn; see `ipt_parallel`).
-pub fn aos_to_soa<T: Copy + Send + Sync>(
+pub fn aos_to_soa<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     n_structs: usize,
     fields: usize,
@@ -89,7 +89,7 @@ pub fn aos_to_soa<T: Copy + Send + Sync>(
 /// # Errors
 ///
 /// As for [`aos_to_soa`].
-pub fn soa_to_aos<T: Copy + Send + Sync>(
+pub fn soa_to_aos<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     n_structs: usize,
     fields: usize,

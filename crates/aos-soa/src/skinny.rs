@@ -78,7 +78,7 @@ fn rotate_block_column<T: Copy>(block: &mut [T], m: usize, gw: usize, k: usize, 
 /// Skinny C2R: identical contract to `ipt_core::c2r(data, m, n)` —
 /// consumes an `m x n` row-major buffer (small `m`), leaves the `n x m`
 /// row-major transpose. This is the SoA → AoS direction.
-pub fn transpose_skinny_c2r<T: Copy + Send + Sync>(
+pub fn transpose_skinny_c2r<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
     n: usize,
@@ -131,7 +131,7 @@ pub fn transpose_skinny_c2r<T: Copy + Send + Sync>(
 /// Skinny R2C: identical contract to `ipt_core::r2c(data, m, n)` —
 /// consumes an `n x m` row-major buffer, leaves the `m x n` row-major
 /// transpose (small `m`). This is the AoS → SoA direction.
-pub fn transpose_skinny_r2c<T: Copy + Send + Sync>(
+pub fn transpose_skinny_r2c<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
     n: usize,

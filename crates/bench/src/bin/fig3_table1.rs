@@ -19,7 +19,7 @@ use ipt_core::Scratch;
 fn main() {
     let usage = "fig3_table1 [--samples N] [--min N] [--max N] [--seed N] \
                  [--full] [--verify] [--csv PATH]";
-    let mut args = Args::parse(usage);
+    let mut args = Args::parse(usage).unwrap_or_else(|code| std::process::exit(code));
     if args.samples == 0 {
         args.samples = if args.full { 1000 } else { 40 };
     }

@@ -21,7 +21,7 @@ fn main() {
                  --mode model prices the passes on a K20c-like analytical device\n\
                  --mode sim   executes the kernels' address streams against the\n\
                               transaction model (warp_sim::GpuSim), mechanistically";
-    let mut args = Args::parse(usage);
+    let mut args = Args::parse(usage).unwrap_or_else(|code| std::process::exit(code));
     let model_mode = args.mode.as_deref() == Some("model");
     let sim_mode = args.mode.as_deref() == Some("sim");
     if args.min_dim == 0 {

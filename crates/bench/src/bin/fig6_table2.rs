@@ -89,7 +89,7 @@ fn run_model_mode(args: &Args) {
 fn main() {
     let usage = "fig6_table2 [--samples N] [--min N] [--max N] [--seed N] \
                  [--mode measured|model] [--full] [--verify] [--csv PATH]";
-    let mut args = Args::parse(usage);
+    let mut args = Args::parse(usage).unwrap_or_else(|code| std::process::exit(code));
     if args.samples == 0 {
         args.samples = if args.full { 2500 } else { 50 };
     }

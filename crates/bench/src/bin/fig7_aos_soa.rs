@@ -90,7 +90,7 @@ fn run_model_mode(args: &Args) {
 fn main() {
     let usage = "fig7_aos_soa [--samples N] [--min LOG10] [--max LOG10] [--seed N] \
                  [--mode measured|model] [--full] [--verify] [--csv PATH]";
-    let mut args = Args::parse(usage);
+    let mut args = Args::parse(usage).unwrap_or_else(|code| std::process::exit(code));
     if args.samples == 0 {
         args.samples = if args.full { 10000 } else { 60 };
     }

@@ -23,7 +23,7 @@ const WARPS: usize = 64; // warps simulated per data point
 
 fn main() {
     let usage = "fig8_unit_stride [--csv PATH] [--verify]";
-    let args = Args::parse(usage);
+    let args = Args::parse(usage).unwrap_or_else(|code| std::process::exit(code));
     println!("Figure 8: unit-stride AoS access, {LANES}-lane warps, f32 elements");
     println!("model: 128 B transactions, 208 GB/s peak (K20c-like)\n");
 

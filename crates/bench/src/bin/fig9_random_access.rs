@@ -20,7 +20,7 @@ const WARPS: usize = 64;
 
 fn main() {
     let usage = "fig9_random_access [--seed N] [--csv PATH] [--verify]";
-    let args = Args::parse(usage);
+    let args = Args::parse(usage).unwrap_or_else(|code| std::process::exit(code));
     println!("Figure 9: random AoS access, {LANES}-lane warps, f32 elements");
     println!("model: 128 B transactions, 208 GB/s peak (K20c-like)\n");
 

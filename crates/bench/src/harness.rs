@@ -67,17 +67,19 @@ impl Args {
     /// Parse `std::env::args`, starting from defaults supplied by the
     /// binary (which then get overridden by `--full` or explicit flags).
     ///
-    /// Process-exiting wrapper around [`Args::try_parse`].
-    pub fn parse(usage: &str) -> Args {
+    /// Printing wrapper around [`Args::try_parse`]: on `--help` or a bad
+    /// flag it prints the usage (plus the message) and returns the exit
+    /// code the binary should stop with (`0` or `2`).
+    pub fn parse(usage: &str) -> Result<Args, i32> {
         match Args::try_parse(std::env::args().skip(1)) {
-            Ok(args) => args,
+            Ok(args) => Ok(args),
             Err(ArgsError::Help) => {
                 println!("{usage}");
-                std::process::exit(0);
+                Err(0)
             }
             Err(ArgsError::Bad(msg)) => {
                 eprintln!("{msg}\n{usage}");
-                std::process::exit(2);
+                Err(2)
             }
         }
     }

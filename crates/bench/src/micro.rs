@@ -19,7 +19,7 @@ use std::cell::RefCell;
 use std::fmt::Display;
 use std::hint::black_box;
 use std::rc::Rc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Schema tag for the machine-readable micro-benchmark dump (see
 /// [`Criterion`]; distinct from the suite-level `ipt-bench-report-v1`
@@ -255,6 +255,71 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
+/// The 10th, 50th and 90th percentile of a latency sample, in
+/// nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Percentiles {
+    /// 10th percentile.
+    pub p10: f64,
+    /// Median.
+    pub p50: f64,
+    /// 90th percentile.
+    pub p90: f64,
+}
+
+impl Percentiles {
+    /// Nearest-rank percentiles of `samples` (which must be non-empty).
+    pub fn of(mut samples: Vec<f64>) -> Percentiles {
+        assert!(!samples.is_empty(), "no samples");
+        samples.sort_by(|a, b| a.total_cmp(b));
+        let at = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
+        Percentiles {
+            p10: at(0.1),
+            p50: at(0.5),
+            p90: at(0.9),
+        }
+    }
+}
+
+impl Display for Percentiles {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "p10 {}  p50 {}  p90 {}",
+            fmt_ns(self.p10),
+            fmt_ns(self.p50),
+            fmt_ns(self.p90)
+        )
+    }
+}
+
+/// The pool's dispatch floor: `samples` timings of one empty dispatch —
+/// a `par_chunks` of one index per worker of `pool`, with no work — each
+/// taken after sleeping `idle` (zero: back-to-back, so the workers are
+/// still spinning from the previous dispatch; a few hundred microseconds:
+/// they have parked and must be woken).
+pub fn empty_dispatch(pool: ipt_pool::Pool, samples: usize, idle: Duration) -> Percentiles {
+    let width = pool.threads();
+    let mut times = Vec::with_capacity(samples);
+    // One untimed dispatch starts the workers.
+    pool.par_chunks(0..width, 1, |r| {
+        black_box(r);
+    })
+    .expect("an empty dispatch cannot panic");
+    for _ in 0..samples {
+        if !idle.is_zero() {
+            std::thread::sleep(idle);
+        }
+        let t0 = Instant::now();
+        pool.par_chunks(0..width, 1, |r| {
+            black_box(r);
+        })
+        .expect("an empty dispatch cannot panic");
+        times.push(t0.elapsed().as_nanos() as f64);
+    }
+    Percentiles::of(times)
+}
+
 /// Define a function `$name` that runs each benchmark function against a
 /// fresh [`Criterion`] (criterion's `criterion_group!`).
 #[macro_export]
@@ -281,6 +346,20 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let p = Percentiles::of((1..=11).rev().map(f64::from).collect());
+        assert_eq!((p.p10, p.p50, p.p90), (2.0, 6.0, 10.0));
+    }
+
+    #[test]
+    fn empty_dispatch_times_every_sample() {
+        let p = empty_dispatch(ipt_pool::Pool::new(2), 9, Duration::ZERO);
+        assert!(0.0 < p.p10 && p.p10 <= p.p50 && p.p50 <= p.p90, "{p:?}");
+        let idle = empty_dispatch(ipt_pool::Pool::new(2), 3, Duration::from_micros(300));
+        assert!(idle.p10 > 0.0, "{idle:?}");
+    }
 
     #[test]
     fn bencher_records_requested_samples() {

@@ -68,7 +68,18 @@ EXIT CODES:
   5  hang watchdog fired: a task exceeded IPT_WATCHDOG_MS and the
      process exited rather than wedge";
 
+/// The CLI's hang handler: a stuck task cannot be cancelled, so report
+/// it and take the process down with its own exit code rather than wedge.
+fn exit_on_hang(report: &ipt_pool::watchdog::HangReport) {
+    eprintln!(
+        "ipt watchdog: {report}; exiting with code {}",
+        ipt_pool::watchdog::EXIT_HANG
+    );
+    std::process::exit(ipt_pool::watchdog::EXIT_HANG);
+}
+
 fn main() -> ExitCode {
+    ipt_pool::watchdog::set_hang_handler(exit_on_hang);
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("bench") {
         return bench::main(&args[1..]);

@@ -197,7 +197,7 @@ type MeasuredPhase = (&'static str, u64, u64);
 /// of `T` elements and return the per-phase stats delta, keeping only
 /// phases that reported payload traffic (a no-op rotation records a
 /// timer call but no bytes, and must not dilute the comparison).
-fn run_measured<T: Copy + Send + Sync + Default>(
+fn run_measured<T: Copy + Send + Sync + Default + 'static>(
     alg: &str,
     m: usize,
     n: usize,

@@ -6,7 +6,8 @@
 //! precomputes — the `C2rParams` (gcd structure, modular inverses,
 //! strength-reduced reciprocals) are built **once** — and the batch
 //! dimension is embarrassingly parallel, so each worker transposes
-//! whole matrices with its own scratch row.
+//! whole matrices with its own scratch row (kept by the worker thread
+//! across calls).
 
 use crate::group_grain;
 use crate::recover;
@@ -15,6 +16,7 @@ use ipt_core::index::C2rParams;
 use ipt_core::kernels::faulty;
 use ipt_core::shape_len;
 use ipt_core::{permute, Layout};
+use ipt_pool::{Local, Scratch};
 
 /// C2R-transpose `batch` contiguous `m x n` row-major matrices in place;
 /// each becomes its `n x m` row-major transpose.
@@ -32,7 +34,7 @@ use ipt_core::{permute, Layout};
 /// # Panics
 ///
 /// Panics if `data.len() != batch * m * n`.
-pub fn c2r_batched<T: Copy + Send + Sync>(
+pub fn c2r_batched<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     batch: usize,
     m: usize,
@@ -56,8 +58,9 @@ pub fn c2r_batched<T: Copy + Send + Sync>(
                 data,
                 m * n,
                 group_grain(m * n),
-                || vec![fill; m.max(n)],
+                Local::<Scratch<T>>::take,
                 |tmp, b, mat| {
+                    let tmp = tmp.uninit_buf(m.max(n), fill);
                     if journal.is_some_and(|j| j.is_done(b)) {
                         return;
                     }
@@ -92,7 +95,7 @@ pub fn c2r_batched<T: Copy + Send + Sync>(
 /// R2C-transpose `batch` contiguous matrices: the inverse of
 /// [`c2r_batched`] with the same parameters (each chunk is an `n x m`
 /// row-major matrix and becomes `m x n`).
-pub fn r2c_batched<T: Copy + Send + Sync>(
+pub fn r2c_batched<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     batch: usize,
     m: usize,
@@ -116,8 +119,9 @@ pub fn r2c_batched<T: Copy + Send + Sync>(
                 data,
                 m * n,
                 group_grain(m * n),
-                || vec![fill; m.max(n)],
+                Local::<Scratch<T>>::take,
                 |tmp, b, mat| {
+                    let tmp = tmp.uninit_buf(m.max(n), fill);
                     if journal.is_some_and(|j| j.is_done(b)) {
                         return;
                     }
@@ -153,7 +157,7 @@ pub fn r2c_batched<T: Copy + Send + Sync>(
 
 /// Transpose `batch` contiguous `rows x cols` matrices of the given
 /// layout in place, with the §5.2 direction heuristic.
-pub fn transpose_batched<T: Copy + Send + Sync>(
+pub fn transpose_batched<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     batch: usize,
     rows: usize,

@@ -39,7 +39,7 @@
 use crate::exec::{run_column_groups, Group};
 use ipt_core::gcd::gcd;
 use ipt_core::index::C2rParams;
-use ipt_pool::PoolError;
+use ipt_pool::{PoolError, Scratch, WorkerState};
 
 /// Rotate every column `j` left by `amount(j)` using the two-phase
 /// cache-aware scheme, column groups of width `w` in parallel.
@@ -52,7 +52,7 @@ pub fn rotate_columns_cache_aware<T, A>(
     amount: A,
 ) -> Result<(), PoolError>
 where
-    T: Copy + Send + Sync,
+    T: Copy + Send + Sync + 'static,
     A: Fn(usize) -> usize + Send + Sync,
 {
     crate::assert_shape(data.len(), m, n);
@@ -65,11 +65,13 @@ where
         data,
         (m, n, w),
         ("col_cache_aware", "§4.6 two-phase rotation"),
-        || (FineWindow::new(fill), vec![fill; w], Vec::with_capacity(w)),
-        |(fine, buf, shifts), g| {
-            shifts.clear();
-            shifts.extend((g.j0()..g.j0() + g.gw()).map(|j| amount(j) % m));
-            rotate_group(g, shifts, h, fine, &mut buf[..g.gw()]);
+        |st: &mut Subrows<T>, g| {
+            let shifts = st.shifts.uninit_buf(g.gw(), 0);
+            for (k, a) in shifts.iter_mut().enumerate() {
+                *a = amount(g.j0() + k) % m;
+            }
+            let buf = st.buf.uninit_buf(g.gw(), fill);
+            rotate_group(g, shifts, h, &mut st.fine, buf, fill);
         },
         |i, j| (i + amount(j)) % m,
     )
@@ -77,13 +79,14 @@ where
 
 /// One group's two-phase rotation. `shifts[k]` is the (already reduced)
 /// left-rotation of column `j0 + k`; it is overwritten with the fine
-/// residual. `buf` holds one sub-row.
+/// residual. `buf` holds one sub-row; `fill` initializes buffer growth.
 fn rotate_group<T: Copy + Send + Sync>(
     g: Group<'_, T>,
     shifts: &mut [usize],
     h: usize,
     fine: &mut FineWindow<T>,
     buf: &mut [T],
+    fill: T,
 ) {
     let m = g.m();
     // Pick the coarse amount that minimizes the worst residual. For the
@@ -113,7 +116,7 @@ fn rotate_group<T: Copy + Send + Sync>(
     coarse_rotate_subrows(g, coarse, buf);
 
     // Fine phase: apply the bounded residual rotations block by block.
-    fine.rotate(g, shifts, h, false);
+    fine.rotate(g, shifts, h, false, fill);
 }
 
 /// Coarse sub-row rotation: rows of the group move `i <- (i + r) mod m`
@@ -145,6 +148,47 @@ fn coarse_rotate_subrows<T: Copy + Send + Sync>(g: Group<'_, T>, r: usize, buf: 
     }
 }
 
+/// One worker's buffers for every cache-aware pass: the staged fine
+/// window, one sub-row, the group's per-column shifts and a permutation's
+/// visited mask. The rotations and the fused shuffles share one set per
+/// element type and worker thread (the executor's parked state), so a
+/// thread keeps one window however many kinds of pass it runs.
+struct Subrows<T> {
+    fine: FineWindow<T>,
+    buf: Scratch<T>,
+    shifts: Scratch<usize>,
+    visited: Scratch<bool>,
+}
+
+impl<T> Default for Subrows<T> {
+    fn default() -> Self {
+        Subrows {
+            fine: FineWindow::default(),
+            buf: Scratch::default(),
+            shifts: Scratch::default(),
+            visited: Scratch::default(),
+        }
+    }
+}
+
+impl<T: Copy + 'static> WorkerState for Subrows<T> {
+    fn park(&mut self, budget: usize) -> usize {
+        let FineWindow {
+            window,
+            stash,
+            row,
+            offs,
+        } = &mut self.fine;
+        let mut kept = self.shifts.park(budget);
+        kept += offs.park(budget - kept);
+        kept += self.visited.park(budget - kept);
+        for buf in [&mut self.buf, window, stash, row] {
+            kept += buf.park(budget - kept);
+        }
+        kept
+    }
+}
+
 /// The staged §4.6 fine rotation. Column `j0 + k` of one group rotates
 /// by `residuals[k]` (each `< m`), one block at a time:
 ///
@@ -161,33 +205,34 @@ fn coarse_rotate_subrows<T: Copy + Send + Sync>(g: Group<'_, T>, r: usize, buf: 
 ///
 /// So the strided matrix is touched only by whole sub-rows (one cache
 /// line or a few each), never by a per-element diagonal gather. The
-/// buffers belong to one worker for one call (`par_chunks_init` creates
-/// them) and are reused by every group it runs: they grow only when a
-/// group needs more rows than any before it. The pass is skipped when
-/// every residual is zero — common for the pre-rotation, whose amount
-/// `floor(j/b)` changes only every `b` columns.
+/// buffers belong to one worker thread (the executor checks them out as
+/// its parked state) and are reused by every group it runs, in this call
+/// and the next: they grow only when a group needs more rows than any
+/// before it. The pass is skipped when every residual is zero — common
+/// for the pre-rotation, whose amount `floor(j/b)` changes only every
+/// `b` columns.
 struct FineWindow<T> {
-    window: Vec<T>,
-    stash: Vec<T>,
+    window: Scratch<T>,
+    stash: Scratch<T>,
     /// One destination sub-row.
-    row: Vec<T>,
+    row: Scratch<T>,
     /// Column `k`'s source offset from the start of its destination
     /// row's window row.
-    offs: Vec<usize>,
-    fill: T,
+    offs: Scratch<usize>,
+}
+
+impl<T> Default for FineWindow<T> {
+    fn default() -> Self {
+        FineWindow {
+            window: Scratch::default(),
+            stash: Scratch::default(),
+            row: Scratch::default(),
+            offs: Scratch::default(),
+        }
+    }
 }
 
 impl<T: Copy + Send + Sync> FineWindow<T> {
-    fn new(fill: T) -> Self {
-        FineWindow {
-            window: Vec::new(),
-            stash: Vec::new(),
-            row: Vec::new(),
-            offs: Vec::new(),
-            fill,
-        }
-    }
-
     /// Rotate column `j0 + k` by `residuals[k]`: **left** (gather
     /// `dst[i] = src[(i + r) mod m]`), or **right** when `right` is set
     /// (gather `dst[i] = src[(i - r) mod m]`).
@@ -197,7 +242,9 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
     /// `s`, which are matrix rows `s` (left) or `m - 1 - s` (right). Window
     /// row `t` holds sweep row `i0 + t`, and the stash holds sweep rows
     /// `[0, maxres)` — the rows the sweep overwrites first and reads last.
-    fn rotate(&mut self, g: Group<'_, T>, residuals: &[usize], h: usize, right: bool) {
+    ///
+    /// `fill` initializes buffer growth; every cell read is written first.
+    fn rotate(&mut self, g: Group<'_, T>, residuals: &[usize], h: usize, right: bool, fill: T) {
         let m = g.m();
         let gw = residuals.len();
         let maxres = residuals.iter().copied().max().unwrap_or(0);
@@ -210,34 +257,19 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
         // the residuals need more, so a block always stores at least as
         // many rows as it carries.
         let span = h.min(m).max(2 * maxres);
-        for (buf, len) in [
-            (&mut self.window, span * gw),
-            (&mut self.stash, maxres * gw),
-            (&mut self.row, gw),
-        ] {
-            if buf.len() < len {
-                // Every group rebuilds the contents, so free the old
-                // buffer first and allocate exactly `len`: a growing
-                // window never holds two allocations, nor a doubled one.
-                *buf = Vec::new();
-                buf.resize(len, self.fill);
-            }
-        }
+        // Every group rebuilds the contents, so unspecified contents do.
+        let window = self.window.uninit_buf(span * gw, fill);
+        let stash = self.stash.uninit_buf(maxres * gw, fill);
+        let row = self.row.uninit_buf(gw, fill);
         // Destination sweep row i, column k reads window row i + r.
-        self.offs.clear();
-        self.offs
-            .extend(residuals.iter().enumerate().map(|(k, &r)| r * gw + k));
-        let FineWindow {
-            window,
-            stash,
-            row,
-            offs,
-            ..
-        } = self;
+        let offs = self.offs.uninit_buf(gw, 0);
+        for (k, (off, &r)) in offs.iter_mut().zip(residuals).enumerate() {
+            *off = r * gw + k;
+        }
         // SAFETY (whole function): every run is the gw-wide sub-row of a
         // matrix row row(s) < m — one sub-row of this task's group.
         let row_of = |s: usize| if right { m - 1 - s } else { s };
-        for (s, run) in stash[..maxres * gw].chunks_exact_mut(gw).enumerate() {
+        for (s, run) in stash.chunks_exact_mut(gw).enumerate() {
             unsafe { g.read_run(row_of(s), run) };
         }
         let mut carried = 0;
@@ -256,7 +288,6 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
             // The rotation proper, on cache: gather each destination
             // sub-row from the window (only read, so every source is its
             // pre-update value) and store it with one run.
-            let row = &mut row[..gw];
             for i in 0..he {
                 let src = &window[i * gw..rows * gw];
                 for (slot, &off) in row.iter_mut().zip(offs.iter()) {
@@ -319,7 +350,7 @@ fn permute_subrows<T: Copy + Send + Sync>(
 
 /// Cache-aware C2R step 1: pre-rotation by `floor(j/b)` (Eq. 23). The fine
 /// pass is usually skipped because the amount changes every `b` columns.
-pub fn prerotate<T: Copy + Send + Sync>(
+pub fn prerotate<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
     w: usize,
@@ -332,7 +363,7 @@ pub fn prerotate<T: Copy + Send + Sync>(
 }
 
 /// Cache-aware R2C step 4: undo the pre-rotation (`r^-1_j`, Eq. 36).
-pub fn postrotate_inverse<T: Copy + Send + Sync>(
+pub fn postrotate_inverse<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
     w: usize,
@@ -354,7 +385,7 @@ pub fn postrotate_inverse<T: Copy + Send + Sync>(
 /// Correctness: gathering first with the fine rotation and then with `g`
 /// composes (gather-then-gather applies the outer function last) to
 /// `old[(g(i) + (j - j0)) mod m] = old[(q(i) + j) mod m] = old[s'_j(i)]`.
-pub fn col_shuffle_fused<T: Copy + Send + Sync>(
+pub fn col_shuffle_fused<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
     w: usize,
@@ -366,7 +397,7 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync>(
 /// The inverse of [`col_shuffle_fused`] (the R2C side): the group-uniform
 /// permutation `g^-1(i) = q^-1((i - j0) mod m)` followed by the fine
 /// **right** rotation by `(j - j0) mod m`.
-pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
+pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
     w: usize,
@@ -378,7 +409,7 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
 /// [`col_shuffle_fused`] (`inverse = false`) or
 /// [`col_shuffle_fused_inverse`] on the executor: one fine rotation and
 /// one sub-row permutation per group, in the direction's order.
-fn fused<T: Copy + Send + Sync>(
+fn fused<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
     w: usize,
@@ -403,15 +434,17 @@ fn fused<T: Copy + Send + Sync>(
         data,
         (m, n, w),
         (site, what),
-        || (FineWindow::new(fill), vec![false; m], vec![fill; w]),
-        |(fine, visited, buf), g| {
+        |st: &mut Subrows<T>, g| {
             let j0m = g.j0() % m;
             let res = &residuals[..g.gw()];
+            let visited = st.visited.uninit_buf(m, false);
+            let buf = st.buf.uninit_buf(g.gw(), fill);
+            let fine = &mut st.fine;
             if inverse {
                 permute_subrows(g, |i| p.q_inv((i + m - j0m) % m), visited, buf);
-                fine.rotate(g, res, h, true);
+                fine.rotate(g, res, h, true, fill);
             } else {
-                fine.rotate(g, res, h, false);
+                fine.rotate(g, res, h, false, fill);
                 permute_subrows(g, |i| (p.q(i) + j0m) % m, visited, buf);
             }
         },
@@ -497,7 +530,7 @@ mod tests {
     /// Run the staged fine pass over every column group of an `m x n`
     /// matrix on the executor, column `j` rotating by `res[j]` (left, or
     /// right), one `FineWindow` per worker reused across its groups.
-    fn staged_fine<T: Copy + Send + Sync>(
+    fn staged_fine<T: Copy + Send + Sync + 'static>(
         a: &mut [T],
         (m, n): (usize, usize),
         w: usize,
@@ -510,8 +543,10 @@ mod tests {
             a,
             (m, n, w),
             ("test_fine", "staged fine test"),
-            || FineWindow::new(fill),
-            |fine, g| fine.rotate(g, &res[g.j0()..g.j0() + g.gw()], h, right),
+            |st: &mut Subrows<T>, g| {
+                st.fine
+                    .rotate(g, &res[g.j0()..g.j0() + g.gw()], h, right, fill)
+            },
             |i, j| {
                 if right {
                     (i + m - res[j]) % m
@@ -549,7 +584,7 @@ mod tests {
     /// has to get right, and each must be hit.
     fn staged_fine_property<T>(seed: u64, max_elems: usize, encode: impl Fn(usize) -> T)
     where
-        T: Copy + Send + Sync + PartialEq + std::fmt::Debug,
+        T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static,
     {
         let mut rng = Rng::new(seed);
         let (mut wide_residual, mut tall_block, mut one_wide, mut short_last) = (0, 0, 0, 0);

@@ -15,11 +15,12 @@
 //!    fault site `faulty::skew_column(site, …)`;
 //! 6. the commit.
 //!
-//! It also owns the [`CheckScope`], the per-worker state and the
-//! recovery ladder ([`recover::run_op`]). The ladder's last rung redoes a
-//! pending group sequentially from the pass's gather formula `src`
-//! ([`recover::redo_col_gather`]), so a pass states *what* it computes
-//! once and the cache-aware body only states *how*.
+//! It also owns the [`CheckScope`], the per-worker state — each worker
+//! thread's parked [`ipt_pool::Local`] value, kept across passes and
+//! calls — and the recovery ladder ([`recover::run_op`]). The ladder's
+//! last rung redoes a pending group sequentially from the pass's gather
+//! formula `src` ([`recover::redo_col_gather`]), so a pass states *what*
+//! it computes once and the cache-aware body only states *how*.
 //!
 //! [`stage_column_blocks`] is the public §6.1 form: each group is copied
 //! into a worker-local block, transformed there by a caller closure, and
@@ -28,7 +29,7 @@
 use crate::unsafe_slice::{CheckScope, UnsafeSlice};
 use crate::{assert_shape, group_grain, recover};
 use ipt_core::kernels::faulty;
-use ipt_pool::{PoolError, Scratch};
+use ipt_pool::{Local, PoolError, Scratch, WorkerState};
 
 /// One column group's view of an `m x n` row-major matrix: all rows,
 /// columns `[j0, j0 + gw)`, addressed as `(row, k)` with `k` the column
@@ -134,7 +135,9 @@ impl<T: Copy> Group<'_, T> {
 
 /// Run one column pass over an `m x n` row-major matrix: `body(state,
 /// group)` for every group of `w` columns, groups in parallel, `state`
-/// built by `init` once per worker and reused across its groups.
+/// the worker thread's parked `S` (see [`ipt_pool::Local`]), reused
+/// across its groups and kept for the next pass; `body` sizes its
+/// buffers itself.
 ///
 /// `body` must leave the group equal to the gather `dst[i][j] =
 /// old[src(i, j)][j]` (`src(i, j) < m`): the recovery ladder redoes a
@@ -144,12 +147,12 @@ pub(crate) fn run_column_groups<T, S>(
     data: &mut [T],
     (m, n, w): (usize, usize, usize),
     (site, what): (&'static str, &str),
-    init: impl Fn() -> S + Sync,
     body: impl Fn(&mut S, Group<'_, T>) + Sync,
     src: impl Fn(usize, usize) -> usize,
 ) -> Result<(), PoolError>
 where
-    T: Copy + Send + Sync,
+    T: Copy + Send + Sync + 'static,
+    S: WorkerState,
 {
     assert_shape(data.len(), m, n);
     if m == 0 || n == 0 {
@@ -167,8 +170,9 @@ where
             ipt_pool::par_chunks_init(
                 0..groups,
                 group_grain(m * w),
-                || (init(), Scratch::new()),
-                |(state, scratch), sub| {
+                Local::<(S, Scratch<T>)>::take,
+                |local, sub| {
+                    let (state, scratch) = &mut **local;
                     for g in sub {
                         if journal.is_some_and(|j| j.is_done(g)) {
                             continue;
@@ -214,8 +218,8 @@ where
 /// submatrix is copied (one sub-row run per row) into a worker-local
 /// row-major buffer, `f(j0, block, gw, scratch)` transforms it in place
 /// (with an equally sized scratch buffer for out-of-place steps), and
-/// the result is stored back. The buffers are created once per worker
-/// and reused across its blocks.
+/// the result is stored back. The buffers belong to the worker thread:
+/// reused across its blocks, and kept for the next call.
 ///
 /// `f` must leave column `j` equal to the gather `dst[i][j] =
 /// old[src(i, j)][j]`: the pass runs on the column-group executor, so with
@@ -250,7 +254,7 @@ pub fn stage_column_blocks<T, F, S>(
     src: S,
 ) -> Result<(), PoolError>
 where
-    T: Copy + Send + Sync,
+    T: Copy + Send + Sync + 'static,
     F: Fn(usize, &mut [T], usize, &mut [T]) + Sync,
     S: Fn(usize, usize) -> usize,
 {
@@ -262,15 +266,14 @@ where
         data,
         (m, n, w),
         (site, "§6.1 staged column blocks"),
-        || (vec![fill; m * w], vec![fill; m * w]),
-        |(block, scratch), g| {
+        |(block, scratch): &mut (Scratch<T>, Scratch<T>), g| {
             let gw = g.gw();
-            let block = &mut block[..m * gw];
+            let block = block.uninit_buf(m * gw, fill);
             for (i, row) in block.chunks_exact_mut(gw).enumerate() {
                 // SAFETY: row i < m, run width gw.
                 unsafe { g.read_run(i, row) };
             }
-            f(g.j0(), block, gw, &mut scratch[..m * gw]);
+            f(g.j0(), block, gw, scratch.uninit_buf(m * gw, fill));
             for (i, row) in block.chunks_exact(gw).enumerate() {
                 // SAFETY: as above.
                 unsafe { g.write_run(i, row) };

@@ -9,7 +9,7 @@
 //!
 //! * [`c2r_parallel`] / [`r2c_parallel`] / [`transpose_parallel`] —
 //!   data-parallel versions of the three-step algorithm on the workspace's
-//!   own `ipt-pool` scoped-thread executor (the paper's §5.1 OpenMP CPU
+//!   own `ipt-pool` executor on persistent workers (the paper's §5.1 OpenMP CPU
 //!   implementation, and the thread-grid skeleton of its GPU
 //!   implementation);
 //! * [`cache_aware`] — the §4.6 two-phase (coarse cycle-following + fine
@@ -215,7 +215,7 @@ impl ParOptions {
 
 /// Parallel C2R: transpose an `m x n` row-major buffer in place into its
 /// `n x m` row-major transpose, using the global `ipt_pool` thread count.
-pub fn c2r_parallel<T: Copy + Send + Sync>(
+pub fn c2r_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
     n: usize,
@@ -256,7 +256,7 @@ fn phase_pass_bytes<T>(len: usize) -> u64 {
 
 /// Parallel R2C: the inverse of [`c2r_parallel`] — consumes an `n x m`
 /// row-major buffer, leaves the `m x n` row-major transpose.
-pub fn r2c_parallel<T: Copy + Send + Sync>(
+pub fn r2c_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
     n: usize,
@@ -289,7 +289,7 @@ pub fn r2c_parallel<T: Copy + Send + Sync>(
 /// Parallel in-place transpose of a `rows x cols` matrix in `layout`,
 /// selecting C2R/R2C with the paper's §5.2 heuristic — the parallel
 /// counterpart of `ipt_core::transpose`.
-pub fn transpose_parallel<T: Copy + Send + Sync>(
+pub fn transpose_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     rows: usize,
     cols: usize,
@@ -311,7 +311,7 @@ pub fn transpose_parallel<T: Copy + Send + Sync>(
 /// Parallel in-place transpose with a caller-forced algorithm — the
 /// parallel counterpart of `ipt_core::transpose_with`, for benchmarks
 /// that pit C2R and R2C against each other on identical inputs.
-pub fn transpose_parallel_with<T: Copy + Send + Sync>(
+pub fn transpose_parallel_with<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     rows: usize,
     cols: usize,

@@ -2,8 +2,9 @@
 //!
 //! Rows of the matrix are contiguous in row-major storage and the row
 //! shuffle permutes each row independently, so `ipt_pool`'s contiguous
-//! chunk splitting expresses the parallelism safely. Each worker keeps its
-//! own `n`-element scratch row (the `init` state), which is the CPU
+//! chunk splitting expresses the parallelism safely. Each worker thread
+//! keeps its own `n`-element scratch row (its parked
+//! [`ipt_pool::Local`] state, reused across calls), which is the CPU
 //! analogue of the paper's §4.5 "on-chip" shuffle: the temporary never
 //! leaves the worker's cache, and the whole shuffle is a single pass over
 //! memory.
@@ -20,13 +21,13 @@ use crate::row_grain;
 use ipt_core::index::C2rParams;
 use ipt_core::kernels::faulty;
 use ipt_core::kernels::{self, RowShuffleKernel, ShuffleDirection};
-use ipt_pool::PoolError;
+use ipt_pool::{Local, PoolError, Scratch};
 
 /// Parallel row shuffle with an explicit kernel and direction: the
 /// work-distribution core every public row-shuffle entry point shares.
 ///
 /// Rows are `n`-element blocks of the row-major buffer; each worker
-/// stages its current row in a per-worker scratch `Vec` (the §4.5
+/// stages its current row in a per-worker [`Scratch`] (the §4.5
 /// "on-chip" analogue) and applies the kernel's per-row permutation.
 ///
 /// With recovery armed (`IPT_RETRY > 0`) each row snapshots itself into
@@ -34,7 +35,7 @@ use ipt_pool::PoolError;
 /// ladder's degraded rungs the requested kernel is pinned back to the
 /// scalar reference kernel, and the final rung re-gathers the pending
 /// rows sequentially through `d'` / `d'^-1` directly.
-pub fn row_shuffle_parallel_with<T: Copy + Send + Sync>(
+pub fn row_shuffle_parallel_with<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
     kernel: RowShuffleKernel,
@@ -55,8 +56,8 @@ pub fn row_shuffle_parallel_with<T: Copy + Send + Sync>(
                 data,
                 n,
                 row_grain(n),
-                || Vec::with_capacity(n),
-                |tmp: &mut Vec<T>, i, row| {
+                Local::<Scratch<T>>::take,
+                |tmp, i, row| {
                     if journal.is_some_and(|j| j.is_done(i)) {
                         return;
                     }
@@ -64,9 +65,7 @@ pub fn row_shuffle_parallel_with<T: Copy + Send + Sync>(
                     if let Some(j) = journal {
                         j.begin_block(i, i * n, row);
                     }
-                    tmp.clear();
-                    tmp.extend_from_slice(row);
-                    kernel.apply_row(p, i, tmp, row, dir);
+                    kernel.apply_row(p, i, tmp.copy_of(row), row, dir);
                     if let Some(j) = journal {
                         j.commit(i);
                     }
@@ -94,7 +93,7 @@ pub fn row_shuffle_parallel_with<T: Copy + Send + Sync>(
 /// `d'` directly (§4.3). Kept as the fixed-kernel entry point for tests
 /// and ablations; the dispatched paths are [`row_shuffle_parallel`] /
 /// [`row_shuffle_forward_parallel`].
-pub fn row_shuffle_incremental<T: Copy + Send + Sync>(
+pub fn row_shuffle_incremental<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
     scatter: bool,
@@ -111,7 +110,7 @@ pub fn row_shuffle_incremental<T: Copy + Send + Sync>(
 /// (Eq. 31), with the kernel chosen by [`kernels::select`]
 /// (`IPT_KERNEL` override, else the static table). The selection is
 /// recorded once per pass in [`ipt_pool::stats`]'s hit counters.
-pub fn row_shuffle_parallel<T: Copy + Send + Sync>(
+pub fn row_shuffle_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
 ) -> Result<(), PoolError> {
@@ -123,7 +122,7 @@ pub fn row_shuffle_parallel<T: Copy + Send + Sync>(
 /// Parallel R2C row shuffle: gather with `d'_i` directly (§4.3), with
 /// the same [`kernels::select`] dispatch and hit recording as
 /// [`row_shuffle_parallel`].
-pub fn row_shuffle_forward_parallel<T: Copy + Send + Sync>(
+pub fn row_shuffle_forward_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
 ) -> Result<(), PoolError> {

@@ -1,43 +1,59 @@
-//! # ipt-pool — a zero-dependency scoped-thread parallel executor
+//! # ipt-pool — a zero-dependency parallel executor with persistent workers
 //!
 //! The decomposition's parallel structure (paper §1, §5.1) is as regular
 //! as data parallelism gets: every row permutation is independent of every
 //! other row, every column group independent of every other group, and all
 //! units cost the same. Work-stealing buys nothing here — a static split
-//! of the index range over a handful of scoped threads achieves the same
-//! perfect load balance with no external dependencies, no global runtime
-//! and no startup cost beyond the `std::thread::scope` spawns themselves.
+//! of the index range over a handful of threads achieves the same perfect
+//! load balance with no external dependencies. What the balance cannot
+//! buy back is a fork that costs more than the pass, so the threads are
+//! **persistent**: started lazily on the first wide dispatch, grown to
+//! the widest width any call asks for, spinning briefly between passes
+//! and then parked on a `Condvar`. A back-to-back dispatch costs a few
+//! microseconds, not a thread spawn.
 //!
 //! Three primitives cover every parallel loop in the workspace:
 //!
 //! * [`par_chunks`] — chunked for-each over an index range (column groups,
 //!   batch indices);
-//! * [`par_chunks_init`] — the same, with a lazily created per-worker
-//!   state value (scratch buffers, cycle masks) reused across the worker's
-//!   whole subrange — the CPU analogue of the paper's §4.5 "on-chip" row
+//! * [`par_chunks_init`] — the same, with a per-worker state value
+//!   (scratch buffers, cycle masks) reused across the worker's whole
+//!   subrange — the CPU analogue of the paper's §4.5 "on-chip" row
 //!   staging;
 //! * [`par_chunks_exact_mut`] — contiguous `chunk_len`-sized blocks of a
 //!   mutable slice (matrix rows, batched matrices), each handed to exactly
 //!   one worker, with per-worker state.
 //!
-//! All primitives fall back to a plain sequential loop on the calling
-//! thread when the range is smaller than `min_grain` or only one thread is
-//! configured, so tiny matrices never pay spawn overhead.
+//! All three run through one dispatch path: the range splits into parts,
+//! the calling thread runs part 0, idle workers claim the rest (the caller
+//! claims any they have not reached), and the primitive returns only once
+//! every part has finished. A dispatch runs inline on the calling thread
+//! — all parts in order — when the range is smaller than `min_grain`, the
+//! pool is one wide, or the workers are already busy with another
+//! dispatch (a concurrent caller, or a nested dispatch from inside a
+//! part), so concurrent callers never wait on each other.
+//!
+//! Per-worker state can outlive the call: pass [`Local::take`] as the
+//! `init` of a primitive and the worker's thread keeps its
+//! [`WorkerState`] (for example its [`Scratch`] buffers) for the next
+//! call, up to a fixed retention cap.
 //!
 //! Thread count resolution: [`Pool::new`]\(t) with `t > 0` is explicit;
 //! `t == 0` (and the module-level free functions) resolve the global
 //! default — [`set_num_threads`] if called, else the `IPT_THREADS`
-//! environment variable, else [`std::thread::available_parallelism`].
+//! environment variable, else [`std::thread::available_parallelism`],
+//! read once per process.
 //!
 //! **Panic safety:** a panic inside a worker closure is caught at the
 //! chunk boundary (per block for [`par_chunks_exact_mut`], per worker
-//! subrange for the range primitives — the sequential fallback included)
+//! subrange for the range primitives — the inline fallback included)
 //! and surfaced as a structured [`PoolError`] from the primitive's
 //! `Result`, with [`stats`]' contained-panic counter bumped. Sibling
-//! workers are not cancelled — the scope still joins every part — so the
-//! data may hold a partial result, but the caller always learns about it
-//! instead of unwinding through a scoped join. When several workers
-//! panic, the error from the lowest worker id is returned.
+//! parts are not cancelled — the dispatch still waits for every part —
+//! so the data may hold a partial result, but the caller always learns
+//! about it, and the worker that ran the failed part stays alive for the
+//! next dispatch. When several parts panic, the error from the lowest
+//! worker id is returned.
 //!
 //! Every primitive feeds the always-on [`stats`] counters (tasks
 //! dispatched, work items processed, scratch allocations vs. reuses,
@@ -65,14 +81,15 @@ pub mod recovery;
 pub mod scratch;
 pub mod stats;
 pub mod watchdog;
+mod workers;
 
-pub use scratch::Scratch;
+pub use scratch::{Local, Scratch, WorkerState};
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Process-wide thread-count override set by [`set_num_threads`]
 /// (0 = unset).
@@ -98,8 +115,12 @@ fn env_threads() -> Option<usize> {
 ///
 /// Resolution order: [`set_num_threads`] override, then the `IPT_THREADS`
 /// environment variable, then [`std::thread::available_parallelism`]
-/// (falling back to 1 if unavailable).
+/// (falling back to 1 if unavailable). The environment and the hardware
+/// are read once per process — the hardware query reads cgroup files and
+/// costs tens of microseconds — while the override is a relaxed atomic
+/// load, so it stays cheap enough for every dispatch.
 pub fn num_threads() -> usize {
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
     let forced = GLOBAL_THREADS.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
@@ -107,7 +128,7 @@ pub fn num_threads() -> usize {
     if let Some(n) = env_threads() {
         return n;
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    *HARDWARE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Override the global pool's thread count for the whole process
@@ -301,29 +322,45 @@ where
     Ok(())
 }
 
-/// Collect one part's failure; the caller returns the lowest worker id's
-/// error after the scope joins.
-fn push_failure(failures: &Mutex<Vec<PoolError>>, result: Result<(), PoolError>) {
-    if let Err(e) = result {
-        failures.lock().unwrap().push(e);
+/// The failures of one dispatch's parts; the lowest worker id's error is
+/// the one returned.
+#[derive(Default)]
+struct Failures(Mutex<Vec<PoolError>>);
+
+impl Failures {
+    fn push(&self, result: Result<(), PoolError>) {
+        if let Err(e) = result {
+            self.0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(e);
+        }
+    }
+
+    /// The first failure in worker order, if any part failed.
+    fn first(self) -> Result<(), PoolError> {
+        let failures = self.0.into_inner().unwrap_or_else(PoisonError::into_inner);
+        failures
+            .into_iter()
+            .min_by_key(|e| e.worker)
+            .map_or(Ok(()), Err)
     }
 }
 
-/// The first failure in worker order, if any part failed.
-fn first_failure(failures: Mutex<Vec<PoolError>>) -> Result<(), PoolError> {
-    let mut failures = failures.into_inner().unwrap();
-    failures.sort_by_key(|e| e.worker);
-    match failures.into_iter().next() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+/// Part `k`'s share of `len` items split `parts` ways: the first
+/// `len % parts` parts take one extra. Returns `(offset, count)`.
+fn part_span(len: usize, parts: usize, k: usize) -> (usize, usize) {
+    let (base, rem) = (len / parts, len % parts);
+    (k * base + k.min(rem), base + usize::from(k < rem))
 }
 
 /// A parallel executor handle: a thread count plus the chunking policy.
 ///
-/// `Pool` is `Copy` and stateless — threads are scoped per call (no
-/// persistent workers to manage or shut down), so a `Pool` is cheap to
-/// create, store in options structs, or share between threads.
+/// `Pool` is `Copy` and holds no threads itself: every pool dispatches
+/// onto the one process-wide set of persistent workers (see the crate
+/// docs), growing it when a pool is wider than any before. A `Pool` is
+/// therefore cheap to create, store in options structs, or share
+/// between threads, and there is nothing to shut down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -356,16 +393,14 @@ impl Pool {
         }
     }
 
-    /// Split `range` into per-worker subranges of at least `min_grain`
-    /// indices (final worker may get more) — at most `threads` parts.
-    fn partition(&self, range: &Range<usize>, min_grain: usize) -> usize {
-        let len = range.end.saturating_sub(range.start);
-        let grain = min_grain.max(1);
-        (len / grain).clamp(1, self.threads().max(1))
+    /// How many parts `len` items split into: at least `min_grain` items
+    /// each (the last part may get more), at most `threads` parts.
+    fn partition(&self, len: usize, min_grain: usize) -> usize {
+        (len / min_grain.max(1)).clamp(1, self.threads().max(1))
     }
 
     /// Chunked parallel for-each over `range`: `body` is invoked once per
-    /// worker with that worker's contiguous subrange. Runs `body(range)`
+    /// part with that part's contiguous subrange. Runs `body(range)`
     /// inline on the calling thread when the range is shorter than
     /// `min_grain` or the pool has one thread.
     ///
@@ -446,40 +481,16 @@ impl Pool {
         if range.is_empty() {
             return Ok(());
         }
-        let parts = self.partition(&range, min_grain);
-        stats::record_dispatch(parts as u64, (range.end - range.start) as u64);
-        if parts == 1 {
-            // The panic boundary applies to the inline fallback too, so a
-            // 1-thread run reports the same structured error as a wide one.
-            return run_range_part(0, range, &init, &body);
-        }
         let len = range.end - range.start;
-        let base = len / parts;
-        let rem = len % parts;
-        let failures: Mutex<Vec<PoolError>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let mut lo = range.start;
-            let mut main_part = None;
-            for k in 0..parts {
-                let hi = lo + base + usize::from(k < rem);
-                if k == 0 {
-                    // The calling thread takes the first part itself: one
-                    // fewer spawn, and it stays busy while workers run.
-                    main_part = Some(lo..hi);
-                } else {
-                    let sub = lo..hi;
-                    let (init, body, failures) = (&init, &body, &failures);
-                    scope.spawn(move || push_failure(failures, run_range_part(k, sub, init, body)));
-                }
-                lo = hi;
-            }
-            debug_assert_eq!(lo, range.end);
-            if let Some(sub) = main_part {
-                push_failure(&failures, run_range_part(0, sub, &init, &body));
-            }
-            // Scope exit joins all workers; panics were contained above.
+        let parts = self.partition(len, min_grain);
+        stats::record_dispatch(parts as u64, len as u64);
+        let failures = Failures::default();
+        workers::run(parts, &|k| {
+            let (offset, count) = part_span(len, parts, k);
+            let lo = range.start + offset;
+            failures.push(run_range_part(k, lo..lo + count, &init, &body));
         });
-        first_failure(failures)
+        failures.first()
     }
 
     /// Parallel for-each over the leading `len / chunk_len` contiguous
@@ -533,45 +544,29 @@ impl Pool {
         if blocks == 0 {
             return Ok(());
         }
-        let parts = self.partition(&(0..blocks), min_grain);
+        let parts = self.partition(blocks, min_grain);
         stats::record_dispatch(parts as u64, blocks as u64);
-        if parts == 1 {
-            let head = &mut data[..blocks * chunk_len];
-            return run_block_part(0, 0, chunk_len, head, &init, &body);
-        }
-        let base = blocks / parts;
-        let rem = blocks % parts;
-        let failures: Mutex<Vec<PoolError>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let mut tail = data;
-            let mut b0 = 0usize;
-            let mut main_part: Option<(usize, &mut [T])> = None;
-            for k in 0..parts {
-                let nblocks = base + usize::from(k < rem);
-                let (head, rest) = std::mem::take(&mut tail).split_at_mut(nblocks * chunk_len);
+        // Split the slice, not the indices: each part takes its own head
+        // out of this table exactly once.
+        let mut tail = &mut data[..blocks * chunk_len];
+        let heads: Vec<Option<&mut [T]>> = (0..parts)
+            .map(|k| {
+                let (head, rest) = std::mem::take(&mut tail)
+                    .split_at_mut(part_span(blocks, parts, k).1 * chunk_len);
                 tail = rest;
-                if k == 0 {
-                    main_part = Some((b0, head));
-                } else {
-                    let (init, body, failures) = (&init, &body, &failures);
-                    let start = b0;
-                    scope.spawn(move || {
-                        push_failure(
-                            failures,
-                            run_block_part(k, start, chunk_len, head, init, body),
-                        );
-                    });
-                }
-                b0 += nblocks;
-            }
-            if let Some((start, head)) = main_part {
-                push_failure(
-                    &failures,
-                    run_block_part(0, start, chunk_len, head, &init, &body),
-                );
-            }
+                Some(head)
+            })
+            .collect();
+        let heads = Mutex::new(heads);
+        let failures = Failures::default();
+        workers::run(parts, &|k| {
+            let head = heads.lock().unwrap_or_else(PoisonError::into_inner)[k]
+                .take()
+                .expect("every part runs exactly once");
+            let start = part_span(blocks, parts, k).0;
+            failures.push(run_block_part(k, start, chunk_len, head, &init, &body));
         });
-        first_failure(failures)
+        failures.first()
     }
 }
 
@@ -618,6 +613,22 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
+
+    #[test]
+    fn handoff_runs_every_part_once_before_returning() {
+        // The job and everything it borrows live in this frame: the
+        // dispatch must not return before every part has run.
+        for round in 0..8 {
+            let parts = 1 + round % 4;
+            let hits: Vec<AtomicUsize> = (0..parts).map(|_| AtomicUsize::new(0)).collect();
+            let tag = format!("round {round}");
+            workers::run(parts, &|k| {
+                assert!(tag.starts_with("round"));
+                hits[k].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
+    }
 
     #[test]
     fn thread_count_resolution() {

@@ -27,8 +27,8 @@
 //! panic at any later point — including a checked-mode disjointness
 //! violation mid-write — leaves the snapshot reachable from the
 //! restoring thread. [`TaskJournal::restore`] must only run after the
-//! dispatch has joined (every pool primitive joins its scope before
-//! returning), when no worker holds the data.
+//! dispatch has finished (every pool primitive waits for all its parts
+//! before returning), when no worker holds the data.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};

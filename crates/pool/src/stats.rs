@@ -7,8 +7,8 @@
 //!
 //! * **Counters** — process-wide relaxed atomics updated by the pool
 //!   primitives (one `fetch_add` per parallel loop, not per element) and
-//!   by [`Scratch`](crate::Scratch) (buffered per worker, flushed on
-//!   drop): parallel tasks dispatched, work items processed, scratch
+//!   by [`Scratch`](crate::Scratch) (buffered per worker, flushed when
+//!   its part ends): parallel tasks dispatched, work items processed, scratch
 //!   buffer allocations vs. reuses, and worker panics contained at a
 //!   chunk boundary (see [`crate::PoolError`]).
 //! * **Per-worker tallies** — the same dispatch counters split by worker
@@ -152,8 +152,8 @@ pub fn record_kernel(name: &'static str) {
     }
 }
 
-/// Flush one worker's scratch alloc/reuse tallies (called on
-/// [`Scratch`](crate::Scratch) drop).
+/// Flush one worker's scratch alloc/reuse tallies (called when a
+/// [`Scratch`](crate::Scratch) is parked or dropped).
 #[inline]
 pub(crate) fn record_scratch(allocs: u64, reuses: u64) {
     if allocs > 0 {
@@ -367,8 +367,8 @@ pub struct PoolStats {
     /// [`Scratch`](crate::Scratch) requests served from capacity.
     pub scratch_reuses: u64,
     /// Worker panics caught at a chunk boundary and surfaced as
-    /// [`PoolError`](crate::PoolError) instead of unwinding through the
-    /// scoped join. Nonzero means some parallel loop returned `Err` — a
+    /// [`PoolError`](crate::PoolError) instead of unwinding out of the
+    /// dispatch. Nonzero means some parallel loop returned `Err` — a
     /// fault-injection run, or a real bug the containment turned from UB
     /// into a reported abort.
     pub panics_contained: u64,
@@ -485,8 +485,9 @@ impl PoolStats {
 ///
 /// Counters are read with relaxed ordering: a snapshot taken while other
 /// threads are mid-flight is a consistent-enough lower bound, exact once
-/// the work being measured has joined (which `std::thread::scope`
-/// guarantees for every pool primitive).
+/// the work being measured has finished (every pool primitive returns
+/// only after all its parts have, and a part flushes its scratch tallies
+/// before it ends).
 pub fn snapshot() -> PoolStats {
     let phases = PHASES
         .lock()

@@ -2,19 +2,24 @@
 //!
 //! Panic containment and undo/retry recovery cover every fault that
 //! *unwinds* — but a task that simply stops making progress (deadlock,
-//! livelock, an injected `hang:<rate>` fault) defeats both: the scoped
-//! join waits forever and the process wedges with no diagnostic. This
+//! livelock, an injected `hang:<rate>` fault) defeats both: the dispatch
+//! waits for it forever and the process wedges with no diagnostic. This
 //! module is the net for that failure class.
 //!
 //! When `IPT_WATCHDOG_MS` is set (or a test forces a timeout), every
 //! dispatched worker part registers itself with a deadline before running
 //! its body; block-granular primitives refresh the deadline per block. A
-//! lazily spawned monitor thread scans the registry and, on the first
-//! expired entry, prints a report naming the worker, phase, and work item
-//! and exits the whole process with [`EXIT_HANG`] — a stuck thread cannot
-//! be cancelled from safe Rust, so a prompt, attributable exit is the
-//! honest contract (callers that must survive a hang run the transpose in
-//! a child process and watch for exit code 5).
+//! lazily spawned monitor thread scans the registry and hands every task
+//! it finds past its deadline — once per task — to the installed
+//! **hang handler** ([`set_hang_handler`]). A stuck thread cannot be
+//! cancelled from safe Rust, and the dispatch that ran it must not return
+//! while the stuck part may still hold the caller's borrowed buffer, so
+//! the library never unwinds or returns past a hang. The default handler
+//! prints the [`HangReport`] on stderr and lets the dispatch keep
+//! waiting; a binary that would rather die than wedge installs a handler
+//! that exits — `ipt-cli` exits with [`EXIT_HANG`] (callers that must
+//! survive a hang run the transpose in a child process and watch for
+//! that code).
 //!
 //! Unarmed (the default), the only cost is one relaxed atomic load per
 //! dispatched part: no registry, no monitor thread, no locks.
@@ -25,14 +30,35 @@
 //! whole subrange on range dispatches, not a single index.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::stats;
 
-/// Process exit code when the watchdog detects a hung task (`0` ok, `2`
-/// usage, `3` bench gate, `4` transpose aborted, `5` hang).
+/// The process exit code for a hung task, for binaries whose hang
+/// handler exits (`ipt-cli`'s codes: `0` ok, `2` usage, `3` bench gate,
+/// `4` transpose aborted, `5` hang).
 pub const EXIT_HANG: i32 = 5;
+
+/// What the monitor does with a task past its deadline (see
+/// [`set_hang_handler`]).
+pub type HangHandler = fn(&HangReport);
+
+/// The installed hang handler; `None` is [`report_and_wait`].
+static HANDLER: Mutex<Option<HangHandler>> = Mutex::new(None);
+
+/// Install the handler the monitor calls, on its own thread, once for
+/// every task it finds past its deadline. The handler may exit the
+/// process; if it returns, the stuck dispatch keeps waiting.
+pub fn set_hang_handler(handler: HangHandler) {
+    *HANDLER.lock().unwrap_or_else(PoisonError::into_inner) = Some(handler);
+}
+
+/// The default hang handler: print the report on stderr and keep
+/// waiting for the task.
+pub fn report_and_wait(report: &HangReport) {
+    eprintln!("ipt watchdog: {report}; still waiting for it");
+}
 
 /// `IPT_WATCHDOG_MS` parsed once.
 static ENV_TIMEOUT: OnceLock<Option<usize>> = OnceLock::new();
@@ -56,9 +82,9 @@ pub fn timeout() -> Option<Duration> {
 }
 
 /// Override [`timeout`] for this process: `Some(ms)` arms the watchdog,
-/// `None` forces it off. **Arming spawns the exiting monitor on the next
-/// dispatch** — in-process tests should drive [`scan_expired`] directly
-/// against guards instead.
+/// `None` forces it off. Arming spawns the monitor on the next dispatch,
+/// and the monitor calls the process-wide hang handler — in-process
+/// tests should drive [`scan_expired`] directly against guards instead.
 pub fn force_timeout(ms: Option<u64>) {
     let word = match ms {
         None => 1,
@@ -80,6 +106,8 @@ struct ActiveTask {
     chunk: usize,
     phase: &'static str,
     deadline: Instant,
+    /// Already handed to the hang handler.
+    reported: bool,
 }
 
 /// In-flight task registry. Locked once per dispatched part (plus once
@@ -101,6 +129,19 @@ pub struct HangReport {
     pub phase: &'static str,
     /// How far past its deadline the task is.
     pub overdue: Duration,
+}
+
+impl std::fmt::Display for HangReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "worker {} hung at chunk {} in phase {} ({} ms past its deadline)",
+            self.worker,
+            self.chunk,
+            self.phase,
+            self.overdue.as_millis()
+        )
+    }
 }
 
 /// RAII registration of one dispatched part: deregisters on drop (normal
@@ -139,6 +180,7 @@ fn register(worker: usize, chunk: usize, timeout: Duration) -> WatchGuard {
         chunk,
         phase: stats::current_phase_name(),
         deadline: Instant::now() + timeout,
+        reported: false,
     });
     WatchGuard { id, timeout }
 }
@@ -153,18 +195,30 @@ pub(crate) fn watch(worker: usize, chunk: usize) -> Option<WatchGuard> {
 }
 
 /// Every registered task past its deadline at `now`, worst-overdue
-/// first. Exit-free — the monitor calls this and then exits; tests call
-/// it directly.
+/// first. Handler-free — the monitor hands each newly expired task to the
+/// hang handler; tests call this directly.
 pub fn scan_expired(now: Instant) -> Vec<HangReport> {
-    let reg = REGISTRY.lock().unwrap();
+    expired(now, false)
+}
+
+/// The expired tasks not reported yet, marked reported.
+fn newly_expired(now: Instant) -> Vec<HangReport> {
+    expired(now, true)
+}
+
+fn expired(now: Instant, mark: bool) -> Vec<HangReport> {
+    let mut reg = REGISTRY.lock().unwrap();
     let mut out: Vec<HangReport> = reg
-        .iter()
-        .filter(|t| now >= t.deadline)
-        .map(|t| HangReport {
-            worker: t.worker,
-            chunk: t.chunk,
-            phase: t.phase,
-            overdue: now - t.deadline,
+        .iter_mut()
+        .filter(|t| now >= t.deadline && !(mark && t.reported))
+        .map(|t| {
+            t.reported |= mark;
+            HangReport {
+                worker: t.worker,
+                chunk: t.chunk,
+                phase: t.phase,
+                overdue: now - t.deadline,
+            }
         })
         .collect();
     out.sort_by_key(|r| std::cmp::Reverse(r.overdue));
@@ -172,8 +226,8 @@ pub fn scan_expired(now: Instant) -> Vec<HangReport> {
 }
 
 /// Spawn the monitor thread once. It scans at a quarter of the timeout
-/// (clamped to [10, 100] ms) and, on the first expired task, reports and
-/// exits the process with [`EXIT_HANG`].
+/// (clamped to [10, 100] ms) and hands every newly expired task to the
+/// hang handler.
 fn ensure_monitor(timeout: Duration) {
     static MONITOR: OnceLock<()> = OnceLock::new();
     MONITOR.get_or_init(|| {
@@ -182,19 +236,13 @@ fn ensure_monitor(timeout: Duration) {
             .name("ipt-watchdog".into())
             .spawn(move || loop {
                 std::thread::sleep(interval);
-                let expired = scan_expired(Instant::now());
-                if let Some(r) = expired.first() {
+                for report in newly_expired(Instant::now()) {
                     stats::record_watchdog_trip();
-                    eprintln!(
-                        "ipt watchdog: worker {} hung at chunk {} in phase {} \
-                         ({} ms past its deadline); exiting with code {}",
-                        r.worker,
-                        r.chunk,
-                        r.phase,
-                        r.overdue.as_millis(),
-                        EXIT_HANG
-                    );
-                    std::process::exit(EXIT_HANG);
+                    let handler = HANDLER
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .unwrap_or(report_and_wait);
+                    handler(&report);
                 }
             })
             .expect("spawning the watchdog monitor thread");
@@ -206,10 +254,10 @@ mod tests {
     use super::*;
 
     // These tests drive `register`/`scan_expired` directly and never call
-    // `watch`/`ensure_monitor`: the monitor thread exits the process on
-    // expiry, which is exactly wrong inside a test binary. They also
-    // share the process-global REGISTRY with any armed dispatch, so they
-    // only assert on their own worker ids (8xx range).
+    // `watch`/`ensure_monitor`: the monitor thread would call the
+    // process-wide hang handler. They also share the process-global
+    // REGISTRY with any armed dispatch, so they only assert on their own
+    // worker ids (8xx range).
 
     #[test]
     fn expired_tasks_are_reported_and_drop_deregisters() {
@@ -255,6 +303,24 @@ mod tests {
         let mine: Vec<_> = reports.iter().filter(|r| r.worker == 803).collect();
         assert_eq!(mine.len(), 1, "{reports:?}");
         assert_eq!(mine[0].chunk, 42);
+    }
+
+    #[test]
+    fn each_expired_task_is_handed_over_once() {
+        let g = register(804, 3, Duration::ZERO);
+        let later = Instant::now() + Duration::from_millis(5);
+        let first: Vec<_> = newly_expired(later)
+            .into_iter()
+            .filter(|r| r.worker == 804)
+            .collect();
+        assert_eq!(first.len(), 1, "{first:?}");
+        assert!(first[0]
+            .to_string()
+            .starts_with("worker 804 hung at chunk 3 in phase"));
+        assert!(newly_expired(later).iter().all(|r| r.worker != 804));
+        // Still registered, so still visible to a plain scan.
+        assert!(scan_expired(later).iter().any(|r| r.worker == 804));
+        drop(g);
     }
 
     #[test]
