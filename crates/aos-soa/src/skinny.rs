@@ -20,8 +20,9 @@
 //! Figure 7's median advantage over the general transpose.
 
 use ipt_core::index::C2rParams;
+use ipt_core::kernels::{RowShuffleKernel, ShuffleDirection};
 use ipt_core::shape_len;
-use ipt_parallel::rows::row_shuffle_incremental;
+use ipt_parallel::rows::row_shuffle_parallel_with;
 use ipt_parallel::{phases, stage_column_blocks, TransposeAborted};
 use ipt_pool::PoolError;
 
@@ -107,7 +108,13 @@ pub fn transpose_skinny_c2r<T: Copy + Send + Sync + 'static>(
     }
 
     // Pass 2: row shuffle, scattering with incrementally-computed d'.
-    row_shuffle_incremental(data, &p, true).map_err(aborted(phases::ROW_SHUFFLE))?;
+    row_shuffle_parallel_with(
+        data,
+        &p,
+        RowShuffleKernel::Scalar,
+        ShuffleDirection::Inverse,
+    )
+    .map_err(aborted(phases::ROW_SHUFFLE))?;
 
     // Pass 3: the entire column shuffle (rotation p_j then permutation q)
     // fused into one block-local pass — the "on-chip" column operations
@@ -161,7 +168,13 @@ pub fn transpose_skinny_r2c<T: Copy + Send + Sync + 'static>(
     .map_err(aborted(phases::COL_SHUFFLE))?;
 
     // Pass 2: row shuffle, gathering with incrementally-computed d' (§4.3).
-    row_shuffle_incremental(data, &p, false).map_err(aborted(phases::ROW_SHUFFLE))?;
+    row_shuffle_parallel_with(
+        data,
+        &p,
+        RowShuffleKernel::Scalar,
+        ShuffleDirection::Forward,
+    )
+    .map_err(aborted(phases::ROW_SHUFFLE))?;
 
     // Pass 3 (only if gcd > 1): undo the pre-rotation, block-local.
     if !p.coprime() {
@@ -258,7 +271,13 @@ mod tests {
             let mut got = vec![0u64; m * n];
             fill_pattern(&mut got);
             let mut want = got.clone();
-            row_shuffle_incremental(&mut got, &p, true).unwrap();
+            row_shuffle_parallel_with(
+                &mut got,
+                &p,
+                RowShuffleKernel::Scalar,
+                ShuffleDirection::Inverse,
+            )
+            .unwrap();
             let mut tmp = vec![0u64; n];
             ipt_core::permute::row_shuffle_scatter(&mut want, &p, &mut tmp);
             assert_eq!(got, want, "scatter {m}x{n}");
@@ -266,7 +285,13 @@ mod tests {
             let mut got = vec![0u64; m * n];
             fill_pattern(&mut got);
             let mut want = got.clone();
-            row_shuffle_incremental(&mut got, &p, false).unwrap();
+            row_shuffle_parallel_with(
+                &mut got,
+                &p,
+                RowShuffleKernel::Scalar,
+                ShuffleDirection::Forward,
+            )
+            .unwrap();
             ipt_core::permute::row_shuffle_gather_forward(&mut want, &p, &mut tmp);
             assert_eq!(got, want, "gather {m}x{n}");
         }

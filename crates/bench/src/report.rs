@@ -127,11 +127,13 @@ impl ModelBreak {
 }
 
 /// The self-healing layer's activity while an entry was measured (deltas
-/// of `ipt_pool::stats` recovery counters): how many retry rungs ran, how
-/// many ops ultimately recovered, and how many rungs ran degraded.
-/// `None` for fault-free measurements (the overwhelmingly common case)
-/// and for reports written before the recovery layer existed — a stamped
-/// entry is a red flag that faults fired *during* the measurement.
+/// of `ipt_pool::stats` recovery counters): how many retry rungs ran and
+/// how many ops ultimately recovered. `None` for fault-free measurements
+/// (the overwhelmingly common case) and for reports written before the
+/// recovery layer existed — a stamped entry is a red flag that faults
+/// fired *during* the measurement. Reports from before the retry ladder
+/// lost its scalar-pinned rung also carry a `"degraded"` tally; it is
+/// ignored on load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryBreak {
     /// Retry rungs climbed during measurement (parallel re-runs plus
@@ -139,9 +141,6 @@ pub struct RecoveryBreak {
     pub retries: u64,
     /// Ops that failed at least once and still completed.
     pub recovered: u64,
-    /// Rungs that ran with a degraded configuration (scalar-pinned
-    /// kernels, or the final sequential redo).
-    pub degraded: u64,
 }
 
 impl RecoveryBreak {
@@ -149,7 +148,6 @@ impl RecoveryBreak {
         Json::obj(vec![
             ("retries", Json::Num(self.retries as f64)),
             ("recovered", Json::Num(self.recovered as f64)),
-            ("degraded", Json::Num(self.degraded as f64)),
         ])
     }
 
@@ -162,7 +160,6 @@ impl RecoveryBreak {
         Ok(RecoveryBreak {
             retries: int("retries")?,
             recovered: int("recovered")?,
-            degraded: int("degraded")?,
         })
     }
 }
@@ -634,7 +631,6 @@ mod tests {
         RecoveryBreak {
             retries: 3,
             recovered: 2,
-            degraded: 1,
         }
     }
 
@@ -693,7 +689,6 @@ mod tests {
             "\"recovery\"",
             "\"retries\"",
             "\"recovered\"",
-            "\"degraded\"",
         ];
         let mut last = 0;
         for key in order {
@@ -764,6 +759,27 @@ mod tests {
         drop_keys(&mut doc, "recovery");
         let back = BenchReport::from_json(&doc).unwrap();
         assert!(back.entries[0].recovery.is_none());
+    }
+
+    #[test]
+    fn retired_scalar_rung_tally_still_loads() {
+        // Reports written while the retry ladder had a scalar-pinned rung
+        // carry a third "degraded" tally in each "recovery" block; they
+        // must still load, the tally ignored, and compare as usual.
+        let mut e = entry("r2c_parallel", 65536, 8, 4.0);
+        e.recovery = Some(recovery_break());
+        let r = report(vec![e]);
+        let text = r.to_json().render().replacen(
+            "\"recovered\": 2",
+            "\"recovered\": 2, \"degraded\": 1",
+            1,
+        );
+        assert!(text.contains("\"degraded\""), "legacy key not spliced in");
+        let old = BenchReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(old, r);
+        let cmp = compare(&old, &r, 10.0);
+        assert!(cmp.skipped.is_none(), "{:?}", cmp.skipped);
+        assert_eq!((cmp.rows.len(), cmp.regressions()), (1, 0));
     }
 
     #[test]

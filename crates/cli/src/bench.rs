@@ -775,7 +775,6 @@ fn measure(
     let recovery = (delta.retries_attempted > 0).then_some(RecoveryBreak {
         retries: delta.retries_attempted,
         recovered: delta.recovered,
-        degraded: delta.degraded,
     });
     BenchEntry {
         algorithm: alg.to_string(),
@@ -819,8 +818,8 @@ fn print_entry(e: &BenchEntry) {
     }
     if let Some(r) = &e.recovery {
         println!(
-            "  {:<20} recovery: {} retry rung(s), {} op(s) recovered, {} degraded rung(s)",
-            "", r.retries, r.recovered, r.degraded
+            "  {:<20} recovery: {} retry rung(s), {} op(s) recovered",
+            "", r.retries, r.recovered
         );
     }
 }

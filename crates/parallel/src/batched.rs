@@ -9,14 +9,11 @@
 //! whole matrices with its own scratch row (kept by the worker thread
 //! across calls).
 
-use crate::group_grain;
-use crate::recover;
+use crate::exec::run_blocks;
 use crate::TransposeAborted;
 use ipt_core::index::C2rParams;
-use ipt_core::kernels::faulty;
 use ipt_core::shape_len;
 use ipt_core::{permute, Layout};
-use ipt_pool::{Local, Scratch};
 
 /// C2R-transpose `batch` contiguous `m x n` row-major matrices in place;
 /// each becomes its `n x m` row-major transpose.
@@ -40,55 +37,10 @@ pub fn c2r_batched<T: Copy + Send + Sync + 'static>(
     m: usize,
     n: usize,
 ) -> Result<(), TransposeAborted> {
-    assert_eq!(
-        data.len(),
-        shape_len(batch, shape_len(m, n)),
-        "buffer must hold `batch` m x n matrices"
-    );
-    if m <= 1 || n <= 1 || batch == 0 {
-        return Ok(());
-    }
-    let p = C2rParams::new(m, n);
-    let fill = data[0];
-    recover::run_op(
-        data,
-        batch,
-        |data, journal, _degraded| {
-            ipt_pool::par_chunks_exact_mut(
-                data,
-                m * n,
-                group_grain(m * n),
-                Local::<Scratch<T>>::take,
-                |tmp, b, mat| {
-                    let tmp = tmp.uninit_buf(m.max(n), fill);
-                    if journal.is_some_and(|j| j.is_done(b)) {
-                        return;
-                    }
-                    faulty::maybe_panic("batched", b);
-                    if let Some(j) = journal {
-                        j.begin_block(b, b * m * n, mat);
-                    }
-                    permute::prerotate_cycles(mat, &p);
-                    permute::row_shuffle_gather(mat, &p, tmp);
-                    permute::col_shuffle_decomposed(mat, &p, tmp);
-                    if let Some(j) = journal {
-                        j.commit(b);
-                    }
-                },
-            )
-        },
-        |data, b| {
-            // Redo one matrix on the sequential reference path.
-            let mat = &mut data[b * m * n..(b + 1) * m * n];
-            let mut tmp = vec![fill; m.max(n)];
-            permute::prerotate_cycles(mat, &p);
-            permute::row_shuffle_gather(mat, &p, &mut tmp);
-            permute::col_shuffle_decomposed(mat, &p, &mut tmp);
-        },
-    )
-    .map_err(|source| TransposeAborted {
-        phase: "batched",
-        source,
+    run_batched(data, batch, m, n, |mat, p, tmp| {
+        permute::prerotate_cycles(mat, p);
+        permute::row_shuffle_gather(mat, p, tmp);
+        permute::col_shuffle_decomposed(mat, p, tmp);
     })
 }
 
@@ -101,55 +53,40 @@ pub fn r2c_batched<T: Copy + Send + Sync + 'static>(
     m: usize,
     n: usize,
 ) -> Result<(), TransposeAborted> {
+    run_batched(data, batch, m, n, |mat, p, tmp| {
+        permute::row_permute_inverse(mat, p, tmp);
+        permute::col_rotate_inverse(mat, p);
+        permute::row_shuffle_gather_forward(mat, p, tmp);
+        permute::postrotate_inverse(mat, p);
+    })
+}
+
+/// Run `step(matrix, p, tmp)` on each of the `batch` matrices, one
+/// executor task per matrix, with `p` built once for the whole batch and
+/// `tmp` a `max(m, n)`-element scratch row. `step` is the sequential
+/// `ipt_core::permute` transpose and has no fault site inside, so it is
+/// also the recovery ladder's redo.
+fn run_batched<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    batch: usize,
+    m: usize,
+    n: usize,
+    step: impl Fn(&mut [T], &C2rParams, &mut [T]) + Sync,
+) -> Result<(), TransposeAborted> {
     assert_eq!(
         data.len(),
         shape_len(batch, shape_len(m, n)),
-        "buffer must hold `batch` matrices"
+        "buffer must hold `batch` m x n matrices"
     );
     if m <= 1 || n <= 1 || batch == 0 {
         return Ok(());
     }
     let p = C2rParams::new(m, n);
-    let fill = data[0];
-    recover::run_op(
-        data,
-        batch,
-        |data, journal, _degraded| {
-            ipt_pool::par_chunks_exact_mut(
-                data,
-                m * n,
-                group_grain(m * n),
-                Local::<Scratch<T>>::take,
-                |tmp, b, mat| {
-                    let tmp = tmp.uninit_buf(m.max(n), fill);
-                    if journal.is_some_and(|j| j.is_done(b)) {
-                        return;
-                    }
-                    faulty::maybe_panic("batched", b);
-                    if let Some(j) = journal {
-                        j.begin_block(b, b * m * n, mat);
-                    }
-                    permute::row_permute_inverse(mat, &p, tmp);
-                    permute::col_rotate_inverse(mat, &p);
-                    permute::row_shuffle_gather_forward(mat, &p, tmp);
-                    permute::postrotate_inverse(mat, &p);
-                    if let Some(j) = journal {
-                        j.commit(b);
-                    }
-                },
-            )
-        },
-        |data, b| {
-            // Redo one matrix on the sequential reference path.
-            let mat = &mut data[b * m * n..(b + 1) * m * n];
-            let mut tmp = vec![fill; m.max(n)];
-            permute::row_permute_inverse(mat, &p, &mut tmp);
-            permute::col_rotate_inverse(mat, &p);
-            permute::row_shuffle_gather_forward(mat, &p, &mut tmp);
-            permute::postrotate_inverse(mat, &p);
-        },
-    )
-    .map_err(|source| TransposeAborted {
+    let task = |tmp: &mut ipt_pool::Scratch<T>, _: usize, mat: &mut [T]| {
+        let fill = mat[0];
+        step(mat, &p, tmp.uninit_buf(m.max(n), fill));
+    };
+    run_blocks(data, m * n, "batched", task, task).map_err(|source| TransposeAborted {
         phase: "batched",
         source,
     })

@@ -17,9 +17,10 @@
 //!   permute, which turn strided column traffic into cache-line-sized
 //!   sub-row traffic;
 //! * [`stage_column_blocks`] — the §6.1 staged column blocks the skinny
-//!   AoS⇄SoA specialization runs on. It and every [`cache_aware`] pass
-//!   share one column-group executor, which owns their claims, fault
-//!   sites and recovery;
+//!   AoS⇄SoA specialization runs on;
+//! * one task executor under every pass — each [`cache_aware`] pass, the
+//!   §6.1 blocks, the [`rows`] shuffle and the [`batched`] transposes —
+//!   which owns their fault sites, undo journal and recovery;
 //! * per-thread scratch buffers, the CPU analogue of the §4.5 "on-chip"
 //!   row shuffle (each worker's temporary row lives in its own cache).
 //!
@@ -46,7 +47,6 @@
 pub mod batched;
 pub mod cache_aware;
 mod exec;
-mod recover;
 pub mod rows;
 mod unsafe_slice;
 
@@ -155,14 +155,9 @@ pub(crate) fn assert_shape(len: usize, rows: usize, cols: usize) {
     );
 }
 
-/// `min_grain` (in rows) for row-wise parallel loops over `n`-element rows.
-pub(crate) fn row_grain(n: usize) -> usize {
-    (PAR_MIN_ELEMS / n.max(1)).max(1)
-}
-
-/// `min_grain` (in groups/blocks) for loops whose unit of work moves
-/// `unit_elems` elements.
-pub(crate) fn group_grain(unit_elems: usize) -> usize {
+/// `min_grain` (in tasks) for parallel loops whose task — a row, a
+/// column group, a batch matrix — moves `unit_elems` elements.
+pub(crate) fn grain(unit_elems: usize) -> usize {
     (PAR_MIN_ELEMS / unit_elems.max(1)).max(1)
 }
 

@@ -16,94 +16,43 @@
 //! [`ipt_pool::stats`], while [`row_shuffle_parallel_with`] pins an
 //! explicit kernel for tests, benches and ablations.
 
-use crate::recover;
-use crate::row_grain;
+use crate::exec::run_blocks;
 use ipt_core::index::C2rParams;
-use ipt_core::kernels::faulty;
 use ipt_core::kernels::{self, RowShuffleKernel, ShuffleDirection};
-use ipt_pool::{Local, PoolError, Scratch};
+use ipt_pool::PoolError;
 
 /// Parallel row shuffle with an explicit kernel and direction: the
 /// work-distribution core every public row-shuffle entry point shares.
 ///
-/// Rows are `n`-element blocks of the row-major buffer; each worker
-/// stages its current row in a per-worker [`Scratch`] (the §4.5
-/// "on-chip" analogue) and applies the kernel's per-row permutation.
-///
-/// With recovery armed (`IPT_RETRY > 0`) each row snapshots itself into
-/// the op's journal before the kernel touches it; on the escalation
-/// ladder's degraded rungs the requested kernel is pinned back to the
-/// scalar reference kernel, and the final rung re-gathers the pending
-/// rows sequentially through `d'` / `d'^-1` directly.
+/// Rows are the `n`-element blocks of the row-major buffer, one executor
+/// task each; each worker stages its current row in its parked scratch
+/// (the §4.5 "on-chip" analogue) and applies the kernel's per-row
+/// permutation. [`ShuffleDirection::Inverse`] is the C2R shuffle (gather
+/// with `d'^-1`), [`ShuffleDirection::Forward`] the R2C one (gather with
+/// `d'`, §4.3). With recovery armed (`IPT_RETRY > 0`) the ladder's last
+/// rung re-gathers each pending row sequentially through `d'` / `d'^-1`
+/// directly, bypassing kernel dispatch.
 pub fn row_shuffle_parallel_with<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
     kernel: RowShuffleKernel,
     dir: ShuffleDirection,
 ) -> Result<(), PoolError> {
-    let n = p.n;
-    let rows = data.len() / n.max(1);
-    recover::run_op(
+    run_blocks(
         data,
-        rows,
-        |data, journal, degraded| {
-            let kernel = if degraded {
-                RowShuffleKernel::Scalar
-            } else {
-                kernel
-            };
-            ipt_pool::par_chunks_exact_mut(
-                data,
-                n,
-                row_grain(n),
-                Local::<Scratch<T>>::take,
-                |tmp, i, row| {
-                    if journal.is_some_and(|j| j.is_done(i)) {
-                        return;
-                    }
-                    faulty::maybe_panic("row_shuffle", i);
-                    if let Some(j) = journal {
-                        j.begin_block(i, i * n, row);
-                    }
-                    kernel.apply_row(p, i, tmp.copy_of(row), row, dir);
-                    if let Some(j) = journal {
-                        j.commit(i);
-                    }
-                },
-            )
-        },
-        |data, i| {
-            // Sequential reference redo: the plain gather form of the
-            // shuffle, no kernel dispatch, no fault sites.
-            let row = &mut data[i * n..(i + 1) * n];
-            let gathered: Vec<T> = (0..n)
-                .map(|j| match dir {
-                    ShuffleDirection::Inverse => row[p.d_inv(i, j)],
-                    ShuffleDirection::Forward => row[p.d(i, j)],
-                })
-                .collect();
-            row.copy_from_slice(&gathered);
+        p.n,
+        "row_shuffle",
+        |tmp, i, row| kernel.apply_row(p, i, tmp.copy_of(row), row, dir),
+        |tmp, i, row| {
+            let old = tmp.copy_of(row);
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = old[match dir {
+                    ShuffleDirection::Inverse => p.d_inv(i, j),
+                    ShuffleDirection::Forward => p.d(i, j),
+                }];
+            }
         },
     )
-}
-
-/// Parallel row shuffle with the **scalar incremental** kernel:
-/// `scatter` selects the direction — the C2R shuffle scatters with `d'`
-/// (equivalent to gathering with `d'^-1`), the R2C shuffle gathers with
-/// `d'` directly (§4.3). Kept as the fixed-kernel entry point for tests
-/// and ablations; the dispatched paths are [`row_shuffle_parallel`] /
-/// [`row_shuffle_forward_parallel`].
-pub fn row_shuffle_incremental<T: Copy + Send + Sync + 'static>(
-    data: &mut [T],
-    p: &C2rParams,
-    scatter: bool,
-) -> Result<(), PoolError> {
-    let dir = if scatter {
-        ShuffleDirection::Inverse
-    } else {
-        ShuffleDirection::Forward
-    };
-    row_shuffle_parallel_with(data, p, RowShuffleKernel::Scalar, dir)
 }
 
 /// Parallel C2R row shuffle: row `i` becomes `row[j] = old[d'^-1_i(j)]`

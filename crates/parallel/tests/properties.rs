@@ -11,6 +11,7 @@
 
 use ipt_core::check::{fill_pattern, Rng};
 use ipt_core::index::C2rParams;
+use ipt_core::kernels::{RowShuffleKernel, ShuffleDirection};
 use ipt_core::Scratch;
 use ipt_parallel::{batched, c2r_parallel, cache_aware, r2c_parallel, ParOptions};
 
@@ -158,8 +159,15 @@ fn incremental_row_shuffle_is_involutive_with_forward() {
         let mut a = vec![0u32; m * n];
         fill_pattern(&mut a);
         let orig = a.clone();
-        ipt_parallel::rows::row_shuffle_incremental(&mut a, &p, true).unwrap();
-        ipt_parallel::rows::row_shuffle_incremental(&mut a, &p, false).unwrap();
+        for dir in [ShuffleDirection::Inverse, ShuffleDirection::Forward] {
+            ipt_parallel::rows::row_shuffle_parallel_with(
+                &mut a,
+                &p,
+                RowShuffleKernel::Scalar,
+                dir,
+            )
+            .unwrap();
+        }
         assert_eq!(a, orig, "case {case}: {m}x{n}");
     }
 }

@@ -19,8 +19,9 @@
 //!   unchanged.
 //!
 //! The retry *driver* that walks the escalation ladder lives in
-//! `ipt-parallel` (it needs each op's reference redo path); this module
-//! is deliberately mechanism-only so the pool stays policy-free.
+//! `ipt-parallel`'s task executor (it needs each op's reference redo
+//! path); this module is deliberately mechanism-only so the pool stays
+//! policy-free.
 //!
 //! Concurrency contract: [`TaskJournal::begin`] publishes the snapshot to
 //! a shared registry *before* the worker touches the rectangle, so a
@@ -47,9 +48,9 @@ static FORCED_RETRY: AtomicU64 = AtomicU64::new(0);
 /// climb (`IPT_RETRY`, default `0` = recovery disarmed, first failure
 /// aborts exactly as before).
 ///
-/// The ladder the `ipt-parallel` driver climbs within this budget:
-/// retry 1 re-runs the same configuration, retries 2+ degrade blocked
-/// row-shuffle kernels to scalar, and once the budget is exhausted the
+/// The ladder the `ipt-parallel` executor climbs within this budget has
+/// two rungs: each of the `n` retries rolls back the torn tasks and
+/// re-runs the same configuration, and once the budget is exhausted the
 /// still-pending tasks are re-run sequentially on the reference path.
 pub fn retry_budget() -> usize {
     match FORCED_RETRY.load(Ordering::Relaxed) {

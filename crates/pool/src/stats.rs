@@ -69,9 +69,6 @@ static RETRIES_ATTEMPTED: AtomicU64 = AtomicU64::new(0);
 /// Parallel ops that completed successfully *after* at least one failure
 /// — the recovery layer's bottom line.
 static RECOVERED: AtomicU64 = AtomicU64::new(0);
-/// Retry rungs that ran with a degraded configuration (blocked kernels
-/// pinned to scalar, or the sequential reference redo).
-static DEGRADED: AtomicU64 = AtomicU64::new(0);
 /// Tasks the hang watchdog (`IPT_WATCHDOG_MS`) found past their deadline.
 static WATCHDOG_TRIPS: AtomicU64 = AtomicU64::new(0);
 
@@ -185,13 +182,6 @@ pub fn record_retry() {
 #[inline]
 pub fn record_recovered() {
     RECOVERED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Count one retry rung run with a degraded configuration (scalar-pinned
-/// kernels or the sequential reference redo).
-#[inline]
-pub fn record_degraded() {
-    DEGRADED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Count one task the hang watchdog found past its `IPT_WATCHDOG_MS`
@@ -378,9 +368,6 @@ pub struct PoolStats {
     /// Parallel ops that completed after at least one contained failure
     /// (see [`record_recovered`]).
     pub recovered: u64,
-    /// Retry rungs run with a degraded configuration (see
-    /// [`record_degraded`]).
-    pub degraded: u64,
     /// Tasks the hang watchdog found past their `IPT_WATCHDOG_MS`
     /// deadline (see [`crate::watchdog`]).
     pub watchdog_trips: u64,
@@ -472,7 +459,6 @@ impl PoolStats {
                 .retries_attempted
                 .saturating_sub(earlier.retries_attempted),
             recovered: self.recovered.saturating_sub(earlier.recovered),
-            degraded: self.degraded.saturating_sub(earlier.degraded),
             watchdog_trips: self.watchdog_trips.saturating_sub(earlier.watchdog_trips),
             phases,
             workers,
@@ -528,7 +514,6 @@ pub fn snapshot() -> PoolStats {
         panics_contained: PANICS_CONTAINED.load(Ordering::Relaxed),
         retries_attempted: RETRIES_ATTEMPTED.load(Ordering::Relaxed),
         recovered: RECOVERED.load(Ordering::Relaxed),
-        degraded: DEGRADED.load(Ordering::Relaxed),
         watchdog_trips: WATCHDOG_TRIPS.load(Ordering::Relaxed),
         phases,
         workers,
@@ -549,7 +534,6 @@ pub fn reset() {
     PANICS_CONTAINED.store(0, Ordering::Relaxed);
     RETRIES_ATTEMPTED.store(0, Ordering::Relaxed);
     RECOVERED.store(0, Ordering::Relaxed);
-    DEGRADED.store(0, Ordering::Relaxed);
     WATCHDOG_TRIPS.store(0, Ordering::Relaxed);
     PHASES.lock().unwrap().clear();
     WORKERS.lock().unwrap().clear();
@@ -631,11 +615,9 @@ mod tests {
         record_retry();
         record_retry();
         record_recovered();
-        record_degraded();
         let d = snapshot().delta_since(&before);
         assert!(d.retries_attempted >= 2, "{d:?}");
         assert!(d.recovered >= 1, "{d:?}");
-        assert!(d.degraded >= 1, "{d:?}");
     }
 
     #[test]

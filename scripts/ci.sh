@@ -159,23 +159,31 @@ recovery_stage() {
     # bench must *complete*: exit 0, every per-run verification pass, the
     # regression gate actually evaluated. Exit 4 here means the ladder
     # failed to heal a contained fault; anything else means containment
-    # itself broke.
-    local out rc=0
-    out="$(IPT_FAULT=panic:0.05 IPT_CHECK=1 IPT_RETRY=2 \
-        target/release/ipt-cli bench --suite parallel --quick --samples 2 \
-        --out "$(mktemp)" 2>&1)" || rc=$?
-    if [ "$rc" -ne 0 ]; then
-        echo "$out"
-        echo "recovery smoke: armed bench must exit 0, got $rc"
-        return 1
-    fi
-    if grep -q "recovery:" <<< "$out"; then
-        echo "recovery smoke: armed bench completed; healed runs:"
-        grep "recovery:" <<< "$out" | head -3
-    else
-        echo "recovery smoke: WARNING: armed bench saw no injection" \
-             "(deterministic decisions all missed)"
-    fi
+    # itself broke. One suite per executor form: column groups and rows
+    # (parallel), the §6.1 blocks (aos), whole batch matrices (batched).
+    # The batched suite makes 16 tasks per call, so it needs a far higher
+    # rate than 0.05 for any injection to fire.
+    local suite_rate suite rate out rc
+    for suite_rate in parallel:0.05 aos:0.05 batched:0.5; do
+        suite="${suite_rate%%:*}"
+        rate="${suite_rate#*:}"
+        rc=0
+        out="$(IPT_FAULT="panic:$rate" IPT_CHECK=1 IPT_RETRY=2 \
+            target/release/ipt-cli bench --suite "$suite" --quick --samples 2 \
+            --out "$(mktemp)" 2>&1)" || rc=$?
+        if [ "$rc" -ne 0 ]; then
+            echo "$out"
+            echo "recovery smoke ($suite): armed bench must exit 0, got $rc"
+            return 1
+        fi
+        if grep -q "recovery:" <<< "$out"; then
+            echo "recovery smoke ($suite): armed bench completed; healed runs:"
+            grep "recovery:" <<< "$out" | head -3
+        else
+            echo "recovery smoke ($suite): WARNING: armed bench saw no" \
+                 "injection (deterministic decisions all missed)"
+        fi
+    done
 
     stage "hang smoke: watchdog must exit 5, never wedge (tier 3)"
     # A 100% hang rate stalls the first parallel task forever; the

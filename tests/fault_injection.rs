@@ -295,19 +295,27 @@ fn armed_retry_recovers_batched_panics() {
     let _forced = Forced::new(FaultMode::Panic(0.5));
     let _armed = Armed::new(1);
     set_num_threads(4);
-    let (b, m, n) = (16usize, 24, 36);
-    let mut data: Vec<u64> = (0..(b * m * n) as u64).collect();
-    let mut want = data.clone();
-    let mut scratch = Scratch::new();
-    for mat in want.chunks_exact_mut(m * n) {
-        ipt::core::c2r(mat, m, n, &mut scratch);
+    // 24 x 36 row-major has m < n and runs the R2C step; 36 x 24 runs C2R.
+    for (b, m, n) in [(16usize, 24, 36), (16, 36, 24)] {
+        let mut data: Vec<u64> = (0..(b * m * n) as u64).collect();
+        let mut want = data.clone();
+        let mut scratch = Scratch::new();
+        for mat in want.chunks_exact_mut(m * n) {
+            ipt::core::c2r(mat, m, n, &mut scratch);
+        }
+        let (p0, _, _) = faulty::injection_counts();
+        let result = transpose_batched(&mut data, b, m, n, Layout::RowMajor);
+        let (p1, _, _) = faulty::injection_counts();
+        assert!(p1 > p0, "{m}x{n}: rate 0.5 over 16 matrices must inject");
+        assert!(
+            result.is_ok(),
+            "{m}x{n}: armed batched run aborted: {result:?}"
+        );
+        assert_eq!(
+            data, want,
+            "{m}x{n}: recovered batch must be byte-identical"
+        );
     }
-    let (p0, _, _) = faulty::injection_counts();
-    let result = transpose_batched(&mut data, b, m, n, Layout::RowMajor);
-    let (p1, _, _) = faulty::injection_counts();
-    assert!(p1 > p0, "rate 0.5 over 16 matrices must inject");
-    assert!(result.is_ok(), "armed batched run aborted: {result:?}");
-    assert_eq!(data, want, "recovered batch must be byte-identical");
 }
 
 #[test]
