@@ -7,16 +7,20 @@
 //! dimension is tiny (`s` in `[2, 32)` in the paper's Figure 7 experiment)
 //! and the other huge.
 //!
-//! The specialization (§6.1): orient the algorithm so the **small**
-//! dimension is the row count of the operating view. Then
+//! The paper's specialization (§6.1) orients the decomposition so the
+//! small dimension is the row count, but keeps its row shuffle over rows
+//! of `N` elements — a whole field array of scratch per worker, gathered
+//! at stride `s`. This crate ([`skinny`]) instead transposes at two
+//! levels, in **two passes** whatever `gcd(s, N)` is (plus one
+//! `copy_within` sweep when `N` has no divisor that fills a chunk):
 //!
-//! * every column is only `s` elements tall, so all column operations run
-//!   "on-chip": column blocks are staged through task-local buffers and
-//!   the rotation + row-permutation steps are fused into a single pass
-//!   over memory ([`skinny`]);
-//! * the row shuffle works on contiguous rows of `N` elements — pure
-//!   streaming traffic;
-//! * the whole conversion is three passes (two when `gcd(s, N) == 1`).
+//! * each contiguous chunk of `K` structs (at most 512 KiB) is transposed
+//!   in the worker's scratch, `[K][s] ⇄ [s][K]`;
+//! * the chunks' `K`-element blocks move to their final places, a §4.7
+//!   sub-row permute over page-sized runs.
+//!
+//! Auxiliary space is one chunk per worker plus a small visited mask,
+//! independent of `N`.
 //!
 //! [`aos_to_soa`] / [`soa_to_aos`] wrap this for the two conversion
 //! directions, and [`SoaView`] gives typed access to the converted data.

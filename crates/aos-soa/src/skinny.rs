@@ -5,75 +5,151 @@
 //! `m` (the operating view's row count) is *small*: the structure size of
 //! an AoS conversion, 2–32 in the paper's Figure 7 workload.
 //!
-//! With tiny columns, the two column-wise steps of each direction fuse
-//! into a single streaming pass: column blocks are staged through
-//! task-local buffers ("on-chip memory"), rotated and row-permuted there,
-//! and written back. The row shuffle touches contiguous `n`-element rows
-//! and its index sequence is computed *incrementally* — `d'_i(j+1)`
-//! derives from `d'_i(j)` with two compare-and-subtract steps, removing
-//! even the multiply-shift of §4.4 from the inner loop. Total traffic:
+//! With `m` fields and `n` structs, the AoS `n x m` is viewed as
+//! `[P][K][m]`: `P` contiguous chunks of `K` structs, `n = P·K`. The
+//! conversion is a two-level transpose in **two passes**:
 //!
-//! * `gcd(m, n) == 1`: **two** passes over the array,
-//! * otherwise: **three** passes,
+//! * **pass A** transposes each chunk in place, `[K][m] ⇄ [m][K]`,
+//!   staged through the worker's scratch — a chunk is at most 512 KiB,
+//!   so the staged copy stays in cache;
+//! * **pass B** transposes the `P x m` matrix of `K`-element blocks,
+//!   `[P][m] ⇄ [m][P]`: a row gather on the `L x K` view (`L = P·m`),
+//!   run as the §4.7 sub-row permute ([`cache_aware::permute_rows`]) in
+//!   page-sized sub-rows.
 //!
-//! versus the general algorithm's strided column walks — the source of
-//! Figure 7's median advantage over the general transpose.
+//! AoS → SoA (R2C) runs A then B, SoA → AoS (C2R) B then A. Auxiliary
+//! space is one chunk per worker plus an `L`-entry visited mask, not
+//! Theorem 6's `O(max(m, n))` — here `n`, the whole struct count.
+//!
+//! When `n` has no divisor that makes a useful chunk (a prime `n`, say),
+//! the last `n mod K` structs are **peeled**: stashed (at most one
+//! chunk), the two passes run on the divisible prefix, and one
+//! `copy_within` sweep moves each field's run to its final offset.
 
-use ipt_core::index::C2rParams;
-use ipt_core::kernels::{RowShuffleKernel, ShuffleDirection};
 use ipt_core::shape_len;
-use ipt_parallel::rows::row_shuffle_parallel_with;
-use ipt_parallel::{phases, stage_column_blocks, TransposeAborted};
-use ipt_pool::PoolError;
+use ipt_parallel::{cache_aware, phases, run_phase, stage_blocks, TransposeAborted};
 
-/// Lift a contained pool panic into a phase-attributed abort error.
-fn aborted(phase: &'static str) -> impl FnOnce(PoolError) -> TransposeAborted {
-    move |source| TransposeAborted { phase, source }
+/// Bytes of one chunk: the most pass A stages per task.
+const CHUNK_BYTES: usize = 512 * 1024;
+
+/// Bytes of one pass-B sub-row, a page: the least a chunk must hold for
+/// its blocks to move as whole runs rather than scattered elements.
+const RUN_BYTES: usize = 4 * 1024;
+
+/// Source rows per tile of the staged chunk transpose: a tile of up to
+/// 32 fields of `u64` stays in L1 while its columns are written out.
+const TILE: usize = 64;
+
+/// How a conversion of `n` structs of `m` fields splits into tasks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Plan {
+    /// Structs per chunk (`K`).
+    k: usize,
+    /// Structs the two passes convert (`P·K`); the other `n - main` are
+    /// the peeled tail.
+    main: usize,
+    /// Pass B's column-group width, in elements.
+    w: usize,
 }
 
-/// Target bytes for one staged column block (`m x width` elements).
-const BLOCK_BYTES: usize = 16 * 1024;
-
-fn block_width<T>(m: usize) -> usize {
-    (BLOCK_BYTES / (m * core::mem::size_of::<T>().max(1))).max(1)
-}
-
-/// Apply a gather row permutation to an `m x gw` row-major block in
-/// place, staging through `scratch` (no allocation).
-fn permute_block_rows<T: Copy>(
-    block: &mut [T],
-    m: usize,
-    gw: usize,
-    table: &[usize],
-    scratch: &mut [T],
-) {
-    debug_assert_eq!(block.len(), m * gw);
-    debug_assert_eq!(table.len(), m);
-    let scratch = &mut scratch[..m * gw];
-    scratch.copy_from_slice(block);
-    for (i, &src) in table.iter().enumerate() {
-        block[i * gw..(i + 1) * gw].copy_from_slice(&scratch[src * gw..(src + 1) * gw]);
-    }
-}
-
-/// Rotate column `k` of an `m x gw` block left by `r` in place via the
-/// three-reversal identity — swap-only, no temporary storage.
-fn rotate_block_column<T: Copy>(block: &mut [T], m: usize, gw: usize, k: usize, r: usize) {
-    let r = r % m;
-    if r == 0 {
-        return;
-    }
-    let mut rev = |lo: usize, hi: usize| {
-        let (mut a, mut b) = (lo, hi);
-        while a < b {
-            b -= 1;
-            block.swap(a * gw + k, b * gw + k);
-            a += 1;
+impl Plan {
+    /// The plan for `n` structs of `m` fields of `size` bytes on a pool
+    /// `threads` wide. `K` is the largest divisor of `n` whose chunk fits
+    /// [`CHUNK_BYTES`]; when that divisor is too small to fill one
+    /// [`RUN_BYTES`] run, `K` is the largest chunk that fits and the tail
+    /// is peeled.
+    fn new(m: usize, n: usize, size: usize, threads: usize) -> Plan {
+        let size = size.max(1);
+        let cap = (CHUNK_BYTES / m.saturating_mul(size)).max(1);
+        let k = if n <= cap {
+            n
+        } else {
+            match largest_divisor_at_most(n, cap) {
+                d if d * size >= RUN_BYTES => d,
+                _ => cap,
+            }
+        };
+        // Page-wide sub-rows, narrower when that would leave a worker idle.
+        let mut w = (RUN_BYTES / size).clamp(1, k);
+        if k.div_ceil(w) < threads {
+            w = k.div_ceil(threads);
         }
-    };
-    rev(0, r);
-    rev(r, m);
-    rev(0, m);
+        Plan {
+            k,
+            main: n - n % k,
+            w,
+        }
+    }
+}
+
+/// The largest divisor of `n` that is at most `cap`: divisors pair up as
+/// `(d, n / d)` with `d <= sqrt(n)`, so `min(cap, sqrt(n))` trials find it.
+fn largest_divisor_at_most(n: usize, cap: usize) -> usize {
+    let mut best = 1;
+    let mut d = 1;
+    while d <= cap && d <= n / d {
+        if n % d == 0 {
+            best = best.max(d);
+            if n / d <= cap {
+                best = best.max(n / d);
+            }
+        }
+        d += 1;
+    }
+    best
+}
+
+/// Out-of-place transpose of the `rows x cols` row-major `src` into
+/// `dst`, `TILE` source rows at a time.
+fn transpose_into<T: Copy>(src: &[T], dst: &mut [T], rows: usize, cols: usize) {
+    for r0 in (0..rows).step_by(TILE) {
+        let r1 = (r0 + TILE).min(rows);
+        for c in 0..cols {
+            let out = &mut dst[c * rows + r0..c * rows + r1];
+            for (o, r) in out.iter_mut().zip(r0..r1) {
+                *o = src[r * cols + c];
+            }
+        }
+    }
+}
+
+/// Pass A on the `main`-struct prefix: each chunk of `k` structs turns
+/// from `[k][m]` into `[m][k]` (`to_soa`), or back.
+fn chunk_transposes<T: Copy + Send + Sync + 'static>(
+    head: &mut [T],
+    m: usize,
+    k: usize,
+    to_soa: bool,
+) -> Result<(), TransposeAborted> {
+    let (rows, cols) = if to_soa { (k, m) } else { (m, k) };
+    run_phase(phases::CHUNK_TRANSPOSE, || {
+        stage_blocks(head, k * m, phases::CHUNK_TRANSPOSE, |scratch, _, chunk| {
+            transpose_into(scratch.copy_of(chunk), chunk, rows, cols)
+        })
+    })
+}
+
+/// Pass B on the `main`-struct prefix, viewed as `L = P·m` rows of `k`
+/// elements: the `P x m` matrix of blocks is transposed (`to_soa`, row
+/// `v·P + p` gathers row `p·m + v`), or back. The gather is
+/// `σ(r) = r·m mod (L - 1)` (`r·P` back) with `σ(L - 1) = L - 1`, spelled
+/// as a quotient and remainder so it cannot overflow.
+fn block_permute<T: Copy + Send + Sync + 'static>(
+    head: &mut [T],
+    m: usize,
+    plan: Plan,
+    to_soa: bool,
+) -> Result<(), TransposeAborted> {
+    let p = plan.main / plan.k;
+    if p <= 1 {
+        return Ok(());
+    }
+    let (outer, inner) = if to_soa { (p, m) } else { (m, p) };
+    run_phase(phases::BLOCK_PERMUTE, || {
+        cache_aware::permute_rows(head, p * m, plan.k, plan.w, |r| {
+            (r % outer) * inner + r / outer
+        })
+    })
 }
 
 /// Skinny C2R: identical contract to `ipt_core::c2r(data, m, n)` —
@@ -88,51 +164,25 @@ pub fn transpose_skinny_c2r<T: Copy + Send + Sync + 'static>(
     if m <= 1 || n <= 1 {
         return Ok(());
     }
-    let p = C2rParams::new(m, n);
-    let w = block_width::<T>(m);
-
-    // Pass 1 (only if gcd > 1): pre-rotation, fully block-local.
-    if !p.coprime() {
-        stage_column_blocks(
-            data,
-            (m, n, w),
-            "skinny_pre_rotate",
-            |j0, block, gw, _scratch| {
-                for k in 0..gw {
-                    rotate_block_column(block, m, gw, k, p.rotate_amount(j0 + k) % m);
-                }
-            },
-            |i, j| (i + p.rotate_amount(j)) % m,
-        )
-        .map_err(aborted(phases::PRE_ROTATE))?;
+    let plan = Plan::new(m, n, core::mem::size_of::<T>(), ipt_pool::num_threads());
+    let main = plan.main;
+    // Peel: gather the tail structs (AoS order), then close each field's
+    // run up to `v·main`, first field first (each moves left).
+    let mut stash = Vec::with_capacity((n - main) * m);
+    for t in main..n {
+        stash.extend((0..m).map(|v| data[v * n + t]));
     }
-
-    // Pass 2: row shuffle, scattering with incrementally-computed d'.
-    row_shuffle_parallel_with(
-        data,
-        &p,
-        RowShuffleKernel::Scalar,
-        ShuffleDirection::Inverse,
-    )
-    .map_err(aborted(phases::ROW_SHUFFLE))?;
-
-    // Pass 3: the entire column shuffle (rotation p_j then permutation q)
-    // fused into one block-local pass — the "on-chip" column operations
-    // of §6.1.
-    let q_table: Vec<usize> = (0..m).map(|i| p.q(i)).collect();
-    stage_column_blocks(
-        data,
-        (m, n, w),
-        "skinny_col_shuffle",
-        |j0, block, gw, scratch| {
-            for k in 0..gw {
-                rotate_block_column(block, m, gw, k, (j0 + k) % m);
-            }
-            permute_block_rows(block, m, gw, &q_table, scratch);
-        },
-        |i, j| p.s(j, i),
-    )
-    .map_err(aborted(phases::COL_SHUFFLE))
+    if main < n {
+        for v in 1..m {
+            data.copy_within(v * n..v * n + main, v * main);
+        }
+    }
+    // The tail is final already; writing it first keeps the buffer a
+    // permutation of its input should a pass abort.
+    let (head, tail) = data.split_at_mut(main * m);
+    tail.copy_from_slice(&stash);
+    block_permute(head, m, plan, false)?;
+    chunk_transposes(head, m, plan.k, false)
 }
 
 /// Skinny R2C: identical contract to `ipt_core::r2c(data, m, n)` —
@@ -147,50 +197,23 @@ pub fn transpose_skinny_r2c<T: Copy + Send + Sync + 'static>(
     if m <= 1 || n <= 1 {
         return Ok(());
     }
-    let p = C2rParams::new(m, n);
-    let w = block_width::<T>(m);
-
-    // Pass 1: inverse column shuffle (permutation q^-1 then rotation
-    // p^-1_j), fused block-local.
-    let q_inv_table: Vec<usize> = (0..m).map(|i| p.q_inv(i)).collect();
-    stage_column_blocks(
-        data,
-        (m, n, w),
-        "skinny_col_shuffle_inverse",
-        |j0, block, gw, scratch| {
-            permute_block_rows(block, m, gw, &q_inv_table, scratch);
-            for k in 0..gw {
-                rotate_block_column(block, m, gw, k, (m - (j0 + k) % m) % m);
+    let plan = Plan::new(m, n, core::mem::size_of::<T>(), ipt_pool::num_threads());
+    let main = plan.main;
+    let (head, tail) = data.split_at_mut(main * m);
+    let stash = tail.to_vec();
+    chunk_transposes(head, m, plan.k, true)?;
+    block_permute(head, m, plan, true)?;
+    // Peel: open each field's run out to `v·n`, last field first (each
+    // moves right), then drop the tail structs' fields into the gaps.
+    if main < n {
+        for v in (1..m).rev() {
+            data.copy_within(v * main..(v + 1) * main, v * n);
+        }
+        for (t, st) in stash.chunks_exact(m).enumerate() {
+            for (v, &x) in st.iter().enumerate() {
+                data[v * n + main + t] = x;
             }
-        },
-        |i, j| p.q_inv((i + m - j % m) % m),
-    )
-    .map_err(aborted(phases::COL_SHUFFLE))?;
-
-    // Pass 2: row shuffle, gathering with incrementally-computed d' (§4.3).
-    row_shuffle_parallel_with(
-        data,
-        &p,
-        RowShuffleKernel::Scalar,
-        ShuffleDirection::Forward,
-    )
-    .map_err(aborted(phases::ROW_SHUFFLE))?;
-
-    // Pass 3 (only if gcd > 1): undo the pre-rotation, block-local.
-    if !p.coprime() {
-        let amount = |j: usize| (m - p.rotate_amount(j) % m) % m;
-        stage_column_blocks(
-            data,
-            (m, n, w),
-            "skinny_post_rotate",
-            |j0, block, gw, _scratch| {
-                for k in 0..gw {
-                    rotate_block_column(block, m, gw, k, amount(j0 + k));
-                }
-            },
-            |i, j| (i + amount(j)) % m,
-        )
-        .map_err(aborted(phases::POST_ROTATE))?;
+        }
     }
     Ok(())
 }
@@ -215,8 +238,7 @@ mod tests {
             (1, 50),
             (2, 2),
             (12, 30),
-            // The kernels accept any shape, including m > n (where the
-            // incremental rotation term wraps modulo n several times).
+            // The kernels accept any shape, including m > n.
             (100, 7),
             (173, 127),
             (300, 2),
@@ -253,51 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_indices_match_fastdiv_indices() {
-        // The incremental recurrence must agree with the closed-form d'
-        // for every (i, j) — including when b == n (coprime) and b == 1.
-        for (m, n) in [
-            (4usize, 8usize),
-            (5, 7),
-            (6, 6),
-            (3, 9),
-            (8, 20),
-            (2, 101),
-            (101, 2),
-            (20, 8),
-            (173, 127),
-        ] {
-            let p = C2rParams::new(m, n);
-            let mut got = vec![0u64; m * n];
-            fill_pattern(&mut got);
-            let mut want = got.clone();
-            row_shuffle_parallel_with(
-                &mut got,
-                &p,
-                RowShuffleKernel::Scalar,
-                ShuffleDirection::Inverse,
-            )
-            .unwrap();
-            let mut tmp = vec![0u64; n];
-            ipt_core::permute::row_shuffle_scatter(&mut want, &p, &mut tmp);
-            assert_eq!(got, want, "scatter {m}x{n}");
-
-            let mut got = vec![0u64; m * n];
-            fill_pattern(&mut got);
-            let mut want = got.clone();
-            row_shuffle_parallel_with(
-                &mut got,
-                &p,
-                RowShuffleKernel::Scalar,
-                ShuffleDirection::Forward,
-            )
-            .unwrap();
-            ipt_core::permute::row_shuffle_gather_forward(&mut want, &p, &mut tmp);
-            assert_eq!(got, want, "gather {m}x{n}");
-        }
-    }
-
-    #[test]
     fn round_trip() {
         for (m, n) in [(5usize, 77usize), (8, 1024), (3, 3000)] {
             let mut a = vec![0u64; m * n];
@@ -311,11 +288,11 @@ mod tests {
 
     #[test]
     fn tiny_blocks_exercise_block_edges() {
-        // Force the block machinery through ragged final blocks by using
-        // n values straddling block multiples.
+        // Struct counts straddling the one-chunk limit: one chunk, then a
+        // chunk plus a one-struct tail, then two chunks plus a short one.
         let m = 6usize;
-        let w = super::block_width::<u64>(m);
-        for n in [w - 1, w, w + 1, 2 * w + 3] {
+        let k = CHUNK_BYTES / (m * 8);
+        for n in [k - 1, k, k + 1, 2 * k + 3] {
             let mut a = vec![0u64; m * n];
             fill_pattern(&mut a);
             let mut b = a.clone();
@@ -326,15 +303,31 @@ mod tests {
     }
 
     #[test]
-    fn block_helpers_behave() {
-        // rotate_block_column (three-reversal)
-        let mut block: Vec<u8> = (0..12).collect(); // 4 x 3
-        rotate_block_column(&mut block, 4, 3, 1, 1);
-        assert_eq!(block, [0, 4, 2, 3, 7, 5, 6, 10, 8, 9, 1, 11]);
-        // permute_block_rows: gather [2, 0, 1, 3]
-        let mut block: Vec<u8> = (0..8).collect(); // 4 x 2
-        let mut scratch = vec![0u8; 8];
-        permute_block_rows(&mut block, 4, 2, &[2, 0, 1, 3], &mut scratch);
-        assert_eq!(block, [4, 5, 0, 1, 2, 3, 6, 7]);
+    fn plan_chunks_divide_the_prefix_and_peel_only_without_a_divisor() {
+        for m in 2..=31usize {
+            for size in [1usize, 4, 8] {
+                let cap = CHUNK_BYTES / (m * size);
+                let counts = [2, 97, cap, cap + 1, 3 * cap, 65_521, 65_536, 13_107_200];
+                for n in counts {
+                    for threads in [1usize, 2, 4] {
+                        let p = Plan::new(m, n, size, threads);
+                        let what = format!("m={m} n={n} size={size} threads={threads}: {p:?}");
+                        assert_eq!(p.main % p.k, 0, "{what}");
+                        assert!(p.main <= n && n - p.main < p.k, "{what}");
+                        assert!(p.k * m * size <= CHUNK_BYTES, "{what}");
+                        assert!(1 <= p.w && p.w <= p.k, "{what}");
+                        let d = largest_divisor_at_most(n, cap);
+                        let usable = n <= cap || d * size >= RUN_BYTES;
+                        assert_eq!(p.main < n, !usable && n % cap != 0, "{what}");
+                        if usable {
+                            assert_eq!(p.k, if n <= cap { n } else { d }, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(largest_divisor_at_most(13_107_200, 5461), 5120);
+        assert_eq!(largest_divisor_at_most(65_521, 8192), 1);
+        assert_eq!(largest_divisor_at_most(36, 36), 36);
     }
 }

@@ -54,6 +54,73 @@ fn skinny_kernels_equal_core_for_any_shape() {
     }
 }
 
+fn is_prime(n: usize) -> bool {
+    n >= 2 && (2..).take_while(|d| d * d <= n).all(|d| n % d != 0)
+}
+
+/// Struct counts that reach every plan for `s` fields of `size` bytes,
+/// where a chunk holds at most 512 KiB (`cap` structs): one chunk; two
+/// chunks with `K | N`; a prime past two chunks (the peel, pass B
+/// included); and, when `cap + 1` or `2·cap + 1` is prime, that count (a
+/// peel with `N mod K = 1`).
+fn plan_counts(s: usize, size: usize) -> Vec<usize> {
+    let cap = (512 * 1024) / (s * size);
+    let prime_past = (2 * cap + 1..).find(|&n| is_prime(n)).unwrap();
+    let mut counts = vec![cap.min(97), 2 * cap, prime_past];
+    counts.extend([cap + 1, 2 * cap + 1].into_iter().find(|&n| is_prime(n)));
+    counts
+}
+
+/// `transpose_skinny_r2c`/`_c2r` against `ipt_core::r2c`/`c2r` and as a
+/// round trip, on every plan for each field count in `fields`, for one
+/// element type (`encode` spreads indices over its values). Returns how
+/// many cases peeled a single struct.
+fn conversions_match_core<T>(
+    fields: impl IntoIterator<Item = usize>,
+    encode: impl Fn(usize) -> T,
+) -> usize
+where
+    T: Copy + Send + Sync + PartialEq + 'static,
+{
+    let size = std::mem::size_of::<T>();
+    let mut one_struct_tails = 0;
+    for s in fields {
+        let cap = (512 * 1024) / (s * size);
+        for n in plan_counts(s, size) {
+            one_struct_tails += usize::from(n > cap && n % cap == 1);
+            let orig: Vec<T> = (0..n * s).map(&encode).collect();
+            let mut a = orig.clone();
+            let mut want = orig.clone();
+            transpose_skinny_r2c(&mut a, s, n).unwrap();
+            ipt_core::r2c(&mut want, s, n, &mut Scratch::new());
+            assert!(a == want, "r2c s={s} n={n} size={size}");
+            transpose_skinny_c2r(&mut a, s, n).unwrap();
+            assert!(a == orig, "round trip s={s} n={n} size={size}");
+
+            let mut want = orig.clone();
+            transpose_skinny_c2r(&mut a, s, n).unwrap();
+            ipt_core::c2r(&mut want, s, n, &mut Scratch::new());
+            assert!(a == want, "c2r s={s} n={n} size={size}");
+        }
+    }
+    one_struct_tails
+}
+
+#[test]
+fn every_plan_matches_core_for_u8_u32_u64() {
+    let tails = [
+        conversions_match_core(2..=31, |i| i as u64),
+        conversions_match_core([2, 3, 12, 31], |i| i as u32),
+        conversions_match_core([2, 3, 12, 31], |i| {
+            ((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8
+        }),
+    ];
+    assert!(
+        tails.iter().all(|&t| t > 0),
+        "N mod K = 1 not reached: {tails:?}"
+    );
+}
+
 #[test]
 fn view_and_buffer_agree() {
     let mut rng = Rng::new(0xa05a_0003);

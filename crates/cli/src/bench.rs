@@ -56,11 +56,12 @@ and only cuts samples. --history DIR also archives the run into DIR as
 a dated file (SOURCE_DATE_EPOCH makes the stamp deterministic); --keep N
 then prunes the suite's archive to the N newest files, oldest first
 (default from IPT_BENCH_HISTORY_KEEP when set). --scaling (parallel and
-aos suites only) appends a tall-skinny 65536x8 shape — one column group
-of the default u64 width, so only the row shuffle splits across workers
-— and, for the parallel suite on a multi-thread pool, additionally
-measures a 1-thread r2c_parallel_1t twin so one report carries both ends
-of the scaling-efficiency ratio against r2c_parallel.
+aos suites only) appends a tall-skinny 65536x8 shape. For the parallel
+suite it is one column group of the default u64 width, so only the row
+shuffle splits across workers, and on a multi-thread pool a 1-thread
+r2c_parallel_1t twin is also measured, so one report carries both ends
+of the scaling-efficiency ratio against r2c_parallel. For the aos suite
+it is 8 chunks and 16 sub-row groups, so both passes split.
 Every report stamps the kernel-dispatch decision tier (override when
 IPT_KERNEL forces a kernel, static otherwise).
 --model additionally stamps every c2r*/r2c* entry with the
@@ -110,9 +111,9 @@ const KERNEL_SHAPES: [(usize, usize); 4] = [(2048, 1024), (1024, 2048), (1024, 1
 
 /// The `aos` suite shapes as (n_structs, fields): the paper's Figure 7
 /// regime — a huge struct count against a tiny field count (§6.1).
-/// `(65536, 4)` and `(65536, 12)` share factors with the struct count
-/// (pre-rotation runs); `(65521, 8)` is coprime (65521 is prime), the
-/// two-pass fast path.
+/// `(65536, 4)` and `(65536, 12)` split into whole 512 KiB chunks (both
+/// passes run on every struct); 65521 is prime, so `(65521, 8)` peels
+/// its last partial chunk.
 const AOS_SHAPES: [(usize, usize); 3] = [(65536, 4), (65536, 12), (65521, 8)];
 
 /// The `batched` suite shapes (rows x cols of *each* matrix; the suite
@@ -745,17 +746,24 @@ fn measure(
             delta.panics_contained
         );
     }
-    let phases: Vec<PhaseBreak> = phases::ALL
+    // Every phase the delta timed: the decomposition's in C2R order, then
+    // the rest (the §6.1 passes) in the order they were first timed.
+    let mut phases: Vec<PhaseBreak> = delta
+        .phases
         .iter()
-        .filter_map(|&name| {
-            delta.phase(name).map(|p| PhaseBreak {
-                name: name.to_string(),
-                calls: p.calls,
-                nanos: p.nanos,
-                bytes: p.bytes,
-            })
+        .map(|p| PhaseBreak {
+            name: p.name.to_string(),
+            calls: p.calls,
+            nanos: p.nanos,
+            bytes: p.bytes,
         })
         .collect();
+    phases.sort_by_key(|p| {
+        phases::ALL
+            .iter()
+            .position(|&n| n == p.name)
+            .unwrap_or(phases::ALL.len())
+    });
     // The model describes single-core traffic of a whole decomposed
     // transpose: stamp only phases that reported payload bytes (a no-op
     // rotation times a call but moves nothing).

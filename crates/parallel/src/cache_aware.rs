@@ -24,7 +24,8 @@
 //!   columns.
 //! * **Row permute** (§4.7): `q`'s cycles have no closed form, so each
 //!   group follows them with a visited mask (`O(m)` scratch per worker),
-//!   moving whole sub-rows.
+//!   moving whole sub-rows. [`permute_rows`] runs it alone, for any row
+//!   gather (the §6.1 skinny path's block transpose).
 //! * **Fused column shuffle** ([`col_shuffle_fused`]): per group,
 //!   `s'_j = p_j ∘ q` factors as a *fine* rotation by `(j - j0) mod m`
 //!   followed by the group-uniform permutation `g(i) = (q(i) + j0) mod m`
@@ -346,6 +347,41 @@ fn permute_subrows<T: Copy + Send + Sync>(
             i = src;
         }
     }
+}
+
+/// Permute whole rows of an `m x n` row-major matrix, the gather
+/// `dst[i] = old[perm(i)]` (`perm` a permutation of `0..m`), with the
+/// §4.7 scheme: column groups of width `w` in parallel, each following
+/// `perm`'s cycles with a visited mask (`O(m)` per worker) and moving
+/// `w`-wide sub-rows. With `w` a page of elements, every move is one
+/// page-sized run however far apart the rows are.
+pub fn permute_rows<T, P>(
+    data: &mut [T],
+    m: usize,
+    n: usize,
+    w: usize,
+    perm: P,
+) -> Result<(), PoolError>
+where
+    T: Copy + Send + Sync + 'static,
+    P: Fn(usize) -> usize + Sync,
+{
+    crate::assert_shape(data.len(), m, n);
+    if m <= 1 || n == 0 {
+        return Ok(());
+    }
+    let fill = data[0];
+    run_column_groups(
+        data,
+        (m, n, w),
+        ("row_permute", "§4.7 sub-row permute"),
+        |st: &mut Subrows<T>, g| {
+            let visited = st.visited.uninit_buf(m, false);
+            let buf = st.buf.uninit_buf(g.gw(), fill);
+            permute_subrows(g, &perm, visited, buf);
+        },
+        |i, _| perm(i),
+    )
 }
 
 /// Cache-aware C2R step 1: pre-rotation by `floor(j/b)` (Eq. 23). The fine

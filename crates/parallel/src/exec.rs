@@ -10,8 +10,9 @@
 //!   that keeps each element in its column, so the columns split into
 //!   disjoint groups of `w` adjacent columns, one task each;
 //! * [`run_blocks`] — the row shuffle (Eqs. 24/31) permutes inside each
-//!   row, and a batched transpose inside each matrix, so the buffer
-//!   splits into contiguous `len`-element blocks, one task each.
+//!   row, a batched transpose inside each matrix and a §6.1 chunk
+//!   transpose inside each chunk, so the buffer splits into contiguous
+//!   `len`-element blocks, one task each.
 //!
 //! Both own everything around a task's body:
 //!
@@ -32,9 +33,8 @@
 //! reference `redo`. So a pass states *what* it computes once and its
 //! parallel body only states *how*.
 //!
-//! [`stage_column_blocks`] is the public §6.1 form: each group is copied
-//! into a worker-local block, transformed there by a caller closure, and
-//! written back.
+//! [`stage_blocks`] is the public face of [`run_blocks`], for a body
+//! with no fault site inside, which serves as its own redo.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -268,77 +268,41 @@ pub(crate) fn run_blocks<T: Copy + Send + Sync + 'static>(
     )
 }
 
-/// Process disjoint column blocks of a row-major `m x n` matrix in
-/// parallel through worker-local copies — the "on-chip" fused column
-/// operations of paper §6.1.
+/// Run `f(scratch, b, block)` on every contiguous `len`-element block
+/// of `data`, blocks in parallel, `scratch` the worker thread's parked
+/// [`Scratch`] (reused across its blocks and kept for the next call).
+/// `site` names the pass's fault site.
 ///
-/// For each block of `w` columns starting at `j0`, the block's `m x gw`
-/// submatrix is copied (one sub-row run per row) into a worker-local
-/// row-major buffer, `f(j0, block, gw, scratch)` transforms it in place
-/// (with an equally sized scratch buffer for out-of-place steps), and
-/// the result is stored back. The buffers belong to the worker thread:
-/// reused across its blocks, and kept for the next call.
-///
-/// `f` must leave column `j` equal to the gather `dst[i][j] =
-/// old[src(i, j)][j]`: the pass runs on the column-group executor, so with
-/// recovery armed (`IPT_RETRY`) a faulted block is rolled back and redone
-/// from `src`. `site` names the pass's fault sites and appears in
-/// checked-mode violation messages.
+/// `f` must have no fault site inside: with recovery armed
+/// (`IPT_RETRY`), a faulted block is rolled back and `f` itself redoes it
+/// sequentially.
 ///
 /// ```
-/// use ipt_parallel::stage_column_blocks;
+/// use ipt_parallel::stage_blocks;
 ///
-/// // Reverse each column of a 3 x 4 matrix, blocks of 2 columns.
+/// // Reverse each block of 3 through the worker's scratch.
 /// let mut a: Vec<u32> = (0..12).collect();
-/// stage_column_blocks(
-///     &mut a,
-///     (3, 4, 2),
-///     "doc_reverse",
-///     |_j0, block, gw, _scratch| {
-///         for k in 0..gw {
-///             block.swap(k, 2 * gw + k);
-///         }
-///     },
-///     |i, _j| 2 - i,
-/// )
+/// stage_blocks(&mut a, 3, "doc_reverse", |scratch, _b, block| {
+///     let old = scratch.copy_of(block);
+///     for (v, &o) in block.iter_mut().zip(old.iter().rev()) {
+///         *v = o;
+///     }
+/// })
 /// .unwrap();
-/// assert_eq!(a, [8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3]);
+/// assert_eq!(a, [2, 1, 0, 5, 4, 3, 8, 7, 6, 11, 10, 9]);
 /// ```
-pub fn stage_column_blocks<T, F, S>(
+///
+/// # Panics
+///
+/// Panics unless `len` divides `data.len()`.
+pub fn stage_blocks<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
-    (m, n, w): (usize, usize, usize),
+    len: usize,
     site: &'static str,
-    f: F,
-    src: S,
-) -> Result<(), PoolError>
-where
-    T: Copy + Send + Sync + 'static,
-    F: Fn(usize, &mut [T], usize, &mut [T]) + Sync,
-    S: Fn(usize, usize) -> usize,
-{
-    assert_shape(data.len(), m, n);
-    let Some(&fill) = data.first() else {
-        return Ok(());
-    };
-    run_column_groups(
-        data,
-        (m, n, w),
-        (site, "§6.1 staged column blocks"),
-        |(block, scratch): &mut (Scratch<T>, Scratch<T>), g| {
-            let gw = g.gw();
-            let block = block.uninit_buf(m * gw, fill);
-            for (i, row) in block.chunks_exact_mut(gw).enumerate() {
-                // SAFETY: row i < m, run width gw.
-                unsafe { g.read_run(i, row) };
-            }
-            f(g.j0(), block, gw, scratch.uninit_buf(m * gw, fill));
-            for (i, row) in block.chunks_exact(gw).enumerate() {
-                // SAFETY: as above.
-                unsafe { g.write_run(i, row) };
-            }
-        },
-        src,
-    )
+    f: impl Fn(&mut Scratch<T>, usize, &mut [T]) + Sync,
+) -> Result<(), PoolError> {
+    assert_shape(data.len(), data.len() / len.max(1), len);
+    run_blocks(data, len, site, &f, &f)
 }
 
 /// Drive one parallel op through the recovery ladder: undo → retry →
@@ -626,17 +590,23 @@ mod tests {
         let mut a = vec![0u32; m * n];
         fill_pattern(&mut a);
         let orig = a.clone();
-        // Reverse each block column-locally (the gather i -> m-1-i) and
-        // check the global effect covers every column exactly once.
-        stage_column_blocks(
+        // Reverse each group's rows through a staged copy (the gather
+        // i -> m-1-i) and check the global effect covers every column
+        // exactly once, the short last group included.
+        run_column_groups(
             &mut a,
             (m, n, 4),
-            "test_blocks",
-            |_, block, gw, scratch| {
-                scratch.copy_from_slice(block);
-                for i in 0..m {
-                    let (dst, src) = (i * gw, (m - 1 - i) * gw);
-                    block[dst..dst + gw].copy_from_slice(&scratch[src..src + gw]);
+            ("test_groups", "test reversal"),
+            |block: &mut Scratch<u32>, g| {
+                let gw = g.gw();
+                let block = block.uninit_buf(m * gw, 0);
+                for (i, row) in block.chunks_exact_mut(gw).enumerate() {
+                    // SAFETY: row i < m, run width gw.
+                    unsafe { g.read_run(i, row) };
+                }
+                for (i, row) in block.chunks_exact(gw).rev().enumerate() {
+                    // SAFETY: as above.
+                    unsafe { g.write_run(i, row) };
                 }
             },
             |i, _| m - 1 - i,
@@ -652,21 +622,27 @@ mod tests {
     #[test]
     fn column_blocks_can_permute_within_block() {
         crate::force_multithreaded_pool();
-        // Rotate column j of each block left by j: a per-column amount,
-        // so blocks see their own j0.
+        // Rotate column j of each group left by j: a per-column amount,
+        // so groups see their own j0.
         let (m, n) = (4usize, 10usize);
         let mut a = vec![0u16; m * n];
         fill_pattern(&mut a);
         let orig = a.clone();
-        stage_column_blocks(
+        run_column_groups(
             &mut a,
             (m, n, 3),
-            "test_blocks",
-            |j0, block, gw, scratch| {
-                scratch.copy_from_slice(block);
-                for i in 0..m {
-                    for k in 0..gw {
-                        block[i * gw + k] = scratch[((i + j0 + k) % m) * gw + k];
+            ("test_groups", "test rotation"),
+            |col: &mut Scratch<u16>, g| {
+                let col = col.uninit_buf(m, 0);
+                for k in 0..g.gw() {
+                    let j = g.j0() + k;
+                    for (i, v) in col.iter_mut().enumerate() {
+                        // SAFETY: every row is < m and k < gw.
+                        *v = unsafe { g.get((i + j) % m, k) };
+                    }
+                    for (i, &v) in col.iter().enumerate() {
+                        // SAFETY: as above.
+                        unsafe { g.set(i, k, v) };
                     }
                 }
             },

@@ -16,10 +16,11 @@
 //!   blocked) column rotation and the §4.7 sub-row cycle-following row
 //!   permute, which turn strided column traffic into cache-line-sized
 //!   sub-row traffic;
-//! * [`stage_column_blocks`] — the §6.1 staged column blocks the skinny
-//!   AoS⇄SoA specialization runs on;
+//! * [`stage_blocks`] — contiguous blocks staged through worker scratch,
+//!   which with [`cache_aware::permute_rows`] carries the skinny §6.1
+//!   AoS⇄SoA specialization's two passes;
 //! * one task executor under every pass — each [`cache_aware`] pass, the
-//!   §6.1 blocks, the [`rows`] shuffle and the [`batched`] transposes —
+//!   §6.1 chunks, the [`rows`] shuffle and the [`batched`] transposes —
 //!   which owns their fault sites, undo journal and recovery;
 //! * per-thread scratch buffers, the CPU analogue of the §4.5 "on-chip"
 //!   row shuffle (each worker's temporary row lives in its own cache).
@@ -50,7 +51,7 @@ mod exec;
 pub mod rows;
 mod unsafe_slice;
 
-pub use exec::stage_column_blocks;
+pub use exec::stage_blocks;
 
 use ipt_core::index::C2rParams;
 use ipt_core::Layout;
@@ -60,7 +61,8 @@ use ipt_pool::PoolError;
 ///
 /// The pool contains worker panics at the chunk boundary
 /// ([`ipt_pool::PoolError`]); this wrapper adds the decomposition phase
-/// (one of [`phases::ALL`], or `"batched"` for the batched entry points)
+/// (one of [`phases::ALL`], one of the two §6.1 passes, or `"batched"`
+/// for the batched entry points)
 /// so the caller knows *which pass* died. The buffer contents are
 /// unspecified after an abort — phases mutate in place — but every
 /// element is still a value that was previously in the buffer (workers
@@ -91,7 +93,7 @@ impl std::error::Error for TransposeAborted {
 
 /// Time one phase into [`ipt_pool::stats`] and lift its pool error into
 /// a phase-attributed [`TransposeAborted`].
-fn run_phase(
+pub fn run_phase(
     name: &'static str,
     f: impl FnOnce() -> Result<(), PoolError>,
 ) -> Result<(), TransposeAborted> {
@@ -135,6 +137,14 @@ pub mod phases {
 
     /// Every phase name, in C2R execution order.
     pub const ALL: [&str; 4] = [PRE_ROTATE, ROW_SHUFFLE, COL_SHUFFLE, POST_ROTATE];
+
+    /// §6.1 skinny AoS⇄SoA pass A: transpose each contiguous chunk of
+    /// structs in worker scratch. Not a step of the general
+    /// decomposition, so not in [`ALL`].
+    pub const CHUNK_TRANSPOSE: &str = "chunk_transpose";
+    /// §6.1 skinny AoS⇄SoA pass B: move the chunks' per-field blocks to
+    /// their final rows with the §4.7 sub-row permute. Not in [`ALL`].
+    pub const BLOCK_PERMUTE: &str = "block_permute";
 }
 
 /// Elements of matrix data one worker should own before another thread is

@@ -150,6 +150,42 @@ mod tests {
     }
 
     #[test]
+    fn incremental_indices_match_fastdiv_indices() {
+        // The scalar kernel's incremental recurrence must agree with the
+        // closed-form d' for every (i, j), in both directions — including
+        // when b == n (coprime) and b == 1.
+        for (m, n) in [
+            (4usize, 8usize),
+            (5, 7),
+            (6, 6),
+            (3, 9),
+            (8, 20),
+            (2, 101),
+            (101, 2),
+            (20, 8),
+            (173, 127),
+        ] {
+            let p = C2rParams::new(m, n);
+            let mut tmp = vec![0u64; n];
+            for dir in [ShuffleDirection::Inverse, ShuffleDirection::Forward] {
+                let mut got = vec![0u64; m * n];
+                fill_pattern(&mut got);
+                let mut want = got.clone();
+                row_shuffle_parallel_with(&mut got, &p, RowShuffleKernel::Scalar, dir).unwrap();
+                match dir {
+                    ShuffleDirection::Inverse => {
+                        permute::row_shuffle_scatter(&mut want, &p, &mut tmp)
+                    }
+                    ShuffleDirection::Forward => {
+                        permute::row_shuffle_gather_forward(&mut want, &p, &mut tmp)
+                    }
+                }
+                assert_eq!(got, want, "{dir:?} {m}x{n}");
+            }
+        }
+    }
+
+    #[test]
     fn forward_inverts_backward() {
         let (m, n) = (12usize, 30usize);
         let p = C2rParams::new(m, n);

@@ -160,11 +160,12 @@ recovery_stage() {
     # regression gate actually evaluated. Exit 4 here means the ladder
     # failed to heal a contained fault; anything else means containment
     # itself broke. One suite per executor form: column groups and rows
-    # (parallel), the §6.1 blocks (aos), whole batch matrices (batched).
-    # The batched suite makes 16 tasks per call, so it needs a far higher
-    # rate than 0.05 for any injection to fire.
+    # (parallel), the §6.1 chunks (aos), whole batch matrices (batched).
+    # The aos suite makes a few dozen tasks per call (its chunks and
+    # sub-row groups) and the batched suite 16, so they need far higher
+    # rates than 0.05 for any injection to fire (aos at 0.05 draws none).
     local suite_rate suite rate out rc
-    for suite_rate in parallel:0.05 aos:0.05 batched:0.5; do
+    for suite_rate in parallel:0.05 aos:0.3 batched:0.5; do
         suite="${suite_rate%%:*}"
         rate="${suite_rate#*:}"
         rc=0
@@ -184,6 +185,26 @@ recovery_stage() {
                  "injection (deterministic decisions all missed)"
         fi
     done
+
+    # Skews, through the CLI: checked mode must catch the §6.1 block
+    # permute's skewed writes and the ladder's sequential redo must heal
+    # them (rate 0.05 hits several of its column groups per call).
+    rc=0
+    out="$(IPT_FAULT="skew:0.05" IPT_CHECK=1 IPT_RETRY=2 \
+        target/release/ipt-cli bench --suite aos --quick --samples 2 \
+        --out "$(mktemp)" 2>&1)" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        echo "$out"
+        echo "recovery smoke (aos skew): armed bench must exit 0, got $rc"
+        return 1
+    fi
+    if grep -q "recovery:" <<< "$out"; then
+        echo "recovery smoke (aos skew): armed bench completed; healed runs:"
+        grep "recovery:" <<< "$out" | head -3
+    else
+        echo "recovery smoke (aos skew): WARNING: armed bench saw no" \
+             "injection (deterministic decisions all missed)"
+    fi
 
     stage "hang smoke: watchdog must exit 5, never wedge (tier 3)"
     # A 100% hang rate stalls the first parallel task forever; the

@@ -322,17 +322,19 @@ fn armed_retry_recovers_batched_panics() {
 fn armed_retry_recovers_aos_soa_faults() {
     let _guard = setup();
     let _armed = Armed::new(2);
-    // The §6.1 staged-block passes run on the column-group executor, so
-    // armed recovery heals them like every other column pass: both
-    // conversions complete byte-identically under injected panics and
-    // (checker live) skews. 4096 x 3 is coprime (two passes each way);
-    // 1000 x 12 has gcd 4, so the pre/post rotations run too.
+    // The §6.1 passes run on the executor — the chunk transposes as
+    // blocks, the block permute as column groups — so armed recovery
+    // heals them like every other pass: both conversions complete
+    // byte-identically under injected panics and (checker live) skews.
+    // 4096 x 3 and 1000 x 12 fit in one chunk, so only the chunk
+    // transpose runs; 65536 x 12 is many chunks (the block permute runs,
+    // the only skew site); 65521 x 8 is prime and peels its tail.
     for mode in [FaultMode::Panic(0.3), FaultMode::Skew(1.0)] {
         let _forced = Forced::new(mode);
         let mut injected = 0u64;
         for threads in [1usize, 2, 4] {
             set_num_threads(threads);
-            for (n_structs, fields) in [(4096usize, 3usize), (1000, 12)] {
+            for (n_structs, fields) in [(4096usize, 3usize), (1000, 12), (65536, 12), (65521, 8)] {
                 let orig: Vec<u64> = (0..(n_structs * fields) as u64).collect();
                 let soa = reference_transpose(&orig, n_structs, fields, Layout::RowMajor);
                 let mut a = orig.clone();

@@ -125,9 +125,10 @@ fn model_predicts_doubles_beat_floats_for_c2r() {
 
 #[test]
 fn skinny_kernel_skips_a_pass_when_coprime() {
-    // The specialization's pass count: 2 when gcd(fields, count) == 1,
-    // 3 otherwise. Observable via correctness across both regimes and the
-    // rotation-amount function being identically zero when coprime.
+    // The paper's §6.1 pass count: 2 when gcd(fields, count) == 1, 3
+    // otherwise, because the pre-rotation's amount is identically zero
+    // when coprime. (This workspace's skinny path makes two passes in
+    // both regimes; the claim checked here is the paper's.)
     let p = ipt_core::C2rParams::new(8, 989); // gcd = 1
     assert!(p.coprime());
     let p = ipt_core::C2rParams::new(8, 992); // gcd = 8
