@@ -146,7 +146,7 @@ fn block_permute<T: Copy + Send + Sync + 'static>(
     }
     let (outer, inner) = if to_soa { (p, m) } else { (m, p) };
     run_phase(phases::BLOCK_PERMUTE, || {
-        cache_aware::permute_rows(head, p * m, plan.k, plan.w, |r| {
+        cache_aware::permute_rows(head, p * m, plan.k, plan.w, "row_permute", |r| {
             (r % outer) * inner + r / outer
         })
     })

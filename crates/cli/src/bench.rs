@@ -96,7 +96,14 @@ Exit 3 on either.";
 /// The fixed shapes (rows x cols, u64 elements). Deliberately a mix: two
 /// coprime-free shapes exercising the pre-rotation (gcd > 1), one
 /// coprime shape that skips it (gcd = 1, paper §4.1), and one square.
+/// The square is a single 512 x 512 tile, so the parallel entry points
+/// run it on the tiled route as one tile transpose.
 const SHAPES: [(usize, usize); 4] = [(192, 256), (320, 96), (257, 131), (512, 512)];
+
+/// The `parallel` suite's extra shape (not under `--quick`): two tiles
+/// per panel and three block columns, so all three steps of the tiled
+/// route run and are stamped.
+const TILED_SHAPE: (usize, usize) = (1024, 1536);
 
 /// The `--quick` subset: small enough that a debug-build smoke run
 /// finishes in well under two seconds.
@@ -511,6 +518,9 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
         _ if opts.quick => QUICK_SHAPES.to_vec(),
         _ => SHAPES.to_vec(),
     };
+    if suite == "parallel" && !opts.quick {
+        shapes.push(TILED_SHAPE);
+    }
     if opts.scaling {
         shapes.push(TALL_SKINNY);
     }

@@ -35,7 +35,10 @@ k20c (the paper's Tesla K20c). The run pins the pool to 1 thread unless
 --threads overrides — the committed model presets describe single-core
 traffic. With --max-divergence X the command exits 3 when the total
 variation distance between predicted and measured shares exceeds X
-(the CI smoke gate); without it the divergence is informational.";
+(the CI smoke gate); without it the divergence is informational.
+A shape on the tiled route (a 4 KiB block of elements divides both
+sides) prints the route and its measured phases, each marked not
+modelled; --max-divergence refuses such a shape (exit 2).";
 
 struct ModelOpts {
     rows: usize,
@@ -126,6 +129,19 @@ fn parse(args: &[String]) -> Result<ModelOpts, String> {
     Ok(o)
 }
 
+/// The tiled route's tile side `L` for an `m x n` matrix of `elem`-byte
+/// elements (the types [`run_measured`] uses), or `None` on the element
+/// path. The model predicts the element path only.
+fn tile_side(elem: usize, m: usize, n: usize) -> Option<usize> {
+    match elem {
+        1 => ipt_parallel::tile_side::<u8>(m, n),
+        2 => ipt_parallel::tile_side::<u16>(m, n),
+        4 => ipt_parallel::tile_side::<u32>(m, n),
+        16 => ipt_parallel::tile_side::<u128>(m, n),
+        _ => ipt_parallel::tile_side::<u64>(m, n),
+    }
+}
+
 /// The prediction device preset for a `--device` / stamp name.
 pub fn device_preset(name: &str) -> DeviceModel {
     match name {
@@ -159,8 +175,9 @@ pub fn predict_for(
 
 /// Build the bench-report model stamp for one measured entry: predicted
 /// shares from `device`'s preset next to the measured per-phase wall
-/// times. `None` when the algorithm has no model or nothing was
-/// measured.
+/// times. `None` when the algorithm has no model, when the shape takes
+/// the tiled route (which the model does not describe), or when nothing
+/// was measured.
 pub fn model_stamp(
     device: &str,
     alg: &str,
@@ -169,7 +186,7 @@ pub fn model_stamp(
     elem: usize,
     measured_nanos: &[(&str, u64)],
 ) -> Option<ModelBreak> {
-    if measured_nanos.iter().all(|&(_, ns)| ns == 0) {
+    if measured_nanos.iter().all(|&(_, ns)| ns == 0) || tile_side(elem, m, n).is_some() {
         return None;
     }
     let pred = predict_for(&device_preset(device), alg, m, n, elem)?;
@@ -196,7 +213,9 @@ type MeasuredPhase = (&'static str, u64, u64);
 /// Run the chosen transpose `samples` times over a fresh `m x n` matrix
 /// of `T` elements and return the per-phase stats delta, keeping only
 /// phases that reported payload traffic (a no-op rotation records a
-/// timer call but no bytes, and must not dilute the comparison).
+/// timer call but no bytes, and must not dilute the comparison). The
+/// decomposition's phases come first, in C2R order, then the tiled
+/// route's.
 fn run_measured<T: Copy + Send + Sync + Default + 'static>(
     alg: &str,
     m: usize,
@@ -221,8 +240,13 @@ fn run_measured<T: Copy + Send + Sync + Default + 'static>(
         run(&mut buf);
     }
     let delta = ipt_pool::stats::snapshot().delta_since(&before);
+    let tiled = [
+        ipt_parallel::phases::TILE_TRANSPOSE,
+        ipt_parallel::phases::PANEL_PERMUTE,
+    ];
     ipt_parallel::phases::ALL
         .iter()
+        .chain(&tiled)
         .filter_map(|&name| {
             delta
                 .phase(name)
@@ -250,6 +274,13 @@ pub fn main(args: &[String]) -> ExitCode {
     };
     ipt_pool::set_num_threads(opts.threads.unwrap_or(1));
     let (m, n, elem) = (opts.rows, opts.cols, opts.elem);
+    if opts.max_divergence.is_some() && tile_side(elem, m, n).is_some() {
+        eprintln!(
+            "error: {m}x{n} of {elem}-byte elements takes the tiled route, which the \
+             model does not describe; --max-divergence cannot gate it"
+        );
+        return ExitCode::from(2);
+    }
     let d = device_preset(&opts.device);
     let alg = match opts.algorithm.as_str() {
         "auto" => {
@@ -268,16 +299,20 @@ pub fn main(args: &[String]) -> ExitCode {
         16 => run_measured::<u128>(alg, m, n, opts.samples),
         _ => run_measured::<u64>(alg, m, n, opts.samples),
     };
-    let pred = predict_for(&d, alg, m, n, elem).expect("c2r/r2c always have a prediction");
-    let nanos_only: Vec<(&str, u64)> = measured.iter().map(|&(p, ns, _)| (p, ns)).collect();
-    let breakdown = PhaseBreakdown::new(&pred, &nanos_only);
-
     println!(
         "model {alg} {m}x{n} elem {elem} (device {}, {} samples, {} thread(s))",
         opts.device,
         opts.samples,
         ipt_pool::num_threads()
     );
+    if let Some(l) = tile_side(elem, m, n) {
+        print_tiled(&measured, l);
+        return ExitCode::SUCCESS;
+    }
+    println!("  route: element path");
+    let pred = predict_for(&d, alg, m, n, elem).expect("c2r/r2c always have a prediction");
+    let nanos_only: Vec<(&str, u64)> = measured.iter().map(|&(p, ns, _)| (p, ns)).collect();
+    let breakdown = PhaseBreakdown::new(&pred, &nanos_only);
     println!();
     println!(
         "  {:<12} {:>9} {:>9} {:>7} {:>11} {:>14}",
@@ -325,6 +360,36 @@ pub fn main(args: &[String]) -> ExitCode {
         println!("  gate ok: divergence within --max-divergence {max}");
     }
     ExitCode::SUCCESS
+}
+
+/// The measured table of a shape on the tiled route. `memsim::phases`
+/// predicts the element path on `m x n`, which this route does not run:
+/// its block-level passes move 4 KiB elements and its tile and panel
+/// passes are not in the model. So every row is marked not modelled, and
+/// no share or divergence is compared.
+fn print_tiled(measured: &[MeasuredPhase], l: usize) {
+    println!(
+        "  route: tiled, L = {l} (block-level passes on 4 KiB row segments, \
+         then {} and {})",
+        ipt_parallel::phases::TILE_TRANSPOSE,
+        ipt_parallel::phases::PANEL_PERMUTE
+    );
+    println!("  the model predicts the element path only: no phase below is modelled");
+    println!();
+    println!(
+        "  {:<14} {:>13} {:>9} {:>11}",
+        "phase", "predicted", "measured", "meas GB/s"
+    );
+    let total: u64 = measured.iter().map(|&(_, ns, _)| ns).sum();
+    for &(name, ns, bytes) in measured {
+        println!(
+            "  {:<14} {:>13} {:>8.1}% {:>11.3}",
+            name,
+            "not modelled",
+            ns as f64 / total.max(1) as f64 * 100.0,
+            bytes as f64 / (ns.max(1) as f64 / 1e9) / 1e9,
+        );
+    }
 }
 
 #[cfg(test)]

@@ -1054,6 +1054,43 @@ fn model_prints_predicted_vs_measured_table() {
 }
 
 #[test]
+fn model_on_a_tiled_shape_prints_the_route_and_models_no_phase() {
+    let shape = ["model", "--rows", "1024", "--cols", "1536", "--elem", "8"];
+    let out = ipt(&[&shape[..], &["--samples", "1"]].concat());
+    assert_ok(&out);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("route: tiled, L = 512"), "{stdout}");
+    // Every measured row, the tile and panel passes included, is marked
+    // not modelled, and no element-path share or divergence is printed.
+    for phase in ["tile_transpose", "panel_permute", "row_shuffle"] {
+        let row = stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with(phase))
+            .unwrap_or_else(|| panic!("no {phase} row in:\n{stdout}"));
+        assert!(row.contains("not modelled"), "{row}");
+    }
+    assert!(!stdout.contains("divergence"), "{stdout}");
+    // The gate cannot judge a route the model does not describe.
+    let out = ipt(&[&shape[..], &["--samples", "1", "--max-divergence", "0.9"]].concat());
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("tiled route"));
+    // An element-path shape names its route too.
+    let out = ipt(&[
+        "model",
+        "--rows",
+        "96",
+        "--cols",
+        "64",
+        "--elem",
+        "8",
+        "--samples",
+        "1",
+    ]);
+    assert_ok(&out);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("route: element path"));
+}
+
+#[test]
 fn model_gate_fails_on_impossible_threshold() {
     // Perfect agreement (divergence 0.000) is unattainable on real
     // timers at 3 decimal places of tolerance 0 — the gate must trip

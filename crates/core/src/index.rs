@@ -145,7 +145,13 @@ impl C2rParams {
     /// `f(i, j) = j + i*(n-1) + (m if i - (j mod c) + c > m else 0)` and the
     /// modular inverse `a^-1 mod b`:
     /// `d'^-1_i(j) = (a^-1 * floor(f/c)) mod b + (f mod c) * b`.
-    #[inline]
+    ///
+    /// Always inlined: it is the per-element index of the sequential
+    /// row gathers, and its size sits at LLVM's inlining threshold, so
+    /// with a plain `#[inline]` whether a gather loop inlines it changed
+    /// with unrelated code in the same codegen unit (~25% on
+    /// `c2r_batched`).
+    #[inline(always)]
     pub fn d_inv(&self, i: usize, j: usize) -> usize {
         let (m, n, c, b) = (self.m as u64, self.n as u64, self.c as u64, self.b as u64);
         let (i, j) = (i as u64, j as u64);

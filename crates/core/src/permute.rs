@@ -77,6 +77,10 @@ pub fn row_shuffle_scatter<T: Copy>(data: &mut [T], p: &C2rParams, tmp: &mut [T]
 
 /// Step 3 of C2R, direct form: column `j` becomes
 /// `col[i] = old_col[s'_j(i)]` (Eq. 26). `tmp` needs `m` elements.
+// A whole pass, run once per transpose: inlining it into `c2r`/`r2c`
+// buys nothing, and it changed the pass's code with unrelated code in
+// the same codegen unit (5-11% on the sequential bench entries).
+#[inline(never)]
 pub fn col_shuffle_gather<T: Copy>(data: &mut [T], p: &C2rParams, tmp: &mut [T]) {
     let (m, n) = (p.m, p.n);
     debug_assert!(tmp.len() >= m);
@@ -110,6 +114,10 @@ pub fn col_shuffle_decomposed<T: Copy>(data: &mut [T], p: &C2rParams, row_buf: &
 
 /// First step of R2C: the inverse row permutation, gather with `q^-1`
 /// (Eq. 34), moving whole rows along cycles. `row_buf` needs `n` elements.
+// A whole pass, run once per transpose: inlining it into `c2r`/`r2c`
+// buys nothing, and it changed the pass's code with unrelated code in
+// the same codegen unit (5-11% on the sequential bench entries).
+#[inline(never)]
 pub fn row_permute_inverse<T: Copy>(data: &mut [T], p: &C2rParams, row_buf: &mut [T]) {
     let m = p.m;
     debug_assert!(row_buf.len() >= p.n);

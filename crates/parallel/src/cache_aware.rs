@@ -354,12 +354,14 @@ fn permute_subrows<T: Copy + Send + Sync>(
 /// §4.7 scheme: column groups of width `w` in parallel, each following
 /// `perm`'s cycles with a visited mask (`O(m)` per worker) and moving
 /// `w`-wide sub-rows. With `w` a page of elements, every move is one
-/// page-sized run however far apart the rows are.
+/// page-sized run however far apart the rows are. `site` names the
+/// pass's fault sites.
 pub fn permute_rows<T, P>(
     data: &mut [T],
     m: usize,
     n: usize,
     w: usize,
+    site: &'static str,
     perm: P,
 ) -> Result<(), PoolError>
 where
@@ -374,7 +376,7 @@ where
     run_column_groups(
         data,
         (m, n, w),
-        ("row_permute", "§4.7 sub-row permute"),
+        (site, "§4.7 sub-row permute"),
         |st: &mut Subrows<T>, g| {
             let visited = st.visited.uninit_buf(m, false);
             let buf = st.buf.uninit_buf(g.gw(), fill);

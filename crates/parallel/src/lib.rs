@@ -16,9 +16,18 @@
 //!   blocked) column rotation and the §4.7 sub-row cycle-following row
 //!   permute, which turn strided column traffic into cache-line-sized
 //!   sub-row traffic;
+//! * the **tiled route** of [`c2r_parallel`] / [`r2c_parallel`], for
+//!   shapes whose sides are multiples of the `L` elements one 4 KiB
+//!   block holds ([`tile_side`]): C2R runs on the `m x n/L` matrix of
+//!   blocks (the element path's passes, [`phases::ALL`], with page-sized
+//!   moves and no fine pass), then every `L x L` tile is transposed in
+//!   place ([`phases::TILE_TRANSPOSE`]), then each `m x L` panel's rows
+//!   are put in order with the §4.7 sub-row permute
+//!   ([`phases::PANEL_PERMUTE`]); R2C runs the inverses in reverse;
 //! * [`stage_blocks`] — contiguous blocks staged through worker scratch,
 //!   which with [`cache_aware::permute_rows`] carries the skinny §6.1
-//!   AoS⇄SoA specialization's two passes;
+//!   AoS⇄SoA specialization's two passes and the tiled route's tile and
+//!   panel passes;
 //! * one task executor under every pass — each [`cache_aware`] pass, the
 //!   §6.1 chunks, the [`rows`] shuffle and the [`batched`] transposes —
 //!   which owns their fault sites, undo journal and recovery;
@@ -26,6 +35,9 @@
 //!   row shuffle (each worker's temporary row lives in its own cache).
 //!
 //! Work stays `O(mn)` and auxiliary space `O(max(m, n))` *per thread*.
+//! On the tiled route it is one block-matrix row (`n/L` pages) for the
+//! row shuffle, one page and an `m`-entry visited mask per column group,
+//! and a pair of 16 x 16 sub-tiles for the tile pass.
 //!
 //! ```
 //! use ipt_parallel::{transpose_parallel, ParOptions};
@@ -49,9 +61,11 @@ pub mod batched;
 pub mod cache_aware;
 mod exec;
 pub mod rows;
+mod tiled;
 mod unsafe_slice;
 
 pub use exec::stage_blocks;
+pub use tiled::tile_side;
 
 use ipt_core::index::C2rParams;
 use ipt_core::Layout;
@@ -61,12 +75,14 @@ use ipt_pool::PoolError;
 ///
 /// The pool contains worker panics at the chunk boundary
 /// ([`ipt_pool::PoolError`]); this wrapper adds the decomposition phase
-/// (one of [`phases::ALL`], one of the two §6.1 passes, or `"batched"`
-/// for the batched entry points)
-/// so the caller knows *which pass* died. The buffer contents are
-/// unspecified after an abort — phases mutate in place — but every
-/// element is still a value that was previously in the buffer (workers
-/// only permute elements), so there is no UB, only a torn permutation.
+/// (one of [`phases::ALL`] — on the tiled route, the block-level pass —
+/// one of the tiled route's [`phases::TILE_TRANSPOSE`] and
+/// [`phases::PANEL_PERMUTE`], one of the two §6.1 passes, or `"batched"`
+/// for the batched entry points) so the caller knows *which pass* died.
+/// The buffer contents are unspecified after an abort — phases mutate in
+/// place — but every element is still a value that was previously in the
+/// buffer (workers only permute elements), so there is no UB, only a torn
+/// permutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransposeAborted {
     /// The phase in which the worker panic was contained.
@@ -145,6 +161,15 @@ pub mod phases {
     /// §6.1 skinny AoS⇄SoA pass B: move the chunks' per-field blocks to
     /// their final rows with the §4.7 sub-row permute. Not in [`ALL`].
     pub const BLOCK_PERMUTE: &str = "block_permute";
+
+    /// Tiled route, C2R step 2 and R2C step 2: transpose every
+    /// contiguous `L x L` tile in place (see [`crate::tile_side`]). Not
+    /// in [`ALL`].
+    pub const TILE_TRANSPOSE: &str = "tile_transpose";
+    /// Tiled route, C2R step 3 and R2C step 1: move each `m x L` panel's
+    /// `L`-element rows to their final places with the §4.7 sub-row
+    /// permute. Not in [`ALL`].
+    pub const PANEL_PERMUTE: &str = "panel_permute";
 }
 
 /// Elements of matrix data one worker should own before another thread is
@@ -220,6 +245,13 @@ impl ParOptions {
 
 /// Parallel C2R: transpose an `m x n` row-major buffer in place into its
 /// `n x m` row-major transpose, using the global `ipt_pool` thread count.
+///
+/// When a 4 KiB block holds `L > 1` whole elements and `L` divides both
+/// sides ([`tile_side`]), the call takes the tiled route: C2R on the
+/// `m x n/L` matrix of blocks, then the `L x L` tiles, then the `m x L`
+/// panels (DESIGN.md §7). There `opts.col_group` does not apply: the
+/// block-level column groups are one block wide. Every other shape runs
+/// the element path.
 pub fn c2r_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
@@ -227,27 +259,42 @@ pub fn c2r_parallel<T: Copy + Send + Sync + 'static>(
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
     assert_shape(data.len(), m, n);
+    let moved = match tiled::Tiling::of::<T>(m, n) {
+        Some(t) => t.c2r(data, opts.block_rows)?,
+        None => c2r_elements(data, m, n, opts.group_width::<T>(), opts.block_rows)?,
+    };
+    record_moved::<T>(moved, data.len());
+    Ok(())
+}
+
+/// The element path of [`c2r_parallel`] with column groups `w` wide and
+/// fine windows `h` rows tall. Returns the phases that moved the whole
+/// matrix; their bytes are the caller's to record once the whole
+/// transpose has succeeded, since an aborted run's partial passes would
+/// skew the phase cost model.
+pub(crate) fn c2r_elements<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    m: usize,
+    n: usize,
+    w: usize,
+    h: usize,
+) -> Result<&'static [&'static str], TransposeAborted> {
     if m <= 1 || n <= 1 {
-        return Ok(());
+        return Ok(&[]);
     }
     let p = C2rParams::new(m, n);
-    let w = opts.group_width::<T>();
-    let pass_bytes = phase_pass_bytes::<T>(data.len());
     run_phase(phases::PRE_ROTATE, || {
-        cache_aware::prerotate(data, &p, w, opts.block_rows)
+        cache_aware::prerotate(data, &p, w, h)
     })?;
     run_phase(phases::ROW_SHUFFLE, || rows::row_shuffle_parallel(data, &p))?;
     run_phase(phases::COL_SHUFFLE, || {
-        cache_aware::col_shuffle_fused(data, &p, w, opts.block_rows)
+        cache_aware::col_shuffle_fused(data, &p, w, h)
     })?;
-    // Traffic is attributed only after the whole transpose succeeds: an
-    // aborted run's partial passes would skew the phase cost model.
-    if p.c > 1 {
-        ipt_pool::stats::record_phase_bytes(phases::PRE_ROTATE, pass_bytes);
-    }
-    ipt_pool::stats::record_phase_bytes(phases::ROW_SHUFFLE, pass_bytes);
-    ipt_pool::stats::record_phase_bytes(phases::COL_SHUFFLE, pass_bytes);
-    Ok(())
+    Ok(if p.c > 1 {
+        &[phases::PRE_ROTATE, phases::ROW_SHUFFLE, phases::COL_SHUFFLE]
+    } else {
+        &[phases::ROW_SHUFFLE, phases::COL_SHUFFLE]
+    })
 }
 
 /// Payload bytes one decomposition pass touches: a read and a write of
@@ -259,8 +306,18 @@ fn phase_pass_bytes<T>(len: usize) -> u64 {
     2 * (len * core::mem::size_of::<T>()) as u64
 }
 
+/// Attribute one pass's bytes over a `len`-element buffer of `T` to each
+/// phase in `moved`.
+fn record_moved<T>(moved: &[&'static str], len: usize) {
+    for &name in moved {
+        ipt_pool::stats::record_phase_bytes(name, phase_pass_bytes::<T>(len));
+    }
+}
+
 /// Parallel R2C: the inverse of [`c2r_parallel`] — consumes an `n x m`
-/// row-major buffer, leaves the `m x n` row-major transpose.
+/// row-major buffer, leaves the `m x n` row-major transpose. It takes
+/// the tiled route on the same shapes as [`c2r_parallel`], running its
+/// steps inverted in reverse order.
 pub fn r2c_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
@@ -268,27 +325,45 @@ pub fn r2c_parallel<T: Copy + Send + Sync + 'static>(
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
     assert_shape(data.len(), m, n);
+    let moved = match tiled::Tiling::of::<T>(m, n) {
+        Some(t) => t.r2c(data, opts.block_rows)?,
+        None => r2c_elements(data, m, n, opts.group_width::<T>(), opts.block_rows)?,
+    };
+    record_moved::<T>(moved, data.len());
+    Ok(())
+}
+
+/// The element path of [`r2c_parallel`]; returns the phases that moved
+/// the whole matrix, as [`c2r_elements`] does.
+pub(crate) fn r2c_elements<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    m: usize,
+    n: usize,
+    w: usize,
+    h: usize,
+) -> Result<&'static [&'static str], TransposeAborted> {
     if m <= 1 || n <= 1 {
-        return Ok(());
+        return Ok(&[]);
     }
     let p = C2rParams::new(m, n);
-    let w = opts.group_width::<T>();
-    let pass_bytes = phase_pass_bytes::<T>(data.len());
     run_phase(phases::COL_SHUFFLE, || {
-        cache_aware::col_shuffle_fused_inverse(data, &p, w, opts.block_rows)
+        cache_aware::col_shuffle_fused_inverse(data, &p, w, h)
     })?;
     run_phase(phases::ROW_SHUFFLE, || {
         rows::row_shuffle_forward_parallel(data, &p)
     })?;
     run_phase(phases::POST_ROTATE, || {
-        cache_aware::postrotate_inverse(data, &p, w, opts.block_rows)
+        cache_aware::postrotate_inverse(data, &p, w, h)
     })?;
-    ipt_pool::stats::record_phase_bytes(phases::COL_SHUFFLE, pass_bytes);
-    ipt_pool::stats::record_phase_bytes(phases::ROW_SHUFFLE, pass_bytes);
-    if p.c > 1 {
-        ipt_pool::stats::record_phase_bytes(phases::POST_ROTATE, pass_bytes);
-    }
-    Ok(())
+    Ok(if p.c > 1 {
+        &[
+            phases::COL_SHUFFLE,
+            phases::ROW_SHUFFLE,
+            phases::POST_ROTATE,
+        ]
+    } else {
+        &[phases::COL_SHUFFLE, phases::ROW_SHUFFLE]
+    })
 }
 
 /// Parallel in-place transpose of a `rows x cols` matrix in `layout`,

@@ -13,7 +13,11 @@ use ipt_core::check::{fill_pattern, Rng};
 use ipt_core::index::C2rParams;
 use ipt_core::kernels::{RowShuffleKernel, ShuffleDirection};
 use ipt_core::Scratch;
-use ipt_parallel::{batched, c2r_parallel, cache_aware, r2c_parallel, ParOptions};
+use ipt_parallel::{
+    batched, c2r_parallel, cache_aware, phases, r2c_parallel, tile_side, ParOptions,
+};
+use std::fmt::Debug;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const CASES: usize = 128;
 
@@ -186,5 +190,150 @@ fn parallel_results_are_deterministic() {
     let first = run();
     for _ in 0..5 {
         assert_eq!(run(), first);
+    }
+}
+
+/// Serializes the tiled-route tests: the fallback test reads the
+/// process-global phase stats, which a concurrent tiled call would
+/// pollute.
+fn tiled_lock() -> MutexGuard<'static, ()> {
+    static TILED: Mutex<()> = Mutex::new(());
+    TILED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Panic with the first differing index when `got != want` (printing a
+/// whole multi-MiB buffer would bury it).
+fn assert_same<T: PartialEq + Debug>(got: &[T], want: &[T], what: &str) {
+    if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+        panic!(
+            "{what}: first difference at {i}: {:?} != {:?}",
+            got[i], want[i]
+        );
+    }
+}
+
+/// C2R and R2C of the `m x n` matrix whose element `i` is `encode(i)`,
+/// each against `ipt_core`, and the round trip back to the input. The
+/// shape must take the tiled route with tile side `l`.
+fn tiled_matches_core<T>(m: usize, n: usize, l: usize, encode: impl Fn(usize) -> T)
+where
+    T: Copy + Send + Sync + PartialEq + Debug + 'static,
+{
+    assert_eq!(tile_side::<T>(m, n), Some(l), "{m}x{n} must be tiled");
+    let opts = ParOptions::default();
+    let orig: Vec<T> = (0..m * n).map(encode).collect();
+    let mut a = orig.clone();
+    let mut want = orig.clone();
+    c2r_parallel(&mut a, m, n, &opts).unwrap();
+    ipt_core::c2r(&mut want, m, n, &mut Scratch::new());
+    assert_same(&a, &want, &format!("c2r {m}x{n}"));
+    r2c_parallel(&mut a, m, n, &opts).unwrap();
+    assert_same(&a, &orig, &format!("c2r then r2c {m}x{n}"));
+    r2c_parallel(&mut a, m, n, &opts).unwrap();
+    let mut want = orig.clone();
+    ipt_core::r2c(&mut want, m, n, &mut Scratch::new());
+    assert_same(&a, &want, &format!("r2c {m}x{n}"));
+}
+
+#[test]
+fn tiled_route_matches_core_on_u64_and_u32() {
+    let _tiled = tiled_lock();
+    force_multithreaded_pool();
+    // One tile, then two and three tiles per panel.
+    for (m, n) in [
+        (512usize, 512usize),
+        (512, 1024),
+        (1024, 1536),
+        (2048, 1024),
+    ] {
+        tiled_matches_core(m, n, 512, |i| i as u64);
+    }
+    for (m, n) in [(1024usize, 2048usize), (2048, 1024)] {
+        tiled_matches_core(m, n, 1024, |i| i as u32);
+    }
+}
+
+/// A 512-byte element (`L = 8`, smaller than a 16 x 16 sub-tile) and a
+/// 256-byte one (`L = 16`) reach the route on small matrices.
+fn big_u64(i: usize) -> [u64; 64] {
+    std::array::from_fn(|k| (i as u64) << 8 | k as u64)
+}
+
+fn big_u32(i: usize) -> [u32; 64] {
+    std::array::from_fn(|k| (i as u32) << 8 | k as u32)
+}
+
+#[test]
+fn tiled_route_matches_core_on_large_elements() {
+    let _tiled = tiled_lock();
+    force_multithreaded_pool();
+    let mut rng = Rng::new(0x9a11_0008);
+    for _ in 0..24 {
+        let (p, q) = (rng.range(1..9), rng.range(1..9));
+        tiled_matches_core(8 * p, 8 * q, 8, big_u64);
+        tiled_matches_core(16 * p, 16 * q, 16, big_u32);
+    }
+}
+
+/// Small enough for miri (`scripts/ci.sh miri`), which checks the
+/// route's byte-block cast.
+#[test]
+fn tiled_route_edge_shapes() {
+    let _tiled = tiled_lock();
+    force_multithreaded_pool();
+    for (l, k) in [(8usize, 5usize), (8, 1)] {
+        // One tile, one panel (m = L), one block column (n = L).
+        for (m, n) in [(l, l), (l, k * l), (k * l, l), (l, 2 * l), (2 * l, l)] {
+            tiled_matches_core(m, n, l, big_u64);
+        }
+    }
+    for (m, n) in [(16usize, 16usize), (16, 48), (48, 16)] {
+        tiled_matches_core(m, n, 16, big_u32);
+    }
+}
+
+#[test]
+fn shapes_off_the_route_run_no_tile_phase() {
+    let _tiled = tiled_lock();
+    force_multithreaded_pool();
+    // L = 8 divides n only, then m only: the element path, checked
+    // against the reference.
+    for (m, n) in [(20usize, 24usize), (24, 20)] {
+        assert_eq!(tile_side::<[u64; 64]>(m, n), None);
+        let orig: Vec<[u64; 64]> = (0..m * n).map(big_u64).collect();
+        let before = ipt_pool::stats::snapshot();
+        let mut a = orig.clone();
+        c2r_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
+        r2c_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
+        let d = ipt_pool::stats::snapshot().delta_since(&before);
+        assert_same(&a, &orig, &format!("{m}x{n} round trip"));
+        for name in [phases::TILE_TRANSPOSE, phases::PANEL_PERMUTE] {
+            assert!(d.phase(name).is_none(), "{m}x{n} ran {name}: {d:?}");
+        }
+        assert!(d.phase(phases::ROW_SHUFFLE).is_some(), "{d:?}");
+    }
+}
+
+#[test]
+fn tiled_route_records_every_pass_once_it_succeeds() {
+    let _tiled = tiled_lock();
+    force_multithreaded_pool();
+    // 24 x 40 elements of [u64; 64]: L = 8, so P = 3 tiles per panel and
+    // the panel pass runs. Only the tiled tests, which hold the lock, run
+    // the tile and panel passes; the block-level phase names are shared
+    // with concurrent element-path tests, so theirs are lower bounds.
+    let (m, n) = (24usize, 40usize);
+    let mut a: Vec<[u64; 64]> = (0..m * n).map(big_u64).collect();
+    let before = ipt_pool::stats::snapshot();
+    c2r_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
+    let d = ipt_pool::stats::snapshot().delta_since(&before);
+    let pass = 2 * (m * n * 512) as u64;
+    for name in [phases::TILE_TRANSPOSE, phases::PANEL_PERMUTE] {
+        let p = d.phase(name).unwrap_or_else(|| panic!("{name}: {d:?}"));
+        assert_eq!((p.calls, p.bytes), (1, pass), "{name}: {d:?}");
+    }
+    for name in [phases::ROW_SHUFFLE, phases::COL_SHUFFLE] {
+        let p = d.phase(name).unwrap_or_else(|| panic!("{name}: {d:?}"));
+        assert!(p.calls >= 1 && p.bytes >= pass, "{name}: {d:?}");
     }
 }

@@ -22,7 +22,7 @@ use ipt::core::check::reference_transpose;
 use ipt::core::kernels::faulty::{self, FaultMode};
 use ipt::core::{Layout, Scratch};
 use ipt::parallel::batched::transpose_batched;
-use ipt::parallel::{c2r_parallel, r2c_parallel, ParOptions, TransposeAborted};
+use ipt::parallel::{c2r_parallel, phases, r2c_parallel, ParOptions, TransposeAborted};
 use ipt::pool::{recovery, set_num_threads, stats};
 use std::sync::{Mutex, MutexGuard};
 
@@ -72,6 +72,10 @@ impl Drop for Armed {
         recovery::unforce_retry();
     }
 }
+
+/// `u64` shapes on the tiled route (`L = 512` divides both sides):
+/// two and three block columns, one and two tiles per panel.
+const TILED_SHAPES: [(usize, usize); 2] = [(512, 1024), (1024, 1536)];
 
 /// Run one forced-fault C2R and return `(result, panics, skews)` deltas.
 fn run_c2r(m: usize, n: usize) -> (Result<(), TransposeAborted>, u64, u64) {
@@ -244,6 +248,18 @@ fn armed_retry_recovers_every_injected_panic() {
             );
             injected_here += panics;
         }
+        // Tiled shapes (L = 512 for u64), both directions: the block-level
+        // passes, the tile pass and the panel permute all fault and heal.
+        for (m, n) in TILED_SHAPES {
+            for (dir, (result, panics, _)) in [("C2R", run_c2r(m, n)), ("R2C", run_r2c(m, n))] {
+                assert!(
+                    result.is_ok(),
+                    "threads={threads} {m}x{n}: armed tiled {dir} aborted: {}",
+                    result.unwrap_err()
+                );
+                injected_here += panics;
+            }
+        }
         let d = stats::snapshot().delta_since(&before);
         if injected_here > 0 {
             assert!(d.retries_attempted > 0, "faults but no retry rungs: {d:?}");
@@ -284,6 +300,16 @@ fn armed_retry_recovers_injected_skews_in_checked_mode() {
                 result.unwrap_err()
             );
             injected += skews;
+        }
+        for (m, n) in TILED_SHAPES {
+            for (dir, (result, _, skews)) in [("C2R", run_c2r(m, n)), ("R2C", run_r2c(m, n))] {
+                assert!(
+                    result.is_ok(),
+                    "threads={threads} {m}x{n}: armed tiled {dir} skew run aborted: {}",
+                    result.unwrap_err()
+                );
+                injected += skews;
+            }
         }
     }
     assert!(injected > 0, "the armed sweep never injected a skew");
@@ -358,6 +384,58 @@ fn armed_retry_recovers_aos_soa_faults() {
             }
         }
         assert!(injected > 0, "the armed §6.1 sweep never injected {mode:?}");
+    }
+}
+
+#[test]
+fn the_tiled_steps_are_fault_sites_and_name_the_step_that_tore() {
+    let _guard = setup();
+    set_num_threads(2);
+    // Each call's first step with work to do tears, and the abort names
+    // it: R2C opens with the panel permute when a panel holds two tiles
+    // (m = 1024), and with the tiles when it holds one (m = 512, the
+    // permute is skipped); C2R opens with the tiles when there is one
+    // block column (n = 512, block-level C2R is trivial), and with the
+    // block-level pre-rotation otherwise (gcd(512, 2) > 1).
+    let cases = [
+        ("r2c", 1024usize, 512usize, phases::PANEL_PERMUTE),
+        ("r2c", 512, 1024, phases::TILE_TRANSPOSE),
+        ("c2r", 1024, 512, phases::TILE_TRANSPOSE),
+        ("c2r", 512, 1024, phases::PRE_ROTATE),
+    ];
+    let run = |dir, m, n| {
+        if dir == "c2r" {
+            run_c2r(m, n)
+        } else {
+            run_r2c(m, n)
+        }
+    };
+    for (mode, payload) in [
+        (FaultMode::Panic(1.0), "ipt fault injection"),
+        (FaultMode::Skew(1.0), "disjointness"),
+    ] {
+        let _forced = Forced::new(mode);
+        for (dir, m, n, phase) in cases {
+            // The tile pass runs on contiguous blocks: no skew site.
+            if matches!(mode, FaultMode::Skew(_)) && phase == phases::TILE_TRANSPOSE {
+                continue;
+            }
+            let armed = Armed::new(0);
+            let (result, panics, skews) = run(dir, m, n);
+            let e = result.expect_err("rate 1.0 must tear the first step");
+            assert_eq!(e.phase, phase, "{mode:?} {dir} {m}x{n}: {e}");
+            assert!(e.source.payload.contains(payload), "{mode:?}: {e}");
+            assert!(
+                panics + skews > 0,
+                "{mode:?} {dir} {m}x{n}: nothing injected"
+            );
+            // Armed, the same always-faulting step heals on the
+            // sequential redo rung (run_* checks the output on Ok).
+            drop(armed);
+            let _armed = Armed::new(1);
+            let (result, _, _) = run(dir, m, n);
+            assert!(result.is_ok(), "{mode:?} {dir} {m}x{n}: armed run aborted");
+        }
     }
 }
 

@@ -12,39 +12,57 @@ use ipt::mem::model::DeviceModel;
 use ipt::mem::phases::{self, PhaseBreakdown};
 use ipt::pool::stats;
 use ipt::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Serializes the stats-sensitive regions across this binary's tests.
+/// Guards are taken through poison, so a failing test reports its own
+/// assertion and does not fail the tests after it on the lock.
 static STATS_LOCK: Mutex<()> = Mutex::new(());
 
-/// How many transposes to accumulate per measurement: phase timers on
-/// small committed shapes are microseconds each, so averaging over many
-/// runs keeps scheduler noise out of the shares.
-const SAMPLES: usize = 24;
+/// How many transposes to accumulate per trial: phase timers on small
+/// committed shapes are microseconds each, so averaging over many runs
+/// keeps timer resolution out of the shares.
+const SAMPLES: usize = 8;
+
+/// Independent trials per measurement. Each phase's time is its median
+/// across trials, so a preemption or a steal burst that lands in one
+/// trial (a few milliseconds, against a trial of well under one in a
+/// release build) moves no share.
+const TRIALS: usize = 9;
 
 /// Per-phase share tolerance and total-variation bound. Generous on
 /// purpose: CI hosts vary, and the model targets ranking + ballpark.
 const PHASE_TOL: f64 = 0.30;
 const DIVERGENCE_TOL: f64 = 0.35;
 
-/// Run `samples` C2R transposes of an `m x n` f64-sized matrix on one
-/// thread and return the measured `(phase, nanos)` pairs for phases
-/// that did real work (recorded bytes), in execution order.
+/// Run [`TRIALS`] trials of `samples` C2R transposes of an `m x n`
+/// f64-sized matrix on one thread and return the measured `(phase,
+/// nanos)` pairs for phases that did real work (recorded bytes), in
+/// execution order, each phase's nanos the median over the trials.
 fn measure_c2r(m: usize, n: usize, samples: usize) -> Vec<(&'static str, u64)> {
     ipt::pool::set_num_threads(1);
     let opts = ParOptions::default();
     let mut a: Vec<u64> = (0..(m * n) as u64).collect();
     c2r_parallel(&mut a, m, n, &opts).unwrap(); // warm-up
-    let before = stats::snapshot();
-    for _ in 0..samples {
-        c2r_parallel(&mut a, m, n, &opts).unwrap();
-    }
-    let d = stats::snapshot().delta_since(&before);
+    let trials: Vec<_> = (0..TRIALS)
+        .map(|_| {
+            let before = stats::snapshot();
+            for _ in 0..samples {
+                c2r_parallel(&mut a, m, n, &opts).unwrap();
+            }
+            stats::snapshot().delta_since(&before)
+        })
+        .collect();
     ipt::parallel::phases::ALL
         .iter()
-        .filter_map(|&name| {
-            let p = d.phase(name)?;
-            (p.bytes > 0).then_some((name, p.nanos))
+        .filter(|&&name| trials[0].phase(name).is_some_and(|p| p.bytes > 0))
+        .map(|&name| {
+            let mut nanos: Vec<u64> = trials
+                .iter()
+                .map(|d| d.phase(name).map_or(0, |p| p.nanos))
+                .collect();
+            nanos.sort_unstable();
+            (name, nanos[TRIALS / 2])
         })
         .collect()
 }
@@ -63,7 +81,7 @@ const SHAPES: [(usize, usize); 2] = [(192, 256), (257, 131)];
 
 #[test]
 fn predicted_shares_agree_coarsely_on_committed_shapes() {
-    let _guard = STATS_LOCK.lock().unwrap();
+    let _guard = STATS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     for (m, n) in SHAPES {
         let b = breakdown_for(m, n);
         assert!(
@@ -86,7 +104,7 @@ fn predicted_shares_agree_coarsely_on_committed_shapes() {
 
 #[test]
 fn dominant_phase_ranking_holds_on_committed_shapes() {
-    let _guard = STATS_LOCK.lock().unwrap();
+    let _guard = STATS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     for (m, n) in SHAPES {
         let b = breakdown_for(m, n);
         // Full rank agreement is the tight property `ipt model` reports;
@@ -114,7 +132,7 @@ fn dominant_phase_ranking_holds_on_committed_shapes() {
 
 #[test]
 fn every_predicted_phase_is_measured_and_vice_versa() {
-    let _guard = STATS_LOCK.lock().unwrap();
+    let _guard = STATS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     // The bytes-recording convention must make predicted and measured
     // phase sets identical: rotations record bytes exactly when the
     // model predicts a rotation pass (gcd > 1).
