@@ -14,8 +14,8 @@
 //!   so the staged copy stays in cache;
 //! * **pass B** transposes the `P x m` matrix of `K`-element blocks,
 //!   `[P][m] ⇄ [m][P]`: a row gather on the `L x K` view (`L = P·m`),
-//!   run as the §4.7 sub-row permute ([`cache_aware::permute_rows`]) in
-//!   page-sized sub-rows.
+//!   run as the §4.7 sub-row permute ([`cache_aware::transpose_blocks`])
+//!   in page-sized sub-rows.
 //!
 //! AoS → SoA (R2C) runs A then B, SoA → AoS (C2R) B then A. Auxiliary
 //! space is one chunk per worker plus an `L`-entry visited mask, not
@@ -27,7 +27,7 @@
 //! `copy_within` sweep moves each field's run to its final offset.
 
 use ipt_core::shape_len;
-use ipt_parallel::{cache_aware, phases, run_phase, stage_blocks, TransposeAborted};
+use ipt_parallel::{cache_aware, phases, run_pass, stage_blocks, TransposeAborted};
 
 /// Bytes of one chunk: the most pass A stages per task.
 const CHUNK_BYTES: usize = 512 * 1024;
@@ -122,7 +122,7 @@ fn chunk_transposes<T: Copy + Send + Sync + 'static>(
     to_soa: bool,
 ) -> Result<(), TransposeAborted> {
     let (rows, cols) = if to_soa { (k, m) } else { (m, k) };
-    run_phase(phases::CHUNK_TRANSPOSE, || {
+    run_pass(phases::CHUNK_TRANSPOSE, head, |head| {
         stage_blocks(head, k * m, phases::CHUNK_TRANSPOSE, |scratch, _, chunk| {
             transpose_into(scratch.copy_of(chunk), chunk, rows, cols)
         })
@@ -131,9 +131,9 @@ fn chunk_transposes<T: Copy + Send + Sync + 'static>(
 
 /// Pass B on the `main`-struct prefix, viewed as `L = P·m` rows of `k`
 /// elements: the `P x m` matrix of blocks is transposed (`to_soa`, row
-/// `v·P + p` gathers row `p·m + v`), or back. The gather is
-/// `σ(r) = r·m mod (L - 1)` (`r·P` back) with `σ(L - 1) = L - 1`, spelled
-/// as a quotient and remainder so it cannot overflow.
+/// `v·P + p` gathers row `p·m + v`), or back; skipped when there is one
+/// chunk. The gather is `σ(r) = r·m mod (L - 1)` (`r·P` back) with
+/// `σ(L - 1) = L - 1`.
 fn block_permute<T: Copy + Send + Sync + 'static>(
     head: &mut [T],
     m: usize,
@@ -144,11 +144,9 @@ fn block_permute<T: Copy + Send + Sync + 'static>(
     if p <= 1 {
         return Ok(());
     }
-    let (outer, inner) = if to_soa { (p, m) } else { (m, p) };
-    run_phase(phases::BLOCK_PERMUTE, || {
-        cache_aware::permute_rows(head, p * m, plan.k, plan.w, "row_permute", |r| {
-            (r % outer) * inner + r / outer
-        })
+    let blocks = if to_soa { (p, m) } else { (m, p) };
+    run_pass(phases::BLOCK_PERMUTE, head, |head| {
+        cache_aware::transpose_blocks(head, blocks, plan.k, plan.w, phases::BLOCK_PERMUTE)
     })
 }
 

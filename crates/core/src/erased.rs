@@ -2,10 +2,11 @@
 //!
 //! File-format tools and FFI boundaries often know an element's *size*
 //! but not its type. This module runs the decomposition directly on a
-//! byte buffer whose logical elements are `elem_size`-byte chunks, using
-//! the swap-only formulation of [`crate::noncopy`] — no `T`, no
-//! transmutes, no alignment requirements, `O(max(m, n))` bytes of cycle
-//! marks as auxiliary space.
+//! byte buffer whose logical elements are `elem_size`-byte chunks: it runs
+//! [`crate::noncopy`]'s swap-only decomposition, whose every move swaps
+//! two elements, with a swap of two chunks — no `T`, no transmutes, no
+//! alignment requirements, `O(max(m, n))` bytes of cycle marks as
+//! auxiliary space.
 //!
 //! ```
 //! use ipt_core::erased::transpose_erased;
@@ -21,91 +22,40 @@
 //! assert_eq!(px, [1, 1, 1, 3, 3, 3, 2, 2, 2, 4, 4, 4]);
 //! ```
 
-use crate::index::C2rParams;
 use crate::layout::Layout;
+use crate::noncopy::{c2r_steps, r2c_steps, SwapElems};
 use crate::shape_len;
 
-/// Swap two `elem`-byte chunks at element indices `a` and `b`.
-#[inline]
-fn swap_elems(data: &mut [u8], a: usize, b: usize, elem: usize) {
-    if a == b {
-        return;
-    }
-    let (a0, b0) = (a * elem, b * elem);
-    for k in 0..elem {
-        data.swap(a0 + k, b0 + k);
-    }
+/// A byte buffer viewed as elements of `elem` bytes each.
+struct Chunks<'a> {
+    data: &'a mut [u8],
+    elem: usize,
 }
 
-/// Reverse elements `[lo, hi)` of the strided element sequence
-/// `start + k*stride` (indices in elements).
-fn reverse_strided(
-    data: &mut [u8],
-    start: usize,
-    stride: usize,
-    lo: usize,
-    hi: usize,
-    elem: usize,
-) {
-    let (mut a, mut b) = (lo, hi);
-    while a + 1 < b {
-        b -= 1;
-        swap_elems(data, start + a * stride, start + b * stride, elem);
-        a += 1;
-    }
-}
-
-/// Rotate the strided element sequence left by `r` (three-reversal).
-fn rotate_strided_left(
-    data: &mut [u8],
-    start: usize,
-    stride: usize,
-    len: usize,
-    r: usize,
-    elem: usize,
-) {
-    if len == 0 {
-        return;
-    }
-    let r = r % len;
-    if r == 0 {
-        return;
-    }
-    reverse_strided(data, start, stride, 0, r, elem);
-    reverse_strided(data, start, stride, r, len, elem);
-    reverse_strided(data, start, stride, 0, len, elem);
-}
-
-/// Apply the gather permutation `new[k] = old[perm(k)]` over the strided
-/// element sequence by swaps along cycles (see `noncopy` for the cycle
-/// argument; `visited` covers `[0, len)` and is left all-false).
-fn apply_gather_swaps(
-    data: &mut [u8],
-    start: usize,
-    stride: usize,
-    len: usize,
-    perm: impl Fn(usize) -> usize,
-    visited: &mut [bool],
-    elem: usize,
-) {
-    debug_assert!(visited.len() >= len);
-    for leader in 0..len {
-        if visited[leader] {
-            visited[leader] = false;
-            continue;
+impl SwapElems for Chunks<'_> {
+    /// Swap the `elem`-byte chunks at element indices `a` and `b`.
+    #[inline]
+    fn swap_elems(&mut self, a: usize, b: usize) {
+        if a == b {
+            return;
         }
-        let mut i = leader;
-        loop {
-            let src = perm(i);
-            debug_assert!(src < len);
-            if src == leader {
-                break;
-            }
-            swap_elems(data, start + i * stride, start + src * stride, elem);
-            visited[src] = true;
-            i = src;
+        let (a0, b0) = (a * self.elem, b * self.elem);
+        for k in 0..self.elem {
+            self.data.swap(a0 + k, b0 + k);
         }
     }
+}
+
+/// Panic unless `elem_size` is positive and `data` holds `m * n`
+/// elements of `elem_size` bytes.
+#[track_caller]
+fn assert_erased_shape(data: &[u8], m: usize, n: usize, elem_size: usize) {
+    assert!(elem_size > 0, "element size must be positive");
+    assert_eq!(
+        data.len(),
+        shape_len(shape_len(m, n), elem_size),
+        "buffer length must be m * n * elem_size"
+    );
 }
 
 /// Type-erased C2R: same contract as [`crate::c2r()`] on a buffer of
@@ -115,73 +65,28 @@ fn apply_gather_swaps(
 ///
 /// Panics if `elem_size == 0` or `data.len() != m * n * elem_size`.
 pub fn c2r_erased(data: &mut [u8], m: usize, n: usize, elem_size: usize) {
-    assert!(elem_size > 0, "element size must be positive");
-    assert_eq!(
-        data.len(),
-        shape_len(shape_len(m, n), elem_size),
-        "buffer length must be m * n * elem_size"
-    );
-    if m <= 1 || n <= 1 {
-        return;
-    }
-    let p = C2rParams::new(m, n);
-    let mut visited = vec![false; m.max(n)];
-    if !p.coprime() {
-        for j in 0..n {
-            rotate_strided_left(data, j, n, m, p.rotate_amount(j) % m, elem_size);
-        }
-    }
-    for i in 0..m {
-        apply_gather_swaps(
+    assert_erased_shape(data, m, n, elem_size);
+    c2r_steps(
+        &mut Chunks {
             data,
-            i * n,
-            1,
-            n,
-            |j| p.d_inv(i, j),
-            &mut visited,
-            elem_size,
-        );
-    }
-    for j in 0..n {
-        apply_gather_swaps(data, j, n, m, |i| p.s(j, i), &mut visited, elem_size);
-    }
+            elem: elem_size,
+        },
+        m,
+        n,
+    );
 }
 
 /// Type-erased R2C: the inverse of [`c2r_erased`]`(data, m, n, elem_size)`.
 pub fn r2c_erased(data: &mut [u8], m: usize, n: usize, elem_size: usize) {
-    assert!(elem_size > 0, "element size must be positive");
-    assert_eq!(
-        data.len(),
-        shape_len(shape_len(m, n), elem_size),
-        "buffer length must be m * n * elem_size"
-    );
-    if m <= 1 || n <= 1 {
-        return;
-    }
-    let p = C2rParams::new(m, n);
-    let mut visited = vec![false; m.max(n)];
-    // Inverse column shuffle: gather with (s'_j)^-1 = q^-1 ∘ p^-1_j.
-    for j in 0..n {
-        apply_gather_swaps(
+    assert_erased_shape(data, m, n, elem_size);
+    r2c_steps(
+        &mut Chunks {
             data,
-            j,
-            n,
-            m,
-            |i| p.q_inv(p.p_inv(j, i)),
-            &mut visited,
-            elem_size,
-        );
-    }
-    // Inverse row shuffle: gather with d'_i directly (§4.3).
-    for i in 0..m {
-        apply_gather_swaps(data, i * n, 1, n, |j| p.d(i, j), &mut visited, elem_size);
-    }
-    if !p.coprime() {
-        for j in 0..n {
-            let k = p.rotate_amount(j) % m;
-            rotate_strided_left(data, j, n, m, (m - k) % m, elem_size);
-        }
-    }
+            elem: elem_size,
+        },
+        m,
+        n,
+    );
 }
 
 /// Type-erased in-place transpose with the §5.2 heuristic: `rows x cols`

@@ -79,6 +79,8 @@ fn scatter_run<const W: usize, T: Copy>(dst: &mut [T], src: &[T], base: usize, b
 /// `Forward` is the same permutation applied the other way — a scatter
 /// with `d'^-1_i` (`dst[base + k*b] = src[j + k]`) — so both directions
 /// share one run enumeration.
+// Out of line for the reason `scalar::apply_row` gives.
+#[inline(never)]
 pub(super) fn apply_row<const W: usize, T: Copy>(
     p: &C2rParams,
     i: usize,

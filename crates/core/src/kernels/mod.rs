@@ -128,6 +128,9 @@ impl RowShuffleKernel {
     /// # Panics
     ///
     /// Panics if `src.len() != p.n`, `dst.len() != p.n` or `i >= p.m`.
+    // Out of line, like the kernels it dispatches to (see
+    // `scalar::apply_row`), so its callers' code does not move either.
+    #[inline(never)]
     pub fn apply_row<T: Copy>(
         self,
         p: &C2rParams,

@@ -13,6 +13,11 @@ use crate::index::C2rParams;
 /// Permute one row with the incremental recurrence. `Inverse` scatters
 /// with `d'_i` (equivalent to gathering with `d'^-1_i`, Eq. 31);
 /// `Forward` gathers with `d'_i` directly (§4.3).
+// A whole row per call: whether LLVM inlined the kernels into
+// `RowShuffleKernel::apply_row` flipped with unrelated code in the same
+// codegen unit (each dispatch instance 313 vs ~5 KiB), so every kernel
+// stays out of line (EXPERIMENTS.md, "Pinned row kernels").
+#[inline(never)]
 pub(super) fn apply_row<T: Copy>(
     p: &C2rParams,
     i: usize,

@@ -32,20 +32,47 @@ use crate::index::C2rParams;
 use crate::layout::Layout;
 use crate::shape_len;
 
+/// All the swap-only passes ask of a buffer: swap two of its elements,
+/// by element index. A `[T]` swaps elements; [`crate::erased`] swaps
+/// `elem_size`-byte chunks of a byte buffer.
+pub(crate) trait SwapElems {
+    /// Swap elements `a` and `b`.
+    fn swap_elems(&mut self, a: usize, b: usize);
+}
+
+impl<T> SwapElems for [T] {
+    #[inline]
+    fn swap_elems(&mut self, a: usize, b: usize) {
+        self.swap(a, b);
+    }
+}
+
 /// Reverse the strided subsequence `data[start + k*stride]`,
 /// `k` in `[lo, hi)`, by swaps.
-fn reverse_strided<T>(data: &mut [T], start: usize, stride: usize, lo: usize, hi: usize) {
+fn reverse_strided<S: SwapElems + ?Sized>(
+    data: &mut S,
+    start: usize,
+    stride: usize,
+    lo: usize,
+    hi: usize,
+) {
     let (mut a, mut b) = (lo, hi);
     while a + 1 < b {
         b -= 1;
-        data.swap(start + a * stride, start + b * stride);
+        data.swap_elems(start + a * stride, start + b * stride);
         a += 1;
     }
 }
 
 /// Rotate the strided sequence `data[start + k*stride]`, `k` in
 /// `[0, len)`, left by `r` using the three-reversal identity (swap-only).
-fn rotate_strided_left_swaps<T>(data: &mut [T], start: usize, stride: usize, len: usize, r: usize) {
+fn rotate_strided_left_swaps<S: SwapElems + ?Sized>(
+    data: &mut S,
+    start: usize,
+    stride: usize,
+    len: usize,
+    r: usize,
+) {
     if len == 0 {
         return;
     }
@@ -62,8 +89,8 @@ fn rotate_strided_left_swaps<T>(data: &mut [T], start: usize, stride: usize, len
 /// subsequence `data[start + k*stride]` with swaps along cycles.
 ///
 /// `visited` must cover `[0, len)` and is left all-false on return.
-fn apply_gather_swaps<T>(
-    data: &mut [T],
+fn apply_gather_swaps<S: SwapElems + ?Sized>(
+    data: &mut S,
     start: usize,
     stride: usize,
     len: usize,
@@ -86,7 +113,7 @@ fn apply_gather_swaps<T>(
             if src == leader {
                 break;
             }
-            data.swap(start + i * stride, start + src * stride);
+            data.swap_elems(start + i * stride, start + src * stride);
             visited[src] = true;
             i = src;
         }
@@ -101,6 +128,12 @@ fn apply_gather_swaps<T>(
 /// transpose. Auxiliary space: `max(m, n)` bytes of cycle marks.
 pub fn c2r_swaps<T>(data: &mut [T], m: usize, n: usize) {
     assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
+    c2r_steps(data, m, n);
+}
+
+/// The steps of [`c2r_swaps`] on any buffer of `m * n` elements that can
+/// swap two of them; the caller has checked the shape.
+pub(crate) fn c2r_steps<S: SwapElems + ?Sized>(data: &mut S, m: usize, n: usize) {
     if m <= 1 || n <= 1 {
         return;
     }
@@ -127,6 +160,11 @@ pub fn c2r_swaps<T>(data: &mut [T], m: usize, n: usize) {
 /// the exact inverse of [`c2r_swaps`]`(data, m, n)`.
 pub fn r2c_swaps<T>(data: &mut [T], m: usize, n: usize) {
     assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
+    r2c_steps(data, m, n);
+}
+
+/// The steps of [`r2c_swaps`], as [`c2r_steps`] is of [`c2r_swaps`].
+pub(crate) fn r2c_steps<S: SwapElems + ?Sized>(data: &mut S, m: usize, n: usize) {
     if m <= 1 || n <= 1 {
         return;
     }
@@ -293,7 +331,7 @@ mod tests {
             for r in 0..len {
                 let mut a: Vec<u8> = (0..len as u8).collect();
                 let mut b = a.clone();
-                rotate_strided_left_swaps(&mut a, 0, 1, len, r);
+                rotate_strided_left_swaps(a.as_mut_slice(), 0, 1, len, r);
                 crate::rotate::rotate_left_cycles(&mut b, r);
                 assert_eq!(a, b, "len={len} r={r}");
             }
@@ -307,7 +345,7 @@ mod tests {
         let perm = |i: usize| (i * 6) % len;
         let mut a: Vec<u32> = (0..len as u32).collect();
         let mut visited = vec![false; len];
-        apply_gather_swaps(&mut a, 0, 1, len, perm, &mut visited);
+        apply_gather_swaps(a.as_mut_slice(), 0, 1, len, perm, &mut visited);
         let want: Vec<u32> = (0..len).map(|i| perm(i) as u32).collect();
         assert_eq!(a, want);
         assert!(visited.iter().all(|&v| !v), "mask restored");

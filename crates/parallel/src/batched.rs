@@ -10,7 +10,7 @@
 //! across calls).
 
 use crate::exec::run_blocks;
-use crate::TransposeAborted;
+use crate::{phases, run_pass, TransposeAborted};
 use ipt_core::index::C2rParams;
 use ipt_core::shape_len;
 use ipt_core::{permute, Layout};
@@ -62,8 +62,9 @@ pub fn r2c_batched<T: Copy + Send + Sync + 'static>(
 }
 
 /// Run `step(matrix, p, tmp)` on each of the `batch` matrices, one
-/// executor task per matrix, with `p` built once for the whole batch and
-/// `tmp` a `max(m, n)`-element scratch row. `step` is the sequential
+/// executor task per matrix, as one [`phases::BATCHED`] pass, with `p`
+/// built once for the whole batch and `tmp` a `max(m, n)`-element
+/// scratch row. `step` is the sequential
 /// `ipt_core::permute` transpose and has no fault site inside, so it is
 /// also the recovery ladder's redo.
 fn run_batched<T: Copy + Send + Sync + 'static>(
@@ -86,9 +87,8 @@ fn run_batched<T: Copy + Send + Sync + 'static>(
         let fill = mat[0];
         step(mat, &p, tmp.uninit_buf(m.max(n), fill));
     };
-    run_blocks(data, m * n, "batched", task, task).map_err(|source| TransposeAborted {
-        phase: "batched",
-        source,
+    run_pass(phases::BATCHED, data, |data| {
+        run_blocks(data, m * n, phases::BATCHED, task, task)
     })
 }
 

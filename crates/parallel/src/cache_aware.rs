@@ -38,18 +38,21 @@
 //! permuted.
 
 use crate::exec::{run_column_groups, Group};
+use crate::phases;
 use ipt_core::gcd::gcd;
 use ipt_core::index::C2rParams;
 use ipt_pool::{PoolError, Scratch, WorkerState};
 
 /// Rotate every column `j` left by `amount(j)` using the two-phase
-/// cache-aware scheme, column groups of width `w` in parallel.
+/// cache-aware scheme, column groups of width `w` in parallel. `site` is
+/// the pass's [`phases`] name, its fault sites.
 pub fn rotate_columns_cache_aware<T, A>(
     data: &mut [T],
     m: usize,
     n: usize,
     w: usize,
     block_rows: usize,
+    site: &'static str,
     amount: A,
 ) -> Result<(), PoolError>
 where
@@ -65,7 +68,7 @@ where
     run_column_groups(
         data,
         (m, n, w),
-        ("col_cache_aware", "§4.6 two-phase rotation"),
+        site,
         |st: &mut Subrows<T>, g| {
             let shifts = st.shifts.uninit_buf(g.gw(), 0);
             for (k, a) in shifts.iter_mut().enumerate() {
@@ -376,7 +379,7 @@ where
     run_column_groups(
         data,
         (m, n, w),
-        (site, "§4.7 sub-row permute"),
+        site,
         |st: &mut Subrows<T>, g| {
             let visited = st.visited.uninit_buf(m, false);
             let buf = st.buf.uninit_buf(g.gw(), fill);
@@ -384,6 +387,25 @@ where
         },
         |i, _| perm(i),
     )
+}
+
+/// Transpose the `rows x cols` row-major matrix of `k`-element blocks
+/// that `data` holds, in place. On the view of `data` as `rows·cols`
+/// rows of `k` elements, block `(a, b)` sits in row `a·cols + b` and
+/// moves to row `b·rows + a`, so row `r` gathers row
+/// `(r mod rows)·cols + r div rows` — a quotient and a remainder, which
+/// cannot overflow. It runs as the §4.7 sub-row permute
+/// ([`permute_rows`]) in `w`-wide sub-rows under the fault site `site`.
+pub fn transpose_blocks<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    (rows, cols): (usize, usize),
+    k: usize,
+    w: usize,
+    site: &'static str,
+) -> Result<(), PoolError> {
+    permute_rows(data, ipt_core::shape_len(rows, cols), k, w, site, |r| {
+        (r % rows) * cols + r / rows
+    })
 }
 
 /// Cache-aware C2R step 1: pre-rotation by `floor(j/b)` (Eq. 23). The fine
@@ -397,7 +419,9 @@ pub fn prerotate<T: Copy + Send + Sync + 'static>(
     if p.coprime() {
         return Ok(());
     }
-    rotate_columns_cache_aware(data, p.m, p.n, w, h, |j| p.rotate_amount(j))
+    rotate_columns_cache_aware(data, p.m, p.n, w, h, phases::PRE_ROTATE, |j| {
+        p.rotate_amount(j)
+    })
 }
 
 /// Cache-aware R2C step 4: undo the pre-rotation (`r^-1_j`, Eq. 36).
@@ -411,7 +435,7 @@ pub fn postrotate_inverse<T: Copy + Send + Sync + 'static>(
         return Ok(());
     }
     let m = p.m;
-    rotate_columns_cache_aware(data, m, p.n, w, h, move |j| {
+    rotate_columns_cache_aware(data, m, p.n, w, h, phases::POST_ROTATE, move |j| {
         (m - p.rotate_amount(j) % m) % m
     })
 }
@@ -463,15 +487,10 @@ fn fused<T: Copy + Send + Sync + 'static>(
     // Column j0 + k's fine residual is k mod m in every group.
     let residuals: Vec<usize> = (0..w).map(|k| k % m).collect();
     let residuals = &residuals;
-    let (site, what) = if inverse {
-        ("col_fused_inverse", "Eq. 32-36 inverse")
-    } else {
-        ("col_fused", "Eq. 26 = fine rotate + g(i)=(q(i)+j0) mod m")
-    };
     run_column_groups(
         data,
         (m, n, w),
-        (site, what),
+        phases::COL_SHUFFLE,
         |st: &mut Subrows<T>, g| {
             let j0m = g.j0() % m;
             let res = &residuals[..g.gw()];
@@ -529,7 +548,8 @@ mod tests {
                     let mut a = vec![0u64; m * n];
                     fill_pattern(&mut a);
                     let orig = a.clone();
-                    rotate_columns_cache_aware(&mut a, m, n, w, h, |j| j).unwrap();
+                    rotate_columns_cache_aware(&mut a, m, n, w, h, phases::PRE_ROTATE, |j| j)
+                        .unwrap();
                     assert_eq!(
                         a,
                         reference_rotate(&orig, m, n, |j| j),
@@ -548,7 +568,8 @@ mod tests {
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let orig = a.clone();
-        rotate_columns_cache_aware(&mut a, m, n, 6, 4, |j| (m - j % m) % m).unwrap();
+        rotate_columns_cache_aware(&mut a, m, n, 6, 4, phases::PRE_ROTATE, |j| (m - j % m) % m)
+            .unwrap();
         assert_eq!(a, reference_rotate(&orig, m, n, |j| (m - j % m) % m));
     }
 
@@ -561,7 +582,7 @@ mod tests {
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let orig = a.clone();
-        rotate_columns_cache_aware(&mut a, m, n, 8, 5, |j| j / b).unwrap();
+        rotate_columns_cache_aware(&mut a, m, n, 8, 5, phases::PRE_ROTATE, |j| j / b).unwrap();
         assert_eq!(a, reference_rotate(&orig, m, n, |j| j / b));
     }
 
@@ -580,7 +601,7 @@ mod tests {
         run_column_groups(
             a,
             (m, n, w),
-            ("test_fine", "staged fine test"),
+            phases::COL_SHUFFLE,
             |st: &mut Subrows<T>, g| {
                 st.fine
                     .rotate(g, &res[g.j0()..g.j0() + g.gw()], h, right, fill)
@@ -765,7 +786,7 @@ mod tests {
         let mut a = vec![0u16; m * n];
         fill_pattern(&mut a);
         let orig: Vec<u64> = a.iter().map(|&x| x as u64).collect();
-        rotate_columns_cache_aware(&mut a, m, n, 64, 3, |j| 2 * j + 1).unwrap();
+        rotate_columns_cache_aware(&mut a, m, n, 64, 3, phases::PRE_ROTATE, |j| 2 * j + 1).unwrap();
         let want = reference_rotate(&orig, m, n, |j| 2 * j + 1);
         for (x, y) in a.iter().zip(&want) {
             assert_eq!(*x as u64, *y);

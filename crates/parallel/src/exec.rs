@@ -154,12 +154,13 @@ impl<T: Copy> Group<'_, T> {
 ///
 /// `body` must leave the group equal to the gather `dst[i][j] =
 /// old[src(i, j)][j]` (`src(i, j) < m`): the recovery ladder redoes a
-/// pending group from that formula. `site` names the pass's fault sites,
-/// and `what` describes it for checked-mode violation messages.
+/// pending group from that formula. `site` is the pass's
+/// [`phases`](crate::phases) name: its fault sites and the label of its
+/// checked-mode violation messages.
 pub(crate) fn run_column_groups<T, S>(
     data: &mut [T],
     (m, n, w): (usize, usize, usize),
-    (site, what): (&'static str, &str),
+    site: &'static str,
     body: impl Fn(&mut S, Group<'_, T>) + Sync,
     src: impl Fn(usize, usize) -> usize,
 ) -> Result<(), PoolError>
@@ -177,7 +178,7 @@ where
         groups,
         |data, journal| {
             let scope = CheckScope::new(data.len(), n, || {
-                format!("{site} ({what}): m={m}, n={n}, group width w={w}")
+                format!("{site}: m={m}, n={n}, group width w={w}")
             });
             let us = UnsafeSlice::new(data, &scope);
             ipt_pool::par_chunks_init(
@@ -226,12 +227,17 @@ where
 /// Run one pass over the contiguous `len`-element blocks of `data`:
 /// `body(scratch, b, block)` for block `b`, blocks in parallel, `scratch`
 /// the worker thread's parked [`Scratch`], reused across its blocks and
-/// kept for the next pass. `site` names the pass's fault site.
+/// kept for the next pass. `site` is the pass's
+/// [`phases`](crate::phases) name, its fault site.
 ///
 /// `redo(scratch, b, block)` must leave the block as `body` does, on the
 /// sequential reference path: the recovery ladder's last rung runs it on
 /// every pending block after the journal has restored the block's prior
 /// bytes. A body with no fault site inside can serve as its own redo.
+// A whole pass per call: kept out of line so that which passes share
+// this executor cannot move the code around the row kernels' calls
+// (EXPERIMENTS.md, "Pinned row kernels").
+#[inline(never)]
 pub(crate) fn run_blocks<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     len: usize,
@@ -271,25 +277,25 @@ pub(crate) fn run_blocks<T: Copy + Send + Sync + 'static>(
 /// Run `f(scratch, b, block)` on every contiguous `len`-element block
 /// of `data`, blocks in parallel, `scratch` the worker thread's parked
 /// [`Scratch`] (reused across its blocks and kept for the next call).
-/// `site` names the pass's fault site.
+/// `site` is the pass's [`phases`](crate::phases) name, its fault site.
 ///
 /// `f` must have no fault site inside: with recovery armed
 /// (`IPT_RETRY`), a faulted block is rolled back and `f` itself redoes it
 /// sequentially.
 ///
 /// ```
-/// use ipt_parallel::stage_blocks;
+/// use ipt_parallel::{phases, stage_blocks};
 ///
-/// // Reverse each block of 3 through the worker's scratch.
+/// // Transpose each 2 x 3 chunk to 3 x 2 through the worker's scratch.
 /// let mut a: Vec<u32> = (0..12).collect();
-/// stage_blocks(&mut a, 3, "doc_reverse", |scratch, _b, block| {
-///     let old = scratch.copy_of(block);
-///     for (v, &o) in block.iter_mut().zip(old.iter().rev()) {
-///         *v = o;
+/// stage_blocks(&mut a, 6, phases::CHUNK_TRANSPOSE, |scratch, _b, chunk| {
+///     let old = scratch.copy_of(chunk);
+///     for (k, v) in chunk.iter_mut().enumerate() {
+///         *v = old[(k % 2) * 3 + k / 2];
 ///     }
 /// })
 /// .unwrap();
-/// assert_eq!(a, [2, 1, 0, 5, 4, 3, 8, 7, 6, 11, 10, 9]);
+/// assert_eq!(a, [0, 3, 1, 4, 2, 5, 6, 9, 7, 10, 8, 11]);
 /// ```
 ///
 /// # Panics
@@ -540,7 +546,7 @@ mod tests {
             run_blocks(
                 data,
                 3,
-                "test_blocks",
+                crate::phases::BATCHED,
                 |_, b, block| {
                     assert_ne!(b, 1, "block 1 always faults");
                     block.reverse();
@@ -596,7 +602,7 @@ mod tests {
         run_column_groups(
             &mut a,
             (m, n, 4),
-            ("test_groups", "test reversal"),
+            crate::phases::COL_SHUFFLE,
             |block: &mut Scratch<u32>, g| {
                 let gw = g.gw();
                 let block = block.uninit_buf(m * gw, 0);
@@ -631,7 +637,7 @@ mod tests {
         run_column_groups(
             &mut a,
             (m, n, 3),
-            ("test_groups", "test rotation"),
+            crate::phases::PRE_ROTATE,
             |col: &mut Scratch<u16>, g| {
                 let col = col.uninit_buf(m, 0);
                 for k in 0..g.gw() {

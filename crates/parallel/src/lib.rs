@@ -25,12 +25,16 @@
 //!   are put in order with the §4.7 sub-row permute
 //!   ([`phases::PANEL_PERMUTE`]); R2C runs the inverses in reverse;
 //! * [`stage_blocks`] — contiguous blocks staged through worker scratch,
-//!   which with [`cache_aware::permute_rows`] carries the skinny §6.1
+//!   which with [`cache_aware::transpose_blocks`] carries the skinny §6.1
 //!   AoS⇄SoA specialization's two passes and the tiled route's tile and
 //!   panel passes;
 //! * one task executor under every pass — each [`cache_aware`] pass, the
 //!   §6.1 chunks, the [`rows`] shuffle and the [`batched`] transposes —
 //!   which owns their fault sites, undo journal and recovery;
+//! * one recorder over every pass, [`run_pass`]: each pass of every route
+//!   has one name, a [`phases`] constant, under which it is timed, its
+//!   bytes are counted once it succeeds, its faults are injected, its
+//!   checked-mode violations are reported and its abort is named.
 //! * per-thread scratch buffers, the CPU analogue of the §4.5 "on-chip"
 //!   row shuffle (each worker's temporary row lives in its own cache).
 //!
@@ -49,8 +53,8 @@
 //! ```
 //!
 //! All parallel entry points return `Result<(), TransposeAborted>`: if a
-//! worker panics mid-phase (a kernel bug, or an injected fault), the pool
-//! contains the panic at the chunk boundary and the error names the phase
+//! worker panics mid-pass (a kernel bug, or an injected fault), the pool
+//! contains the panic at the chunk boundary and the error names the pass
 //! and worker — the buffer may be torn, but a torn matrix is *reported*,
 //! never silently returned as if transposed.
 
@@ -71,21 +75,18 @@ use ipt_core::index::C2rParams;
 use ipt_core::Layout;
 use ipt_pool::PoolError;
 
-/// A parallel transpose aborted because a worker panicked mid-phase.
+/// A parallel transpose aborted because a worker panicked mid-pass.
 ///
 /// The pool contains worker panics at the chunk boundary
-/// ([`ipt_pool::PoolError`]); this wrapper adds the decomposition phase
-/// (one of [`phases::ALL`] — on the tiled route, the block-level pass —
-/// one of the tiled route's [`phases::TILE_TRANSPOSE`] and
-/// [`phases::PANEL_PERMUTE`], one of the two §6.1 passes, or `"batched"`
-/// for the batched entry points) so the caller knows *which pass* died.
-/// The buffer contents are unspecified after an abort — phases mutate in
-/// place — but every element is still a value that was previously in the
-/// buffer (workers only permute elements), so there is no UB, only a torn
-/// permutation.
+/// ([`ipt_pool::PoolError`]); this wrapper adds the pass that died, by
+/// its [`phases`] name (see [`run_pass`]). The buffer contents are
+/// unspecified after an abort — passes mutate in place — but every
+/// element is still a value that was previously in the buffer (workers
+/// only permute elements), so there is no UB, only a torn permutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransposeAborted {
-    /// The phase in which the worker panic was contained.
+    /// The [`phases`] name of the pass in which the worker panic was
+    /// contained.
     pub phase: &'static str,
     /// The contained panic: worker index, chunk, and payload.
     pub source: PoolError,
@@ -107,22 +108,37 @@ impl std::error::Error for TransposeAborted {
     }
 }
 
-/// Time one phase into [`ipt_pool::stats`] and lift its pool error into
-/// a phase-attributed [`TransposeAborted`].
-pub fn run_phase(
+/// Run one pass over `data` and record it: the one place a pass is
+/// timed, attributed and counted.
+///
+/// `name` is the pass's [`phases`] constant, which its executor op also
+/// takes as its fault site and checked-mode label. The pass's wall time
+/// goes to [`ipt_pool::stats::phase`] under `name`; a contained worker
+/// panic comes back as a [`TransposeAborted`] naming it; and once the
+/// pass has succeeded, its payload — a read and a write of every element
+/// of `data`, the *useful bytes* convention `memsim::phases` predicts —
+/// goes to [`ipt_pool::stats::record_phase_bytes`]. A pass with nothing
+/// to do (a rotation when `gcd(m, n) = 1`, a permute over one panel or
+/// one chunk) is not run, so it records nothing.
+pub fn run_pass<T>(
     name: &'static str,
-    f: impl FnOnce() -> Result<(), PoolError>,
+    data: &mut [T],
+    pass: impl FnOnce(&mut [T]) -> Result<(), PoolError>,
 ) -> Result<(), TransposeAborted> {
-    ipt_pool::stats::phase(name, f).map_err(|source| TransposeAborted {
+    let bytes = 2 * core::mem::size_of_val(data) as u64;
+    ipt_pool::stats::phase(name, || pass(data)).map_err(|source| TransposeAborted {
         phase: name,
         source,
-    })
+    })?;
+    ipt_pool::stats::record_phase_bytes(name, bytes);
+    Ok(())
 }
 
-/// Phase names under which [`c2r_parallel`] / [`r2c_parallel`] attribute
-/// wall time to [`ipt_pool::stats`] (one [`ipt_pool::stats::phase`] call
-/// per pass over the matrix, so the instrumentation is always on and
-/// costs two clock reads per phase).
+/// The name of every pass: its [`ipt_pool::stats`] timer and byte key,
+/// its fault site (`IPT_FAULT`), its checked-mode label (`IPT_CHECK`) and
+/// its [`TransposeAborted::phase`]. [`run_pass`] records each pass under
+/// its name, so the instrumentation is always on and costs two clock
+/// reads per pass.
 ///
 /// Snapshot deltas around a transpose split its cost across the
 /// decomposition's steps, the measurement the paper's §5–§6 analysis is
@@ -159,7 +175,8 @@ pub mod phases {
     /// decomposition, so not in [`ALL`].
     pub const CHUNK_TRANSPOSE: &str = "chunk_transpose";
     /// §6.1 skinny AoS⇄SoA pass B: move the chunks' per-field blocks to
-    /// their final rows with the §4.7 sub-row permute. Not in [`ALL`].
+    /// their final rows with the §4.7 sub-row permute; skipped when there
+    /// is one chunk. Not in [`ALL`].
     pub const BLOCK_PERMUTE: &str = "block_permute";
 
     /// Tiled route, C2R step 2 and R2C step 2: transpose every
@@ -168,8 +185,12 @@ pub mod phases {
     pub const TILE_TRANSPOSE: &str = "tile_transpose";
     /// Tiled route, C2R step 3 and R2C step 1: move each `m x L` panel's
     /// `L`-element rows to their final places with the §4.7 sub-row
-    /// permute. Not in [`ALL`].
+    /// permute; skipped when a panel is one tile. Not in [`ALL`].
     pub const PANEL_PERMUTE: &str = "panel_permute";
+
+    /// The batched entry points ([`crate::batched`]): every matrix of the
+    /// batch transposed whole, one task each. Not in [`ALL`].
+    pub const BATCHED: &str = "batched";
 }
 
 /// Elements of matrix data one worker should own before another thread is
@@ -259,59 +280,36 @@ pub fn c2r_parallel<T: Copy + Send + Sync + 'static>(
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
     assert_shape(data.len(), m, n);
-    let moved = match tiled::Tiling::of::<T>(m, n) {
-        Some(t) => t.c2r(data, opts.block_rows)?,
-        None => c2r_elements(data, m, n, opts.group_width::<T>(), opts.block_rows)?,
-    };
-    record_moved::<T>(moved, data.len());
-    Ok(())
+    match tiled::Tiling::of::<T>(m, n) {
+        Some(t) => t.c2r(data, opts.block_rows),
+        None => c2r_elements(data, m, n, opts.group_width::<T>(), opts.block_rows),
+    }
 }
 
 /// The element path of [`c2r_parallel`] with column groups `w` wide and
-/// fine windows `h` rows tall. Returns the phases that moved the whole
-/// matrix; their bytes are the caller's to record once the whole
-/// transpose has succeeded, since an aborted run's partial passes would
-/// skew the phase cost model.
+/// fine windows `h` rows tall.
 pub(crate) fn c2r_elements<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
     n: usize,
     w: usize,
     h: usize,
-) -> Result<&'static [&'static str], TransposeAborted> {
+) -> Result<(), TransposeAborted> {
     if m <= 1 || n <= 1 {
-        return Ok(&[]);
+        return Ok(());
     }
     let p = C2rParams::new(m, n);
-    run_phase(phases::PRE_ROTATE, || {
-        cache_aware::prerotate(data, &p, w, h)
-    })?;
-    run_phase(phases::ROW_SHUFFLE, || rows::row_shuffle_parallel(data, &p))?;
-    run_phase(phases::COL_SHUFFLE, || {
-        cache_aware::col_shuffle_fused(data, &p, w, h)
-    })?;
-    Ok(if p.c > 1 {
-        &[phases::PRE_ROTATE, phases::ROW_SHUFFLE, phases::COL_SHUFFLE]
-    } else {
-        &[phases::ROW_SHUFFLE, phases::COL_SHUFFLE]
-    })
-}
-
-/// Payload bytes one decomposition pass touches: a read and a write of
-/// every element — the *useful bytes* convention `memsim::phases` uses,
-/// reported to [`ipt_pool::stats::record_phase_bytes`] once per executed
-/// phase (the rotation passes skip reporting when `gcd(m, n) = 1` turns
-/// them into no-ops, matching the model's skipped-phase prediction).
-fn phase_pass_bytes<T>(len: usize) -> u64 {
-    2 * (len * core::mem::size_of::<T>()) as u64
-}
-
-/// Attribute one pass's bytes over a `len`-element buffer of `T` to each
-/// phase in `moved`.
-fn record_moved<T>(moved: &[&'static str], len: usize) {
-    for &name in moved {
-        ipt_pool::stats::record_phase_bytes(name, phase_pass_bytes::<T>(len));
+    if !p.coprime() {
+        run_pass(phases::PRE_ROTATE, data, |d| {
+            cache_aware::prerotate(d, &p, w, h)
+        })?;
     }
+    run_pass(phases::ROW_SHUFFLE, data, |d| {
+        rows::row_shuffle_parallel(d, &p)
+    })?;
+    run_pass(phases::COL_SHUFFLE, data, |d| {
+        cache_aware::col_shuffle_fused(d, &p, w, h)
+    })
 }
 
 /// Parallel R2C: the inverse of [`c2r_parallel`] — consumes an `n x m`
@@ -325,44 +323,36 @@ pub fn r2c_parallel<T: Copy + Send + Sync + 'static>(
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
     assert_shape(data.len(), m, n);
-    let moved = match tiled::Tiling::of::<T>(m, n) {
-        Some(t) => t.r2c(data, opts.block_rows)?,
-        None => r2c_elements(data, m, n, opts.group_width::<T>(), opts.block_rows)?,
-    };
-    record_moved::<T>(moved, data.len());
-    Ok(())
+    match tiled::Tiling::of::<T>(m, n) {
+        Some(t) => t.r2c(data, opts.block_rows),
+        None => r2c_elements(data, m, n, opts.group_width::<T>(), opts.block_rows),
+    }
 }
 
-/// The element path of [`r2c_parallel`]; returns the phases that moved
-/// the whole matrix, as [`c2r_elements`] does.
+/// The element path of [`r2c_parallel`], as [`c2r_elements`] is of
+/// [`c2r_parallel`].
 pub(crate) fn r2c_elements<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
     n: usize,
     w: usize,
     h: usize,
-) -> Result<&'static [&'static str], TransposeAborted> {
+) -> Result<(), TransposeAborted> {
     if m <= 1 || n <= 1 {
-        return Ok(&[]);
+        return Ok(());
     }
     let p = C2rParams::new(m, n);
-    run_phase(phases::COL_SHUFFLE, || {
-        cache_aware::col_shuffle_fused_inverse(data, &p, w, h)
+    run_pass(phases::COL_SHUFFLE, data, |d| {
+        cache_aware::col_shuffle_fused_inverse(d, &p, w, h)
     })?;
-    run_phase(phases::ROW_SHUFFLE, || {
-        rows::row_shuffle_forward_parallel(data, &p)
+    run_pass(phases::ROW_SHUFFLE, data, |d| {
+        rows::row_shuffle_forward_parallel(d, &p)
     })?;
-    run_phase(phases::POST_ROTATE, || {
-        cache_aware::postrotate_inverse(data, &p, w, h)
-    })?;
-    Ok(if p.c > 1 {
-        &[
-            phases::COL_SHUFFLE,
-            phases::ROW_SHUFFLE,
-            phases::POST_ROTATE,
-        ]
-    } else {
-        &[phases::COL_SHUFFLE, phases::ROW_SHUFFLE]
+    if p.coprime() {
+        return Ok(());
+    }
+    run_pass(phases::POST_ROTATE, data, |d| {
+        cache_aware::postrotate_inverse(d, &p, w, h)
     })
 }
 
@@ -604,7 +594,8 @@ mod tests {
                 transpose_parallel_with(a, 2, big, Layout::ColMajor, alg, &opts).is_ok()
             }),
             ("rotate_columns_cache_aware", &|a| {
-                cache_aware::rotate_columns_cache_aware(a, big, 2, 4, 8, |j| j).is_ok()
+                let site = phases::PRE_ROTATE;
+                cache_aware::rotate_columns_cache_aware(a, big, 2, 4, 8, site, |j| j).is_ok()
             }),
         ];
         for (name, call) in calls {

@@ -17,6 +17,7 @@
 //! explicit kernel for tests, benches and ablations.
 
 use crate::exec::run_blocks;
+use crate::phases;
 use ipt_core::index::C2rParams;
 use ipt_core::kernels::{self, RowShuffleKernel, ShuffleDirection};
 use ipt_pool::PoolError;
@@ -41,7 +42,7 @@ pub fn row_shuffle_parallel_with<T: Copy + Send + Sync + 'static>(
     run_blocks(
         data,
         p.n,
-        "row_shuffle",
+        phases::ROW_SHUFFLE,
         |tmp, i, row| kernel.apply_row(p, i, tmp.copy_of(row), row, dir),
         |tmp, i, row| {
             let old = tmp.copy_of(row);

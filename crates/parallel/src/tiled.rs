@@ -15,12 +15,13 @@
 //!    contiguous `L x L` tiles. Each tile is transposed in place, one
 //!    executor task per tile, by swapping mirrored `SUB x SUB` sub-tiles
 //!    through a pair of buffers in the worker's scratch.
-//! 3. **Panel pass** ([`phases::PANEL_PERMUTE`]). Each panel, viewed as
-//!    `m` rows of `L` elements, now holds its transpose's rows in the
-//!    order `[P][L]`; the §4.7 sub-row permute
-//!    ([`cache_aware::permute_rows`]) puts them in the order `[L][P]`:
-//!    row `r` gathers row `(r mod P)·L + r div P`. Panels run one at a
-//!    time, so the visited mask covers one panel's `m` rows.
+//! 3. **Panel pass** ([`phases::PANEL_PERMUTE`]). Each panel, viewed as `m`
+//!    rows of `L` elements, now holds its transpose's rows in the order
+//!    `[P][L]`; transposing that `P x L` matrix of rows with the §4.7
+//!    sub-row permute ([`cache_aware::transpose_blocks`]) puts them in
+//!    the order `[L][P]`: row `r` gathers row `(r mod P)·L + r div P`.
+//!    Panels run one at a time, so the visited mask covers one panel's
+//!    `m` rows, and the whole loop is one recorded pass.
 //!
 //! R2C runs the inverse panel permute, the tiles (a tile transpose is
 //! its own inverse), then block-level R2C.
@@ -28,8 +29,7 @@
 use std::mem::{size_of, MaybeUninit};
 
 use crate::{
-    c2r_elements, cache_aware, phases, r2c_elements, record_moved, run_phase, stage_blocks,
-    TransposeAborted,
+    c2r_elements, cache_aware, phases, r2c_elements, run_pass, stage_blocks, TransposeAborted,
 };
 use ipt_pool::Scratch;
 
@@ -85,44 +85,26 @@ impl Tiling {
     }
 
     /// C2R on the tiled route: block-level C2R, the tiles, the panels.
-    /// Returns the block-level phases that moved the matrix, for the
-    /// caller to record; the tile and panel passes record their own
-    /// bytes once all three steps have succeeded.
     pub(crate) fn c2r<T: Copy + Send + Sync + 'static>(
         self,
         data: &mut [T],
         h: usize,
-    ) -> Result<&'static [&'static str], TransposeAborted> {
-        let moved = c2r_elements(as_blocks(data, self.l), self.m, self.n / self.l, 1, h)?;
+    ) -> Result<(), TransposeAborted> {
+        c2r_elements(as_blocks(data, self.l), self.m, self.n / self.l, 1, h)?;
         self.tiles(data)?;
-        self.panels(data, false)?;
-        record_moved::<T>(self.own_passes(), data.len());
-        Ok(moved)
+        self.panels(data, false)
     }
 
     /// R2C on the tiled route: the inverse panel permute, the tiles,
-    /// block-level R2C. Records as [`Tiling::c2r`] does.
+    /// block-level R2C.
     pub(crate) fn r2c<T: Copy + Send + Sync + 'static>(
         self,
         data: &mut [T],
         h: usize,
-    ) -> Result<&'static [&'static str], TransposeAborted> {
+    ) -> Result<(), TransposeAborted> {
         self.panels(data, true)?;
         self.tiles(data)?;
-        let moved = r2c_elements(as_blocks(data, self.l), self.m, self.n / self.l, 1, h)?;
-        record_moved::<T>(self.own_passes(), data.len());
-        Ok(moved)
-    }
-
-    /// The passes of this route that move the whole matrix besides the
-    /// block-level ones: the panel permute is the identity when a panel
-    /// is a single tile, and is skipped.
-    fn own_passes(self) -> &'static [&'static str] {
-        if self.m > self.l {
-            &[phases::TILE_TRANSPOSE, phases::PANEL_PERMUTE]
-        } else {
-            &[phases::TILE_TRANSPOSE]
-        }
+        r2c_elements(as_blocks(data, self.l), self.m, self.n / self.l, 1, h)
     }
 
     /// Transpose every contiguous `L x L` tile in place, one task each.
@@ -131,7 +113,7 @@ impl Tiling {
         data: &mut [T],
     ) -> Result<(), TransposeAborted> {
         let l = self.l;
-        run_phase(phases::TILE_TRANSPOSE, || {
+        run_pass(phases::TILE_TRANSPOSE, data, |data| {
             stage_blocks(data, l * l, phases::TILE_TRANSPOSE, |pair, _, tile| {
                 transpose_tile(tile, l, pair)
             })
@@ -139,9 +121,9 @@ impl Tiling {
     }
 
     /// Put the `L`-element rows of each `m x L` panel in their final
-    /// order, or back (`inverse`), one panel at a time. A panel's `L`
-    /// columns split into one group per worker, so each moves sub-rows
-    /// of `L / threads` elements.
+    /// order, or back (`inverse`), one panel at a time; skipped when a
+    /// panel is a single tile. A panel's `L` columns split into one group
+    /// per worker, so each moves sub-rows of `L / threads` elements.
     fn panels<T: Copy + Send + Sync + 'static>(
         self,
         data: &mut [T],
@@ -153,14 +135,11 @@ impl Tiling {
             return Ok(());
         }
         let w = l.div_ceil(ipt_pool::num_threads().max(1));
-        let (outer, inner) = if inverse { (l, p) } else { (p, l) };
-        run_phase(phases::PANEL_PERMUTE, || {
-            for panel in data.chunks_exact_mut(m * l) {
-                cache_aware::permute_rows(panel, m, l, w, phases::PANEL_PERMUTE, |r| {
-                    (r % outer) * inner + r / outer
-                })?;
-            }
-            Ok(())
+        let blocks = if inverse { (l, p) } else { (p, l) };
+        run_pass(phases::PANEL_PERMUTE, data, |data| {
+            data.chunks_exact_mut(m * l).try_for_each(|panel| {
+                cache_aware::transpose_blocks(panel, blocks, l, w, phases::PANEL_PERMUTE)
+            })
         })
     }
 }

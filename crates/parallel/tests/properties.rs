@@ -85,7 +85,8 @@ fn cache_aware_rotation_equals_elementwise() {
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let orig = a.clone();
-        cache_aware::rotate_columns_cache_aware(&mut a, m, n, w, h, amount).unwrap();
+        let site = phases::PRE_ROTATE;
+        cache_aware::rotate_columns_cache_aware(&mut a, m, n, w, h, site, amount).unwrap();
         for j in 0..n {
             let k = amount(j) % m;
             for i in 0..m {

@@ -18,11 +18,13 @@
 //! * **Kernel hits** — which row-shuffle kernel the `ipt-core` dispatcher
 //!   selected for each pass ([`record_kernel`]), making `IPT_KERNEL`
 //!   ablations and silent dispatch changes observable.
-//! * **Phases** — named wall-time accumulators driven by monotonic
-//!   [`std::time::Instant`] timestamps. Engine code wraps each pass in
-//!   [`phase`]; `ipt-parallel` uses the names `pre_rotate`,
-//!   `row_shuffle`, `col_shuffle` and `post_rotate` so callers can split
-//!   a transpose's cost across the decomposition's steps.
+//! * **Phases** — named wall-time and byte accumulators driven by
+//!   monotonic [`std::time::Instant`] timestamps. Engine code wraps each
+//!   pass in [`phase`] and adds its bytes with [`record_phase_bytes`];
+//!   `ipt-parallel` does both in one place (`run_pass`), under names
+//!   such as `pre_rotate`, `row_shuffle`, `col_shuffle` and
+//!   `post_rotate`, so callers can split a transpose's cost across the
+//!   decomposition's steps.
 //!
 //! [`snapshot`] returns a [`PoolStats`] view of the totals since process
 //! start (or the last [`reset`]); [`PoolStats::delta_since`] isolates one
@@ -259,10 +261,10 @@ pub fn phase<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
 
 /// Attribute `bytes` of memory traffic to the named phase.
 ///
-/// Engine code calls this next to [`phase`] with the payload the pass
-/// touched — `ipt-parallel` records `2 * matrix bytes` (one read + one
-/// write of every element) per executed decomposition pass, the same
-/// *useful bytes* convention `memsim::phases` predicts. Dividing a
+/// Engine code calls this after [`phase`] with the payload the pass
+/// touched — `ipt-parallel`'s `run_pass` records `2 * matrix bytes`
+/// (one read + one write of every element) once a pass has succeeded,
+/// the same *useful bytes* convention `memsim::phases` predicts. Dividing a
 /// snapshot delta's [`PhaseStats::bytes`] by [`PhaseStats::secs`] gives
 /// the phase's achieved payload bandwidth.
 ///

@@ -8,6 +8,8 @@
 #   tier 0  fmt          cargo fmt --check            (seconds)
 #   tier 0  clippy       cargo clippy -D warnings     (one build)
 #   tier 0  shellcheck   scripts/*.sh, if installed
+#   tier 0  loc          scripts/loc.sh: the non-test line count of
+#                        crates/*/src, printed for the record (no gate)
 #   tier 1  verify       scripts/verify.sh            (hermetic build+test)
 #   tier 2  rustdoc      -D warnings across the workspace
 #   tier 2  perfbench    the layer-ledger benchmark's own tests (its
@@ -250,6 +252,9 @@ main_pipeline() {
     else
         echo "shellcheck not installed; skipping (install it to lint scripts/*.sh)"
     fi
+
+    stage "loc: non-test lines in crates/*/src (tier 0, report only)"
+    scripts/loc.sh
 
     stage "hermetic verify (tier 1)"
     scripts/verify.sh

@@ -104,6 +104,41 @@ fn run_r2c(m: usize, n: usize) -> (Result<(), TransposeAborted>, u64, u64) {
     (result, p1 - p0, s1 - s0)
 }
 
+/// Run one §6.1 conversion of 65536 x 12 `u64` (16 chunks of 4096
+/// structs, no peel) — AoS → SoA (`to_soa`) or back — and return its
+/// result. An Ok result must be the exact conversion.
+fn run_skinny(to_soa: bool) -> Result<(), TransposeAborted> {
+    let (structs, fields) = (65536usize, 12usize);
+    let aos: Vec<u64> = (0..(structs * fields) as u64).collect();
+    let soa = reference_transpose(&aos, structs, fields, Layout::RowMajor);
+    let (mut a, want) = if to_soa { (aos, soa) } else { (soa, aos) };
+    let result = if to_soa {
+        aos_to_soa(&mut a, structs, fields)
+    } else {
+        soa_to_aos(&mut a, structs, fields)
+    };
+    if result.is_ok() {
+        assert!(a == want, "Ok result must mean a correct conversion");
+    }
+    result
+}
+
+/// Run one batched transpose of 16 matrices of 24 x 36 `u64` and return
+/// its result. An Ok result must be the exact transposes.
+fn run_batch() -> Result<(), TransposeAborted> {
+    let (b, m, n) = (16usize, 24usize, 36usize);
+    let mut data: Vec<u64> = (0..(b * m * n) as u64).collect();
+    let want: Vec<u64> = data
+        .chunks_exact(m * n)
+        .flat_map(|mat| reference_transpose(mat, m, n, Layout::RowMajor))
+        .collect();
+    let result = transpose_batched(&mut data, b, m, n, Layout::RowMajor);
+    if result.is_ok() {
+        assert_eq!(data, want, "Ok result must mean correct transposes");
+    }
+    result
+}
+
 #[test]
 fn injected_panics_are_contained_across_thread_counts() {
     let _guard = setup();
@@ -425,6 +460,10 @@ fn the_tiled_steps_are_fault_sites_and_name_the_step_that_tore() {
             let e = result.expect_err("rate 1.0 must tear the first step");
             assert_eq!(e.phase, phase, "{mode:?} {dir} {m}x{n}: {e}");
             assert!(e.source.payload.contains(payload), "{mode:?}: {e}");
+            if matches!(mode, FaultMode::Panic(_)) {
+                let site = format!("injected panic at {}", e.phase);
+                assert!(e.source.payload.contains(&site), "{dir} {m}x{n}: {e}");
+            }
             assert!(
                 panics + skews > 0,
                 "{mode:?} {dir} {m}x{n}: nothing injected"
@@ -436,6 +475,39 @@ fn the_tiled_steps_are_fault_sites_and_name_the_step_that_tore() {
             let (result, _, _) = run(dir, m, n);
             assert!(result.is_ok(), "{mode:?} {dir} {m}x{n}: armed run aborted");
         }
+    }
+    // The first pass of every other route tears the same way, and the
+    // abort and the injected panic both carry the pass's one name:
+    // element C2R opens with the pre-rotation when gcd(m, n) > 1 and
+    // with the row shuffle when the shape is coprime (the rotation is
+    // skipped), element R2C with the column shuffle, the §6.1 R2C
+    // (aos_to_soa) with the chunk transposes, its C2R (soa_to_aos, 16
+    // chunks) with the block permute, and a batched call is one pass.
+    let _forced = Forced::new(FaultMode::Panic(1.0));
+    type Route = fn() -> Result<(), TransposeAborted>;
+    let routes: [(&str, &str, Route); 6] = [
+        ("element C2R 64x96", phases::PRE_ROTATE, || {
+            run_c2r(64, 96).0
+        }),
+        ("element C2R 97x64", phases::ROW_SHUFFLE, || {
+            run_c2r(97, 64).0
+        }),
+        ("element R2C 200x96", phases::COL_SHUFFLE, || {
+            run_r2c(200, 96).0
+        }),
+        ("skinny R2C", phases::CHUNK_TRANSPOSE, || run_skinny(true)),
+        ("skinny C2R", phases::BLOCK_PERMUTE, || run_skinny(false)),
+        ("batched", phases::BATCHED, run_batch),
+    ];
+    for (route, phase, run) in routes {
+        let armed = Armed::new(0);
+        let e = run().expect_err("rate 1.0 must tear the first pass");
+        assert_eq!(e.phase, phase, "{route}: {e}");
+        let site = format!("injected panic at {}", e.phase);
+        assert!(e.source.payload.contains(&site), "{route}: {e}");
+        drop(armed);
+        let _armed = Armed::new(1);
+        assert!(run().is_ok(), "{route}: armed run aborted");
     }
 }
 

@@ -111,3 +111,44 @@ fn sequential_facade_records_no_phases() {
         "sequential path must not touch phase timers: {d:?}"
     );
 }
+
+#[test]
+fn every_route_records_each_pass_once_with_its_bytes() {
+    let _guard = STATS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    use ipt::parallel::batched::transpose_batched;
+    use ipt::parallel::phases;
+    // 65536 structs of 12 u64 fields: 16 chunks of 4096 structs and no
+    // peeled tail, so both §6.1 passes run over the whole buffer.
+    let (structs, fields) = (65536usize, 12usize);
+    let orig: Vec<u64> = (0..(structs * fields) as u64).collect();
+    let mut a = orig.clone();
+    let pass = 2 * (structs * fields * 8) as u64;
+    for (dir, convert) in [
+        (
+            "aos_to_soa",
+            aos_to_soa::<u64> as fn(&mut [u64], usize, usize) -> _,
+        ),
+        ("soa_to_aos", soa_to_aos::<u64>),
+    ] {
+        let before = stats::snapshot();
+        convert(&mut a, structs, fields).unwrap();
+        let d = stats::snapshot().delta_since(&before);
+        for name in [phases::CHUNK_TRANSPOSE, phases::BLOCK_PERMUTE] {
+            let p = d
+                .phase(name)
+                .unwrap_or_else(|| panic!("{dir} {name}: {d:?}"));
+            assert_eq!((p.calls, p.bytes), (1, pass), "{dir} {name}: {d:?}");
+        }
+    }
+    assert!(a == orig, "soa_to_aos must invert aos_to_soa");
+
+    // A batched call is one pass over every matrix of the batch.
+    let (batch, rows, cols) = (16usize, 24usize, 36usize);
+    let mut b: Vec<u64> = (0..(batch * rows * cols) as u64).collect();
+    let before = stats::snapshot();
+    transpose_batched(&mut b, batch, rows, cols, Layout::RowMajor).unwrap();
+    let d = stats::snapshot().delta_since(&before);
+    let p = d.phase(phases::BATCHED).unwrap_or_else(|| panic!("{d:?}"));
+    let pass = 2 * (batch * rows * cols * 8) as u64;
+    assert_eq!((p.calls, p.bytes), (1, pass), "{d:?}");
+}
