@@ -1,6 +1,7 @@
 //! `ipt model` — predicted-vs-measured phase attribution for one shape.
 //!
-//! Runs the parallel decomposed transpose on a synthetic matrix, collects
+//! Prints the call's [`Plan`] — the explain view of one shape — then
+//! runs the parallel decomposed transpose on a synthetic matrix, collects
 //! the per-phase wall time and payload bytes from `ipt_pool::stats`, asks
 //! `memsim::phases` what the three-regime bandwidth model *predicts* each
 //! phase should cost, and prints the two share distributions side by side
@@ -12,7 +13,8 @@
 use std::process::ExitCode;
 
 use ipt_bench::report::{ModelBreak, ModelPhase};
-use ipt_parallel::{c2r_parallel, r2c_parallel, ParOptions};
+use ipt_core::{Algorithm, Layout};
+use ipt_parallel::{c2r_parallel, r2c_parallel, ParOptions, Plan};
 use memsim::model::DeviceModel;
 use memsim::phases::{self, PhaseBreakdown, PhasePrediction};
 
@@ -36,9 +38,13 @@ k20c (the paper's Tesla K20c). The run pins the pool to 1 thread unless
 traffic. With --max-divergence X the command exits 3 when the total
 variation distance between predicted and measured shares exceeds X
 (the CI smoke gate); without it the divergence is informational.
-A shape on the tiled route (a 4 KiB block of elements divides both
-sides) prints the route and its measured phases, each marked not
-modelled; --max-divergence refuses such a shape (exit 2).";
+Above the table it prints the call's plan: the direction and its
+row-major view, the route (element path with column-group width w and
+window height h, or tiled with tile side L and P tiles per panel), the
+gcd and whether the rotation runs, and the row-shuffle kernel with the
+tier that chose it. A shape on the tiled route (a 4 KiB block of
+elements divides both sides) prints its measured phases, each marked
+not modelled; --max-divergence refuses such a shape (exit 2).";
 
 struct ModelOpts {
     rows: usize,
@@ -129,17 +135,18 @@ fn parse(args: &[String]) -> Result<ModelOpts, String> {
     Ok(o)
 }
 
-/// The tiled route's tile side `L` for an `m x n` matrix of `elem`-byte
-/// elements (the types [`run_measured`] uses), or `None` on the element
-/// path. The model predicts the element path only.
-fn tile_side(elem: usize, m: usize, n: usize) -> Option<usize> {
-    match elem {
-        1 => ipt_parallel::tile_side::<u8>(m, n),
-        2 => ipt_parallel::tile_side::<u16>(m, n),
-        4 => ipt_parallel::tile_side::<u32>(m, n),
-        16 => ipt_parallel::tile_side::<u128>(m, n),
-        _ => ipt_parallel::tile_side::<u64>(m, n),
-    }
+/// The plan of the call `ipt model` makes for `alg`:
+/// `c2r_parallel(_, m, n, _)`, or `r2c_parallel` when `alg` starts with
+/// `r2c`, on `elem`-byte elements.
+fn plan_for(alg: &str, m: usize, n: usize, elem: usize) -> Plan {
+    let (rows, cols, algorithm) = if alg.starts_with("r2c") {
+        (n, m, Algorithm::R2c)
+    } else {
+        (m, n, Algorithm::C2r)
+    };
+    let len = ipt_core::shape_len(m, n);
+    let core = ipt_core::Plan::new(len, rows, cols, Layout::RowMajor, algorithm);
+    Plan::new(core, elem, &ParOptions::default())
 }
 
 /// The prediction device preset for a `--device` / stamp name.
@@ -186,7 +193,9 @@ pub fn model_stamp(
     elem: usize,
     measured_nanos: &[(&str, u64)],
 ) -> Option<ModelBreak> {
-    if measured_nanos.iter().all(|&(_, ns)| ns == 0) || tile_side(elem, m, n).is_some() {
+    if measured_nanos.iter().all(|&(_, ns)| ns == 0)
+        || plan_for(alg, m, n, elem).tile_side().is_some()
+    {
         return None;
     }
     let pred = predict_for(&device_preset(device), alg, m, n, elem)?;
@@ -274,13 +283,6 @@ pub fn main(args: &[String]) -> ExitCode {
     };
     ipt_pool::set_num_threads(opts.threads.unwrap_or(1));
     let (m, n, elem) = (opts.rows, opts.cols, opts.elem);
-    if opts.max_divergence.is_some() && tile_side(elem, m, n).is_some() {
-        eprintln!(
-            "error: {m}x{n} of {elem}-byte elements takes the tiled route, which the \
-             model does not describe; --max-divergence cannot gate it"
-        );
-        return ExitCode::from(2);
-    }
     let d = device_preset(&opts.device);
     let alg = match opts.algorithm.as_str() {
         "auto" => {
@@ -292,6 +294,14 @@ pub fn main(args: &[String]) -> ExitCode {
         }
         a => a,
     };
+    let plan = plan_for(alg, m, n, elem);
+    if opts.max_divergence.is_some() && plan.tile_side().is_some() {
+        eprintln!(
+            "error: {m}x{n} of {elem}-byte elements takes the tiled route, which the \
+             model does not describe; --max-divergence cannot gate it"
+        );
+        return ExitCode::from(2);
+    }
     let measured = match elem {
         1 => run_measured::<u8>(alg, m, n, opts.samples),
         2 => run_measured::<u16>(alg, m, n, opts.samples),
@@ -305,11 +315,13 @@ pub fn main(args: &[String]) -> ExitCode {
         opts.samples,
         ipt_pool::num_threads()
     );
-    if let Some(l) = tile_side(elem, m, n) {
-        print_tiled(&measured, l);
+    for line in plan.to_string().lines() {
+        println!("  {line}");
+    }
+    if plan.tile_side().is_some() {
+        print_tiled(&measured);
         return ExitCode::SUCCESS;
     }
-    println!("  route: element path");
     let pred = predict_for(&d, alg, m, n, elem).expect("c2r/r2c always have a prediction");
     let nanos_only: Vec<(&str, u64)> = measured.iter().map(|&(p, ns, _)| (p, ns)).collect();
     let breakdown = PhaseBreakdown::new(&pred, &nanos_only);
@@ -367,13 +379,7 @@ pub fn main(args: &[String]) -> ExitCode {
 /// its block-level passes move 4 KiB elements and its tile and panel
 /// passes are not in the model. So every row is marked not modelled, and
 /// no share or divergence is compared.
-fn print_tiled(measured: &[MeasuredPhase], l: usize) {
-    println!(
-        "  route: tiled, L = {l} (block-level passes on 4 KiB row segments, \
-         then {} and {})",
-        ipt_parallel::phases::TILE_TRANSPOSE,
-        ipt_parallel::phases::PANEL_PERMUTE
-    );
+fn print_tiled(measured: &[MeasuredPhase]) {
     println!("  the model predicts the element path only: no phase below is modelled");
     println!();
     println!(

@@ -1090,6 +1090,59 @@ fn model_on_a_tiled_shape_prints_the_route_and_models_no_phase() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("route: element path"));
 }
 
+/// `ipt model` prints the plan of the call it runs: for each element
+/// size, the text `ipt_parallel::Plan` gives for that call, line for
+/// line.
+#[test]
+fn model_prints_the_plan_of_each_route() {
+    use ipt_core::{Algorithm, Layout};
+    use ipt_parallel::{ParOptions, Plan};
+    // (shape, forced direction, rows x cols of the buffer it runs on): an
+    // element C2R shape with gcd 32, a coprime element R2C shape and a
+    // shape that is tiled for 8- and 16-byte elements.
+    let cases = [
+        ((96, 64), Algorithm::C2r, (96, 64)),
+        ((61, 48), Algorithm::R2c, (48, 61)),
+        ((1024, 1536), Algorithm::C2r, (1024, 1536)),
+    ];
+    for ((m, n), alg, (rows, cols)) in cases {
+        let dir = if alg == Algorithm::C2r { "c2r" } else { "r2c" };
+        for elem in [1usize, 2, 4, 8, 16] {
+            let out = ipt(&[
+                "model",
+                "--rows",
+                &m.to_string(),
+                "--cols",
+                &n.to_string(),
+                "--elem",
+                &elem.to_string(),
+                "--algorithm",
+                dir,
+                "--samples",
+                "1",
+            ]);
+            assert_ok(&out);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let core = ipt_core::Plan::new(m * n, rows, cols, Layout::RowMajor, alg);
+            let plan = Plan::new(core, elem, &ParOptions::default());
+            for line in plan.to_string().lines() {
+                assert!(
+                    stdout.lines().any(|l| l.trim() == line),
+                    "{m}x{n} {dir} elem {elem}: no {line:?} in:\n{stdout}"
+                );
+            }
+            let plan = plan.to_string();
+            match (m, elem) {
+                (96, _) => assert!(plan.contains("= 32: pre_rotate runs"), "{plan}"),
+                (61, _) => assert!(plan.contains("= 1: post_rotate is skipped"), "{plan}"),
+                (_, 8) => assert!(plan.contains("route: tiled, L = 512, P = 2"), "{plan}"),
+                (_, 16) => assert!(plan.contains("route: tiled, L = 256, P = 4"), "{plan}"),
+                _ => assert!(plan.contains("route: element path"), "{plan}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn model_gate_fails_on_impossible_threshold() {
     // Perfect agreement (divergence 0.000) is unattainable on real

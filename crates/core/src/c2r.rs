@@ -12,10 +12,9 @@
 //! `O(mn)` optimum class with `O(max(m, n))` auxiliary space (Theorem 6).
 
 use crate::index::C2rParams;
-use crate::kernels;
 use crate::permute;
 use crate::scratch::Scratch;
-use crate::shape_len;
+use crate::{shape_len, Algorithm, Layout, Plan};
 
 /// Transpose an `m x n` row-major buffer in place; the result is the
 /// `n x m` row-major transpose occupying the same slice.
@@ -23,7 +22,7 @@ use crate::shape_len;
 /// `scratch` is grown to `max(m, n)` elements and may be reused across
 /// calls. Uses the all-gather formulation (§5.1) with the direct
 /// column shuffle of Algorithm 1; the row shuffle runs through the
-/// [`kernels`] dispatcher (scalar or run-blocked per shape, overridable
+/// [`crate::kernels`] dispatcher (scalar or run-blocked per shape, overridable
 /// via `IPT_KERNEL`).
 ///
 /// ```
@@ -39,21 +38,8 @@ use crate::shape_len;
 ///
 /// Panics if `data.len() != m * n`.
 pub fn c2r<T: Copy>(data: &mut [T], m: usize, n: usize, scratch: &mut Scratch<T>) {
-    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
-    if m <= 1 || n <= 1 {
-        return; // a vector's transpose occupies the identical buffer
-    }
-    let p = C2rParams::new(m, n);
-    let tmp = scratch.ensure(m.max(n), data[0]);
-    permute::prerotate_cycles(data, &p);
-    kernels::row_shuffle(
-        data,
-        &p,
-        tmp,
-        kernels::select(&p),
-        kernels::ShuffleDirection::Inverse,
-    );
-    permute::col_shuffle_gather(data, &p, tmp);
+    let plan = Plan::new(data.len(), m, n, Layout::RowMajor, Algorithm::C2r);
+    crate::run(data, &plan, scratch);
 }
 
 /// [`c2r`] with the column shuffle decomposed into the restricted
@@ -90,7 +76,6 @@ pub fn c2r_literal<T: Copy>(data: &mut [T], m: usize, n: usize, scratch: &mut Sc
 mod tests {
     use super::*;
     use crate::check::{fill_pattern, first_mismatch, is_transposed_pattern, reference_transpose};
-    use crate::layout::Layout;
 
     fn sizes() -> Vec<(usize, usize)> {
         let mut v = Vec::new();

@@ -132,6 +132,55 @@ mod tests {
         assert_eq!(calls, 1, "parser runs exactly once");
     }
 
+    /// The library crates read the environment here and nowhere else, so
+    /// every knob follows the contract above. Unit-test modules, where a
+    /// test sets or inspects a knob, are exempt.
+    #[test]
+    fn library_crates_read_the_environment_only_here() {
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut offenders = Vec::new();
+        let mut scanned = 0;
+        for krate in ["core", "pool", "parallel", "aos-soa"] {
+            let mut dirs = vec![crates.join(krate).join("src")];
+            while let Some(dir) = dirs.pop() {
+                for entry in std::fs::read_dir(&dir).expect("a source directory") {
+                    let path = entry.expect("a directory entry").path();
+                    if path.is_dir() {
+                        dirs.push(path);
+                        continue;
+                    }
+                    if path.extension().is_none_or(|e| e != "rs")
+                        || path.ends_with("core/src/env.rs")
+                    {
+                        continue;
+                    }
+                    scanned += 1;
+                    let text = std::fs::read_to_string(&path).expect("a source file");
+                    let lines: Vec<&str> = text.lines().collect();
+                    // Cut at the unit-test module, as scripts/loc.sh does.
+                    let end = lines
+                        .windows(2)
+                        .position(|w| {
+                            w[0].trim() == "#[cfg(test)]" && w[1].trim().starts_with("mod tests")
+                        })
+                        .unwrap_or(lines.len());
+                    for (i, line) in lines[..end].iter().enumerate() {
+                        let code = line.trim_start();
+                        if !code.starts_with("//") && code.contains("env::var") {
+                            offenders.push(format!("{}:{}: {code}", path.display(), i + 1));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            scanned > 20,
+            "scanned only {scanned} files under {}",
+            crates.display()
+        );
+        assert!(offenders.is_empty(), "{offenders:#?}");
+    }
+
     #[test]
     fn bad_value_falls_back_to_none() {
         static CACHE: OnceLock<Option<usize>> = OnceLock::new();

@@ -23,8 +23,8 @@
 //! ```
 
 use crate::layout::Layout;
-use crate::noncopy::{c2r_steps, r2c_steps, SwapElems};
-use crate::shape_len;
+use crate::noncopy::{run_swaps, SwapElems};
+use crate::{Algorithm, Plan};
 
 /// A byte buffer viewed as elements of `elem` bytes each.
 struct Chunks<'a> {
@@ -46,18 +46,6 @@ impl SwapElems for Chunks<'_> {
     }
 }
 
-/// Panic unless `elem_size` is positive and `data` holds `m * n`
-/// elements of `elem_size` bytes.
-#[track_caller]
-fn assert_erased_shape(data: &[u8], m: usize, n: usize, elem_size: usize) {
-    assert!(elem_size > 0, "element size must be positive");
-    assert_eq!(
-        data.len(),
-        shape_len(shape_len(m, n), elem_size),
-        "buffer length must be m * n * elem_size"
-    );
-}
-
 /// Type-erased C2R: same contract as [`crate::c2r()`] on a buffer of
 /// `m * n` elements of `elem_size` bytes each.
 ///
@@ -65,28 +53,12 @@ fn assert_erased_shape(data: &[u8], m: usize, n: usize, elem_size: usize) {
 ///
 /// Panics if `elem_size == 0` or `data.len() != m * n * elem_size`.
 pub fn c2r_erased(data: &mut [u8], m: usize, n: usize, elem_size: usize) {
-    assert_erased_shape(data, m, n, elem_size);
-    c2r_steps(
-        &mut Chunks {
-            data,
-            elem: elem_size,
-        },
-        m,
-        n,
-    );
+    run_erased(data, elem_size, (m, n), Layout::RowMajor, Algorithm::C2r);
 }
 
 /// Type-erased R2C: the inverse of [`c2r_erased`]`(data, m, n, elem_size)`.
 pub fn r2c_erased(data: &mut [u8], m: usize, n: usize, elem_size: usize) {
-    assert_erased_shape(data, m, n, elem_size);
-    r2c_steps(
-        &mut Chunks {
-            data,
-            elem: elem_size,
-        },
-        m,
-        n,
-    );
+    run_erased(data, elem_size, (n, m), Layout::RowMajor, Algorithm::R2c);
 }
 
 /// Type-erased in-place transpose with the §5.2 heuristic: `rows x cols`
@@ -98,22 +70,32 @@ pub fn transpose_erased(
     elem_size: usize,
     layout: Layout,
 ) {
-    assert!(elem_size > 0, "element size must be positive");
-    assert_eq!(
-        data.len(),
-        shape_len(shape_len(rows, cols), elem_size),
-        "buffer length {} does not match {rows} x {cols} x {elem_size}",
+    run_erased(data, elem_size, (rows, cols), layout, Algorithm::Auto);
+}
+
+/// Resolve the call on `data`'s `elem_size`-byte elements and run its
+/// swap-only steps with a swap of two chunks.
+#[track_caller]
+fn run_erased(
+    data: &mut [u8],
+    elem_size: usize,
+    (rows, cols): (usize, usize),
+    layout: Layout,
+    algorithm: Algorithm,
+) {
+    assert!(
+        elem_size > 0 && data.len() % elem_size == 0,
+        "element size {elem_size} must be positive and divide the buffer length {}",
         data.len()
     );
-    let (m, n) = match layout {
-        Layout::RowMajor => (rows, cols),
-        Layout::ColMajor => (cols, rows),
-    };
-    if m > n {
-        c2r_erased(data, m, n, elem_size);
-    } else {
-        r2c_erased(data, n, m, elem_size);
-    }
+    let plan = Plan::new(data.len() / elem_size, rows, cols, layout, algorithm);
+    run_swaps(
+        &mut Chunks {
+            data,
+            elem: elem_size,
+        },
+        &plan,
+    );
 }
 
 #[cfg(test)]

@@ -25,6 +25,8 @@
 //! Either algorithm can transpose either layout by swapping the dimensions
 //! first (paper Theorems 1, 2 and 7); [`transpose`] wraps the paper's
 //! heuristic (§5.2: use C2R when `m > n`, else R2C) behind one entry point.
+//! Every entry point resolves its call once into a [`Plan`] — the shape
+//! check, the dimension swap and the direction — and runs a `match` on it.
 //!
 //! ## Quick start
 //!
@@ -54,6 +56,7 @@
 //! | [`mod@env`] | — | shared warn-once `IPT_*` environment-knob parsing |
 //! | [`error`] | — | fallible (`Result`) entry points for untrusted shapes |
 //! | [`scratch`] | Thm. 6 | the `O(max(m, n))` auxiliary buffer |
+//! | [`mod@plan`] | Thm. 2, §5.2 | one resolved call: direction and operating view |
 //! | [`permute`] | Alg. 1 | out-of-place row/column permutation steps |
 //! | [`kernels`] | §5.1 | row-shuffle kernel family + runtime dispatch |
 //! | [`rotate`] | §4.6 | analytic cycle-following rotation |
@@ -80,6 +83,7 @@ pub mod layout;
 pub mod matrix;
 pub mod noncopy;
 pub mod permute;
+pub mod plan;
 pub mod r2c;
 pub mod rotate;
 pub mod scratch;
@@ -89,8 +93,11 @@ pub use error::{shape_len, try_transpose, TransposeError};
 pub use index::C2rParams;
 pub use layout::Layout;
 pub use matrix::{Matrix, MatrixMut};
+pub use plan::{Direction, Plan};
 pub use r2c::r2c;
 pub use scratch::Scratch;
+
+use kernels::ShuffleDirection;
 
 /// Transpose an `rows x cols` matrix of the given [`Layout`] in place.
 ///
@@ -112,27 +119,7 @@ pub fn transpose<T: Copy>(
     layout: Layout,
     scratch: &mut Scratch<T>,
 ) {
-    assert_eq!(
-        data.len(),
-        shape_len(rows, cols),
-        "buffer length {} does not match {rows} x {cols}",
-        data.len()
-    );
-    // A column-major `rows x cols` buffer is bit-identical to a row-major
-    // `cols x rows` buffer, so the column-major case reduces to the
-    // row-major case with swapped dimensions (paper Theorem 2).
-    let (m, n) = match layout {
-        Layout::RowMajor => (rows, cols),
-        Layout::ColMajor => (cols, rows),
-    };
-    // Now `data` is a row-major m x n matrix to be transposed in place.
-    if m > n {
-        c2r(data, m, n, scratch);
-    } else {
-        // R2C with swapped parameters: `r2c(data, n, m)` consumes a
-        // row-major m x n buffer and produces the n x m transpose.
-        r2c(data, n, m, scratch);
-    }
+    transpose_with(data, rows, cols, layout, Algorithm::Auto, scratch);
 }
 
 /// Transpose using a caller-forced algorithm instead of the heuristic.
@@ -147,20 +134,30 @@ pub fn transpose_with<T: Copy>(
     algorithm: Algorithm,
     scratch: &mut Scratch<T>,
 ) {
-    assert_eq!(data.len(), shape_len(rows, cols));
-    let (m, n) = match layout {
-        Layout::RowMajor => (rows, cols),
-        Layout::ColMajor => (cols, rows),
+    let plan = Plan::new(data.len(), rows, cols, layout, algorithm);
+    run(data, &plan, scratch);
+}
+
+/// The body of every sequential `Copy` transpose: C2R's or R2C's passes
+/// on the plan's parameters, through a `max(m, n)`-element scratch row.
+/// The plan was resolved for `data`.
+fn run<T: Copy>(data: &mut [T], plan: &Plan, scratch: &mut Scratch<T>) {
+    let Some(p) = &plan.params else {
+        return; // a vector's transpose occupies the identical buffer
     };
-    match algorithm {
-        Algorithm::C2r => c2r(data, m, n, scratch),
-        Algorithm::R2c => r2c(data, n, m, scratch),
-        Algorithm::Auto => {
-            if m > n {
-                c2r(data, m, n, scratch)
-            } else {
-                r2c(data, n, m, scratch)
-            }
+    let tmp = scratch.ensure(p.m.max(p.n), data[0]);
+    let kernel = kernels::select(p);
+    match plan.direction {
+        Direction::C2r => {
+            permute::prerotate_cycles(data, p);
+            kernels::row_shuffle(data, p, tmp, kernel, ShuffleDirection::Inverse);
+            permute::col_shuffle_gather(data, p, tmp);
+        }
+        Direction::R2c => {
+            permute::row_permute_inverse(data, p, tmp);
+            permute::col_rotate_inverse(data, p);
+            kernels::row_shuffle(data, p, tmp, kernel, ShuffleDirection::Forward);
+            permute::postrotate_inverse(data, p);
         }
     }
 }

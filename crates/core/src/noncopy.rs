@@ -28,9 +28,8 @@
 //! assert_eq!(words, ["a", "d", "b", "e", "c", "f"]);
 //! ```
 
-use crate::index::C2rParams;
 use crate::layout::Layout;
-use crate::shape_len;
+use crate::{Algorithm, Direction, Plan};
 
 /// All the swap-only passes ask of a buffer: swap two of its elements,
 /// by element index. A `[T]` swaps elements; [`crate::erased`] swaps
@@ -127,89 +126,73 @@ fn apply_gather_swaps<S: SwapElems + ?Sized>(
 /// Consumes an `m x n` row-major buffer, leaves the `n x m` row-major
 /// transpose. Auxiliary space: `max(m, n)` bytes of cycle marks.
 pub fn c2r_swaps<T>(data: &mut [T], m: usize, n: usize) {
-    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
-    c2r_steps(data, m, n);
-}
-
-/// The steps of [`c2r_swaps`] on any buffer of `m * n` elements that can
-/// swap two of them; the caller has checked the shape.
-pub(crate) fn c2r_steps<S: SwapElems + ?Sized>(data: &mut S, m: usize, n: usize) {
-    if m <= 1 || n <= 1 {
-        return;
-    }
-    let p = C2rParams::new(m, n);
-    let mut visited = vec![false; m.max(n)];
-
-    // Step 1: pre-rotation (Eq. 23), three-reversal per column.
-    if !p.coprime() {
-        for j in 0..n {
-            rotate_strided_left_swaps(data, j, n, m, p.rotate_amount(j) % m);
-        }
-    }
-    // Step 2: row shuffle, gather with d'^-1 (Eq. 31) along cycles.
-    for i in 0..m {
-        apply_gather_swaps(data, i * n, 1, n, |j| p.d_inv(i, j), &mut visited);
-    }
-    // Step 3: column shuffle, gather with s'_j (Eq. 26) along cycles.
-    for j in 0..n {
-        apply_gather_swaps(data, j, n, m, |i| p.s(j, i), &mut visited);
-    }
+    let plan = Plan::new(data.len(), m, n, Layout::RowMajor, Algorithm::C2r);
+    run_swaps(data, &plan);
 }
 
 /// Swap-only R2C: same contract as [`crate::r2c()`] but for any `T` —
 /// the exact inverse of [`c2r_swaps`]`(data, m, n)`.
 pub fn r2c_swaps<T>(data: &mut [T], m: usize, n: usize) {
-    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
-    r2c_steps(data, m, n);
-}
-
-/// The steps of [`r2c_swaps`], as [`c2r_steps`] is of [`c2r_swaps`].
-pub(crate) fn r2c_steps<S: SwapElems + ?Sized>(data: &mut S, m: usize, n: usize) {
-    if m <= 1 || n <= 1 {
-        return;
-    }
-    let p = C2rParams::new(m, n);
-    let mut visited = vec![false; m.max(n)];
-
-    // Inverse steps in reverse order (§4.3), each with its closed-form
-    // index function — no permutation inversion at runtime.
-    //
-    // The inverse column shuffle is one gather per column with
-    // (s'_j)^-1 = q^-1 ∘ p^-1_j, since s'_j = p_j ∘ q (Eqs. 32–35).
-    for j in 0..n {
-        apply_gather_swaps(data, j, n, m, |i| p.q_inv(p.p_inv(j, i)), &mut visited);
-    }
-    // Row shuffle inverse: gather with d'_i directly (§4.3).
-    for i in 0..m {
-        apply_gather_swaps(data, i * n, 1, n, |j| p.d(i, j), &mut visited);
-    }
-    // Undo the pre-rotation (Eq. 36).
-    if !p.coprime() {
-        for j in 0..n {
-            let k = p.rotate_amount(j) % m;
-            rotate_strided_left_swaps(data, j, n, m, (m - k) % m);
-        }
-    }
+    let plan = Plan::new(data.len(), n, m, Layout::RowMajor, Algorithm::R2c);
+    run_swaps(data, &plan);
 }
 
 /// Swap-only in-place transpose for arbitrary element types: the
 /// non-`Copy` counterpart of [`crate::transpose`], with the same §5.2
 /// direction heuristic.
 pub fn transpose_any<T>(data: &mut [T], rows: usize, cols: usize, layout: Layout) {
-    assert_eq!(
-        data.len(),
-        shape_len(rows, cols),
-        "buffer length {} does not match {rows} x {cols}",
-        data.len()
-    );
-    let (m, n) = match layout {
-        Layout::RowMajor => (rows, cols),
-        Layout::ColMajor => (cols, rows),
+    let plan = Plan::new(data.len(), rows, cols, layout, Algorithm::Auto);
+    run_swaps(data, &plan);
+}
+
+/// The swap-only steps of the plan's direction, on any buffer of
+/// `m * n` elements that can swap two of them; the caller resolved
+/// `plan` for `data`.
+pub(crate) fn run_swaps<S: SwapElems + ?Sized>(data: &mut S, plan: &Plan) {
+    let Some(p) = &plan.params else {
+        return; // a vector's transpose occupies the identical buffer
     };
-    if m > n {
-        c2r_swaps(data, m, n);
-    } else {
-        r2c_swaps(data, n, m);
+    let (m, n) = (p.m, p.n);
+    let mut visited = vec![false; m.max(n)];
+    match plan.direction {
+        Direction::C2r => {
+            // Step 1: pre-rotation (Eq. 23), three-reversal per column.
+            if !p.coprime() {
+                for j in 0..n {
+                    rotate_strided_left_swaps(data, j, n, m, p.rotate_amount(j) % m);
+                }
+            }
+            // Step 2: row shuffle, gather with d'^-1 (Eq. 31) along cycles.
+            for i in 0..m {
+                apply_gather_swaps(data, i * n, 1, n, |j| p.d_inv(i, j), &mut visited);
+            }
+            // Step 3: column shuffle, gather with s'_j (Eq. 26) along cycles.
+            for j in 0..n {
+                apply_gather_swaps(data, j, n, m, |i| p.s(j, i), &mut visited);
+            }
+        }
+        Direction::R2c => {
+            // Inverse steps in reverse order (§4.3), each with its
+            // closed-form index function — no permutation inversion at
+            // runtime.
+            //
+            // The inverse column shuffle is one gather per column with
+            // (s'_j)^-1 = q^-1 ∘ p^-1_j, since s'_j = p_j ∘ q (Eqs. 32–35).
+            for j in 0..n {
+                apply_gather_swaps(data, j, n, m, |i| p.q_inv(p.p_inv(j, i)), &mut visited);
+            }
+            // Row shuffle inverse: gather with d'_i directly (§4.3).
+            for i in 0..m {
+                apply_gather_swaps(data, i * n, 1, n, |j| p.d(i, j), &mut visited);
+            }
+            // Undo the pre-rotation (Eq. 36).
+            if !p.coprime() {
+                for j in 0..n {
+                    let k = p.rotate_amount(j) % m;
+                    rotate_strided_left_swaps(data, j, n, m, (m - k) % m);
+                }
+            }
+        }
     }
 }
 

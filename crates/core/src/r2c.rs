@@ -14,11 +14,8 @@
 //! Theorem 2's dimension swap it transposes row-major arrays too, which is
 //! how [`crate::transpose`] uses it for wide matrices.
 
-use crate::index::C2rParams;
-use crate::kernels;
-use crate::permute;
 use crate::scratch::Scratch;
-use crate::shape_len;
+use crate::{Algorithm, Layout, Plan};
 
 /// Inverse-transpose an `n x m` row-major buffer in place, producing the
 /// `m x n` row-major result; exactly undoes [`crate::c2r::c2r`]`(data, m, n)`.
@@ -40,22 +37,8 @@ use crate::shape_len;
 ///
 /// Panics if `data.len() != m * n`.
 pub fn r2c<T: Copy>(data: &mut [T], m: usize, n: usize, scratch: &mut Scratch<T>) {
-    assert_eq!(data.len(), shape_len(m, n), "buffer length must be m * n");
-    if m <= 1 || n <= 1 {
-        return;
-    }
-    let p = C2rParams::new(m, n);
-    let tmp = scratch.ensure(m.max(n), data[0]);
-    permute::row_permute_inverse(data, &p, tmp);
-    permute::col_rotate_inverse(data, &p);
-    kernels::row_shuffle(
-        data,
-        &p,
-        tmp,
-        kernels::select(&p),
-        kernels::ShuffleDirection::Forward,
-    );
-    permute::postrotate_inverse(data, &p);
+    let plan = Plan::new(data.len(), n, m, Layout::RowMajor, Algorithm::R2c);
+    crate::run(data, &plan, scratch);
 }
 
 #[cfg(test)]
@@ -63,7 +46,6 @@ mod tests {
     use super::*;
     use crate::c2r::c2r;
     use crate::check::{fill_pattern, is_transposed_pattern};
-    use crate::layout::Layout;
 
     fn sizes() -> Vec<(usize, usize)> {
         let mut v = Vec::new();

@@ -12,8 +12,7 @@
 use crate::exec::run_blocks;
 use crate::{phases, run_pass, TransposeAborted};
 use ipt_core::index::C2rParams;
-use ipt_core::shape_len;
-use ipt_core::{permute, Layout};
+use ipt_core::{permute, shape_len, Algorithm, Direction, Layout, Plan};
 
 /// C2R-transpose `batch` contiguous `m x n` row-major matrices in place;
 /// each becomes its `n x m` row-major transpose.
@@ -37,11 +36,7 @@ pub fn c2r_batched<T: Copy + Send + Sync + 'static>(
     m: usize,
     n: usize,
 ) -> Result<(), TransposeAborted> {
-    run_batched(data, batch, m, n, |mat, p, tmp| {
-        permute::prerotate_cycles(mat, p);
-        permute::row_shuffle_gather(mat, p, tmp);
-        permute::col_shuffle_decomposed(mat, p, tmp);
-    })
+    run(data, batch, (m, n), Layout::RowMajor, Algorithm::C2r)
 }
 
 /// R2C-transpose `batch` contiguous matrices: the inverse of
@@ -53,43 +48,7 @@ pub fn r2c_batched<T: Copy + Send + Sync + 'static>(
     m: usize,
     n: usize,
 ) -> Result<(), TransposeAborted> {
-    run_batched(data, batch, m, n, |mat, p, tmp| {
-        permute::row_permute_inverse(mat, p, tmp);
-        permute::col_rotate_inverse(mat, p);
-        permute::row_shuffle_gather_forward(mat, p, tmp);
-        permute::postrotate_inverse(mat, p);
-    })
-}
-
-/// Run `step(matrix, p, tmp)` on each of the `batch` matrices, one
-/// executor task per matrix, as one [`phases::BATCHED`] pass, with `p`
-/// built once for the whole batch and `tmp` a `max(m, n)`-element
-/// scratch row. `step` is the sequential
-/// `ipt_core::permute` transpose and has no fault site inside, so it is
-/// also the recovery ladder's redo.
-fn run_batched<T: Copy + Send + Sync + 'static>(
-    data: &mut [T],
-    batch: usize,
-    m: usize,
-    n: usize,
-    step: impl Fn(&mut [T], &C2rParams, &mut [T]) + Sync,
-) -> Result<(), TransposeAborted> {
-    assert_eq!(
-        data.len(),
-        shape_len(batch, shape_len(m, n)),
-        "buffer must hold `batch` m x n matrices"
-    );
-    if m <= 1 || n <= 1 || batch == 0 {
-        return Ok(());
-    }
-    let p = C2rParams::new(m, n);
-    let task = |tmp: &mut ipt_pool::Scratch<T>, _: usize, mat: &mut [T]| {
-        let fill = mat[0];
-        step(mat, &p, tmp.uninit_buf(m.max(n), fill));
-    };
-    run_pass(phases::BATCHED, data, |data| {
-        run_blocks(data, m * n, phases::BATCHED, task, task)
-    })
+    run(data, batch, (n, m), Layout::RowMajor, Algorithm::R2c)
 }
 
 /// Transpose `batch` contiguous `rows x cols` matrices of the given
@@ -101,20 +60,56 @@ pub fn transpose_batched<T: Copy + Send + Sync + 'static>(
     cols: usize,
     layout: Layout,
 ) -> Result<(), TransposeAborted> {
+    run(data, batch, (rows, cols), layout, Algorithm::Auto)
+}
+
+/// Check that `data` holds `batch` `rows x cols` matrices, resolve one
+/// matrix's plan, and run its direction's sequential `ipt_core::permute`
+/// steps on each matrix, one executor task per matrix, as one
+/// [`phases::BATCHED`] pass. The parameters are built once for the whole
+/// batch, and each task takes a `max(m, n)`-element scratch row. The
+/// steps have no fault site inside, so they are also the recovery
+/// ladder's redo.
+fn run<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    batch: usize,
+    (rows, cols): (usize, usize),
+    layout: Layout,
+    algorithm: Algorithm,
+) -> Result<(), TransposeAborted> {
+    let len = shape_len(rows, cols);
     assert_eq!(
         data.len(),
-        shape_len(batch, shape_len(rows, cols)),
-        "buffer must hold `batch` matrices"
+        shape_len(batch, len),
+        "buffer must hold `batch` {rows} x {cols} matrices"
     );
-    let (m, n) = match layout {
-        Layout::RowMajor => (rows, cols),
-        Layout::ColMajor => (cols, rows),
+    let plan = Plan::new(len, rows, cols, layout, algorithm);
+    let Some(p) = &plan.params else {
+        return Ok(()); // a vector is its own transpose
     };
-    if m > n {
-        c2r_batched(data, batch, m, n)
-    } else {
-        r2c_batched(data, batch, n, m)
+    if batch == 0 {
+        return Ok(());
     }
+    let step: fn(&mut [T], &C2rParams, &mut [T]) = match plan.direction {
+        Direction::C2r => |mat, p, tmp| {
+            permute::prerotate_cycles(mat, p);
+            permute::row_shuffle_gather(mat, p, tmp);
+            permute::col_shuffle_decomposed(mat, p, tmp);
+        },
+        Direction::R2c => |mat, p, tmp| {
+            permute::row_permute_inverse(mat, p, tmp);
+            permute::col_rotate_inverse(mat, p);
+            permute::row_shuffle_gather_forward(mat, p, tmp);
+            permute::postrotate_inverse(mat, p);
+        },
+    };
+    let task = |tmp: &mut ipt_pool::Scratch<T>, _: usize, mat: &mut [T]| {
+        let fill = mat[0];
+        step(mat, p, tmp.uninit_buf(p.m.max(p.n), fill));
+    };
+    run_pass(phases::BATCHED, data, |data| {
+        run_blocks(data, len, phases::BATCHED, task, task)
+    })
 }
 
 #[cfg(test)]

@@ -16,14 +16,17 @@
 //!   blocked) column rotation and the §4.7 sub-row cycle-following row
 //!   permute, which turn strided column traffic into cache-line-sized
 //!   sub-row traffic;
-//! * the **tiled route** of [`c2r_parallel`] / [`r2c_parallel`], for
-//!   shapes whose sides are multiples of the `L` elements one 4 KiB
-//!   block holds ([`tile_side`]): C2R runs on the `m x n/L` matrix of
-//!   blocks (the element path's passes, [`phases::ALL`], with page-sized
-//!   moves and no fine pass), then every `L x L` tile is transposed in
-//!   place ([`phases::TILE_TRANSPOSE`]), then each `m x L` panel's rows
-//!   are put in order with the §4.7 sub-row permute
-//!   ([`phases::PANEL_PERMUTE`]); R2C runs the inverses in reverse;
+//! * one [`Plan`] per call: every entry point resolves its shape check,
+//!   direction and view ([`ipt_core::Plan`]) and its [`Route`] once, then
+//!   runs a `match` on the route — nothing to do for a vector or an
+//!   empty matrix, the element path, or the **tiled route** for shapes
+//!   whose sides are multiples of the `L` elements one 4 KiB block holds:
+//!   C2R on the `m x n/L` matrix of blocks (the element path's passes,
+//!   [`phases::ALL`], with page-sized moves and no fine pass), then every
+//!   `L x L` tile in place ([`phases::TILE_TRANSPOSE`]), then each
+//!   `m x L` panel's rows by the §4.7 sub-row permute
+//!   ([`phases::PANEL_PERMUTE`]); R2C runs the inverses in reverse. The
+//!   plan's `Display` is what `ipt model` prints;
 //! * [`stage_blocks`] — contiguous blocks staged through worker scratch,
 //!   which with [`cache_aware::transpose_blocks`] carries the skinny §6.1
 //!   AoS⇄SoA specialization's two passes and the tiled route's tile and
@@ -64,15 +67,19 @@
 pub mod batched;
 pub mod cache_aware;
 mod exec;
+mod plan;
 pub mod rows;
 mod tiled;
 mod unsafe_slice;
 
 pub use exec::stage_blocks;
+pub use plan::{Plan, Route};
 pub use tiled::tile_side;
 
+use std::mem::size_of;
+
 use ipt_core::index::C2rParams;
-use ipt_core::Layout;
+use ipt_core::{Algorithm, Direction, Layout};
 use ipt_pool::PoolError;
 
 /// A parallel transpose aborted because a worker panicked mid-pass.
@@ -180,7 +187,7 @@ pub mod phases {
     pub const BLOCK_PERMUTE: &str = "block_permute";
 
     /// Tiled route, C2R step 2 and R2C step 2: transpose every
-    /// contiguous `L x L` tile in place (see [`crate::tile_side`]). Not
+    /// contiguous `L x L` tile in place (see [`crate::Route::Tiled`]). Not
     /// in [`ALL`].
     pub const TILE_TRANSPOSE: &str = "tile_transpose";
     /// Tiled route, C2R step 3 and R2C step 1: move each `m x L` panel's
@@ -256,60 +263,32 @@ impl Default for ParOptions {
 impl ParOptions {
     /// Resolve the effective sub-row width for element type `T`.
     pub fn group_width<T>(&self) -> usize {
+        self.width(size_of::<T>())
+    }
+
+    /// The effective sub-row width for `elem_size`-byte elements.
+    fn width(&self, elem_size: usize) -> usize {
         if self.col_group > 0 {
             self.col_group
         } else {
-            (256 / core::mem::size_of::<T>().max(1)).max(1)
+            (256 / elem_size.max(1)).max(1)
         }
     }
 }
 
 /// Parallel C2R: transpose an `m x n` row-major buffer in place into its
 /// `n x m` row-major transpose, using the global `ipt_pool` thread count.
-///
-/// When a 4 KiB block holds `L > 1` whole elements and `L` divides both
-/// sides ([`tile_side`]), the call takes the tiled route: C2R on the
-/// `m x n/L` matrix of blocks, then the `L x L` tiles, then the `m x L`
-/// panels (DESIGN.md §7). There `opts.col_group` does not apply: the
-/// block-level column groups are one block wide. Every other shape runs
-/// the element path.
+/// Its [`Route`] is the element path or, for shapes whose sides are
+/// multiples of a 4 KiB block ([`Plan::tile_side`]), the tiled route, where
+/// `opts.col_group` does not apply (DESIGN.md §7).
 pub fn c2r_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
     n: usize,
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
-    assert_shape(data.len(), m, n);
-    match tiled::Tiling::of::<T>(m, n) {
-        Some(t) => t.c2r(data, opts.block_rows),
-        None => c2r_elements(data, m, n, opts.group_width::<T>(), opts.block_rows),
-    }
-}
-
-/// The element path of [`c2r_parallel`] with column groups `w` wide and
-/// fine windows `h` rows tall.
-pub(crate) fn c2r_elements<T: Copy + Send + Sync + 'static>(
-    data: &mut [T],
-    m: usize,
-    n: usize,
-    w: usize,
-    h: usize,
-) -> Result<(), TransposeAborted> {
-    if m <= 1 || n <= 1 {
-        return Ok(());
-    }
-    let p = C2rParams::new(m, n);
-    if !p.coprime() {
-        run_pass(phases::PRE_ROTATE, data, |d| {
-            cache_aware::prerotate(d, &p, w, h)
-        })?;
-    }
-    run_pass(phases::ROW_SHUFFLE, data, |d| {
-        rows::row_shuffle_parallel(d, &p)
-    })?;
-    run_pass(phases::COL_SHUFFLE, data, |d| {
-        cache_aware::col_shuffle_fused(d, &p, w, h)
-    })
+    let core = ipt_core::Plan::new(data.len(), m, n, Layout::RowMajor, Algorithm::C2r);
+    run(data, core, opts)
 }
 
 /// Parallel R2C: the inverse of [`c2r_parallel`] — consumes an `n x m`
@@ -322,38 +301,8 @@ pub fn r2c_parallel<T: Copy + Send + Sync + 'static>(
     n: usize,
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
-    assert_shape(data.len(), m, n);
-    match tiled::Tiling::of::<T>(m, n) {
-        Some(t) => t.r2c(data, opts.block_rows),
-        None => r2c_elements(data, m, n, opts.group_width::<T>(), opts.block_rows),
-    }
-}
-
-/// The element path of [`r2c_parallel`], as [`c2r_elements`] is of
-/// [`c2r_parallel`].
-pub(crate) fn r2c_elements<T: Copy + Send + Sync + 'static>(
-    data: &mut [T],
-    m: usize,
-    n: usize,
-    w: usize,
-    h: usize,
-) -> Result<(), TransposeAborted> {
-    if m <= 1 || n <= 1 {
-        return Ok(());
-    }
-    let p = C2rParams::new(m, n);
-    run_pass(phases::COL_SHUFFLE, data, |d| {
-        cache_aware::col_shuffle_fused_inverse(d, &p, w, h)
-    })?;
-    run_pass(phases::ROW_SHUFFLE, data, |d| {
-        rows::row_shuffle_forward_parallel(d, &p)
-    })?;
-    if p.coprime() {
-        return Ok(());
-    }
-    run_pass(phases::POST_ROTATE, data, |d| {
-        cache_aware::postrotate_inverse(d, &p, w, h)
-    })
+    let core = ipt_core::Plan::new(data.len(), n, m, Layout::RowMajor, Algorithm::R2c);
+    run(data, core, opts)
 }
 
 /// Parallel in-place transpose of a `rows x cols` matrix in `layout`,
@@ -366,16 +315,7 @@ pub fn transpose_parallel<T: Copy + Send + Sync + 'static>(
     layout: Layout,
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
-    assert_shape(data.len(), rows, cols);
-    let (m, n) = match layout {
-        Layout::RowMajor => (rows, cols),
-        Layout::ColMajor => (cols, rows),
-    };
-    if m > n {
-        c2r_parallel(data, m, n, opts)
-    } else {
-        r2c_parallel(data, n, m, opts)
-    }
+    transpose_parallel_with(data, rows, cols, layout, Algorithm::Auto, opts)
 }
 
 /// Parallel in-place transpose with a caller-forced algorithm — the
@@ -386,18 +326,67 @@ pub fn transpose_parallel_with<T: Copy + Send + Sync + 'static>(
     rows: usize,
     cols: usize,
     layout: Layout,
-    algorithm: ipt_core::Algorithm,
+    algorithm: Algorithm,
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
-    assert_shape(data.len(), rows, cols);
-    let (m, n) = match layout {
-        Layout::RowMajor => (rows, cols),
-        Layout::ColMajor => (cols, rows),
-    };
-    match algorithm {
-        ipt_core::Algorithm::C2r => c2r_parallel(data, m, n, opts),
-        ipt_core::Algorithm::R2c => r2c_parallel(data, n, m, opts),
-        ipt_core::Algorithm::Auto => transpose_parallel(data, rows, cols, layout, opts),
+    let core = ipt_core::Plan::new(data.len(), rows, cols, layout, algorithm);
+    run(data, core, opts)
+}
+
+/// Every parallel transpose: the route of the call's resolved `core`
+/// plan, then a `match` on it.
+fn run<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    core: ipt_core::Plan,
+    opts: &ParOptions,
+) -> Result<(), TransposeAborted> {
+    let plan = Plan::new(core, size_of::<T>(), opts);
+    let dir = plan.core.direction;
+    match &plan.route {
+        Route::Nothing => Ok(()),
+        Route::Elements { params, w, h } => elements(data, dir, params, *w, *h),
+        Route::Tiled { blocks, l, p, h } => tiled::run(data, dir, blocks.as_ref(), *l, *p, *h),
+    }
+}
+
+/// The element path: C2R's or R2C's passes on the `p.m x p.n`
+/// parameters, with column groups `w` wide and fine windows `h` rows
+/// tall; `p.m, p.n > 1`.
+pub(crate) fn elements<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    dir: Direction,
+    p: &C2rParams,
+    w: usize,
+    h: usize,
+) -> Result<(), TransposeAborted> {
+    match dir {
+        Direction::C2r => {
+            if !p.coprime() {
+                run_pass(phases::PRE_ROTATE, data, |d| {
+                    cache_aware::prerotate(d, p, w, h)
+                })?;
+            }
+            run_pass(phases::ROW_SHUFFLE, data, |d| {
+                rows::row_shuffle_parallel(d, p)
+            })?;
+            run_pass(phases::COL_SHUFFLE, data, |d| {
+                cache_aware::col_shuffle_fused(d, p, w, h)
+            })
+        }
+        Direction::R2c => {
+            run_pass(phases::COL_SHUFFLE, data, |d| {
+                cache_aware::col_shuffle_fused_inverse(d, p, w, h)
+            })?;
+            run_pass(phases::ROW_SHUFFLE, data, |d| {
+                rows::row_shuffle_forward_parallel(d, p)
+            })?;
+            if p.coprime() {
+                return Ok(());
+            }
+            run_pass(phases::POST_ROTATE, data, |d| {
+                cache_aware::postrotate_inverse(d, p, w, h)
+            })
+        }
     }
 }
 

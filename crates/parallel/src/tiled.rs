@@ -28,9 +28,9 @@
 
 use std::mem::{size_of, MaybeUninit};
 
-use crate::{
-    c2r_elements, cache_aware, phases, r2c_elements, run_pass, stage_blocks, TransposeAborted,
-};
+use crate::{cache_aware, elements, phases, run_pass, stage_blocks, TransposeAborted};
+use ipt_core::index::C2rParams;
+use ipt_core::Direction;
 use ipt_pool::Scratch;
 
 /// Bytes of one block: a page.
@@ -45,13 +45,9 @@ type Block = [MaybeUninit<u8>; BLOCK_BYTES];
 /// sub-tiles is 4 KiB, well inside L1.
 const SUB: usize = 16;
 
-/// Side `L` of the tiles the tiled route cuts an `m x n` matrix of `T`
-/// into, or `None` when the shape takes the element path.
-///
-/// The route applies when `size_of::<T>()` divides 4096, so one 4 KiB
-/// block holds `L = 4096 / size_of::<T>()` whole elements, and `L`
-/// divides both `m` and `n`. A 4 KiB element (`L = 1`) is its own block,
-/// so it takes the element path.
+/// Side `L` of the tiles `c2r_parallel::<T>` cuts an `m x n` matrix
+/// into, or `None` when it takes the element path: the call's
+/// [`crate::Plan::tile_side`].
 ///
 /// ```
 /// use ipt_parallel::tile_side;
@@ -59,89 +55,85 @@ const SUB: usize = 16;
 /// assert_eq!(tile_side::<u64>(1024, 1536), Some(512));
 /// assert_eq!(tile_side::<u64>(1024, 1000), None); // 512 does not divide 1000
 /// assert_eq!(tile_side::<[u8; 3]>(4096, 4096), None); // 3 does not divide 4096
+/// assert_eq!(tile_side::<u64>(0, 512), None); // nothing to do
 /// ```
 pub fn tile_side<T>(m: usize, n: usize) -> Option<usize> {
-    Tiling::of::<T>(m, n).map(|t| t.l)
+    side(m, n, size_of::<T>()).filter(|_| m > 1 && n > 1)
 }
 
-/// The tiled route's shape: an `m x n` matrix cut into `L x L` tiles.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Tiling {
-    m: usize,
-    n: usize,
+/// The route test of [`crate::Plan::new`]: the tile side `L` when a
+/// 4 KiB block holds `L > 1` whole `elem_size`-byte elements and `L`
+/// divides both `m` and `n`. A 4 KiB element is its own block, so it
+/// takes the element path.
+pub(crate) fn side(m: usize, n: usize, elem_size: usize) -> Option<usize> {
+    if elem_size == 0 || BLOCK_BYTES % elem_size != 0 {
+        return None;
+    }
+    let l = BLOCK_BYTES / elem_size;
+    (l > 1 && m % l == 0 && n % l == 0).then_some(l)
+}
+
+/// The tiled route's passes (see [`crate::Route::Tiled`]): C2R runs
+/// block-level C2R, the tiles, the panels; R2C the inverse panel
+/// permute, the tiles, block-level R2C.
+pub(crate) fn run<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    dir: Direction,
+    blocks: Option<&C2rParams>,
     l: usize,
+    p: usize,
+    h: usize,
+) -> Result<(), TransposeAborted> {
+    let block_level = |data: &mut [T]| match blocks {
+        Some(b) => elements(as_blocks(data, l), dir, b, 1, h),
+        None => Ok(()),
+    };
+    match dir {
+        Direction::C2r => {
+            block_level(data)?;
+            tiles(data, l)?;
+            panels(data, l, p, false)
+        }
+        Direction::R2c => {
+            panels(data, l, p, true)?;
+            tiles(data, l)?;
+            block_level(data)
+        }
+    }
 }
 
-impl Tiling {
-    /// The tiling of an `m x n` matrix of `T`, when it takes the route
-    /// (see [`tile_side`]).
-    pub(crate) fn of<T>(m: usize, n: usize) -> Option<Tiling> {
-        let size = size_of::<T>();
-        if size == 0 || BLOCK_BYTES % size != 0 {
-            return None;
-        }
-        let l = BLOCK_BYTES / size;
-        (l > 1 && m % l == 0 && n % l == 0).then_some(Tiling { m, n, l })
-    }
-
-    /// C2R on the tiled route: block-level C2R, the tiles, the panels.
-    pub(crate) fn c2r<T: Copy + Send + Sync + 'static>(
-        self,
-        data: &mut [T],
-        h: usize,
-    ) -> Result<(), TransposeAborted> {
-        c2r_elements(as_blocks(data, self.l), self.m, self.n / self.l, 1, h)?;
-        self.tiles(data)?;
-        self.panels(data, false)
-    }
-
-    /// R2C on the tiled route: the inverse panel permute, the tiles,
-    /// block-level R2C.
-    pub(crate) fn r2c<T: Copy + Send + Sync + 'static>(
-        self,
-        data: &mut [T],
-        h: usize,
-    ) -> Result<(), TransposeAborted> {
-        self.panels(data, true)?;
-        self.tiles(data)?;
-        r2c_elements(as_blocks(data, self.l), self.m, self.n / self.l, 1, h)
-    }
-
-    /// Transpose every contiguous `L x L` tile in place, one task each.
-    fn tiles<T: Copy + Send + Sync + 'static>(
-        self,
-        data: &mut [T],
-    ) -> Result<(), TransposeAborted> {
-        let l = self.l;
-        run_pass(phases::TILE_TRANSPOSE, data, |data| {
-            stage_blocks(data, l * l, phases::TILE_TRANSPOSE, |pair, _, tile| {
-                transpose_tile(tile, l, pair)
-            })
+/// Transpose every contiguous `L x L` tile in place, one task each.
+fn tiles<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    l: usize,
+) -> Result<(), TransposeAborted> {
+    run_pass(phases::TILE_TRANSPOSE, data, |data| {
+        stage_blocks(data, l * l, phases::TILE_TRANSPOSE, |pair, _, tile| {
+            transpose_tile(tile, l, pair)
         })
-    }
+    })
+}
 
-    /// Put the `L`-element rows of each `m x L` panel in their final
-    /// order, or back (`inverse`), one panel at a time; skipped when a
-    /// panel is a single tile. A panel's `L` columns split into one group
-    /// per worker, so each moves sub-rows of `L / threads` elements.
-    fn panels<T: Copy + Send + Sync + 'static>(
-        self,
-        data: &mut [T],
-        inverse: bool,
-    ) -> Result<(), TransposeAborted> {
-        let (m, l) = (self.m, self.l);
-        let p = m / l;
-        if p <= 1 {
-            return Ok(());
-        }
-        let w = l.div_ceil(ipt_pool::num_threads().max(1));
-        let blocks = if inverse { (l, p) } else { (p, l) };
-        run_pass(phases::PANEL_PERMUTE, data, |data| {
-            data.chunks_exact_mut(m * l).try_for_each(|panel| {
-                cache_aware::transpose_blocks(panel, blocks, l, w, phases::PANEL_PERMUTE)
-            })
-        })
+/// Put the `L`-element rows of each `m x L` panel (`m = P·L`) in their
+/// final order, or back (`inverse`), one panel at a time; skipped when a
+/// panel is a single tile. A panel's `L` columns split into one group
+/// per worker, so each moves sub-rows of `L / threads` elements.
+fn panels<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    l: usize,
+    p: usize,
+    inverse: bool,
+) -> Result<(), TransposeAborted> {
+    if p <= 1 {
+        return Ok(());
     }
+    let w = l.div_ceil(ipt_pool::num_threads().max(1));
+    let blocks = if inverse { (l, p) } else { (p, l) };
+    run_pass(phases::PANEL_PERMUTE, data, |data| {
+        data.chunks_exact_mut(p * l * l).try_for_each(|panel| {
+            cache_aware::transpose_blocks(panel, blocks, l, w, phases::PANEL_PERMUTE)
+        })
+    })
 }
 
 /// View `data` as its 4 KiB blocks, `L` elements each.

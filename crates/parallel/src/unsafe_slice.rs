@@ -62,18 +62,21 @@ const EPOCH_MAX: u32 = (1 << (32 - OWNER_BITS)) - 1;
 /// Recycled shadow allocations kept for reuse (excess ones are freed).
 const MAX_LEASES: usize = 8;
 
-/// Whether checked mode is active for this process (parsed once).
+/// Whether checked mode is active for this process: `IPT_CHECK`, read
+/// once through the shared knob contract ([`ipt_core::env::parse_once`]),
+/// else the build default.
 pub(crate) fn checking_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("IPT_CHECK") {
-        Ok(v) if v == "1" => true,
-        Ok(v) if v == "0" => false,
-        Ok(v) => {
-            eprintln!("ipt: ignoring IPT_CHECK={v:?} (expected 0 or 1)");
-            cfg!(debug_assertions)
-        }
-        Err(_) => cfg!(debug_assertions),
-    })
+    static ENABLED: OnceLock<Option<bool>> = OnceLock::new();
+    ipt_core::env::parse_once(&ENABLED, "IPT_CHECK", parse_check).unwrap_or(cfg!(debug_assertions))
+}
+
+/// Parse an `IPT_CHECK` value, ignoring surrounding whitespace.
+fn parse_check(raw: &str) -> Result<bool, String> {
+    match raw.trim() {
+        "1" => Ok(true),
+        "0" => Ok(false),
+        _ => Err(format!("IPT_CHECK {raw:?} (expected 0 or 1)")),
+    }
 }
 
 /// A recycled shadow allocation: the cells plus the last epoch they served.
@@ -361,6 +364,46 @@ impl<'a, T: Copy> UnsafeSlice<'a, T> {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn check_parser_trims_and_rejects_garbage() {
+        assert_eq!(parse_check("1"), Ok(true));
+        assert_eq!(parse_check(" 1 "), Ok(true));
+        assert_eq!(parse_check("\t0\n"), Ok(false));
+        for bad in ["", "yes", "2", "1 1"] {
+            let err = parse_check(bad).unwrap_err();
+            assert!(err.contains(&format!("IPT_CHECK {bad:?}")), "{err}");
+        }
+    }
+
+    /// Prints this process's checked mode for
+    /// [`padded_ipt_check_values_set_checked_mode`], which runs it in a
+    /// child process with `IPT_CHECK` set.
+    #[test]
+    #[ignore = "run by padded_ipt_check_values_set_checked_mode"]
+    fn print_checked_mode() {
+        println!("checked mode: {}", checking_enabled());
+    }
+
+    #[test]
+    fn padded_ipt_check_values_set_checked_mode() {
+        let exe = std::env::current_exe().expect("the test binary's path");
+        for (value, want) in [(" 1 ", true), (" 0 ", false)] {
+            let out = std::process::Command::new(&exe)
+                .args(["--exact", "unsafe_slice::tests::print_checked_mode"])
+                .args(["--ignored", "--nocapture", "--test-threads=1"])
+                .env("IPT_CHECK", value)
+                .output()
+                .expect("running the test binary");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                stdout.contains(&format!("checked mode: {want}")),
+                "IPT_CHECK={value:?}:\n{stdout}\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(!String::from_utf8_lossy(&out.stderr).contains("ignoring"));
+        }
+    }
 
     fn scope_for(len: usize, cols: usize) -> CheckScope {
         CheckScope::new(len, cols, || format!("test op ({len} elems, {cols} cols)"))

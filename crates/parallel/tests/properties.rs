@@ -12,9 +12,10 @@
 use ipt_core::check::{fill_pattern, Rng};
 use ipt_core::index::C2rParams;
 use ipt_core::kernels::{RowShuffleKernel, ShuffleDirection};
-use ipt_core::Scratch;
+use ipt_core::{Layout, Scratch};
 use ipt_parallel::{
-    batched, c2r_parallel, cache_aware, phases, r2c_parallel, tile_side, ParOptions,
+    batched, c2r_parallel, cache_aware, phases, r2c_parallel, tile_side, transpose_parallel,
+    ParOptions,
 };
 use std::fmt::Debug;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -39,8 +40,17 @@ fn force_multithreaded_pool() {
     });
 }
 
+/// Serializes every test here that runs a pass: some tests read the
+/// process-global phase stats, which a concurrent call would pollute.
+/// Poison is ignored, so one failing test does not fail the rest.
+fn phase_lock() -> MutexGuard<'static, ()> {
+    static PHASES: Mutex<()> = Mutex::new(());
+    PHASES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn c2r_parallel_equals_core() {
+    let _phases = phase_lock();
     force_multithreaded_pool();
     let mut rng = Rng::new(0x9a11_0001);
     for case in 0..CASES {
@@ -57,6 +67,7 @@ fn c2r_parallel_equals_core() {
 
 #[test]
 fn r2c_parallel_equals_core() {
+    let _phases = phase_lock();
     force_multithreaded_pool();
     let mut rng = Rng::new(0x9a11_0002);
     for case in 0..CASES {
@@ -73,6 +84,7 @@ fn r2c_parallel_equals_core() {
 
 #[test]
 fn cache_aware_rotation_equals_elementwise() {
+    let _phases = phase_lock();
     force_multithreaded_pool();
     let mut rng = Rng::new(0x9a11_0003);
     for case in 0..CASES {
@@ -102,6 +114,7 @@ fn cache_aware_rotation_equals_elementwise() {
 
 #[test]
 fn fused_col_shuffle_equals_sequential_decomposition() {
+    let _phases = phase_lock();
     force_multithreaded_pool();
     let mut rng = Rng::new(0x9a11_0004);
     for case in 0..CASES {
@@ -120,6 +133,7 @@ fn fused_col_shuffle_equals_sequential_decomposition() {
 
 #[test]
 fn fused_inverse_round_trips() {
+    let _phases = phase_lock();
     force_multithreaded_pool();
     let mut rng = Rng::new(0x9a11_0005);
     for case in 0..CASES {
@@ -137,6 +151,7 @@ fn fused_inverse_round_trips() {
 
 #[test]
 fn batched_equals_loop() {
+    let _phases = phase_lock();
     force_multithreaded_pool();
     let mut rng = Rng::new(0x9a11_0006);
     for case in 0..CASES {
@@ -156,6 +171,7 @@ fn batched_equals_loop() {
 
 #[test]
 fn incremental_row_shuffle_is_involutive_with_forward() {
+    let _phases = phase_lock();
     force_multithreaded_pool();
     let mut rng = Rng::new(0x9a11_0007);
     for case in 0..CASES {
@@ -180,6 +196,7 @@ fn incremental_row_shuffle_is_involutive_with_forward() {
 /// Determinism under repetition: thread scheduling must not affect output.
 #[test]
 fn parallel_results_are_deterministic() {
+    let _phases = phase_lock();
     force_multithreaded_pool();
     let (m, n) = (61usize, 47usize);
     let run = || {
@@ -192,14 +209,6 @@ fn parallel_results_are_deterministic() {
     for _ in 0..5 {
         assert_eq!(run(), first);
     }
-}
-
-/// Serializes the tiled-route tests: the fallback test reads the
-/// process-global phase stats, which a concurrent tiled call would
-/// pollute.
-fn tiled_lock() -> MutexGuard<'static, ()> {
-    static TILED: Mutex<()> = Mutex::new(());
-    TILED.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Panic with the first differing index when `got != want` (printing a
@@ -238,7 +247,7 @@ where
 
 #[test]
 fn tiled_route_matches_core_on_u64_and_u32() {
-    let _tiled = tiled_lock();
+    let _phases = phase_lock();
     force_multithreaded_pool();
     // One tile, then two and three tiles per panel.
     for (m, n) in [
@@ -266,7 +275,7 @@ fn big_u32(i: usize) -> [u32; 64] {
 
 #[test]
 fn tiled_route_matches_core_on_large_elements() {
-    let _tiled = tiled_lock();
+    let _phases = phase_lock();
     force_multithreaded_pool();
     let mut rng = Rng::new(0x9a11_0008);
     for _ in 0..24 {
@@ -280,7 +289,7 @@ fn tiled_route_matches_core_on_large_elements() {
 /// route's byte-block cast.
 #[test]
 fn tiled_route_edge_shapes() {
-    let _tiled = tiled_lock();
+    let _phases = phase_lock();
     force_multithreaded_pool();
     for (l, k) in [(8usize, 5usize), (8, 1)] {
         // One tile, one panel (m = L), one block column (n = L).
@@ -295,7 +304,7 @@ fn tiled_route_edge_shapes() {
 
 #[test]
 fn shapes_off_the_route_run_no_tile_phase() {
-    let _tiled = tiled_lock();
+    let _phases = phase_lock();
     force_multithreaded_pool();
     // L = 8 divides n only, then m only: the element path, checked
     // against the reference.
@@ -317,12 +326,11 @@ fn shapes_off_the_route_run_no_tile_phase() {
 
 #[test]
 fn tiled_route_records_every_pass_once_it_succeeds() {
-    let _tiled = tiled_lock();
+    let _phases = phase_lock();
     force_multithreaded_pool();
     // 24 x 40 elements of [u64; 64]: L = 8, so P = 3 tiles per panel and
-    // the panel pass runs. Only the tiled tests, which hold the lock, run
-    // the tile and panel passes; the block-level phase names are shared
-    // with concurrent element-path tests, so theirs are lower bounds.
+    // the panel pass runs. The block-level passes are checked as lower
+    // bounds only.
     let (m, n) = (24usize, 40usize);
     let mut a: Vec<[u64; 64]> = (0..m * n).map(big_u64).collect();
     let before = ipt_pool::stats::snapshot();
@@ -337,4 +345,48 @@ fn tiled_route_records_every_pass_once_it_succeeds() {
         let p = d.phase(name).unwrap_or_else(|| panic!("{name}: {d:?}"));
         assert!(p.calls >= 1 && p.bytes >= pass, "{name}: {d:?}");
     }
+}
+
+#[test]
+fn degenerate_shapes_run_and_record_no_pass() {
+    let _phases = phase_lock();
+    force_multithreaded_pool();
+    let opts = ParOptions::default();
+    // A side of 0 or 1 has nothing to do, though 512 is a u64 tile side.
+    for (m, n) in [(0usize, 512usize), (512, 0), (0, 0), (1, 512), (512, 1)] {
+        let orig: Vec<u64> = (0..(m * n) as u64).collect();
+        let mut a = orig.clone();
+        let before = ipt_pool::stats::snapshot();
+        c2r_parallel(&mut a, m, n, &opts).unwrap();
+        r2c_parallel(&mut a, m, n, &opts).unwrap();
+        for layout in [Layout::RowMajor, Layout::ColMajor] {
+            transpose_parallel(&mut a, m, n, layout, &opts).unwrap();
+        }
+        let d = ipt_pool::stats::snapshot().delta_since(&before);
+        assert_eq!(a, orig, "{m}x{n}");
+        let tiled = [phases::TILE_TRANSPOSE, phases::PANEL_PERMUTE];
+        for name in phases::ALL.iter().chain(&tiled) {
+            assert!(d.phase(name).is_none(), "{m}x{n} ran {name}: {d:?}");
+        }
+    }
+}
+
+#[test]
+fn one_block_column_runs_no_block_level_pass() {
+    let _phases = phase_lock();
+    force_multithreaded_pool();
+    // n = L: the m x n/L matrix of blocks is one column, so only the tile
+    // and panel passes have work.
+    let (m, n) = (1024usize, 512usize);
+    let orig: Vec<u64> = (0..(m * n) as u64).collect();
+    let mut a = orig.clone();
+    let before = ipt_pool::stats::snapshot();
+    c2r_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
+    r2c_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
+    let d = ipt_pool::stats::snapshot().delta_since(&before);
+    assert_same(&a, &orig, "1024x512 round trip");
+    for name in phases::ALL {
+        assert!(d.phase(name).is_none(), "ran {name}: {d:?}");
+    }
+    assert_eq!(d.phase(phases::TILE_TRANSPOSE).map(|p| p.calls), Some(2));
 }

@@ -196,3 +196,73 @@ fn mixed_sequence_of_implementations_composes() {
     ipt_aos_soa::transpose_skinny_r2c(&mut data, m, n).unwrap();
     assert_eq!(data, orig, "cycle-following then skinny r2c");
 }
+
+/// Every entry point that takes a layout resolves its call through the
+/// one plan resolver; each must agree with the reference in both
+/// layouts, with every forced direction, on vectors and on both sides of
+/// the §5.2 tie.
+#[test]
+fn every_layout_entry_point_agrees_with_the_reference() {
+    type Call = Box<dyn Fn(&mut Vec<u64>, usize, usize, Layout)>;
+    let opts = ParOptions::default();
+    let mut calls: Vec<(String, Call)> = vec![
+        (
+            "core::transpose".into(),
+            Box::new(|d: &mut Vec<u64>, r, c, l| transpose(d, r, c, l, &mut Scratch::new())),
+        ),
+        (
+            "noncopy::transpose_any".into(),
+            Box::new(|d: &mut Vec<u64>, r, c, l| ipt_core::noncopy::transpose_any(d, r, c, l)),
+        ),
+        (
+            "erased::transpose_erased".into(),
+            Box::new(|d: &mut Vec<u64>, r, c, l| {
+                let mut bytes: Vec<u8> = d.iter().flat_map(|v| v.to_le_bytes()).collect();
+                ipt_core::erased::transpose_erased(&mut bytes, r, c, 8, l);
+                for (v, b) in d.iter_mut().zip(bytes.chunks_exact(8)) {
+                    *v = u64::from_le_bytes(b.try_into().unwrap());
+                }
+            }),
+        ),
+        (
+            "transpose_parallel".into(),
+            Box::new(move |d: &mut Vec<u64>, r, c, l| {
+                ipt_parallel::transpose_parallel(d, r, c, l, &opts).unwrap()
+            }),
+        ),
+        (
+            "batched::transpose_batched (batch 1)".into(),
+            Box::new(|d: &mut Vec<u64>, r, c, l| {
+                ipt_parallel::batched::transpose_batched(d, 1, r, c, l).unwrap()
+            }),
+        ),
+    ];
+    for alg in [Algorithm::C2r, Algorithm::R2c, Algorithm::Auto] {
+        calls.push((
+            format!("core::transpose_with {alg:?}"),
+            Box::new(move |d: &mut Vec<u64>, r, c, l| {
+                transpose_with(d, r, c, l, alg, &mut Scratch::new())
+            }),
+        ));
+        calls.push((
+            format!("transpose_parallel_with {alg:?}"),
+            Box::new(move |d: &mut Vec<u64>, r, c, l| {
+                ipt_parallel::transpose_parallel_with(d, r, c, l, alg, &opts).unwrap()
+            }),
+        ));
+    }
+    let mut grid = shapes();
+    grid.extend([(0, 5), (5, 0), (1, 1), (7, 7), (12, 12)]);
+    for (rows, cols) in grid {
+        for layout in [Layout::RowMajor, Layout::ColMajor] {
+            let mut input = vec![0u64; rows * cols];
+            fill_pattern(&mut input);
+            let want = reference_transpose(&input, rows, cols, layout);
+            for (name, call) in &calls {
+                let mut got = input.clone();
+                call(&mut got, rows, cols, layout);
+                assert_eq!(got, want, "{name} on {rows}x{cols} {layout:?}");
+            }
+        }
+    }
+}
