@@ -10,9 +10,11 @@
 //! The paper's specialization (§6.1) orients the decomposition so the
 //! small dimension is the row count, but keeps its row shuffle over rows
 //! of `N` elements — a whole field array of scratch per worker, gathered
-//! at stride `s`. This crate ([`skinny`]) instead transposes at two
-//! levels, in **two passes** whatever `gcd(s, N)` is (plus one
-//! `copy_within` sweep when `N` has no divisor that fills a chunk):
+//! at stride `s`. The conversions here instead run `ipt_parallel`'s
+//! skinny route ([`transpose_skinny_c2r`] / [`transpose_skinny_r2c`], a
+//! route of `ipt_parallel::Plan`), a two-level transpose in **two
+//! passes** whatever `gcd(s, N)` is (plus one `copy_within` sweep when
+//! `N` has no divisor that fills a chunk):
 //!
 //! * each contiguous chunk of `K` structs (at most 512 KiB) is transposed
 //!   in the worker's scratch, `[K][s] ⇄ [s][K]`;
@@ -40,10 +42,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod skinny;
-
 use ipt_core::shape_len;
-pub use skinny::{transpose_skinny_c2r, transpose_skinny_r2c};
+pub use ipt_parallel::{transpose_skinny_c2r, transpose_skinny_r2c};
 
 /// Convert an Array of Structures to a Structure of Arrays in place.
 ///
@@ -82,7 +82,7 @@ pub fn aos_to_soa<T: Copy + Send + Sync + 'static>(
     );
     // R2C with the small dimension as the view's row count: consumes the
     // N x s buffer, produces s x N.
-    skinny::transpose_skinny_r2c(data, fields, n_structs)
+    transpose_skinny_r2c(data, fields, n_structs)
 }
 
 /// Convert a Structure of Arrays back to an Array of Structures in place —
@@ -104,7 +104,7 @@ pub fn soa_to_aos<T: Copy + Send + Sync + 'static>(
         shape_len(n_structs, fields),
         "buffer/shape mismatch"
     );
-    skinny::transpose_skinny_c2r(data, fields, n_structs)
+    transpose_skinny_c2r(data, fields, n_structs)
 }
 
 /// A read-only Structure-of-Arrays view: `fields` arrays of `len`

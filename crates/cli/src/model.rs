@@ -44,7 +44,9 @@ window height h, or tiled with tile side L and P tiles per panel), the
 gcd and whether the rotation runs, and the row-shuffle kernel with the
 tier that chose it. A shape on the tiled route (a 4 KiB block of
 elements divides both sides) prints its measured phases, each marked
-not modelled; --max-divergence refuses such a shape (exit 2).";
+not modelled: the block-level passes under the element path's names,
+then the two-level transpose's chunk_transpose and block_permute;
+--max-divergence refuses such a shape (exit 2).";
 
 struct ModelOpts {
     rows: usize,
@@ -223,8 +225,8 @@ type MeasuredPhase = (&'static str, u64, u64);
 /// of `T` elements and return the per-phase stats delta, keeping only
 /// phases that reported payload traffic (a no-op rotation records a
 /// timer call but no bytes, and must not dilute the comparison). The
-/// decomposition's phases come first, in C2R order, then the tiled
-/// route's.
+/// decomposition's phases come first, in C2R order, then the two-level
+/// transpose's, which the tiled route adds.
 fn run_measured<T: Copy + Send + Sync + Default + 'static>(
     alg: &str,
     m: usize,
@@ -250,8 +252,8 @@ fn run_measured<T: Copy + Send + Sync + Default + 'static>(
     }
     let delta = ipt_pool::stats::snapshot().delta_since(&before);
     let tiled = [
-        ipt_parallel::phases::TILE_TRANSPOSE,
-        ipt_parallel::phases::PANEL_PERMUTE,
+        ipt_parallel::phases::CHUNK_TRANSPOSE,
+        ipt_parallel::phases::BLOCK_PERMUTE,
     ];
     ipt_parallel::phases::ALL
         .iter()
@@ -376,8 +378,8 @@ pub fn main(args: &[String]) -> ExitCode {
 
 /// The measured table of a shape on the tiled route. `memsim::phases`
 /// predicts the element path on `m x n`, which this route does not run:
-/// its block-level passes move 4 KiB elements and its tile and panel
-/// passes are not in the model. So every row is marked not modelled, and
+/// its block-level passes move 4 KiB elements and its two-level chunk
+/// and block passes are not in the model. So every row is marked not modelled, and
 /// no share or divergence is compared.
 fn print_tiled(measured: &[MeasuredPhase]) {
     println!("  the model predicts the element path only: no phase below is modelled");

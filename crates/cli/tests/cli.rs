@@ -1062,7 +1062,7 @@ fn model_on_a_tiled_shape_prints_the_route_and_models_no_phase() {
     assert!(stdout.contains("route: tiled, L = 512"), "{stdout}");
     // Every measured row, the tile and panel passes included, is marked
     // not modelled, and no element-path share or divergence is printed.
-    for phase in ["tile_transpose", "panel_permute", "row_shuffle"] {
+    for phase in ["chunk_transpose", "block_permute", "row_shuffle"] {
         let row = stdout
             .lines()
             .find(|l| l.trim_start().starts_with(phase))

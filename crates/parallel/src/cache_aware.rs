@@ -24,8 +24,8 @@
 //!   columns.
 //! * **Row permute** (§4.7): `q`'s cycles have no closed form, so each
 //!   group follows them with a visited mask (`O(m)` scratch per worker),
-//!   moving whole sub-rows. [`permute_rows`] runs it alone, for any row
-//!   gather (the §6.1 skinny path's block transpose).
+//!   moving whole sub-rows. `transpose_blocks` runs it alone, for the
+//!   two-level transpose's block pass.
 //! * **Fused column shuffle** ([`col_shuffle_fused`]): per group,
 //!   `s'_j = p_j ∘ q` factors as a *fine* rotation by `(j - j0) mod m`
 //!   followed by the group-uniform permutation `g(i) = (q(i) + j0) mod m`
@@ -352,60 +352,40 @@ fn permute_subrows<T: Copy + Send + Sync>(
     }
 }
 
-/// Permute whole rows of an `m x n` row-major matrix, the gather
-/// `dst[i] = old[perm(i)]` (`perm` a permutation of `0..m`), with the
-/// §4.7 scheme: column groups of width `w` in parallel, each following
-/// `perm`'s cycles with a visited mask (`O(m)` per worker) and moving
-/// `w`-wide sub-rows. With `w` a page of elements, every move is one
-/// page-sized run however far apart the rows are. `site` names the
-/// pass's fault sites.
-pub fn permute_rows<T, P>(
-    data: &mut [T],
-    m: usize,
-    n: usize,
-    w: usize,
-    site: &'static str,
-    perm: P,
-) -> Result<(), PoolError>
-where
-    T: Copy + Send + Sync + 'static,
-    P: Fn(usize) -> usize + Sync,
-{
-    crate::assert_shape(data.len(), m, n);
-    if m <= 1 || n == 0 {
-        return Ok(());
-    }
-    let fill = data[0];
-    run_column_groups(
-        data,
-        (m, n, w),
-        site,
-        |st: &mut Subrows<T>, g| {
-            let visited = st.visited.uninit_buf(m, false);
-            let buf = st.buf.uninit_buf(g.gw(), fill);
-            permute_subrows(g, &perm, visited, buf);
-        },
-        |i, _| perm(i),
-    )
-}
-
 /// Transpose the `rows x cols` row-major matrix of `k`-element blocks
-/// that `data` holds, in place. On the view of `data` as `rows·cols`
-/// rows of `k` elements, block `(a, b)` sits in row `a·cols + b` and
-/// moves to row `b·rows + a`, so row `r` gathers row
+/// that `data` holds, in place, with the §4.7 scheme. On the view of
+/// `data` as `m = rows·cols` rows of `k` elements, block `(a, b)` sits in
+/// row `a·cols + b` and moves to row `b·rows + a`, so row `r` gathers row
 /// `(r mod rows)·cols + r div rows` — a quotient and a remainder, which
-/// cannot overflow. It runs as the §4.7 sub-row permute
-/// ([`permute_rows`]) in `w`-wide sub-rows under the fault site `site`.
-pub fn transpose_blocks<T: Copy + Send + Sync + 'static>(
+/// cannot overflow. Column groups of width `w` run in parallel, each
+/// following that gather's cycles with a visited mask (`O(m)` per worker)
+/// and moving `w`-wide sub-rows: with `w` a page of elements, every move
+/// is one page-sized run however far apart the rows are. `site` names the
+/// pass's fault sites.
+pub(crate) fn transpose_blocks<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     (rows, cols): (usize, usize),
     k: usize,
     w: usize,
     site: &'static str,
 ) -> Result<(), PoolError> {
-    permute_rows(data, ipt_core::shape_len(rows, cols), k, w, site, |r| {
-        (r % rows) * cols + r / rows
-    })
+    let m = ipt_core::shape_len(rows, cols);
+    if m <= 1 || k == 0 {
+        return Ok(());
+    }
+    let perm = |r: usize| (r % rows) * cols + r / rows;
+    let fill = data[0];
+    run_column_groups(
+        data,
+        (m, k, w),
+        site,
+        |st: &mut Subrows<T>, g| {
+            let visited = st.visited.uninit_buf(m, false);
+            let buf = st.buf.uninit_buf(g.gw(), fill);
+            permute_subrows(g, perm, visited, buf);
+        },
+        |i, _| perm(i),
+    )
 }
 
 /// Cache-aware C2R step 1: pre-rotation by `floor(j/b)` (Eq. 23). The fine
@@ -484,7 +464,9 @@ fn fused<T: Copy + Send + Sync + 'static>(
         return Ok(());
     }
     let fill = data[0];
-    // Column j0 + k's fine residual is k mod m in every group.
+    // Column j0 + k's fine residual is k mod m in every group; the
+    // executor makes a group at most `n` wide.
+    let w = w.min(n);
     let residuals: Vec<usize> = (0..w).map(|k| k % m).collect();
     let residuals = &residuals;
     run_column_groups(
@@ -724,7 +706,7 @@ mod tests {
             (64, 40),
             (7, 100),
         ] {
-            for w in [1usize, 4, 16, 64] {
+            for w in [1usize, 4, 16, 64, usize::MAX] {
                 let p = C2rParams::new(m, n);
                 let mut fused = vec![0u32; m * n];
                 fill_pattern(&mut fused);

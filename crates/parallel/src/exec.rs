@@ -10,9 +10,9 @@
 //!   that keeps each element in its column, so the columns split into
 //!   disjoint groups of `w` adjacent columns, one task each;
 //! * [`run_blocks`] — the row shuffle (Eqs. 24/31) permutes inside each
-//!   row, a batched transpose inside each matrix and a §6.1 chunk
-//!   transpose inside each chunk, so the buffer splits into contiguous
-//!   `len`-element blocks, one task each.
+//!   row, a batched transpose inside each matrix and the two-level
+//!   transpose's chunk pass inside each chunk, so the buffer splits into
+//!   contiguous `len`-element blocks, one task each.
 //!
 //! Both own everything around a task's body:
 //!
@@ -32,9 +32,6 @@
 //! formula `src` ([`redo_col_gather`]), a block through the caller's
 //! reference `redo`. So a pass states *what* it computes once and its
 //! parallel body only states *how*.
-//!
-//! [`stage_blocks`] is the public face of [`run_blocks`], for a body
-//! with no fault site inside, which serves as its own redo.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -172,6 +169,9 @@ where
     if m == 0 || n == 0 {
         return Ok(());
     }
+    // A group as wide as the matrix is one group: a wider `w` would only
+    // overflow the grain and size buffers past the matrix.
+    let w = w.min(n);
     let groups = n.div_ceil(w);
     run_op(
         data,
@@ -272,43 +272,6 @@ pub(crate) fn run_blocks<T: Copy + Send + Sync + 'static>(
         },
         |data, b| redo(&mut Scratch::new(), b, &mut data[b * len..(b + 1) * len]),
     )
-}
-
-/// Run `f(scratch, b, block)` on every contiguous `len`-element block
-/// of `data`, blocks in parallel, `scratch` the worker thread's parked
-/// [`Scratch`] (reused across its blocks and kept for the next call).
-/// `site` is the pass's [`phases`](crate::phases) name, its fault site.
-///
-/// `f` must have no fault site inside: with recovery armed
-/// (`IPT_RETRY`), a faulted block is rolled back and `f` itself redoes it
-/// sequentially.
-///
-/// ```
-/// use ipt_parallel::{phases, stage_blocks};
-///
-/// // Transpose each 2 x 3 chunk to 3 x 2 through the worker's scratch.
-/// let mut a: Vec<u32> = (0..12).collect();
-/// stage_blocks(&mut a, 6, phases::CHUNK_TRANSPOSE, |scratch, _b, chunk| {
-///     let old = scratch.copy_of(chunk);
-///     for (k, v) in chunk.iter_mut().enumerate() {
-///         *v = old[(k % 2) * 3 + k / 2];
-///     }
-/// })
-/// .unwrap();
-/// assert_eq!(a, [0, 3, 1, 4, 2, 5, 6, 9, 7, 10, 8, 11]);
-/// ```
-///
-/// # Panics
-///
-/// Panics unless `len` divides `data.len()`.
-pub fn stage_blocks<T: Copy + Send + Sync + 'static>(
-    data: &mut [T],
-    len: usize,
-    site: &'static str,
-    f: impl Fn(&mut Scratch<T>, usize, &mut [T]) + Sync,
-) -> Result<(), PoolError> {
-    assert_shape(data.len(), data.len() / len.max(1), len);
-    run_blocks(data, len, site, &f, &f)
 }
 
 /// Drive one parallel op through the recovery ladder: undo → retry →

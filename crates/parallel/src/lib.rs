@@ -19,32 +19,40 @@
 //! * one [`Plan`] per call: every entry point resolves its shape check,
 //!   direction and view ([`ipt_core::Plan`]) and its [`Route`] once, then
 //!   runs a `match` on the route — nothing to do for a vector or an
-//!   empty matrix, the element path, or the **tiled route** for shapes
-//!   whose sides are multiples of the `L` elements one 4 KiB block holds:
+//!   empty matrix, the element path, the **tiled route** for shapes
+//!   whose sides are multiples of the `L` elements one 4 KiB block holds,
+//!   or the **skinny route** of the §6.1 AoS⇄SoA conversions
+//!   ([`transpose_skinny_c2r`] / [`transpose_skinny_r2c`]). The plan's
+//!   `Display` is what `ipt model` prints;
+//! * one **two-level transpose** under the tiled and skinny routes: a
+//!   stack of `P` contiguous `[K][s]` chunks becomes its `s x P·K`
+//!   transpose by transposing every chunk ([`phases::CHUNK_TRANSPOSE`];
+//!   a square chunk in place, a rectangular one staged in the worker's
+//!   scratch) and then the `P x s` matrix of `K`-element blocks with the
+//!   §4.7 sub-row permute ([`phases::BLOCK_PERMUTE`]). The tiled route is
 //!   C2R on the `m x n/L` matrix of blocks (the element path's passes,
-//!   [`phases::ALL`], with page-sized moves and no fine pass), then every
-//!   `L x L` tile in place ([`phases::TILE_TRANSPOSE`]), then each
-//!   `m x L` panel's rows by the §4.7 sub-row permute
-//!   ([`phases::PANEL_PERMUTE`]); R2C runs the inverses in reverse. The
-//!   plan's `Display` is what `ipt model` prints;
-//! * [`stage_blocks`] — contiguous blocks staged through worker scratch,
-//!   which with [`cache_aware::transpose_blocks`] carries the skinny §6.1
-//!   AoS⇄SoA specialization's two passes and the tiled route's tile and
-//!   panel passes;
+//!   [`phases::ALL`], with page-sized moves and no fine pass), then the
+//!   two-level transpose of each `m x L` panel, `P = m/L` square `L x L`
+//!   chunks; the skinny route is the two-level transpose of the `n x m`
+//!   AoS in chunks of at most 512 KiB, plus a peeled tail when `n` has
+//!   no divisor that fills one. Their inverses run the steps inverted in
+//!   reverse order;
 //! * one task executor under every pass — each [`cache_aware`] pass, the
-//!   §6.1 chunks, the [`rows`] shuffle and the [`batched`] transposes —
-//!   which owns their fault sites, undo journal and recovery;
-//! * one recorder over every pass, [`run_pass`]: each pass of every route
-//!   has one name, a [`phases`] constant, under which it is timed, its
-//!   bytes are counted once it succeeds, its faults are injected, its
-//!   checked-mode violations are reported and its abort is named.
+//!   two-level chunks, the [`rows`] shuffle and the [`batched`]
+//!   transposes — which owns their fault sites, undo journal and
+//!   recovery;
+//! * one recorder over every pass: each pass of every route has one
+//!   name, a [`phases`] constant, under which it is timed, its bytes are
+//!   counted once it succeeds, its faults are injected, its checked-mode
+//!   violations are reported and its abort is named.
 //! * per-thread scratch buffers, the CPU analogue of the §4.5 "on-chip"
 //!   row shuffle (each worker's temporary row lives in its own cache).
 //!
 //! Work stays `O(mn)` and auxiliary space `O(max(m, n))` *per thread*.
 //! On the tiled route it is one block-matrix row (`n/L` pages) for the
 //! row shuffle, one page and an `m`-entry visited mask per column group,
-//! and a pair of 16 x 16 sub-tiles for the tile pass.
+//! and a pair of 16 x 16 sub-tiles for the chunk pass; on the skinny
+//! route one chunk and a `P·m`-entry visited mask.
 //!
 //! ```
 //! use ipt_parallel::{transpose_parallel, ParOptions};
@@ -69,11 +77,13 @@ pub mod cache_aware;
 mod exec;
 mod plan;
 pub mod rows;
+mod skinny;
 mod tiled;
+mod two_level;
 mod unsafe_slice;
 
-pub use exec::stage_blocks;
 pub use plan::{Plan, Route};
+pub use skinny::{transpose_skinny_c2r, transpose_skinny_r2c};
 pub use tiled::tile_side;
 
 use std::mem::size_of;
@@ -86,7 +96,7 @@ use ipt_pool::PoolError;
 ///
 /// The pool contains worker panics at the chunk boundary
 /// ([`ipt_pool::PoolError`]); this wrapper adds the pass that died, by
-/// its [`phases`] name (see [`run_pass`]). The buffer contents are
+/// its [`phases`] name. The buffer contents are
 /// unspecified after an abort — passes mutate in place — but every
 /// element is still a value that was previously in the buffer (workers
 /// only permute elements), so there is no UB, only a torn permutation.
@@ -125,9 +135,9 @@ impl std::error::Error for TransposeAborted {
 /// pass has succeeded, its payload — a read and a write of every element
 /// of `data`, the *useful bytes* convention `memsim::phases` predicts —
 /// goes to [`ipt_pool::stats::record_phase_bytes`]. A pass with nothing
-/// to do (a rotation when `gcd(m, n) = 1`, a permute over one panel or
-/// one chunk) is not run, so it records nothing.
-pub fn run_pass<T>(
+/// to do (a rotation when `gcd(m, n) = 1`, a block permute over stacks
+/// of one chunk) is not run, so it records nothing.
+pub(crate) fn run_pass<T>(
     name: &'static str,
     data: &mut [T],
     pass: impl FnOnce(&mut [T]) -> Result<(), PoolError>,
@@ -143,9 +153,9 @@ pub fn run_pass<T>(
 
 /// The name of every pass: its [`ipt_pool::stats`] timer and byte key,
 /// its fault site (`IPT_FAULT`), its checked-mode label (`IPT_CHECK`) and
-/// its [`TransposeAborted::phase`]. [`run_pass`] records each pass under
-/// its name, so the instrumentation is always on and costs two clock
-/// reads per pass.
+/// its [`TransposeAborted::phase`]. Each pass is recorded under its
+/// name, so the instrumentation is always on and costs two clock reads
+/// per pass.
 ///
 /// Snapshot deltas around a transpose split its cost across the
 /// decomposition's steps, the measurement the paper's §5–§6 analysis is
@@ -177,23 +187,18 @@ pub mod phases {
     /// Every phase name, in C2R execution order.
     pub const ALL: [&str; 4] = [PRE_ROTATE, ROW_SHUFFLE, COL_SHUFFLE, POST_ROTATE];
 
-    /// §6.1 skinny AoS⇄SoA pass A: transpose each contiguous chunk of
-    /// structs in worker scratch. Not a step of the general
+    /// The two-level transpose's chunk pass, on the tiled and skinny
+    /// routes: transpose every contiguous `[K][s]` chunk, a square one
+    /// (a tile) in place, a rectangular one (a §6.1 chunk of structs)
+    /// staged in worker scratch. Not a step of the general
     /// decomposition, so not in [`ALL`].
     pub const CHUNK_TRANSPOSE: &str = "chunk_transpose";
-    /// §6.1 skinny AoS⇄SoA pass B: move the chunks' per-field blocks to
-    /// their final rows with the §4.7 sub-row permute; skipped when there
-    /// is one chunk. Not in [`ALL`].
+    /// The two-level transpose's block pass, on the tiled and skinny
+    /// routes: move each stack's `K`-element blocks to their final rows
+    /// with the §4.7 sub-row permute, one stack (a tiled panel, the §6.1
+    /// prefix) at a time; skipped when a stack is one chunk. Not in
+    /// [`ALL`].
     pub const BLOCK_PERMUTE: &str = "block_permute";
-
-    /// Tiled route, C2R step 2 and R2C step 2: transpose every
-    /// contiguous `L x L` tile in place (see [`crate::Route::Tiled`]). Not
-    /// in [`ALL`].
-    pub const TILE_TRANSPOSE: &str = "tile_transpose";
-    /// Tiled route, C2R step 3 and R2C step 1: move each `m x L` panel's
-    /// `L`-element rows to their final places with the §4.7 sub-row
-    /// permute; skipped when a panel is one tile. Not in [`ALL`].
-    pub const PANEL_PERMUTE: &str = "panel_permute";
 
     /// The batched entry points ([`crate::batched`]): every matrix of the
     /// batch transposed whole, one task each. Not in [`ALL`].
@@ -244,7 +249,8 @@ pub struct ParOptions {
     /// the K20c). When 0, a per-type default of
     /// `max(1, 256 bytes / size_of::<T>())` is used — a few cache lines,
     /// which measures fastest for the CPU cache hierarchies this crate
-    /// targets (see the `ablations` bench).
+    /// targets (see the `ablations` bench). A width of `n` or more is
+    /// one group.
     pub col_group: usize,
     /// Row-block height for the fine rotation pass (§4.6): the sub-rows
     /// its on-cache window stages per block.
@@ -288,7 +294,7 @@ pub fn c2r_parallel<T: Copy + Send + Sync + 'static>(
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
     let core = ipt_core::Plan::new(data.len(), m, n, Layout::RowMajor, Algorithm::C2r);
-    run(data, core, opts)
+    run(data, Plan::new(core, size_of::<T>(), opts))
 }
 
 /// Parallel R2C: the inverse of [`c2r_parallel`] — consumes an `n x m`
@@ -302,7 +308,7 @@ pub fn r2c_parallel<T: Copy + Send + Sync + 'static>(
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
     let core = ipt_core::Plan::new(data.len(), n, m, Layout::RowMajor, Algorithm::R2c);
-    run(data, core, opts)
+    run(data, Plan::new(core, size_of::<T>(), opts))
 }
 
 /// Parallel in-place transpose of a `rows x cols` matrix in `layout`,
@@ -330,22 +336,20 @@ pub fn transpose_parallel_with<T: Copy + Send + Sync + 'static>(
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
     let core = ipt_core::Plan::new(data.len(), rows, cols, layout, algorithm);
-    run(data, core, opts)
+    run(data, Plan::new(core, size_of::<T>(), opts))
 }
 
-/// Every parallel transpose: the route of the call's resolved `core`
-/// plan, then a `match` on it.
+/// Every parallel transpose: a `match` on the call's resolved plan.
 fn run<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
-    core: ipt_core::Plan,
-    opts: &ParOptions,
+    plan: Plan,
 ) -> Result<(), TransposeAborted> {
-    let plan = Plan::new(core, size_of::<T>(), opts);
     let dir = plan.core.direction;
     match &plan.route {
         Route::Nothing => Ok(()),
         Route::Elements { params, w, h } => elements(data, dir, params, *w, *h),
-        Route::Tiled { blocks, l, p, h } => tiled::run(data, dir, blocks.as_ref(), *l, *p, *h),
+        Route::Tiled { blocks, l, p } => tiled::run(data, dir, blocks.as_ref(), *l, *p),
+        Route::Skinny { k, main } => skinny::run(data, dir, (plan.core.m, plan.core.n), *k, *main),
     }
 }
 
@@ -481,7 +485,7 @@ mod tests {
     fn tiny_group_widths_still_correct() {
         let _phases = phase_lock();
         crate::force_multithreaded_pool();
-        for w in [1usize, 2, 3, 5] {
+        for w in [1usize, 2, 3, 5, usize::MAX] {
             let opts = ParOptions {
                 col_group: w,
                 block_rows: 4,

@@ -6,7 +6,7 @@ use core::fmt;
 use ipt_core::index::C2rParams;
 use ipt_core::{kernels, Direction};
 
-use crate::{phases, tiled, ParOptions};
+use crate::{phases, skinny, tiled, ParOptions};
 
 /// How a parallel call moves its data.
 #[derive(Debug, Clone, Copy)]
@@ -18,14 +18,16 @@ pub enum Route {
     Elements {
         /// The parameters of the plan's `m x n`.
         params: C2rParams,
-        /// Column-group width in elements ([`ParOptions::group_width`]).
+        /// Column-group width in elements ([`ParOptions::group_width`]),
+        /// at most `n`.
         w: usize,
         /// Fine-window height in rows ([`ParOptions::block_rows`]).
         h: usize,
     },
     /// The tiled route ([`Plan::tile_side`]): the element path on the
-    /// `m x n/L` matrix of 4 KiB blocks with one-block column groups, the
-    /// `L x L` tiles, then the `m x L` panels.
+    /// `m x n/L` matrix of 4 KiB blocks with one-block column groups,
+    /// then the two-level transpose of the `m x L` panels, each `P`
+    /// square `L x L` chunks.
     Tiled {
         /// The parameters of the `m x n/L` matrix of blocks; `None` when
         /// it is one block column, so the block-level passes have
@@ -35,8 +37,16 @@ pub enum Route {
         l: usize,
         /// Tiles per panel, `P = m/L`.
         p: usize,
-        /// Fine-window height in rows for the block-level passes.
-        h: usize,
+    },
+    /// The §6.1 skinny route of `transpose_skinny_{c2r,r2c}`: the
+    /// two-level transpose of `m` fields by `n` structs in chunks of `K`
+    /// structs.
+    Skinny {
+        /// Structs per chunk, `K`.
+        k: usize,
+        /// Structs the two-level transpose converts, a multiple of `K`;
+        /// the other `n - main` are the peeled tail.
+        main: usize,
     },
 }
 
@@ -56,7 +66,6 @@ impl Plan {
     /// when a 4 KiB block holds `L > 1` whole elements and `L` divides
     /// both sides of the plan's `m x n`, else the element path.
     pub fn new(core: ipt_core::Plan, elem_size: usize, opts: &ParOptions) -> Plan {
-        let h = opts.block_rows;
         let route = match core.params {
             None => Route::Nothing,
             Some(params) => match tiled::side(params.m, params.n, elem_size) {
@@ -64,14 +73,24 @@ impl Plan {
                     blocks: (params.n > l).then(|| C2rParams::new(params.m, params.n / l)),
                     l,
                     p: params.m / l,
-                    h,
                 },
                 None => Route::Elements {
                     params,
-                    w: opts.width(elem_size),
-                    h,
+                    // A group as wide as the matrix is one group.
+                    w: opts.width(elem_size).min(params.n),
+                    h: opts.block_rows,
                 },
             },
+        };
+        Plan { core, route }
+    }
+
+    /// The §6.1 skinny route of a resolved call on `elem_size`-byte
+    /// elements, `m` fields by `n` structs: `transpose_skinny_{c2r,r2c}`.
+    pub(crate) fn skinny(core: ipt_core::Plan, elem_size: usize) -> Plan {
+        let route = match core.params {
+            None => Route::Nothing,
+            Some(_) => skinny::route(core.m, core.n, elem_size),
         };
         Plan { core, route }
     }
@@ -87,7 +106,8 @@ impl Plan {
 
 /// Four lines: the direction and view; the route and its sizes; the gcd
 /// and whether the rotation runs; the row-shuffle kernel and the tier
-/// that chose it. A plan with nothing to do prints the first two.
+/// that chose it. A plan with nothing to do, or on the skinny route,
+/// prints the first two.
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "plan: {}", self.core)?;
@@ -109,6 +129,15 @@ impl fmt::Display for Plan {
                     return write!(f, "block-level passes: nothing to do (one block column)");
                 };
                 blocks
+            }
+            Route::Skinny { k, main } => {
+                let (m, n) = (self.core.m, self.core.n);
+                return write!(
+                    f,
+                    "route: skinny (§6.1), K = {k}, P = {} chunks of {k} x {m}, {} structs peeled",
+                    main / k,
+                    n - main
+                );
             }
         };
         let rotation = match self.core.direction {
@@ -185,5 +214,67 @@ mod tests {
         );
         let text = plan(0, 512, Algorithm::Auto, 8).to_string();
         assert!(text.ends_with("route: nothing to do (a vector or an empty matrix)"));
+    }
+
+    /// The skinny plan of `aos_to_soa` on `structs` structs of `fields`
+    /// `u64` fields: R2C on the `structs x fields` buffer.
+    fn aos_to_soa(structs: usize, fields: usize) -> Plan {
+        let core = ipt_core::Plan::new(
+            structs * fields,
+            structs,
+            fields,
+            Layout::RowMajor,
+            Algorithm::R2c,
+        );
+        Plan::skinny(core, 8)
+    }
+
+    #[test]
+    fn the_skinny_route_chunks_the_structs_and_peels_without_a_divisor() {
+        // aos-skinny: 5120 divides 13,107,200 and its chunk fits 512 KiB.
+        let p = aos_to_soa(13_107_200, 12);
+        assert!(
+            matches!(
+                p.route,
+                Route::Skinny {
+                    k: 5120,
+                    main: 13_107_200
+                }
+            ),
+            "{p:?}"
+        );
+        let lines: Vec<String> = p.to_string().lines().map(String::from).collect();
+        assert_eq!(
+            lines,
+            [
+                "plan: R2C on the row-major 13107200 x 12 view of a row-major matrix",
+                "route: skinny (§6.1), K = 5120, P = 2560 chunks of 5120 x 12, 0 structs peeled",
+            ]
+        );
+        // A prime struct count: the largest chunk that fits, 8192 structs
+        // of 8 fields, and the 65521 mod 8192 = 8177 left over are peeled.
+        let core = ipt_core::Plan::new(8 * 65_521, 8, 65_521, Layout::RowMajor, Algorithm::C2r);
+        let p = Plan::skinny(core, 8);
+        assert!(
+            matches!(
+                p.route,
+                Route::Skinny {
+                    k: 8192,
+                    main: 57_344
+                }
+            ),
+            "{p:?}"
+        );
+        let lines: Vec<String> = p.to_string().lines().map(String::from).collect();
+        assert_eq!(
+            lines,
+            [
+                "plan: C2R on the row-major 8 x 65521 view of a row-major matrix",
+                "route: skinny (§6.1), K = 8192, P = 7 chunks of 8192 x 8, 8177 structs peeled",
+            ]
+        );
+        // One field, or no struct, is nothing to do.
+        assert!(matches!(aos_to_soa(50, 1).route, Route::Nothing));
+        assert!(matches!(aos_to_soa(0, 12).route, Route::Nothing));
     }
 }

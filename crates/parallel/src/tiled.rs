@@ -1,37 +1,28 @@
-//! The tiled route: the decomposition on 4 KiB row segments, then
-//! in-place `L x L` tiles (DESIGN.md §7).
+//! The tiled route: the decomposition on 4 KiB row segments, then the
+//! two-level transpose on `L x L` tiles (DESIGN.md §7).
 //!
 //! C2R and R2C do not care what an element is. Let a 4 KiB block hold
 //! `L` elements of `T`, with `L` dividing both `m` and `n`. Then an
 //! `m x n` row-major matrix is also an `m x n/L` matrix of blocks, and
-//! its C2R runs as three steps:
+//! its C2R runs as two steps:
 //!
 //! 1. **Block-level C2R.** The element path on the matrix of blocks
 //!    leaves `[n/L][m][L]`: `n/L` contiguous `m x L` panels, panel `q`
 //!    holding columns `[qL, (q + 1)L)` of the input. Every move is a
 //!    whole block, and a column group is one block wide, so both fine
 //!    passes are skipped.
-//! 2. **Tile pass** ([`phases::TILE_TRANSPOSE`]). A panel is `P = m/L`
-//!    contiguous `L x L` tiles. Each tile is transposed in place, one
-//!    executor task per tile, by swapping mirrored `SUB x SUB` sub-tiles
-//!    through a pair of buffers in the worker's scratch.
-//! 3. **Panel pass** ([`phases::PANEL_PERMUTE`]). Each panel, viewed as `m`
-//!    rows of `L` elements, now holds its transpose's rows in the order
-//!    `[P][L]`; transposing that `P x L` matrix of rows with the §4.7
-//!    sub-row permute ([`cache_aware::transpose_blocks`]) puts them in
-//!    the order `[L][P]`: row `r` gathers row `(r mod P)·L + r div P`.
-//!    Panels run one at a time, so the visited mask covers one panel's
-//!    `m` rows, and the whole loop is one recorded pass.
+//! 2. **The two-level transpose** ([`two_level`]) of every panel: a
+//!    panel is a stack of `P = m/L` square `L x L` chunks, transposed in
+//!    place, whose `L`-element rows the block pass then puts in order.
+//!    No chunk is staged.
 //!
-//! R2C runs the inverse panel permute, the tiles (a tile transpose is
-//! its own inverse), then block-level R2C.
+//! R2C runs the inverse two-level transpose, then block-level R2C.
 
 use std::mem::{size_of, MaybeUninit};
 
-use crate::{cache_aware, elements, phases, run_pass, stage_blocks, TransposeAborted};
+use crate::{elements, two_level, TransposeAborted};
 use ipt_core::index::C2rParams;
 use ipt_core::Direction;
-use ipt_pool::Scratch;
 
 /// Bytes of one block: a page.
 const BLOCK_BYTES: usize = 4096;
@@ -40,10 +31,6 @@ const BLOCK_BYTES: usize = 4096;
 /// a `T`'s padding included — is a valid value, so one type serves every
 /// element type.
 type Block = [MaybeUninit<u8>; BLOCK_BYTES];
-
-/// Side of the sub-tiles the tile pass swaps: a pair of 16 x 16 `u64`
-/// sub-tiles is 4 KiB, well inside L1.
-const SUB: usize = 16;
 
 /// Side `L` of the tiles `c2r_parallel::<T>` cuts an `m x n` matrix
 /// into, or `None` when it takes the element path: the call's
@@ -74,66 +61,31 @@ pub(crate) fn side(m: usize, n: usize, elem_size: usize) -> Option<usize> {
 }
 
 /// The tiled route's passes (see [`crate::Route::Tiled`]): C2R runs
-/// block-level C2R, the tiles, the panels; R2C the inverse panel
-/// permute, the tiles, block-level R2C.
+/// block-level C2R, then the two-level transpose of the `m x L` panels,
+/// each `P` tiles of `L x L`; R2C the inverse in reverse order.
 pub(crate) fn run<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     dir: Direction,
     blocks: Option<&C2rParams>,
     l: usize,
     p: usize,
-    h: usize,
 ) -> Result<(), TransposeAborted> {
+    // Column groups are one block wide, so every fine residual is 0 and
+    // no fine window is used: its height does not matter.
     let block_level = |data: &mut [T]| match blocks {
-        Some(b) => elements(as_blocks(data, l), dir, b, 1, h),
+        Some(b) => elements(as_blocks(data, l), dir, b, 1, 1),
         None => Ok(()),
     };
     match dir {
         Direction::C2r => {
             block_level(data)?;
-            tiles(data, l)?;
-            panels(data, l, p, false)
+            two_level::run(data, (p, l, l), false)
         }
         Direction::R2c => {
-            panels(data, l, p, true)?;
-            tiles(data, l)?;
+            two_level::run(data, (p, l, l), true)?;
             block_level(data)
         }
     }
-}
-
-/// Transpose every contiguous `L x L` tile in place, one task each.
-fn tiles<T: Copy + Send + Sync + 'static>(
-    data: &mut [T],
-    l: usize,
-) -> Result<(), TransposeAborted> {
-    run_pass(phases::TILE_TRANSPOSE, data, |data| {
-        stage_blocks(data, l * l, phases::TILE_TRANSPOSE, |pair, _, tile| {
-            transpose_tile(tile, l, pair)
-        })
-    })
-}
-
-/// Put the `L`-element rows of each `m x L` panel (`m = P·L`) in their
-/// final order, or back (`inverse`), one panel at a time; skipped when a
-/// panel is a single tile. A panel's `L` columns split into one group
-/// per worker, so each moves sub-rows of `L / threads` elements.
-fn panels<T: Copy + Send + Sync + 'static>(
-    data: &mut [T],
-    l: usize,
-    p: usize,
-    inverse: bool,
-) -> Result<(), TransposeAborted> {
-    if p <= 1 {
-        return Ok(());
-    }
-    let w = l.div_ceil(ipt_pool::num_threads().max(1));
-    let blocks = if inverse { (l, p) } else { (p, l) };
-    run_pass(phases::PANEL_PERMUTE, data, |data| {
-        data.chunks_exact_mut(p * l * l).try_for_each(|panel| {
-            cache_aware::transpose_blocks(panel, blocks, l, w, phases::PANEL_PERMUTE)
-        })
-    })
 }
 
 /// View `data` as its 4 KiB blocks, `L` elements each.
@@ -149,106 +101,9 @@ fn as_blocks<T: Copy>(data: &mut [T], l: usize) -> &mut [Block] {
     unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr().cast::<Block>(), data.len() / l) }
 }
 
-/// Transpose the `l x l` row-major `tile` in place. Each pair of
-/// `SUB x SUB` sub-tiles mirrored across the diagonal is staged in two
-/// buffers from `pair` and written back transposed, each into the
-/// other's place; a diagonal sub-tile is staged alone. Sub-tiles in the
-/// last row and column of sub-tiles are cut short when `SUB` does not
-/// divide `l`.
-fn transpose_tile<T: Copy>(tile: &mut [T], l: usize, pair: &mut Scratch<T>) {
-    assert_eq!(tile.len(), l * l, "a tile is l x l");
-    let Some(&fill) = tile.first() else {
-        return;
-    };
-    let s = SUB.min(l);
-    let (a, b) = pair.uninit_buf(2 * s * s, fill).split_at_mut(s * s);
-    for r0 in (0..l).step_by(s) {
-        let h = s.min(l - r0);
-        stage(tile, l, (r0, r0), (h, h), a);
-        put_transposed(tile, l, (r0, r0), (h, h), a);
-        for c0 in (r0 + s..l).step_by(s) {
-            let w = s.min(l - c0);
-            stage(tile, l, (r0, c0), (h, w), a);
-            stage(tile, l, (c0, r0), (w, h), b);
-            put_transposed(tile, l, (r0, c0), (h, w), b);
-            put_transposed(tile, l, (c0, r0), (w, h), a);
-        }
-    }
-}
-
-/// Copy the `h x w` sub-tile at `(r0, c0)` of the `l`-wide `tile` into
-/// `out`, row-major.
-fn stage<T: Copy>(
-    tile: &[T],
-    l: usize,
-    (r0, c0): (usize, usize),
-    (h, w): (usize, usize),
-    out: &mut [T],
-) {
-    for (i, run) in out[..h * w].chunks_exact_mut(w).enumerate() {
-        let at = (r0 + i) * l + c0;
-        run.copy_from_slice(&tile[at..at + w]);
-    }
-}
-
-/// Overwrite the `h x w` sub-tile at `(r0, c0)` of the `l`-wide `tile`
-/// with the transpose of the staged row-major `w x h` sub-tile `src`.
-fn put_transposed<T: Copy>(
-    tile: &mut [T],
-    l: usize,
-    (r0, c0): (usize, usize),
-    (h, w): (usize, usize),
-    src: &[T],
-) {
-    if (h, w) == (SUB, SUB) {
-        // A whole sub-tile: fixed sizes let the compiler drop the bounds
-        // checks of the strided reads.
-        let src: &[T; SUB * SUB] = src[..SUB * SUB].try_into().expect("SUB * SUB elements");
-        for i in 0..SUB {
-            let at = (r0 + i) * l + c0;
-            let row: &mut [T; SUB] = (&mut tile[at..at + SUB]).try_into().expect("SUB elements");
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = src[j * SUB + i];
-            }
-        }
-        return;
-    }
-    let src = &src[..h * w];
-    for i in 0..h {
-        let at = (r0 + i) * l + c0;
-        for (j, v) in tile[at..at + w].iter_mut().enumerate() {
-            *v = src[j * h + i];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tile_kernel_matches_the_reference_for_every_small_side() {
-        let mut pair = Scratch::new();
-        for l in 0..=40usize {
-            let orig: Vec<u32> = (0..(l * l) as u32).collect();
-            let mut tile = orig.clone();
-            transpose_tile(&mut tile, l, &mut pair);
-            for i in 0..l {
-                for j in 0..l {
-                    assert_eq!(tile[i * l + j], orig[j * l + i], "l={l} ({i},{j})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tile_pass_stages_at_most_a_sub_tile_pair() {
-        let mut pair = Scratch::new();
-        let l = 64;
-        let mut tile = vec![0u64; l * l];
-        transpose_tile(&mut tile, l, &mut pair);
-        assert!(pair.capacity() <= 2 * SUB * SUB, "{}", pair.capacity());
-    }
 
     #[test]
     fn the_route_needs_whole_elements_per_block_dividing_both_sides() {

@@ -317,7 +317,7 @@ fn shapes_off_the_route_run_no_tile_phase() {
         r2c_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
         let d = ipt_pool::stats::snapshot().delta_since(&before);
         assert_same(&a, &orig, &format!("{m}x{n} round trip"));
-        for name in [phases::TILE_TRANSPOSE, phases::PANEL_PERMUTE] {
+        for name in [phases::CHUNK_TRANSPOSE, phases::BLOCK_PERMUTE] {
             assert!(d.phase(name).is_none(), "{m}x{n} ran {name}: {d:?}");
         }
         assert!(d.phase(phases::ROW_SHUFFLE).is_some(), "{d:?}");
@@ -337,7 +337,7 @@ fn tiled_route_records_every_pass_once_it_succeeds() {
     c2r_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
     let d = ipt_pool::stats::snapshot().delta_since(&before);
     let pass = 2 * (m * n * 512) as u64;
-    for name in [phases::TILE_TRANSPOSE, phases::PANEL_PERMUTE] {
+    for name in [phases::CHUNK_TRANSPOSE, phases::BLOCK_PERMUTE] {
         let p = d.phase(name).unwrap_or_else(|| panic!("{name}: {d:?}"));
         assert_eq!((p.calls, p.bytes), (1, pass), "{name}: {d:?}");
     }
@@ -364,7 +364,7 @@ fn degenerate_shapes_run_and_record_no_pass() {
         }
         let d = ipt_pool::stats::snapshot().delta_since(&before);
         assert_eq!(a, orig, "{m}x{n}");
-        let tiled = [phases::TILE_TRANSPOSE, phases::PANEL_PERMUTE];
+        let tiled = [phases::CHUNK_TRANSPOSE, phases::BLOCK_PERMUTE];
         for name in phases::ALL.iter().chain(&tiled) {
             assert!(d.phase(name).is_none(), "{m}x{n} ran {name}: {d:?}");
         }
@@ -388,5 +388,5 @@ fn one_block_column_runs_no_block_level_pass() {
     for name in phases::ALL {
         assert!(d.phase(name).is_none(), "ran {name}: {d:?}");
     }
-    assert_eq!(d.phase(phases::TILE_TRANSPOSE).map(|p| p.calls), Some(2));
+    assert_eq!(d.phase(phases::CHUNK_TRANSPOSE).map(|p| p.calls), Some(2));
 }

@@ -29,7 +29,8 @@
 #                        IPT_FAULT + IPT_CHECK=1 must exit 4 (structured
 #                        abort) or 0 — never SIGSEGV
 #   tier 3  miri         cargo +nightly miri over ipt-core + ipt-pool,
-#                        and ipt-parallel's small tiled-route tests;
+#                        and ipt-parallel's small tiled, two-level and
+#                        skinny-route tests;
 #                        skips gracefully when no nightly+miri toolchain
 #                        is installed (CI runs it as a soft-fail job)
 #   tier 3  fault smoke  an IPT_FAULT=panic:0.05 bench run must exit
@@ -124,7 +125,7 @@ contained_bench() {
 }
 
 miri_stage() {
-    stage "miri: ipt-core, ipt-pool and the tiled route under the interpreter (tier 3, soft)"
+    stage "miri: ipt-core, ipt-pool, the tiled and skinny routes under the interpreter (tier 3, soft)"
     # Miri interprets the unsafe core (raw-pointer kernels, the scoped
     # executor) and catches UB tests can't. It needs a nightly toolchain
     # with the miri component — not part of the pinned CI toolchain — so
@@ -139,10 +140,12 @@ miri_stage() {
     MIRIFLAGS="-Zmiri-disable-isolation" \
         rustup run nightly cargo miri test -p ipt-core -p ipt-pool
     # ipt-parallel's tiled route casts element buffers to 4 KiB byte
-    # blocks: run only its small-element-type tests (the tile kernel and
-    # the edge shapes on 256- and 512-byte elements).
+    # blocks: run only its small tests (the route test, the two-level
+    # transpose's tile kernel and stacks, the skinny route's small shapes,
+    # and the edge shapes on 256- and 512-byte elements).
     MIRIFLAGS="-Zmiri-disable-isolation" \
-        rustup run nightly cargo miri test -p ipt-parallel --lib tiled::
+        rustup run nightly cargo miri test -p ipt-parallel --lib -- \
+        tiled:: two_level:: skinny::
     MIRIFLAGS="-Zmiri-disable-isolation" \
         rustup run nightly cargo miri test -p ipt-parallel --test properties \
         tiled_route_edge_shapes

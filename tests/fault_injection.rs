@@ -433,9 +433,9 @@ fn the_tiled_steps_are_fault_sites_and_name_the_step_that_tore() {
     // block column (n = 512, block-level C2R is trivial), and with the
     // block-level pre-rotation otherwise (gcd(512, 2) > 1).
     let cases = [
-        ("r2c", 1024usize, 512usize, phases::PANEL_PERMUTE),
-        ("r2c", 512, 1024, phases::TILE_TRANSPOSE),
-        ("c2r", 1024, 512, phases::TILE_TRANSPOSE),
+        ("r2c", 1024usize, 512usize, phases::BLOCK_PERMUTE),
+        ("r2c", 512, 1024, phases::CHUNK_TRANSPOSE),
+        ("c2r", 1024, 512, phases::CHUNK_TRANSPOSE),
         ("c2r", 512, 1024, phases::PRE_ROTATE),
     ];
     let run = |dir, m, n| {
@@ -452,7 +452,7 @@ fn the_tiled_steps_are_fault_sites_and_name_the_step_that_tore() {
         let _forced = Forced::new(mode);
         for (dir, m, n, phase) in cases {
             // The tile pass runs on contiguous blocks: no skew site.
-            if matches!(mode, FaultMode::Skew(_)) && phase == phases::TILE_TRANSPOSE {
+            if matches!(mode, FaultMode::Skew(_)) && phase == phases::CHUNK_TRANSPOSE {
                 continue;
             }
             let armed = Armed::new(0);
