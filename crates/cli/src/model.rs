@@ -40,9 +40,11 @@ variation distance between predicted and measured shares exceeds X
 (the CI smoke gate); without it the divergence is informational.
 Above the table it prints the call's plan: the direction and its
 row-major view, the route (element path with column-group width w and
-window height h, or tiled with tile side L and P tiles per panel), the
-gcd and whether the rotation runs, and the row-shuffle kernel with the
-tier that chose it. A shape on the tiled route (a 4 KiB block of
+window height h, or tiled with tile side L and P tiles per panel, then
+the kernel that transposes its tiles: avx2 4 x 4 for 8-byte elements on
+an AVX2 CPU, else scalar 16 x 16 sub-tile pairs), the gcd and whether
+the rotation runs, and the row-shuffle kernel with the tier that chose
+it. A shape on the tiled route (a 4 KiB block of
 elements divides both sides) prints its measured phases, each marked
 not modelled: the block-level passes under the element path's names,
 then the two-level transpose's chunk_transpose and block_permute;

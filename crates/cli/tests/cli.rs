@@ -1098,13 +1098,19 @@ fn model_prints_the_plan_of_each_route() {
     use ipt_core::{Algorithm, Layout};
     use ipt_parallel::{ParOptions, Plan};
     // (shape, forced direction, rows x cols of the buffer it runs on): an
-    // element C2R shape with gcd 32, a coprime element R2C shape and a
-    // shape that is tiled for 8- and 16-byte elements.
+    // element C2R shape with gcd 32, a coprime element R2C shape, a
+    // shape that is tiled for 8- and 16-byte elements and one that is
+    // tiled for 4-, 8- and 16-byte elements.
     let cases = [
         ((96, 64), Algorithm::C2r, (96, 64)),
         ((61, 48), Algorithm::R2c, (48, 61)),
         ((1024, 1536), Algorithm::C2r, (1024, 1536)),
+        ((1024, 2048), Algorithm::C2r, (1024, 2048)),
     ];
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
     for ((m, n), alg, (rows, cols)) in cases {
         let dir = if alg == Algorithm::C2r { "c2r" } else { "r2c" };
         for elem in [1usize, 2, 4, 8, 16] {
@@ -1132,12 +1138,23 @@ fn model_prints_the_plan_of_each_route() {
                 );
             }
             let plan = plan.to_string();
-            match (m, elem) {
-                (96, _) => assert!(plan.contains("= 32: pre_rotate runs"), "{plan}"),
-                (61, _) => assert!(plan.contains("= 1: post_rotate is skipped"), "{plan}"),
-                (_, 8) => assert!(plan.contains("route: tiled, L = 512, P = 2"), "{plan}"),
-                (_, 16) => assert!(plan.contains("route: tiled, L = 256, P = 4"), "{plan}"),
+            match (m, n, elem) {
+                (96, _, _) => assert!(plan.contains("= 32: pre_rotate runs"), "{plan}"),
+                (61, _, _) => assert!(plan.contains("= 1: post_rotate is skipped"), "{plan}"),
+                (_, _, 8) => assert!(plan.contains("route: tiled, L = 512, P = 2"), "{plan}"),
+                (_, _, 16) => assert!(plan.contains("route: tiled, L = 256, P = 4"), "{plan}"),
+                (_, 2048, 4) => assert!(plan.contains("route: tiled, L = 1024, P = 1"), "{plan}"),
                 _ => assert!(plan.contains("route: element path"), "{plan}"),
+            }
+            // The chunk kernel: AVX2 for 8-byte tiles when the host has
+            // it, scalar for every other element size.
+            if plan.contains("route: tiled") {
+                let kernel = match elem {
+                    8 if avx2 => "chunk kernel: avx2 4 x 4",
+                    _ => "chunk kernel: scalar 16 x 16 sub-tile pairs",
+                };
+                assert!(plan.contains(kernel), "elem {elem}: {plan}");
+                assert!(stdout.contains(kernel), "elem {elem}: {stdout}");
             }
         }
     }

@@ -26,16 +26,20 @@
 //!   `Display` is what `ipt model` prints;
 //! * one **two-level transpose** under the tiled and skinny routes: a
 //!   stack of `P` contiguous `[K][s]` chunks becomes its `s x P·K`
-//!   transpose by transposing every chunk ([`phases::CHUNK_TRANSPOSE`];
-//!   a square chunk in place, a rectangular one staged in the worker's
-//!   scratch) and then the `P x s` matrix of `K`-element blocks with the
-//!   §4.7 sub-row permute ([`phases::BLOCK_PERMUTE`]). The tiled route is
-//!   C2R on the `m x n/L` matrix of blocks (the element path's passes,
-//!   [`phases::ALL`], with page-sized moves and no fine pass), then the
-//!   two-level transpose of each `m x L` panel, `P = m/L` square `L x L`
-//!   chunks; the skinny route is the two-level transpose of the `n x m`
-//!   AoS in chunks of at most 512 KiB, plus a peeled tail when `n` has
-//!   no divisor that fills one. Their inverses run the steps inverted in
+//!   transpose by transposing every chunk ([`phases::CHUNK_TRANSPOSE`])
+//!   and then the `P x s` matrix of `K`-element blocks with the §4.7
+//!   sub-row permute ([`phases::BLOCK_PERMUTE`]). A square chunk is
+//!   transposed in place: 8-byte elements by 4 x 4 blocks in AVX2
+//!   registers when the CPU has AVX2 and 4 divides the side, every
+//!   other case by a scalar swap of 16 x 16 sub-tile pairs; a
+//!   rectangular one is staged in the worker's scratch. The tiled route
+//!   is C2R on the `m x n/L` matrix of blocks (the element path's
+//!   passes, [`phases::ALL`], with page-sized moves and no fine pass),
+//!   then the two-level transpose of each `m x L` panel, `P = m/L`
+//!   square `L x L` chunks; the skinny route is the two-level transpose
+//!   of the `n x m` AoS in chunks of at most 512 KiB, plus a peeled tail
+//!   when `n` has no divisor that fills one (a struct wider than a chunk
+//!   takes the element path). Their inverses run the steps inverted in
 //!   reverse order;
 //! * one task executor under every pass — each [`cache_aware`] pass, the
 //!   two-level chunks, the [`rows`] shuffle and the [`batched`]
@@ -51,8 +55,9 @@
 //! Work stays `O(mn)` and auxiliary space `O(max(m, n))` *per thread*.
 //! On the tiled route it is one block-matrix row (`n/L` pages) for the
 //! row shuffle, one page and an `m`-entry visited mask per column group,
-//! and a pair of 16 x 16 sub-tiles for the chunk pass; on the skinny
-//! route one chunk and a `P·m`-entry visited mask.
+//! and a pair of 16 x 16 sub-tiles for the scalar chunk kernel (the AVX2
+//! kernel stages nothing); on the skinny route one chunk and a
+//! `P·m`-entry visited mask.
 //!
 //! ```
 //! use ipt_parallel::{transpose_parallel, ParOptions};

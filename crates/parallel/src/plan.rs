@@ -6,6 +6,7 @@ use core::fmt;
 use ipt_core::index::C2rParams;
 use ipt_core::{kernels, Direction};
 
+use crate::two_level::TileKernel;
 use crate::{phases, skinny, tiled, ParOptions};
 
 /// How a parallel call moves its data.
@@ -50,6 +51,19 @@ pub enum Route {
     },
 }
 
+impl Route {
+    /// The element path on `params` for `elem_size`-byte elements, with
+    /// `opts`'s column-group width and fine-window height.
+    fn elements(params: C2rParams, elem_size: usize, opts: &ParOptions) -> Route {
+        Route::Elements {
+            params,
+            // A group as wide as the matrix is one group.
+            w: opts.width(elem_size).min(params.n),
+            h: opts.block_rows,
+        }
+    }
+}
+
 /// One resolved parallel call: its direction and view
 /// ([`ipt_core::Plan`]) and its [`Route`]. [`Plan::new`] is its one
 /// constructor.
@@ -74,12 +88,7 @@ impl Plan {
                     l,
                     p: params.m / l,
                 },
-                None => Route::Elements {
-                    params,
-                    // A group as wide as the matrix is one group.
-                    w: opts.width(elem_size).min(params.n),
-                    h: opts.block_rows,
-                },
+                None => Route::elements(params, elem_size, opts),
             },
         };
         Plan { core, route }
@@ -87,10 +96,15 @@ impl Plan {
 
     /// The §6.1 skinny route of a resolved call on `elem_size`-byte
     /// elements, `m` fields by `n` structs: `transpose_skinny_{c2r,r2c}`.
+    /// A struct too wide for one chunk ([`skinny::fits_a_chunk`]) takes
+    /// the element path with the default [`ParOptions`].
     pub(crate) fn skinny(core: ipt_core::Plan, elem_size: usize) -> Plan {
         let route = match core.params {
             None => Route::Nothing,
-            Some(_) => skinny::route(core.m, core.n, elem_size),
+            Some(_) if skinny::fits_a_chunk(core.m, elem_size) => {
+                skinny::route(core.m, core.n, elem_size)
+            }
+            Some(params) => Route::elements(params, elem_size, &ParOptions::default()),
         };
         Plan { core, route }
     }
@@ -106,8 +120,9 @@ impl Plan {
 
 /// Four lines: the direction and view; the route and its sizes; the gcd
 /// and whether the rotation runs; the row-shuffle kernel and the tier
-/// that chose it. A plan with nothing to do, or on the skinny route,
-/// prints the first two.
+/// that chose it. The tiled route adds the chunk pass's kernel after the
+/// route. A plan with nothing to do, or on the skinny route, prints the
+/// first two.
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "plan: {}", self.core)?;
@@ -125,6 +140,8 @@ impl fmt::Display for Plan {
                     f,
                     "route: tiled, L = {l}, P = {p} ({m} x {n} blocks of 4 KiB)"
                 )?;
+                let kernel = TileKernel::select(tiled::BLOCK_BYTES / l, *l);
+                writeln!(f, "chunk kernel: {}", kernel.name())?;
                 let Some(blocks) = blocks else {
                     return write!(f, "block-level passes: nothing to do (one block column)");
                 };
@@ -276,5 +293,53 @@ mod tests {
         // One field, or no struct, is nothing to do.
         assert!(matches!(aos_to_soa(50, 1).route, Route::Nothing));
         assert!(matches!(aos_to_soa(0, 12).route, Route::Nothing));
+    }
+
+    #[test]
+    fn a_struct_wider_than_a_chunk_takes_the_element_path() {
+        // 100000 fields of u64 make an 800 KB struct, past the 512 KiB
+        // chunk: the element path with the default options, both ways.
+        let c2r = ipt_core::Plan::new(700_000, 100_000, 7, Layout::RowMajor, Algorithm::C2r);
+        for p in [aos_to_soa(7, 100_000), Plan::skinny(c2r, 8)] {
+            match p.route {
+                Route::Elements { params, w, h } => {
+                    assert_eq!((params.m, params.n, w, h), (100_000, 7, 7, 256), "{p:?}");
+                }
+                r => panic!("{r:?}"),
+            }
+            let text = p.to_string();
+            assert!(
+                text.contains("route: element path, w = 7, h = 256"),
+                "{text}"
+            );
+        }
+        // A struct of exactly 512 KiB still fits one chunk.
+        assert!(matches!(
+            aos_to_soa(3, 65_536).route,
+            Route::Skinny { k: 1, main: 3 }
+        ));
+    }
+
+    #[test]
+    fn the_tiled_plan_names_its_chunk_kernel() {
+        // u64 tiles take the AVX2 kernel when the CPU has it; 4- and
+        // 16-byte tiles always take the scalar one.
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        let scalar = "scalar 16 x 16 sub-tile pairs";
+        let u64_tiles = if avx2 { "avx2 4 x 4" } else { scalar };
+        for (rows, cols, elem, want) in [
+            (1024usize, 1536usize, 8usize, u64_tiles),
+            (1024, 512, 8, u64_tiles),
+            (1024, 2048, 4, scalar),
+            (1024, 1536, 16, scalar),
+        ] {
+            let text = plan(rows, cols, Algorithm::C2r, elem).to_string();
+            let lines: Vec<&str> = text.lines().collect();
+            assert!(lines[1].starts_with("route: tiled"), "{text}");
+            assert_eq!(lines[2], format!("chunk kernel: {want}"), "{text}");
+        }
     }
 }

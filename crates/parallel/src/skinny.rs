@@ -8,7 +8,8 @@
 //! useful chunk (a prime `n`, say), the last `n mod K` structs are
 //! **peeled**: stashed (at most one chunk), the two passes run on the
 //! divisible prefix, and one `copy_within` sweep moves each field's run
-//! to its final offset.
+//! to its final offset. A struct wider than a chunk has no chunk of
+//! whole structs to stage, so such a call takes the element path.
 
 use std::mem::size_of;
 
@@ -41,6 +42,13 @@ pub fn transpose_skinny_r2c<T: Copy + Send + Sync + 'static>(
 ) -> Result<(), TransposeAborted> {
     let core = ipt_core::Plan::new(data.len(), n, m, Layout::RowMajor, Algorithm::R2c);
     crate::run(data, Plan::skinny(core, size_of::<T>()))
+}
+
+/// Whether one struct of `m` fields of `size` bytes fits a chunk. When
+/// it does not, `K` would be 1 and the chunk pass would stage rows past
+/// [`CHUNK_BYTES`], so [`Plan::skinny`] gives the shape the element path.
+pub(crate) fn fits_a_chunk(m: usize, size: usize) -> bool {
+    m.saturating_mul(size) <= CHUNK_BYTES
 }
 
 /// The route of a conversion of `n` structs of `m` fields of `size`

@@ -18,9 +18,14 @@ use ipt_pool::Scratch;
 /// Bytes of one block-pass sub-row, a page.
 pub(crate) const RUN_BYTES: usize = 4096;
 
-/// Side of the sub-tiles a square chunk swaps: a pair of 16 x 16 `u64`
-/// sub-tiles is 4 KiB, well inside L1.
+/// Side of the sub-tiles the scalar kernel swaps: a pair of 16 x 16
+/// `u64` sub-tiles is 4 KiB, well inside L1.
 const SUB: usize = 16;
+
+/// Side of the sub-tiles the AVX2 kernel walks a tile in: a mirrored
+/// pair of 32 x 32 sub-tiles of 8-byte elements is 16 KiB, inside L1.
+#[cfg(target_arch = "x86_64")]
+const SIMD_SUB: usize = 32;
 
 /// Source rows per tile of a staged chunk's gather: a tile of up to 32
 /// fields of `u64` stays in L1 while its columns are written out.
@@ -43,7 +48,7 @@ pub(crate) fn run<T: Copy + Send + Sync + 'static>(
 }
 
 /// Transpose every contiguous `rows x cols` chunk of `data` in place, one
-/// task each: a square chunk by the sub-tile-pair swap, a rectangular one
+/// task each: a square chunk by [`transpose_tile`], a rectangular one
 /// staged whole. Neither body has a fault site, so each is its own redo.
 fn chunk_pass<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
@@ -116,15 +121,65 @@ fn transpose_into<T: Copy>(src: &[T], dst: &mut [T], rows: usize, cols: usize) {
     }
 }
 
+/// How the chunk pass transposes a square chunk in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TileKernel {
+    /// `transpose_tile_avx2` (x86_64): mirrored 4 x 4 blocks swapped
+    /// through AVX2 registers, nothing staged.
+    Avx2,
+    /// [`transpose_tile_scalar`]: mirrored 16 x 16 sub-tiles staged in a
+    /// scratch pair.
+    Scalar,
+}
+
+impl TileKernel {
+    /// The kernel for an `l x l` tile of `elem_size`-byte elements: AVX2
+    /// when the elements are 8 bytes, 4 divides `l` and the CPU has AVX2,
+    /// else scalar. The one place the choice is made: [`transpose_tile`]
+    /// runs it and the plan's `Display` prints it.
+    pub(crate) fn select(elem_size: usize, l: usize) -> TileKernel {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if elem_size == 8 && l % 4 == 0 && avx2 {
+            TileKernel::Avx2
+        } else {
+            TileKernel::Scalar
+        }
+    }
+
+    /// The kernel's name in the plan's `Display`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            TileKernel::Avx2 => "avx2 4 x 4",
+            TileKernel::Scalar => "scalar 16 x 16 sub-tile pairs",
+        }
+    }
+}
+
+/// Transpose the `l x l` row-major `tile` in place with the kernel
+/// [`TileKernel::select`] picks; only the scalar kernel uses `pair`.
+fn transpose_tile<T: Copy>(tile: &mut [T], l: usize, pair: &mut Scratch<T>) {
+    match TileKernel::select(size_of::<T>(), l) {
+        // SAFETY: `select` returns `Avx2` only when the elements are 8
+        // bytes, 4 divides `l` and the CPU has AVX2.
+        #[cfg(target_arch = "x86_64")]
+        TileKernel::Avx2 => unsafe { transpose_tile_avx2(tile, l) },
+        _ => transpose_tile_scalar(tile, l, pair),
+    }
+}
+
 /// Transpose the `l x l` row-major `tile` in place. Each pair of
 /// `SUB x SUB` sub-tiles mirrored across the diagonal is staged in two
 /// buffers from `pair` and written back transposed, each into the
 /// other's place; a diagonal sub-tile is staged alone. Sub-tiles in the
 /// last row and column of sub-tiles are cut short when `SUB` does not
-/// divide `l`.
+/// divide `l`. The kernel for every element size and CPU, and the
+/// reference the AVX2 kernel is tested against.
 // Out of line for the same reason as `transpose_into`.
 #[inline(never)]
-fn transpose_tile<T: Copy>(tile: &mut [T], l: usize, pair: &mut Scratch<T>) {
+fn transpose_tile_scalar<T: Copy>(tile: &mut [T], l: usize, pair: &mut Scratch<T>) {
     assert_eq!(tile.len(), l * l, "a tile is l x l");
     let Some(&fill) = tile.first() else {
         return;
@@ -143,6 +198,115 @@ fn transpose_tile<T: Copy>(tile: &mut [T], l: usize, pair: &mut Scratch<T>) {
             put_transposed(tile, l, (c0, r0), (w, h), a);
         }
     }
+}
+
+/// Transpose the `l x l` row-major `tile` of 8-byte elements in place
+/// through AVX2 registers. The tile is walked in `SIMD_SUB x SIMD_SUB`
+/// sub-tiles, each with its mirror across the diagonal. In a sub-tile
+/// pair, each 4 x 4 block at `(r, c)` and the block at `(c, r)` are
+/// loaded as four rows each, transposed in registers and stored in each
+/// other's place; a diagonal block is transposed where it is. Nothing
+/// is staged, and every load and store is unaligned, so any `T` of 8
+/// bytes, of any alignment, moves as one 64-bit lane. Rust's rules
+/// require an integer lane's bytes to be initialised even when, as
+/// here, it is only moved: a `T` with padding bytes (say a `#[repr(C)]`
+/// struct of a `u32` and a `u16`) breaks that, and [`TileKernel::select`]
+/// sees only the element size, so it cannot exclude such a `T` (an open
+/// item in ROADMAP.md, item 2).
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+// Out of line for the same reason as `transpose_into`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+unsafe fn transpose_tile_avx2<T: Copy>(tile: &mut [T], l: usize) {
+    assert!(size_of::<T>() == 8 && l % 4 == 0, "4 x 4 blocks of 8 bytes");
+    assert_eq!(tile.len(), l * l, "a tile is l x l");
+    let base = tile.as_mut_ptr();
+    for r0 in (0..l).step_by(SIMD_SUB) {
+        let h = SIMD_SUB.min(l - r0);
+        for c0 in (r0..l).step_by(SIMD_SUB) {
+            let w = SIMD_SUB.min(l - c0);
+            for r in (r0..r0 + h).step_by(4) {
+                // In a diagonal sub-tile, only the blocks on and above
+                // the diagonal: each swap moves the one below it too.
+                let c_start = if c0 == r0 { r } else { c0 };
+                for c in (c_start..c0 + w).step_by(4) {
+                    // SAFETY: the CPU has AVX2, as this function's
+                    // caller promised. `r0`, `c0`, `h`, `w` and so `r`
+                    // and `c` are multiples of 4 (`SIMD_SUB` is, and 4
+                    // divides `l`), and `r, c < l`, so `r + 4 <= l` and
+                    // `c + 4 <= l`; `base` points to the `l·l` elements
+                    // of `tile`, borrowed mutably for this call.
+                    unsafe { swap_blocks(base, l, r, c) };
+                }
+            }
+        }
+    }
+}
+
+/// Transpose the 4 x 4 blocks of 8-byte elements at `(r, c)` and
+/// `(c, r)` of the `l`-wide row-major tile at `base`, each into the
+/// other's place; a diagonal block (`r == c`) is transposed where it is.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. `T` must be 8 bytes, `r + 4 <= l` and
+/// `c + 4 <= l`, and `base` must point to `l·l` elements the caller may
+/// read and write.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn swap_blocks<T>(base: *mut T, l: usize, r: usize, c: usize) {
+    use std::arch::x86_64::{__m256i, _mm256_loadu_si256, _mm256_storeu_si256};
+
+    let row = |r: usize, c: usize, i: usize| base.wrapping_add((r + i) * l + c).cast::<__m256i>();
+    // SAFETY: for `i < 4` the four 8-byte elements from `(r + i)·l + c`
+    // end at most at `(r + 3)·l + c + 4 <= (l - 1)·l + l = l·l`, and the
+    // same holds for `(c + i)·l + r`: every 32-byte load and store stays
+    // inside the tile at `base`. They are unaligned, so `T` may have any
+    // alignment.
+    unsafe {
+        let load = |r, c| std::array::from_fn(|i| _mm256_loadu_si256(row(r, c, i)));
+        let store = |r, c, rows: [__m256i; 4]| {
+            for (i, v) in rows.into_iter().enumerate() {
+                _mm256_storeu_si256(row(r, c, i), v);
+            }
+        };
+        let a = transpose_4x4(load(r, c));
+        if r == c {
+            store(r, c, a);
+        } else {
+            let b = transpose_4x4(load(c, r));
+            store(c, r, a);
+            store(r, c, b);
+        }
+    }
+}
+
+/// The transpose of a 4 x 4 block of 64-bit lanes held as four rows:
+/// unpack pairs of rows into 2 x 2 blocks in each 128-bit half, then
+/// join the halves.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn transpose_4x4(
+    [r0, r1, r2, r3]: [std::arch::x86_64::__m256i; 4],
+) -> [std::arch::x86_64::__m256i; 4] {
+    use std::arch::x86_64::{
+        _mm256_permute2x128_si256, _mm256_unpackhi_epi64, _mm256_unpacklo_epi64,
+    };
+
+    let (t0, t1) = (_mm256_unpacklo_epi64(r0, r1), _mm256_unpackhi_epi64(r0, r1));
+    let (t2, t3) = (_mm256_unpacklo_epi64(r2, r3), _mm256_unpackhi_epi64(r2, r3));
+    [
+        _mm256_permute2x128_si256::<0x20>(t0, t2),
+        _mm256_permute2x128_si256::<0x20>(t1, t3),
+        _mm256_permute2x128_si256::<0x31>(t0, t2),
+        _mm256_permute2x128_si256::<0x31>(t1, t3),
+    ]
 }
 
 /// Copy the `h x w` sub-tile at `(r0, c0)` of the `l`-wide `tile` into
@@ -215,8 +379,63 @@ mod tests {
         let mut pair = Scratch::new();
         let l = 64;
         let mut tile = vec![0u64; l * l];
-        transpose_tile(&mut tile, l, &mut pair);
+        transpose_tile_scalar(&mut tile, l, &mut pair);
         assert!(pair.capacity() <= 2 * SUB * SUB, "{}", pair.capacity());
+        // The AVX2 kernel stages nothing.
+        let mut pair = Scratch::new();
+        transpose_tile(&mut tile, l, &mut pair);
+        if TileKernel::select(8, l) == TileKernel::Avx2 {
+            assert_eq!(pair.capacity(), 0);
+        }
+    }
+
+    /// Check each kernel on every side in `sides` against the index
+    /// reference on `T`, a distinct value per element from `encode`.
+    fn every_kernel_matches_the_reference<T: Copy + PartialEq>(
+        sides: impl Iterator<Item = usize>,
+        encode: impl Fn(usize) -> T,
+    ) {
+        let mut pair = Scratch::new();
+        for l in sides {
+            let orig: Vec<T> = (0..l * l).map(&encode).collect();
+            let want: Vec<T> = (0..l * l).map(|at| orig[at % l * l + at / l]).collect();
+            let mut tile = orig.clone();
+            transpose_tile_scalar(&mut tile, l, &mut pair);
+            assert!(tile == want, "scalar, l = {l}");
+            let mut tile = orig.clone();
+            transpose_tile(&mut tile, l, &mut pair);
+            assert!(
+                tile == want,
+                "{:?}, l = {l}",
+                TileKernel::select(size_of::<T>(), l)
+            );
+            #[cfg(target_arch = "x86_64")]
+            if TileKernel::select(size_of::<T>(), l) == TileKernel::Avx2 {
+                let mut tile = orig.clone();
+                // SAFETY: `select` saw AVX2 on this CPU (and 8-byte
+                // elements, and 4 dividing `l`).
+                unsafe { transpose_tile_avx2(&mut tile, l) };
+                assert!(tile == want, "avx2, l = {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_tile_kernel_matches_the_scalar_kernel_and_the_reference() {
+        // Every side up to 40 (the AVX2 kernel on the multiples of 4) and
+        // the tiled route's u64 side, on `u64` and on an 8-byte element
+        // of alignment 1. miri, which checks the kernel's loads and
+        // stores, is too slow for the 512 side.
+        let big = if cfg!(miri) { None } else { Some(512) };
+        let sides = || (0..=40usize).chain(big);
+        every_kernel_matches_the_reference(sides(), |i| i as u64);
+        every_kernel_matches_the_reference(sides(), |i| (i as u64 ^ (0xa5 << 56)).to_le_bytes());
+        if TileKernel::select(8, 4) != TileKernel::Avx2 {
+            eprintln!("AVX2 not detected: only the scalar kernel was checked");
+        }
+        if big.is_none() {
+            eprintln!("under miri: side 512 skipped");
+        }
     }
 
     #[test]

@@ -5,9 +5,19 @@
 //! (`par_chunks_exact_mut`), but the decomposition's column operations
 //! partition a row-major matrix into disjoint **column groups** — strided,
 //! interleaved index sets that the borrow checker cannot express. This
-//! module provides the one `unsafe` building block in the workspace: a
-//! `Send + Sync` pointer wrapper whose soundness argument is purely about
-//! index disjointness.
+//! module provides a `Send + Sync` pointer wrapper whose soundness
+//! argument is purely about index disjointness.
+//!
+//! It is one of the workspace's four `unsafe` sites (every other crate
+//! has none, and most forbid it):
+//!
+//! * this wrapper, reached only through the column-group executor's
+//!   accessors in `exec`;
+//! * `tiled::as_blocks`, the cast of an element buffer to 4 KiB byte
+//!   blocks;
+//! * `two_level::transpose_tile_avx2`, the AVX2 tile kernel's unaligned
+//!   loads and stores;
+//! * in `ipt-pool`, the handoff of a lifetime-erased job to the workers.
 //!
 //! # Safety contract
 //!

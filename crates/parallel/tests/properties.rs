@@ -15,7 +15,7 @@ use ipt_core::kernels::{RowShuffleKernel, ShuffleDirection};
 use ipt_core::{Layout, Scratch};
 use ipt_parallel::{
     batched, c2r_parallel, cache_aware, phases, r2c_parallel, tile_side, transpose_parallel,
-    ParOptions,
+    transpose_skinny_c2r, transpose_skinny_r2c, ParOptions,
 };
 use std::fmt::Debug;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -283,6 +283,9 @@ fn tiled_route_matches_core_on_large_elements() {
         tiled_matches_core(8 * p, 8 * q, 8, big_u64);
         tiled_matches_core(16 * p, 16 * q, 16, big_u32);
     }
+    // An 8-byte element of alignment 1 takes the u64 tile side, and the
+    // AVX2 chunk kernel where the CPU has it.
+    tiled_matches_core(1024, 1536, 512, |i| (i as u64).to_le_bytes());
 }
 
 /// Small enough for miri (`scripts/ci.sh miri`), which checks the
@@ -389,4 +392,27 @@ fn one_block_column_runs_no_block_level_pass() {
         assert!(d.phase(name).is_none(), "ran {name}: {d:?}");
     }
     assert_eq!(d.phase(phases::CHUNK_TRANSPOSE).map(|p| p.calls), Some(2));
+}
+
+#[test]
+fn skinny_structs_wider_than_a_chunk_match_core() {
+    let _phases = phase_lock();
+    force_multithreaded_pool();
+    // 100000 fields of u64 make an 800 KB struct, wider than a chunk:
+    // both directions still equal the reference, and stage no chunk.
+    let (m, n) = (100_000usize, 7usize);
+    let orig: Vec<u64> = (0..(m * n) as u64).collect();
+    let before = ipt_pool::stats::snapshot();
+    let mut a = orig.clone();
+    let mut want = orig.clone();
+    transpose_skinny_c2r(&mut a, m, n).unwrap();
+    ipt_core::c2r(&mut want, m, n, &mut Scratch::new());
+    assert_same(&a, &want, "skinny c2r 100000 x 7");
+    let mut a = orig.clone();
+    let mut want = orig.clone();
+    transpose_skinny_r2c(&mut a, m, n).unwrap();
+    ipt_core::r2c(&mut want, m, n, &mut Scratch::new());
+    assert_same(&a, &want, "skinny r2c 100000 x 7");
+    let d = ipt_pool::stats::snapshot().delta_since(&before);
+    assert!(d.phase(phases::CHUNK_TRANSPOSE).is_none(), "{d:?}");
 }
