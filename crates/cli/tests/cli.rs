@@ -1098,13 +1098,15 @@ fn model_prints_the_plan_of_each_route() {
     use ipt_core::{Algorithm, Layout};
     use ipt_parallel::{ParOptions, Plan};
     // (shape, forced direction, rows x cols of the buffer it runs on): an
-    // element C2R shape with gcd 32, a coprime element R2C shape, a
-    // shape that is tiled for 8- and 16-byte elements and one that is
-    // tiled for 4-, 8- and 16-byte elements.
+    // element C2R shape with gcd 32, a coprime element R2C shape, two
+    // shapes that are tiled for 8- and 16-byte elements (the second one
+    // block column wide for 8-byte elements) and one that is tiled for
+    // 4-, 8- and 16-byte elements.
     let cases = [
         ((96, 64), Algorithm::C2r, (96, 64)),
         ((61, 48), Algorithm::R2c, (48, 61)),
         ((1024, 1536), Algorithm::C2r, (1024, 1536)),
+        ((1024, 512), Algorithm::C2r, (1024, 512)),
         ((1024, 2048), Algorithm::C2r, (1024, 2048)),
     ];
     #[cfg(target_arch = "x86_64")]

@@ -29,8 +29,9 @@
 //!   transpose by transposing every chunk ([`phases::CHUNK_TRANSPOSE`])
 //!   and then the `P x s` matrix of `K`-element blocks with the §4.7
 //!   sub-row permute ([`phases::BLOCK_PERMUTE`]). A square chunk is
-//!   transposed in place: 8-byte elements by 4 x 4 blocks in AVX2
-//!   registers when the CPU has AVX2 and 4 divides the side, every
+//!   transposed in place: 8-byte elements with no padding bytes (`u64`,
+//!   `f64`, `[u8; 8]` and the like, [`TileKernel`]) by 4 x 4 blocks in
+//!   AVX2 registers when the CPU has AVX2 and 4 divides the side, every
 //!   other case by a scalar swap of 16 x 16 sub-tile pairs; a
 //!   rectangular one is staged in the worker's scratch. The tiled route
 //!   is C2R on the `m x n/L` matrix of blocks (the element path's
@@ -90,6 +91,7 @@ mod unsafe_slice;
 pub use plan::{Plan, Route};
 pub use skinny::{transpose_skinny_c2r, transpose_skinny_r2c};
 pub use tiled::tile_side;
+pub use two_level::TileKernel;
 
 use std::mem::size_of;
 
@@ -299,7 +301,7 @@ pub fn c2r_parallel<T: Copy + Send + Sync + 'static>(
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
     let core = ipt_core::Plan::new(data.len(), m, n, Layout::RowMajor, Algorithm::C2r);
-    run(data, Plan::new(core, size_of::<T>(), opts))
+    run(data, Plan::of::<T>(core, opts))
 }
 
 /// Parallel R2C: the inverse of [`c2r_parallel`] — consumes an `n x m`
@@ -313,7 +315,7 @@ pub fn r2c_parallel<T: Copy + Send + Sync + 'static>(
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
     let core = ipt_core::Plan::new(data.len(), n, m, Layout::RowMajor, Algorithm::R2c);
-    run(data, Plan::new(core, size_of::<T>(), opts))
+    run(data, Plan::of::<T>(core, opts))
 }
 
 /// Parallel in-place transpose of a `rows x cols` matrix in `layout`,
@@ -341,7 +343,7 @@ pub fn transpose_parallel_with<T: Copy + Send + Sync + 'static>(
     opts: &ParOptions,
 ) -> Result<(), TransposeAborted> {
     let core = ipt_core::Plan::new(data.len(), rows, cols, layout, algorithm);
-    run(data, Plan::new(core, size_of::<T>(), opts))
+    run(data, Plan::of::<T>(core, opts))
 }
 
 /// Every parallel transpose: a `match` on the call's resolved plan.
@@ -353,7 +355,7 @@ fn run<T: Copy + Send + Sync + 'static>(
     match &plan.route {
         Route::Nothing => Ok(()),
         Route::Elements { params, w, h } => elements(data, dir, params, *w, *h),
-        Route::Tiled { blocks, l, p } => tiled::run(data, dir, blocks.as_ref(), *l, *p),
+        Route::Tiled { blocks, l, p, .. } => tiled::run(data, dir, blocks.as_ref(), *l, *p),
         Route::Skinny { k, main } => skinny::run(data, dir, (plan.core.m, plan.core.n), *k, *main),
     }
 }

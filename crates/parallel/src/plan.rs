@@ -2,11 +2,12 @@
 //! parallel transpose runs a `match` on and `ipt model` prints.
 
 use core::fmt;
+use std::mem::size_of;
 
 use ipt_core::index::C2rParams;
 use ipt_core::{kernels, Direction};
 
-use crate::two_level::TileKernel;
+use crate::two_level::{self, TileKernel};
 use crate::{phases, skinny, tiled, ParOptions};
 
 /// How a parallel call moves its data.
@@ -38,6 +39,8 @@ pub enum Route {
         l: usize,
         /// Tiles per panel, `P = m/L`.
         p: usize,
+        /// The kernel that transposes the tiles in place.
+        kernel: TileKernel,
     },
     /// The §6.1 skinny route of `transpose_skinny_{c2r,r2c}`: the
     /// two-level transpose of `m` fields by `n` structs in chunks of `K`
@@ -65,7 +68,7 @@ impl Route {
 }
 
 /// One resolved parallel call: its direction and view
-/// ([`ipt_core::Plan`]) and its [`Route`]. [`Plan::new`] is its one
+/// ([`ipt_core::Plan`]) and its [`Route`]. [`Plan::new`] is its public
 /// constructor.
 #[derive(Debug, Clone, Copy)]
 pub struct Plan {
@@ -76,10 +79,24 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The route of a resolved call on `elem_size`-byte elements: tiled
-    /// when a 4 KiB block holds `L > 1` whole elements and `L` divides
-    /// both sides of the plan's `m x n`, else the element path.
+    /// The route of a resolved call on `elem_size`-byte elements with no
+    /// padding bytes (an integer type of that size): tiled when a 4 KiB
+    /// block holds `L > 1` whole elements and `L` divides both sides of
+    /// the plan's `m x n`, else the element path.
     pub fn new(core: ipt_core::Plan, elem_size: usize, opts: &ParOptions) -> Plan {
+        Plan::resolve(core, elem_size, true, opts)
+    }
+
+    /// The plan of a resolved call on `T` elements, which the parallel
+    /// entry points run: as [`Plan::new`], with the tiled route's chunk
+    /// kernel chosen for `T` itself.
+    pub(crate) fn of<T: 'static>(core: ipt_core::Plan, opts: &ParOptions) -> Plan {
+        Plan::resolve(core, size_of::<T>(), two_level::padding_free::<T>(), opts)
+    }
+
+    /// [`Plan::new`] on elements that are `plain` when every byte of
+    /// every value is initialised.
+    fn resolve(core: ipt_core::Plan, elem_size: usize, plain: bool, opts: &ParOptions) -> Plan {
         let route = match core.params {
             None => Route::Nothing,
             Some(params) => match tiled::side(params.m, params.n, elem_size) {
@@ -87,6 +104,7 @@ impl Plan {
                     blocks: (params.n > l).then(|| C2rParams::new(params.m, params.n / l)),
                     l,
                     p: params.m / l,
+                    kernel: TileKernel::select(elem_size, plain, l),
                 },
                 None => Route::elements(params, elem_size, opts),
             },
@@ -134,13 +152,17 @@ impl fmt::Display for Plan {
                 writeln!(f, "route: element path, w = {w}, h = {h}")?;
                 params
             }
-            Route::Tiled { blocks, l, p, .. } => {
+            Route::Tiled {
+                blocks,
+                l,
+                p,
+                kernel,
+            } => {
                 let (m, n) = (self.core.m, self.core.n / l);
                 writeln!(
                     f,
                     "route: tiled, L = {l}, P = {p} ({m} x {n} blocks of 4 KiB)"
                 )?;
-                let kernel = TileKernel::select(tiled::BLOCK_BYTES / l, *l);
                 writeln!(f, "chunk kernel: {}", kernel.name())?;
                 let Some(blocks) = blocks else {
                     return write!(f, "block-level passes: nothing to do (one block column)");
@@ -321,25 +343,33 @@ mod tests {
     }
 
     #[test]
-    fn the_tiled_plan_names_its_chunk_kernel() {
-        // u64 tiles take the AVX2 kernel when the CPU has it; 4- and
-        // 16-byte tiles always take the scalar one.
-        #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        let scalar = "scalar 16 x 16 sub-tile pairs";
-        let u64_tiles = if avx2 { "avx2 4 x 4" } else { scalar };
-        for (rows, cols, elem, want) in [
-            (1024usize, 1536usize, 8usize, u64_tiles),
-            (1024, 512, 8, u64_tiles),
-            (1024, 2048, 4, scalar),
-            (1024, 1536, 16, scalar),
-        ] {
-            let text = plan(rows, cols, Algorithm::C2r, elem).to_string();
-            let lines: Vec<&str> = text.lines().collect();
-            assert!(lines[1].starts_with("route: tiled"), "{text}");
-            assert_eq!(lines[2], format!("chunk kernel: {want}"), "{text}");
+    fn a_padded_element_takes_the_scalar_chunk_kernel() {
+        // `Plan::new` plans for integers, so a `u64` call's plan (and its
+        // text) is the same; an 8-byte struct with 2 padding bytes keeps
+        // the tiled route but never takes the AVX2 kernel.
+        #[repr(C)]
+        #[derive(Clone, Copy)]
+        struct Padded {
+            _a: u32,
+            _b: u16,
         }
+        let core = ipt_core::Plan::new(1024 * 1536, 1024, 1536, Layout::RowMajor, Algorithm::C2r);
+        let opts = ParOptions::default();
+        let ints = Plan::new(core, 8, &opts);
+        assert_eq!(Plan::of::<u64>(core, &opts).to_string(), ints.to_string());
+        let padded = Plan::of::<Padded>(core, &opts);
+        match (ints.route, padded.route) {
+            (Route::Tiled { kernel: k, .. }, Route::Tiled { kernel, l, .. }) => {
+                assert_eq!(k, TileKernel::select(8, true, 512));
+                assert_eq!((kernel, l), (TileKernel::Scalar, 512));
+            }
+            r => panic!("{r:?}"),
+        }
+        let text = padded.to_string();
+        assert_eq!(
+            text.lines().nth(2),
+            Some("chunk kernel: scalar 16 x 16 sub-tile pairs"),
+            "{text}"
+        );
     }
 }

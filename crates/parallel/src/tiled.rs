@@ -25,7 +25,7 @@ use ipt_core::index::C2rParams;
 use ipt_core::Direction;
 
 /// Bytes of one block: a page.
-pub(crate) const BLOCK_BYTES: usize = 4096;
+const BLOCK_BYTES: usize = 4096;
 
 /// One block as raw bytes. Its alignment is 1, and every byte pattern —
 /// a `T`'s padding included — is a valid value, so one type serves every

@@ -121,28 +121,36 @@ fn transpose_into<T: Copy>(src: &[T], dst: &mut [T], rows: usize, cols: usize) {
     }
 }
 
-/// How the chunk pass transposes a square chunk in place.
+/// How the chunk pass transposes a square chunk in place; the tiled
+/// plan records it ([`crate::Route::Tiled`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TileKernel {
+pub enum TileKernel {
     /// `transpose_tile_avx2` (x86_64): mirrored 4 x 4 blocks swapped
     /// through AVX2 registers, nothing staged.
     Avx2,
-    /// [`transpose_tile_scalar`]: mirrored 16 x 16 sub-tiles staged in a
+    /// `transpose_tile_scalar`: mirrored 16 x 16 sub-tiles staged in a
     /// scratch pair.
     Scalar,
 }
 
 impl TileKernel {
-    /// The kernel for an `l x l` tile of `elem_size`-byte elements: AVX2
-    /// when the elements are 8 bytes, 4 divides `l` and the CPU has AVX2,
-    /// else scalar. The one place the choice is made: [`transpose_tile`]
-    /// runs it and the plan's `Display` prints it.
-    pub(crate) fn select(elem_size: usize, l: usize) -> TileKernel {
+    /// The kernel for an `l x l` tile of `T`: [`TileKernel::select`] on
+    /// its size and on whether it is on the [`padding_free`] list.
+    pub(crate) fn of<T: 'static>(l: usize) -> TileKernel {
+        TileKernel::select(size_of::<T>(), padding_free::<T>(), l)
+    }
+
+    /// The kernel for an `l x l` tile of `elem_size`-byte elements,
+    /// `plain` when every byte of every element is initialised: AVX2
+    /// when the elements are plain and 8 bytes, 4 divides `l` and the
+    /// CPU has AVX2, else scalar. The one place the choice is made:
+    /// [`transpose_tile`] runs it and the plan records it.
+    pub(crate) fn select(elem_size: usize, plain: bool, l: usize) -> TileKernel {
         #[cfg(target_arch = "x86_64")]
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
         let avx2 = false;
-        if elem_size == 8 && l % 4 == 0 && avx2 {
+        if elem_size == 8 && plain && l % 4 == 0 && avx2 {
             TileKernel::Avx2
         } else {
             TileKernel::Scalar
@@ -150,7 +158,7 @@ impl TileKernel {
     }
 
     /// The kernel's name in the plan's `Display`.
-    pub(crate) fn name(self) -> &'static str {
+    pub fn name(self) -> &'static str {
         match self {
             TileKernel::Avx2 => "avx2 4 x 4",
             TileKernel::Scalar => "scalar 16 x 16 sub-tile pairs",
@@ -158,12 +166,34 @@ impl TileKernel {
     }
 }
 
+/// Whether `T` is one of the 8-byte types whose every value has all its
+/// bytes initialised, so that the AVX2 kernel may load it as a 64-bit
+/// integer lane. Rust's rules forbid uninitialised bytes in an integer
+/// even when it is only moved, so a `T` with padding bytes (say a
+/// `#[repr(C)]` struct of a `u32` and a `u16`) must not take that
+/// kernel; the list names the types known to have none.
+pub(crate) fn padding_free<T: 'static>() -> bool {
+    use std::any::TypeId;
+    [
+        TypeId::of::<u64>(),
+        TypeId::of::<i64>(),
+        TypeId::of::<f64>(),
+        TypeId::of::<usize>(),
+        TypeId::of::<isize>(),
+        TypeId::of::<[u8; 8]>(),
+        TypeId::of::<[u16; 4]>(),
+        TypeId::of::<[u32; 2]>(),
+        TypeId::of::<[f32; 2]>(),
+    ]
+    .contains(&TypeId::of::<T>())
+}
+
 /// Transpose the `l x l` row-major `tile` in place with the kernel
-/// [`TileKernel::select`] picks; only the scalar kernel uses `pair`.
-fn transpose_tile<T: Copy>(tile: &mut [T], l: usize, pair: &mut Scratch<T>) {
-    match TileKernel::select(size_of::<T>(), l) {
-        // SAFETY: `select` returns `Avx2` only when the elements are 8
-        // bytes, 4 divides `l` and the CPU has AVX2.
+/// [`TileKernel::of`] picks; only the scalar kernel uses `pair`.
+fn transpose_tile<T: Copy + 'static>(tile: &mut [T], l: usize, pair: &mut Scratch<T>) {
+    match TileKernel::of::<T>(l) {
+        // SAFETY: `of` returns `Avx2` only when `T` is an 8-byte type
+        // with no padding bytes, 4 divides `l` and the CPU has AVX2.
         #[cfg(target_arch = "x86_64")]
         TileKernel::Avx2 => unsafe { transpose_tile_avx2(tile, l) },
         _ => transpose_tile_scalar(tile, l, pair),
@@ -206,17 +236,15 @@ fn transpose_tile_scalar<T: Copy>(tile: &mut [T], l: usize, pair: &mut Scratch<T
 /// pair, each 4 x 4 block at `(r, c)` and the block at `(c, r)` are
 /// loaded as four rows each, transposed in registers and stored in each
 /// other's place; a diagonal block is transposed where it is. Nothing
-/// is staged, and every load and store is unaligned, so any `T` of 8
-/// bytes, of any alignment, moves as one 64-bit lane. Rust's rules
-/// require an integer lane's bytes to be initialised even when, as
-/// here, it is only moved: a `T` with padding bytes (say a `#[repr(C)]`
-/// struct of a `u32` and a `u16`) breaks that, and [`TileKernel::select`]
-/// sees only the element size, so it cannot exclude such a `T` (an open
-/// item in ROADMAP.md, item 2).
+/// is staged, and every load and store is unaligned, so a `T` of any
+/// alignment moves as one 64-bit lane.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2.
+/// The CPU must support AVX2, and every byte of every `T` value must be
+/// initialised (no padding bytes, see [`padding_free`]): Rust's rules
+/// forbid uninitialised bytes in an integer lane even when it is only
+/// moved.
 // Out of line for the same reason as `transpose_into`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -234,12 +262,13 @@ unsafe fn transpose_tile_avx2<T: Copy>(tile: &mut [T], l: usize) {
                 // the diagonal: each swap moves the one below it too.
                 let c_start = if c0 == r0 { r } else { c0 };
                 for c in (c_start..c0 + w).step_by(4) {
-                    // SAFETY: the CPU has AVX2, as this function's
-                    // caller promised. `r0`, `c0`, `h`, `w` and so `r`
-                    // and `c` are multiples of 4 (`SIMD_SUB` is, and 4
-                    // divides `l`), and `r, c < l`, so `r + 4 <= l` and
-                    // `c + 4 <= l`; `base` points to the `l·l` elements
-                    // of `tile`, borrowed mutably for this call.
+                    // SAFETY: the CPU has AVX2 and `T` has no padding
+                    // bytes, as this function's caller promised. `r0`,
+                    // `c0`, `h`, `w` and so `r` and `c` are multiples of
+                    // 4 (`SIMD_SUB` is, and 4 divides `l`), and
+                    // `r, c < l`, so `r + 4 <= l` and `c + 4 <= l`;
+                    // `base` points to the `l·l` elements of `tile`,
+                    // borrowed mutably for this call.
                     unsafe { swap_blocks(base, l, r, c) };
                 }
             }
@@ -253,21 +282,26 @@ unsafe fn transpose_tile_avx2<T: Copy>(tile: &mut [T], l: usize) {
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2. `T` must be 8 bytes, `r + 4 <= l` and
-/// `c + 4 <= l`, and `base` must point to `l·l` elements the caller may
-/// read and write.
+/// The CPU must support AVX2. `T` must be 8 bytes with no padding bytes,
+/// `r + 4 <= l` and `c + 4 <= l`, and `base` must point to `l·l`
+/// elements the caller may read and write.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn swap_blocks<T>(base: *mut T, l: usize, r: usize, c: usize) {
-    use std::arch::x86_64::{__m256i, _mm256_loadu_si256, _mm256_storeu_si256};
+    use std::arch::x86_64::{
+        __m256i, _mm256_loadu_si256, _mm256_permute2x128_si256, _mm256_storeu_si256,
+        _mm256_unpackhi_epi64, _mm256_unpacklo_epi64,
+    };
 
     let row = |r: usize, c: usize, i: usize| base.wrapping_add((r + i) * l + c).cast::<__m256i>();
     // SAFETY: for `i < 4` the four 8-byte elements from `(r + i)·l + c`
     // end at most at `(r + 3)·l + c + 4 <= (l - 1)·l + l = l·l`, and the
     // same holds for `(c + i)·l + r`: every 32-byte load and store stays
     // inside the tile at `base`. They are unaligned, so `T` may have any
-    // alignment.
+    // alignment, and every byte they load is initialised, as the caller
+    // promised. The shuffles need only AVX2, which the caller promised
+    // too.
     unsafe {
         let load = |r, c| std::array::from_fn(|i| _mm256_loadu_si256(row(r, c, i)));
         let store = |r, c, rows: [__m256i; 4]| {
@@ -275,38 +309,28 @@ unsafe fn swap_blocks<T>(base: *mut T, l: usize, r: usize, c: usize) {
                 _mm256_storeu_si256(row(r, c, i), v);
             }
         };
-        let a = transpose_4x4(load(r, c));
+        // The transpose of a 4 x 4 block of 64-bit lanes held as four
+        // rows: unpack pairs of rows into 2 x 2 blocks in each 128-bit
+        // half, then join the halves.
+        let transpose = |[r0, r1, r2, r3]: [__m256i; 4]| {
+            let (t0, t1) = (_mm256_unpacklo_epi64(r0, r1), _mm256_unpackhi_epi64(r0, r1));
+            let (t2, t3) = (_mm256_unpacklo_epi64(r2, r3), _mm256_unpackhi_epi64(r2, r3));
+            [
+                _mm256_permute2x128_si256::<0x20>(t0, t2),
+                _mm256_permute2x128_si256::<0x20>(t1, t3),
+                _mm256_permute2x128_si256::<0x31>(t0, t2),
+                _mm256_permute2x128_si256::<0x31>(t1, t3),
+            ]
+        };
+        let a = transpose(load(r, c));
         if r == c {
             store(r, c, a);
         } else {
-            let b = transpose_4x4(load(c, r));
+            let b = transpose(load(c, r));
             store(c, r, a);
             store(r, c, b);
         }
     }
-}
-
-/// The transpose of a 4 x 4 block of 64-bit lanes held as four rows:
-/// unpack pairs of rows into 2 x 2 blocks in each 128-bit half, then
-/// join the halves.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-fn transpose_4x4(
-    [r0, r1, r2, r3]: [std::arch::x86_64::__m256i; 4],
-) -> [std::arch::x86_64::__m256i; 4] {
-    use std::arch::x86_64::{
-        _mm256_permute2x128_si256, _mm256_unpackhi_epi64, _mm256_unpacklo_epi64,
-    };
-
-    let (t0, t1) = (_mm256_unpacklo_epi64(r0, r1), _mm256_unpackhi_epi64(r0, r1));
-    let (t2, t3) = (_mm256_unpacklo_epi64(r2, r3), _mm256_unpackhi_epi64(r2, r3));
-    [
-        _mm256_permute2x128_si256::<0x20>(t0, t2),
-        _mm256_permute2x128_si256::<0x20>(t1, t3),
-        _mm256_permute2x128_si256::<0x31>(t0, t2),
-        _mm256_permute2x128_si256::<0x31>(t1, t3),
-    ]
 }
 
 /// Copy the `h x w` sub-tile at `(r0, c0)` of the `l`-wide `tile` into
@@ -384,14 +408,14 @@ mod tests {
         // The AVX2 kernel stages nothing.
         let mut pair = Scratch::new();
         transpose_tile(&mut tile, l, &mut pair);
-        if TileKernel::select(8, l) == TileKernel::Avx2 {
+        if TileKernel::of::<u64>(l) == TileKernel::Avx2 {
             assert_eq!(pair.capacity(), 0);
         }
     }
 
     /// Check each kernel on every side in `sides` against the index
     /// reference on `T`, a distinct value per element from `encode`.
-    fn every_kernel_matches_the_reference<T: Copy + PartialEq>(
+    fn every_kernel_matches_the_reference<T: Copy + PartialEq + 'static>(
         sides: impl Iterator<Item = usize>,
         encode: impl Fn(usize) -> T,
     ) {
@@ -402,18 +426,11 @@ mod tests {
             let mut tile = orig.clone();
             transpose_tile_scalar(&mut tile, l, &mut pair);
             assert!(tile == want, "scalar, l = {l}");
-            let mut tile = orig.clone();
-            transpose_tile(&mut tile, l, &mut pair);
-            assert!(
-                tile == want,
-                "{:?}, l = {l}",
-                TileKernel::select(size_of::<T>(), l)
-            );
             #[cfg(target_arch = "x86_64")]
-            if TileKernel::select(size_of::<T>(), l) == TileKernel::Avx2 {
+            if TileKernel::of::<T>(l) == TileKernel::Avx2 {
                 let mut tile = orig.clone();
-                // SAFETY: `select` saw AVX2 on this CPU (and 8-byte
-                // elements, and 4 dividing `l`).
+                // SAFETY: `of` saw AVX2 on this CPU, an 8-byte `T` with
+                // no padding bytes and 4 dividing `l`.
                 unsafe { transpose_tile_avx2(&mut tile, l) };
                 assert!(tile == want, "avx2, l = {l}");
             }
@@ -430,11 +447,34 @@ mod tests {
         let sides = || (0..=40usize).chain(big);
         every_kernel_matches_the_reference(sides(), |i| i as u64);
         every_kernel_matches_the_reference(sides(), |i| (i as u64 ^ (0xa5 << 56)).to_le_bytes());
-        if TileKernel::select(8, 4) != TileKernel::Avx2 {
+        if TileKernel::of::<u64>(4) != TileKernel::Avx2 {
             eprintln!("AVX2 not detected: only the scalar kernel was checked");
         }
         if big.is_none() {
             eprintln!("under miri: side 512 skipped");
+        }
+    }
+
+    #[test]
+    fn an_element_with_padding_bytes_takes_the_scalar_kernel() {
+        // 8 bytes, 2 of them padding, which must never sit in an integer
+        // lane; the padding-free 8-byte types all take the same kernel.
+        #[repr(C)]
+        #[derive(Clone, Copy)]
+        struct Padded {
+            _a: u32,
+            _b: u16,
+        }
+        assert_eq!(size_of::<Padded>(), 8);
+        assert_eq!(TileKernel::of::<Padded>(512), TileKernel::Scalar);
+        assert_eq!(TileKernel::of::<(u32, u16)>(512), TileKernel::Scalar);
+        let plain = TileKernel::select(8, true, 512);
+        for kernel in [
+            TileKernel::of::<u64>(512),
+            TileKernel::of::<[u8; 8]>(512),
+            TileKernel::of::<f64>(512),
+        ] {
+            assert_eq!(kernel, plain);
         }
     }
 

@@ -286,6 +286,18 @@ fn tiled_route_matches_core_on_large_elements() {
     // An 8-byte element of alignment 1 takes the u64 tile side, and the
     // AVX2 chunk kernel where the CPU has it.
     tiled_matches_core(1024, 1536, 512, |i| (i as u64).to_le_bytes());
+    // An 8-byte struct with padding bytes takes the same route with the
+    // scalar chunk kernel.
+    #[repr(C)]
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    struct Padded {
+        a: u32,
+        b: u16,
+    }
+    tiled_matches_core(1024, 1536, 512, |i| Padded {
+        a: i as u32,
+        b: (i % 65_521) as u16,
+    });
 }
 
 /// Small enough for miri (`scripts/ci.sh miri`), which checks the
