@@ -75,11 +75,6 @@ pub fn aos_to_soa<T: Copy + Send + Sync + 'static>(
     fields: usize,
 ) -> Result<(), ipt_parallel::TransposeAborted> {
     assert!(n_structs > 0 && fields > 0, "degenerate AoS shape");
-    assert_eq!(
-        data.len(),
-        shape_len(n_structs, fields),
-        "buffer/shape mismatch"
-    );
     // R2C with the small dimension as the view's row count: consumes the
     // N x s buffer, produces s x N.
     transpose_skinny_r2c(data, fields, n_structs)
@@ -99,11 +94,6 @@ pub fn soa_to_aos<T: Copy + Send + Sync + 'static>(
     fields: usize,
 ) -> Result<(), ipt_parallel::TransposeAborted> {
     assert!(n_structs > 0 && fields > 0, "degenerate SoA shape");
-    assert_eq!(
-        data.len(),
-        shape_len(n_structs, fields),
-        "buffer/shape mismatch"
-    );
     transpose_skinny_c2r(data, fields, n_structs)
 }
 
@@ -213,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mismatch")]
+    #[should_panic(expected = "buffer length must be rows * cols (3 x 3)")]
     fn wrong_shape_panics() {
         let mut a = vec![0u8; 7];
         let _ = aos_to_soa(&mut a, 3, 3);

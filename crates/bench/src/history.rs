@@ -8,7 +8,8 @@
 //! * **Append** ([`append`]) — each `ipt-cli bench --suite S --history
 //!   DIR` run drops its `ipt-bench-report-v1` file into `DIR` under a
 //!   self-describing, chronologically sortable name:
-//!   `ipt-bench-<suite>-<UTCSTAMP>-<seq>-t<threads>-<kernel>.json`.
+//!   `ipt-bench-<suite>-<UTCSTAMP>-<seq>-t<threads>.json` (archives from
+//!   older builds end in `-<kernel>.json` and still load).
 //!   Timestamps come from [`timestamp_secs`], which honors
 //!   `SOURCE_DATE_EPOCH` so hermetic CI runs produce deterministic
 //!   names; the zero-padded sequence number disambiguates (and orders)
@@ -93,30 +94,10 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (y + (m <= 2) as i64, m, d)
 }
 
-/// The kernel stamp for archive file names: the `IPT_KERNEL` override if
-/// one is set, else `auto` (the runtime dispatcher decided).
-pub fn kernel_stamp() -> String {
-    sanitize(&std::env::var("IPT_KERNEL").unwrap_or_default())
-}
-
-/// Keep a stamp filename-safe: lowercase ASCII alphanumerics only;
-/// empty falls back to `auto`.
-fn sanitize(raw: &str) -> String {
-    let cleaned: String = raw
-        .trim()
-        .to_ascii_lowercase()
-        .chars()
-        .filter(char::is_ascii_alphanumeric)
-        .collect();
-    if cleaned.is_empty() {
-        "auto".to_string()
-    } else {
-        cleaned
-    }
-}
-
 /// Parse an archive file name for `suite`: `Some((stamp, seq))` when it
-/// matches `ipt-bench-<suite>-<stamp>-<seq>-...json`, else `None`.
+/// matches `ipt-bench-<suite>-<stamp>-<seq>-...json` (today's
+/// `-t<threads>.json` ending, or an older build's `-t<threads>-<kernel>.json`),
+/// else `None`.
 fn parse_filename<'a>(name: &'a str, suite: &str) -> Option<(&'a str, u64)> {
     let rest = name
         .strip_prefix("ipt-bench-")?
@@ -135,19 +116,13 @@ fn parse_filename<'a>(name: &'a str, suite: &str) -> Option<(&'a str, u64)> {
 
 /// Append `report` to the history directory `dir` with the current
 /// [`timestamp_secs`], creating `dir` if needed. Returns the path of the
-/// file written. `kernel` is the dispatch stamp for the file name
-/// (usually [`kernel_stamp`]).
-pub fn append(dir: &str, report: &BenchReport, kernel: &str) -> Result<String, String> {
-    append_at(dir, report, kernel, timestamp_secs())
+/// file written.
+pub fn append(dir: &str, report: &BenchReport) -> Result<String, String> {
+    append_at(dir, report, timestamp_secs())
 }
 
 /// [`append`] with an explicit timestamp — the testable core.
-pub fn append_at(
-    dir: &str,
-    report: &BenchReport,
-    kernel: &str,
-    unix_secs: u64,
-) -> Result<String, String> {
+pub fn append_at(dir: &str, report: &BenchReport, unix_secs: u64) -> Result<String, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
     let next_seq = 1 + scan(dir, &report.name)?
         .iter()
@@ -155,11 +130,10 @@ pub fn append_at(
         .max()
         .unwrap_or(0);
     let name = format!(
-        "ipt-bench-{}-{}-{next_seq:04}-t{}-{}.json",
+        "ipt-bench-{}-{}-{next_seq:04}-t{}.json",
         report.name,
         format_utc(unix_secs),
         report.threads,
-        sanitize(kernel),
     );
     let path = Path::new(dir).join(name);
     let path = path.to_str().ok_or("non-UTF-8 history path")?;
@@ -304,11 +278,6 @@ pub struct TrendReport {
     pub reports_used: usize,
     /// Archived reports skipped for a thread-count mismatch.
     pub skipped_threads: usize,
-    /// Archived reports skipped because exactly one side of the pair ran
-    /// under an `IPT_KERNEL` override (`dispatch_tier == "override"`) —
-    /// forced-kernel numbers are not comparable to dispatcher-chosen
-    /// ones. Legacy calibrated-vs-static pairs still participate.
-    pub skipped_stamps: usize,
     /// New-report entries with no archived sample (first appearance).
     pub new_only: usize,
     /// Entries of the latest participating archive absent from the new
@@ -336,22 +305,12 @@ pub fn trend(
     window: usize,
 ) -> TrendReport {
     let window = window.max(1);
-    let same_threads: Vec<&BenchReport> = history
+    let usable: Vec<&BenchReport> = history
         .iter()
         .map(|h| &h.report)
         .filter(|r| r.threads == new.threads)
         .collect();
-    let skipped_threads = history.len() - same_threads.len();
-    // An archive recorded under a forced-kernel override only compares
-    // against another override run (and vice versa); mixed pairs would
-    // gate dispatcher-chosen numbers against forced ones.
-    let overridden = |r: &BenchReport| r.dispatch_tier == "override";
-    let usable: Vec<&BenchReport> = same_threads
-        .iter()
-        .copied()
-        .filter(|r| overridden(r) == overridden(new))
-        .collect();
-    let skipped_stamps = same_threads.len() - usable.len();
+    let skipped_threads = history.len() - usable.len();
     let mut rows = Vec::new();
     let mut new_only = 0;
     for e in &new.entries {
@@ -403,7 +362,6 @@ pub fn trend(
         rows,
         reports_used: usable.len(),
         skipped_threads,
-        skipped_stamps,
         new_only,
         history_only,
     }
@@ -485,7 +443,6 @@ mod tests {
         BenchReport {
             name: suite.to_string(),
             threads,
-            dispatch_tier: "static".to_string(),
             entries: medians.iter().map(|&(a, x)| entry(a, x)).collect(),
         }
     }
@@ -512,12 +469,18 @@ mod tests {
 
     #[test]
     fn filename_parser_accepts_own_format_and_rejects_noise() {
-        let name = "ipt-bench-transpose-20231114T221320Z-0007-t4-auto.json";
+        let name = "ipt-bench-transpose-20231114T221320Z-0007-t4.json";
         assert_eq!(
             parse_filename(name, "transpose"),
             Some(("20231114T221320Z", 7))
         );
         assert_eq!(parse_filename(name, "parallel"), None);
+        // Older builds appended a kernel stamp; those archives still load.
+        let old = "ipt-bench-transpose-20231114T221320Z-0007-t4-auto.json";
+        assert_eq!(
+            parse_filename(old, "transpose"),
+            Some(("20231114T221320Z", 7))
+        );
         for bad in [
             "BENCH_transpose.json",
             "ipt-bench-transpose-garbage-0001-t1-auto.json",
@@ -534,14 +497,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let dir = dir.to_str().unwrap().to_string();
         // Same stamp (hermetic SOURCE_DATE_EPOCH case): seq disambiguates.
-        let p1 = append_at(&dir, &report("t", 1, &[("c2r", 1.0)]), "auto", 100).unwrap();
-        let p2 = append_at(&dir, &report("t", 1, &[("c2r", 2.0)]), "auto", 100).unwrap();
-        let p3 = append_at(&dir, &report("t", 1, &[("c2r", 3.0)]), "AVX-512!", 200).unwrap();
-        assert!(p1.contains("-0001-t1-auto.json"), "{p1}");
+        let p1 = append_at(&dir, &report("t", 1, &[("c2r", 1.0)]), 100).unwrap();
+        let p2 = append_at(&dir, &report("t", 1, &[("c2r", 2.0)]), 100).unwrap();
+        let p3 = append_at(&dir, &report("t", 1, &[("c2r", 3.0)]), 200).unwrap();
+        assert!(p1.ends_with("-0001-t1.json"), "{p1}");
         assert!(p2.contains("-0002-"), "{p2}");
-        assert!(p3.contains("-0003-t1-avx512.json"), "{p3}");
+        assert!(p3.ends_with("-0003-t1.json"), "{p3}");
         // A different suite in the same dir stays invisible to this one.
-        append_at(&dir, &report("other", 1, &[("c2r", 9.0)]), "auto", 50).unwrap();
+        append_at(&dir, &report("other", 1, &[("c2r", 9.0)]), 50).unwrap();
         let loaded = load(&dir, "t").unwrap();
         let medians: Vec<f64> = loaded
             .iter()
@@ -559,11 +522,11 @@ mod tests {
         let dir = dir.to_str().unwrap().to_string();
         // Deterministic SOURCE_DATE_EPOCH-style fixtures: one fixed
         // stamp, seq disambiguates; plus an older distinct-stamp file.
-        append_at(&dir, &report("t", 1, &[("c2r", 1.0)]), "auto", 50).unwrap();
+        append_at(&dir, &report("t", 1, &[("c2r", 1.0)]), 50).unwrap();
         for x in [2.0, 3.0, 4.0] {
-            append_at(&dir, &report("t", 1, &[("c2r", x)]), "auto", 100).unwrap();
+            append_at(&dir, &report("t", 1, &[("c2r", x)]), 100).unwrap();
         }
-        append_at(&dir, &report("other", 1, &[("c2r", 9.0)]), "auto", 10).unwrap();
+        append_at(&dir, &report("other", 1, &[("c2r", 9.0)]), 10).unwrap();
         let unrelated = Path::new(&dir).join("ipt-calibration.json");
         std::fs::write(&unrelated, "{}\n").unwrap();
 
@@ -587,7 +550,7 @@ mod tests {
         assert_eq!(prune(&dir, "t", 0).unwrap().len(), 2);
         assert!(load(&dir, "t").unwrap().is_empty());
         // Sequence numbering continues from 1 again after a full prune.
-        let p = append_at(&dir, &report("t", 1, &[("c2r", 5.0)]), "auto", 100).unwrap();
+        let p = append_at(&dir, &report("t", 1, &[("c2r", 5.0)]), 100).unwrap();
         assert!(p.contains("-0001-"), "{p}");
     }
 
@@ -676,33 +639,9 @@ mod tests {
         let t = trend(&history, &new, 10.0, DEFAULT_WINDOW);
         assert_eq!(t.reports_used, 1);
         assert_eq!(t.skipped_threads, 1);
-        assert_eq!(t.skipped_stamps, 0);
         assert_eq!(t.new_only, 1);
         assert_eq!(t.history_only, 1);
         assert_eq!(t.flagged(), 0);
-    }
-
-    #[test]
-    fn override_runs_only_compare_against_override_runs() {
-        // A fast forced-kernel archive must not gate a dispatcher-chosen
-        // run (and the skip is surfaced, not hidden); legacy calibrated
-        // archives still participate against a static run.
-        let mut forced = report("t", 1, &[("c2r", 100.0)]);
-        forced.dispatch_tier = "override".to_string();
-        let mut calibrated = report("t", 1, &[("c2r", 10.0)]);
-        calibrated.dispatch_tier = "calibrated".to_string();
-        let history = hist(vec![forced.clone(), calibrated]);
-        let new = report("t", 1, &[("c2r", 10.0)]);
-        let t = trend(&history, &new, 10.0, DEFAULT_WINDOW);
-        assert_eq!(t.reports_used, 1);
-        assert_eq!(t.skipped_stamps, 1);
-        assert_eq!(t.flagged(), 0, "forced 100.0 must not set the baseline");
-        // Symmetrically, an override new run only sees override archives.
-        let mut new_forced = report("t", 1, &[("c2r", 100.0)]);
-        new_forced.dispatch_tier = "override".to_string();
-        let t = trend(&history, &new_forced, 10.0, DEFAULT_WINDOW);
-        assert_eq!(t.reports_used, 1);
-        assert_eq!(t.skipped_stamps, 1);
     }
 
     #[test]

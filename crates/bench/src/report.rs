@@ -308,12 +308,6 @@ pub struct BenchReport {
     pub name: String,
     /// Worker thread count the suite ran with.
     pub threads: usize,
-    /// Which kernel-dispatch tier was active for the run: `"override"`
-    /// (`IPT_KERNEL` forced a kernel) or `"static"` (the built-in
-    /// table). Reports written before this field existed load as
-    /// `"static"`; older archives may also carry `"calibrated"`, from a
-    /// since-removed per-host tier, which loads as written.
-    pub dispatch_tier: String,
     /// One entry per measured (algorithm, shape) pair.
     pub entries: Vec<BenchEntry>,
 }
@@ -325,7 +319,6 @@ impl BenchReport {
             ("schema", Json::Str(SCHEMA.to_string())),
             ("name", Json::Str(self.name.clone())),
             ("threads", Json::Num(self.threads as f64)),
-            ("dispatch_tier", Json::Str(self.dispatch_tier.clone())),
             (
                 "entries",
                 Json::Arr(self.entries.iter().map(BenchEntry::to_json).collect()),
@@ -334,9 +327,8 @@ impl BenchReport {
     }
 
     /// Decode from a parsed [`Json`] document, checking the schema tag.
-    /// The dispatch stamp defaults to `"static"` so baselines written
-    /// before it existed keep loading; a legacy `"calibration"` key is
-    /// ignored.
+    /// Keys of retired stamps that older reports carry
+    /// (`"dispatch_tier"`, `"calibration"`) are ignored.
     pub fn from_json(v: &Json) -> Result<BenchReport, String> {
         match v.get("schema").and_then(Json::as_str) {
             Some(SCHEMA) => {}
@@ -353,11 +345,6 @@ impl BenchReport {
                 .get("threads")
                 .and_then(Json::as_u64)
                 .ok_or("missing \"threads\"")? as usize,
-            dispatch_tier: v
-                .get("dispatch_tier")
-                .and_then(Json::as_str)
-                .unwrap_or("static")
-                .to_string(),
             entries: v
                 .get("entries")
                 .and_then(Json::as_arr)
@@ -386,24 +373,13 @@ impl BenchReport {
     /// be meaningless: the runs measured different machine
     /// configurations. `Some(reason)` when the worker-thread counts
     /// differ (a 4-thread run gated against a 1-core baseline reports
-    /// bogus regressions/improvements), or when exactly one of the two
-    /// ran under a forced `IPT_KERNEL` override (`dispatch_tier ==
-    /// "override"`). A legacy `"calibrated"` vs `"static"` difference is
-    /// *not* a mismatch — both mean the dispatcher chose.
+    /// bogus regressions/improvements).
     pub fn stamp_mismatch(&self, new: &BenchReport) -> Option<String> {
         if self.threads != new.threads {
             return Some(format!(
                 "environment stamps disagree: baseline ran with {} thread(s), \
                  candidate with {} — regenerate the baseline on this configuration",
                 self.threads, new.threads
-            ));
-        }
-        let forced = |r: &BenchReport| r.dispatch_tier == "override";
-        if forced(self) != forced(new) {
-            return Some(format!(
-                "environment stamps disagree: baseline dispatch tier {:?}, \
-                 candidate {:?} (an IPT_KERNEL override on one side skews every entry)",
-                self.dispatch_tier, new.dispatch_tier
             ));
         }
         None
@@ -638,7 +614,6 @@ mod tests {
         BenchReport {
             name: "test".to_string(),
             threads: 4,
-            dispatch_tier: "static".to_string(),
             entries,
         }
     }
@@ -666,7 +641,6 @@ mod tests {
             "\"schema\"",
             "\"name\"",
             "\"threads\"",
-            "\"dispatch_tier\"",
             "\"entries\"",
             "\"algorithm\"",
             "\"m\"",
@@ -795,25 +769,6 @@ mod tests {
     }
 
     #[test]
-    fn compare_skips_on_override_tier_asymmetry() {
-        let old = report(vec![entry("c2r", 8, 8, 10.0)]);
-        let mut new = report(vec![entry("c2r", 8, 8, 0.1)]);
-        new.dispatch_tier = "override".to_string();
-        let cmp = compare(&old, &new, 10.0);
-        let reason = cmp
-            .skipped
-            .as_deref()
-            .expect("override asymmetry must skip");
-        assert!(reason.contains("override"), "{reason}");
-        // Override on BOTH sides is comparable (same forced kernel).
-        let mut old2 = report(vec![entry("c2r", 8, 8, 10.0)]);
-        old2.dispatch_tier = "override".to_string();
-        let cmp = compare(&old2, &new, 10.0);
-        assert!(cmp.skipped.is_none());
-        assert_eq!(cmp.regressions(), 1);
-    }
-
-    #[test]
     fn calibrated_vs_static_is_still_comparable() {
         // Reports and history archives written while a per-host
         // calibrated dispatch tier existed carry its stamp plus a profile
@@ -833,7 +788,6 @@ mod tests {
             ("entries", entries),
         ]);
         let legacy = BenchReport::from_json(&Json::parse(&doc.render()).unwrap()).unwrap();
-        assert_eq!(legacy.dispatch_tier, "calibrated");
         let new = report(vec![entry("c2r", 8, 8, 0.1)]);
         let cmp = compare(&legacy, &new, 10.0);
         assert!(cmp.skipped.is_none());
@@ -844,7 +798,7 @@ mod tests {
             report: legacy,
         }];
         let t = crate::history::trend(&archive, &new, 10.0, crate::history::DEFAULT_WINDOW);
-        assert_eq!((t.reports_used, t.skipped_stamps), (1, 0));
+        assert_eq!(t.reports_used, 1);
         assert_eq!(t.flagged(), 1);
     }
 
@@ -864,8 +818,8 @@ mod tests {
 
     #[test]
     fn pre_calibration_reports_load_with_default_stamps() {
-        // A baseline written before the dispatch stamp existed has no
-        // dispatch_tier key; it must load as the static tier.
+        // A baseline written before any stamp existed carries only the
+        // schema, name, threads and entries; it must load.
         let doc = Json::obj(vec![
             ("schema", Json::Str(SCHEMA.to_string())),
             ("name", Json::Str("old".to_string())),
@@ -873,15 +827,23 @@ mod tests {
             ("entries", Json::Arr(vec![])),
         ]);
         let r = BenchReport::from_json(&doc).unwrap();
-        assert_eq!(r.dispatch_tier, "static");
+        assert_eq!((r.name.as_str(), r.threads), ("old", 1));
+        assert!(r.entries.is_empty());
     }
 
     #[test]
     fn dispatch_stamps_round_trip() {
-        let mut r = report(vec![entry("c2r", 8, 4, 1.0)]);
-        r.dispatch_tier = "override".to_string();
-        let back = BenchReport::from_json(&Json::parse(&r.to_json().render()).unwrap()).unwrap();
+        // Archives written while `ipt bench` stamped the kernel-dispatch
+        // tier still load, and re-render without the retired key.
+        let r = report(vec![entry("c2r", 8, 4, 1.0)]);
+        let Json::Obj(mut fields) = r.to_json() else {
+            panic!("a report renders as an object");
+        };
+        fields.push(("dispatch_tier".into(), Json::Str("override".into())));
+        let stamped = Json::Obj(fields).render();
+        let back = BenchReport::from_json(&Json::parse(&stamped).unwrap()).unwrap();
         assert_eq!(back, r);
+        assert!(!back.to_json().render().contains("dispatch_tier"));
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!   (the paper's Eq. 37 metric, `2*m*n*s / t`) and the per-phase
 //!   wall-time split collected from `ipt_pool::stats`. With
 //!   `--history DIR` the run is additionally archived into `DIR` under a
-//!   dated, thread-count-and-kernel-stamped file name
-//!   (`ipt_bench::history`).
+//!   dated, thread-count-stamped file name (`ipt_bench::history`).
 //! * **Compare** (`--compare OLD NEW`): diff two reports entry-by-entry
 //!   and exit 3 if any matching entry's median throughput dropped by more
 //!   than `--threshold` percent (default 10), or if either median is
@@ -24,7 +23,6 @@
 //!   threshold — the creeping-regression case a pairwise gate misses.
 
 use std::process::ExitCode;
-use std::sync::OnceLock;
 
 use ipt_bench::harness;
 use ipt_bench::history;
@@ -55,15 +53,13 @@ shape set (so entries stay comparable against the committed baseline)
 and only cuts samples. --history DIR also archives the run into DIR as
 a dated file (SOURCE_DATE_EPOCH makes the stamp deterministic); --keep N
 then prunes the suite's archive to the N newest files, oldest first
-(default from IPT_BENCH_HISTORY_KEEP when set). --scaling (parallel and
+(without --keep nothing is pruned). --scaling (parallel and
 aos suites only) appends a tall-skinny 65536x8 shape. For the parallel
 suite it is one column group of the default u64 width, so only the row
 shuffle splits across workers, and on a multi-thread pool a 1-thread
 r2c_parallel_1t twin is also measured, so one report carries both ends
 of the scaling-efficiency ratio against r2c_parallel. For the aos suite
 it is 8 chunks and 16 sub-row groups, so both passes split.
-Every report stamps the kernel-dispatch decision tier (override when
-IPT_KERNEL forces a kernel, static otherwise).
 --model additionally stamps every c2r*/r2c* entry with the
 phase-attributed cost model's predicted-vs-measured share breakdown
 (memsim::phases against the cpu preset — see `ipt model --help` and
@@ -71,7 +67,8 @@ MODEL.md), carried in the report JSON under \"model\".
 
 The `kernels` suite isolates the row-shuffle pass (Eq. 31) and pits the
 scalar incremental kernel against the run-blocked block4/block8 kernels
-plus the `auto` runtime dispatch — the ablation behind IPT_KERNEL.
+plus the `auto` entry, which runs the kernel the shape selects — the
+ablation behind the dispatch table.
 The `aos` suite measures the skinny-matrix AoS<->SoA specialization
 (paper 6.1); `batched` measures many same-shape matrices per call
 (16 per entry) through ipt_parallel::batched.
@@ -80,17 +77,16 @@ Pairwise compare exits 0 when every entry of NEW is within PCT percent
 (default 10) of its OLD median throughput, and 3 when any entry
 regressed or either median is unusable (zero/NaN). Entries present in
 only one file are counted and reported, never silently dropped. When the
-two reports' environment stamps disagree (different thread counts, or an
-IPT_KERNEL override on exactly one side) the comparison is skipped with
-a loud reason and exit 0 — apples-to-oranges numbers must not gate.
-Reports written by older builds with a \"calibrated\" stamp still compare
-against static ones.
+two reports ran with different thread counts the comparison is skipped
+with a loud reason and exit 0 — apples-to-oranges numbers must not gate.
+Reports written by older builds, whose dispatch stamps are ignored, still
+compare.
 
 With --history instead of an OLD file, NEW is gated against the
 trailing median of the last K archived runs (default window 8) with the
-same thread count and override-kernel stamp, and additionally against
-monotone drift: >= 3 consecutive declining runs whose cumulative drop
-exceeds PCT flag even when each step stayed under the single-run gate.
+same thread count, and additionally against monotone drift: >= 3
+consecutive declining runs whose cumulative drop exceeds PCT flag even
+when each step stayed under the single-run gate.
 Exit 3 on either.";
 
 /// The fixed shapes (rows x cols, u64 elements). Deliberately a mix: two
@@ -308,22 +304,14 @@ pub fn main(args: &[String]) -> ExitCode {
     }
     println!("wrote {} entries to {out}", report.entries.len());
     if let Some(dir) = &opts.history {
-        match history::append(dir, &report, &history::kernel_stamp()) {
+        match history::append(dir, &report) {
             Ok(path) => println!("archived history {path}"),
             Err(msg) => {
                 eprintln!("error: {msg}");
                 return ExitCode::from(2);
             }
         }
-        // Explicit --keep wins; otherwise IPT_BENCH_HISTORY_KEEP supplies
-        // the retention default (warn-once on garbage, like every knob).
-        static KEEP_ENV: OnceLock<Option<usize>> = OnceLock::new();
-        let keep = opts.keep.or_else(|| {
-            ipt_core::env::parse_once(&KEEP_ENV, "IPT_BENCH_HISTORY_KEEP", |raw| {
-                ipt_core::env::parse_positive("IPT_BENCH_HISTORY_KEEP", raw)
-            })
-        });
-        if let Some(keep) = keep {
+        if let Some(keep) = opts.keep {
             match history::prune(dir, &report.name, keep) {
                 Ok(removed) if removed.is_empty() => {}
                 Ok(removed) => println!(
@@ -421,9 +409,9 @@ fn run_trend_compare(new_path: &str, dir: &str, threshold: f64, window: usize) -
     }
     let t = history::trend(&hist, &new, threshold, window);
     println!(
-        "trend gate: suite {:?}, {} archived run(s) ({} skipped: thread-count mismatch, \
-         {} skipped: override-kernel stamp), window {window}, threshold {threshold}%",
-        new.name, t.reports_used, t.skipped_threads, t.skipped_stamps
+        "trend gate: suite {:?}, {} archived run(s) ({} skipped: thread-count mismatch), \
+         window {window}, threshold {threshold}%",
+        new.name, t.reports_used, t.skipped_threads
     );
     if t.new_only > 0 || t.history_only > 0 {
         println!(
@@ -717,7 +705,6 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
     Ok(BenchReport {
         name: suite.to_string(),
         threads,
-        dispatch_tier: kernels::active_tier().name().to_string(),
         entries,
     })
 }

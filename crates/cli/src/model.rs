@@ -43,8 +43,8 @@ row-major view, the route (element path with column-group width w and
 window height h, or tiled with tile side L and P tiles per panel, then
 the kernel that transposes its tiles: avx2 4 x 4 for 8-byte elements on
 an AVX2 CPU, else scalar 16 x 16 sub-tile pairs), the gcd and whether
-the rotation runs, and the row-shuffle kernel with the tier that chose
-it. A shape on the tiled route (a 4 KiB block of
+the rotation runs, and the row-shuffle kernel, which the shape alone
+decides. A shape on the tiled route (a 4 KiB block of
 elements divides both sides) prints its measured phases, each marked
 not modelled: the block-level passes under the element path's names,
 then the two-level transpose's chunk_transpose and block_permute;

@@ -401,45 +401,6 @@ fn bench_kernels_quick_emits_full_entry_set() {
 }
 
 #[test]
-fn ipt_kernel_env_override_reaches_the_dispatcher() {
-    use std::process::Command;
-    let run = |kernel: &str| {
-        let f = tmpfile(&format!("BENCH_env_{kernel}.json"));
-        Command::new(env!("CARGO_BIN_EXE_ipt-cli"))
-            .args([
-                "bench",
-                "--suite",
-                "transpose",
-                "--quick",
-                "--samples",
-                "1",
-                "--out",
-                &f,
-            ])
-            .env("IPT_KERNEL", kernel)
-            .output()
-            .expect("running ipt binary")
-    };
-    // A valid override is accepted silently.
-    let out = run("scalar");
-    assert_ok(&out);
-    assert!(
-        !String::from_utf8_lossy(&out.stderr).contains("IPT_KERNEL"),
-        "valid override must not warn: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // An unknown value warns once and defers to the heuristic — it must
-    // not abort the run.
-    let out = run("avx512-dreams");
-    assert_ok(&out);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("IPT_KERNEL") && stderr.contains("avx512-dreams"),
-        "unknown override should warn with the offending value: {stderr}"
-    );
-}
-
-#[test]
 fn bench_compare_flags_injected_regression() {
     use ipt_bench::report::{BenchEntry, BenchReport};
     let entry = |median: f64| BenchEntry {
@@ -458,7 +419,6 @@ fn bench_compare_flags_injected_regression() {
     let report = |median: f64| BenchReport {
         name: "injected".to_string(),
         threads: 1,
-        dispatch_tier: "static".to_string(),
         entries: vec![entry(median)],
     };
     let old = tmpfile("BENCH_old.json");
@@ -498,7 +458,6 @@ fn bench_compare_skips_on_mismatched_environment_stamps() {
     let report = |median: f64, threads: usize| BenchReport {
         name: "stamped".to_string(),
         threads,
-        dispatch_tier: "static".to_string(),
         entries: vec![entry(median)],
     };
     let old = tmpfile("BENCH_stamp_old.json");
@@ -635,7 +594,6 @@ fn bench_compare_zero_baseline_cannot_mask_regression() {
     BenchReport {
         name: "injected".to_string(),
         threads: 1,
-        dispatch_tier: "static".to_string(),
         entries: vec![entry(0.0)],
     }
     .save(&old)
@@ -643,7 +601,6 @@ fn bench_compare_zero_baseline_cannot_mask_regression() {
     BenchReport {
         name: "injected".to_string(),
         threads: 1,
-        dispatch_tier: "static".to_string(),
         entries: vec![entry(0.001)],
     }
     .save(&new)
@@ -674,7 +631,6 @@ fn bench_compare_surfaces_one_sided_entries() {
     let report = |algs: &[&str]| BenchReport {
         name: "sided".to_string(),
         threads: 1,
-        dispatch_tier: "static".to_string(),
         entries: algs.iter().map(|a| entry(a)).collect(),
     };
     let old = tmpfile("BENCH_sided_old.json");
@@ -724,12 +680,12 @@ fn bench_history_stamp_is_deterministic_under_source_date_epoch() {
     names.sort();
     // Same pinned epoch on both runs: identical stamps (1700000000 is
     // 2023-11-14 22:13:20 UTC), disambiguated by the sequence number.
-    // The transpose suite pins the pool to one thread, hence `-t1-`.
+    // The transpose suite pins the pool to one thread, hence `-t1`.
     assert_eq!(
         names,
         [
-            "ipt-bench-transpose-20231114T221320Z-0001-t1-auto.json",
-            "ipt-bench-transpose-20231114T221320Z-0002-t1-auto.json",
+            "ipt-bench-transpose-20231114T221320Z-0001-t1.json",
+            "ipt-bench-transpose-20231114T221320Z-0002-t1.json",
         ]
     );
     // The archive gates a matching fresh report end-to-end. A huge
@@ -766,7 +722,6 @@ fn bench_trend_gate_flags_creeping_regression() {
     let report = |median: f64| BenchReport {
         name: "synthetic".to_string(),
         threads: 1,
-        dispatch_tier: "static".to_string(),
         entries: vec![entry(median)],
     };
     let dir = tmpfile("hist_creeping");
@@ -778,7 +733,7 @@ fn bench_trend_gate_flags_creeping_regression() {
     let medians = [100.0, 96.0, 92.16, 88.4736, 84.934656];
     let mut paths = Vec::new();
     for (i, &m) in medians[..4].iter().enumerate() {
-        paths.push(history::append_at(&dir, &report(m), "auto", 1_000 + i as u64 * 60).unwrap());
+        paths.push(history::append_at(&dir, &report(m), 1_000 + i as u64 * 60).unwrap());
     }
     let newest = tmpfile("BENCH_creeping_new.json");
     report(medians[4]).save(&newest).unwrap();
@@ -814,7 +769,6 @@ fn bench_trend_compare_needs_existing_history() {
     BenchReport {
         name: "lonely".to_string(),
         threads: 1,
-        dispatch_tier: "static".to_string(),
         entries: Vec::new(),
     }
     .save(&newest)
@@ -934,33 +888,33 @@ fn invalid_ipt_threads_warns_exactly_once_and_falls_back() {
 }
 
 #[test]
-fn bench_stamps_the_dispatch_tier() {
-    let f = tmpfile("BENCH_stamped.json");
-    let bench = |envs: &[(&str, &str)]| {
-        ipt_env(
-            &[
-                "bench",
-                "--suite",
-                "kernels",
-                "--quick",
-                "--samples",
-                "1",
-                "--out",
-                &f,
-            ],
-            envs,
-        )
-    };
-
-    // Without an override, the stamp records the static table.
-    assert_ok(&bench(&[]));
-    let report = ipt_bench::report::BenchReport::load(&f).expect("well-formed report");
-    assert_eq!(report.dispatch_tier, "static");
-
-    // An IPT_KERNEL override is stamped as such.
-    assert_ok(&bench(&[("IPT_KERNEL", "scalar")]));
-    let report = ipt_bench::report::BenchReport::load(&f).expect("well-formed report");
-    assert_eq!(report.dispatch_tier, "override");
+fn bench_reports_carry_no_dispatch_stamp() {
+    // The row-shuffle kernel is a function of the shape alone, so a
+    // report has no dispatch tier to stamp, and a leftover IPT_KERNEL in
+    // the environment is neither read nor warned about.
+    let f = tmpfile("BENCH_unstamped.json");
+    let out = ipt_env(
+        &[
+            "bench",
+            "--suite",
+            "kernels",
+            "--quick",
+            "--samples",
+            "1",
+            "--out",
+            &f,
+        ],
+        &[("IPT_KERNEL", "avx512-dreams")],
+    );
+    assert_ok(&out);
+    assert!(
+        !String::from_utf8_lossy(&out.stderr).contains("IPT_KERNEL"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&f).unwrap();
+    assert!(!text.contains("dispatch_tier"), "{text}");
+    ipt_bench::report::BenchReport::load(&f).expect("well-formed report");
 }
 
 #[test]
@@ -999,10 +953,7 @@ fn bench_keep_prunes_history_oldest_first() {
         .map(|e| e.unwrap().file_name().to_str().unwrap().to_string())
         .collect();
     // Only the newer archive (sequence 0002) survives --keep 1.
-    assert_eq!(
-        names,
-        ["ipt-bench-transpose-20231114T221320Z-0002-t1-auto.json"]
-    );
+    assert_eq!(names, ["ipt-bench-transpose-20231114T221320Z-0002-t1.json"]);
 
     // --keep outside a --suite run with --history is a usage error.
     for args in [

@@ -22,8 +22,7 @@ use crate::{shape_len, Algorithm, Layout, Plan};
 /// `scratch` is grown to `max(m, n)` elements and may be reused across
 /// calls. Uses the all-gather formulation (§5.1) with the direct
 /// column shuffle of Algorithm 1; the row shuffle runs through the
-/// [`crate::kernels`] dispatcher (scalar or run-blocked per shape, overridable
-/// via `IPT_KERNEL`).
+/// [`crate::kernels`] dispatcher (scalar or run-blocked per shape).
 ///
 /// ```
 /// use ipt_core::{c2r, Scratch};

@@ -5,13 +5,16 @@
 //! *reported* on stderr exactly once and then ignored — never silently
 //! swallowed (a knob the user set deserves a diagnostic) and never fatal
 //! (an env typo must not abort a long batch job). [`parse_once`]
-//! centralizes that contract so `IPT_THREADS`, `IPT_KERNEL`, `IPT_FAULT`
-//! and `IPT_BENCH_HISTORY_KEEP` cannot drift apart again (`IPT_FAULT` had already drifted: it rejected the case/whitespace
-//! variants the other knobs accept).
+//! centralizes that contract so `IPT_THREADS`, `IPT_FAULT`, `IPT_CHECK`,
+//! `IPT_RETRY` and `IPT_WATCHDOG_MS` cannot drift apart again
+//! (`IPT_FAULT` had already drifted: it rejected the case/whitespace
+//! variants the other knobs accept). The library reads these knobs and
+//! nothing else; per-call choices such as the row-shuffle kernel and the
+//! column-group width come from the call's shape and element type alone.
 //!
 //! Parsers receive the raw value and are expected to `trim()` (and
 //! case-fold where the domain is symbolic) so shell-quoted exports like
-//! `" Block8 "` behave identically to `block8`. Error strings should name
+//! `" Panic:0.5 "` behave identically to `panic:0.5`. Error strings should name
 //! the variable and quote the raw value — they surface verbatim as
 //! `ipt: ignoring {err}`.
 
@@ -55,7 +58,7 @@ pub fn parse_once<T: Clone>(
 }
 
 /// Parse a positive-integer knob value (`IPT_THREADS`,
-/// `IPT_BENCH_HISTORY_KEEP`): whitespace-trimmed; zero and garbage are
+/// `IPT_WATCHDOG_MS`): whitespace-trimmed; zero and garbage are
 /// explicit errors naming `var` and quoting the offending value.
 pub fn parse_positive(var: &str, raw: &str) -> Result<usize, String> {
     match raw.trim().parse::<usize>() {

@@ -118,7 +118,7 @@ mod tests {
             (17, 5),
             // Kernel-dispatch regimes of the typed Copy path this module
             // is checked against: c = 32 -> Block4, c = 64 with b = 2
-            // and b = 1 -> Block8 (see `ipt_core::kernels::select_auto`).
+            // and b = 1 -> Block8 (see `ipt_core::kernels::select`).
             (96, 64),
             (192, 128),
             (128, 64),

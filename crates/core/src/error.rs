@@ -148,19 +148,10 @@ pub fn try_transpose_erased(
     if elem_size == 0 {
         return Err(TransposeError::Degenerate);
     }
-    let elems = rows
-        .checked_mul(cols)
-        .and_then(|e| e.checked_mul(elem_size))
-        .ok_or(TransposeError::Overflow)?;
-    if rows == 0 || cols == 0 {
-        return Err(TransposeError::Degenerate);
-    }
-    if data.len() != elems {
-        return Err(TransposeError::ShapeMismatch {
-            expected: elems,
-            actual: data.len(),
-        });
-    }
+    // The bytes form an (rows * cols) x elem_size matrix: an empty shape
+    // is degenerate, and a product past usize overflows.
+    let elems = rows.checked_mul(cols).ok_or(TransposeError::Overflow)?;
+    validate(data.len(), elems, elem_size)?;
     crate::erased::transpose_erased(data, rows, cols, elem_size, layout);
     Ok(())
 }

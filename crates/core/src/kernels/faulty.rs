@@ -82,7 +82,7 @@ mod active {
 
     /// Parse an `IPT_FAULT` value: `panic:<rate>`, `skew:<rate>`, or
     /// `hang:<rate>` with the rate a finite number in `[0, 1]`. The kind
-    /// is trimmed and case-folded like `IPT_KERNEL` values, so
+    /// is trimmed and case-folded, so
     /// `" Panic : 0.05 "` works the same from any shell quoting style.
     pub fn parse_fault(raw: &str) -> Result<FaultMode, String> {
         let t = raw.trim();
@@ -107,7 +107,7 @@ mod active {
     }
 
     fn env_mode() -> Option<FaultMode> {
-        // Shared warn-once contract with IPT_THREADS / IPT_KERNEL.
+        // Shared warn-once contract with IPT_THREADS / IPT_CHECK.
         crate::env::parse_once(&ENV_MODE, "IPT_FAULT", parse_fault)
     }
 
@@ -246,7 +246,7 @@ mod tests {
         assert_eq!(parse_fault(" skew : 1 "), Ok(FaultMode::Skew(1.0)));
         assert_eq!(parse_fault("panic:0"), Ok(FaultMode::Panic(0.0)));
         assert_eq!(parse_fault("hang:0.1"), Ok(FaultMode::Hang(0.1)));
-        // Case-folds like IPT_KERNEL: shell exports often capitalize.
+        // Case-folds: shell exports often capitalize.
         assert_eq!(parse_fault("PANIC:0.5"), Ok(FaultMode::Panic(0.5)));
         assert_eq!(parse_fault(" Skew :0.25"), Ok(FaultMode::Skew(0.25)));
         assert_eq!(parse_fault(" Hang : 1 "), Ok(FaultMode::Hang(1.0)));

@@ -26,12 +26,11 @@
 //! `O(max(m, n))` auxiliary bound of Theorem 6 is untouched — the kernels
 //! change the *order of index evaluation*, not the data movement.
 //!
-//! [`select`] picks a kernel per shape at runtime through two tiers: the
-//! `IPT_KERNEL` environment variable (`auto` / `scalar` / `block4` /
-//! `block8`) overrides everything for ablation studies; otherwise the
-//! static [`select_auto`] table (runs shorter than a strip are not worth
-//! the per-run setup) decides from the shape alone. [`active_tier`]
-//! reports which tier is in force, for observability.
+//! [`select`] picks a kernel from the shape alone, through a static table
+//! (runs shorter than a strip are not worth the per-run setup). A caller
+//! that wants one kernel — the `kernels` suite of `ipt bench`, the
+//! kernel tests — passes it to [`row_shuffle`] or
+//! [`RowShuffleKernel::apply_row`] itself.
 //!
 //! ```
 //! use ipt_core::index::C2rParams;
@@ -57,7 +56,6 @@ mod scalar;
 
 use crate::index::C2rParams;
 use crate::shape_len;
-use std::sync::OnceLock;
 
 /// Which way the row shuffle permutes, named after the paper's `d'_i`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,30 +92,13 @@ impl RowShuffleKernel {
         RowShuffleKernel::Block8,
     ];
 
-    /// Stable identifier used by `IPT_KERNEL`, the bench suite and the
+    /// Stable identifier used by the plan text, the bench suite and the
     /// per-kernel hit counters.
     pub fn name(self) -> &'static str {
         match self {
             RowShuffleKernel::Scalar => "scalar",
             RowShuffleKernel::Block4 => "block4",
             RowShuffleKernel::Block8 => "block8",
-        }
-    }
-
-    /// Parse an `IPT_KERNEL` value, ignoring surrounding whitespace and
-    /// ASCII case (shell-exported overrides arrive as `"BLOCK8"` or
-    /// `" block4 "` often enough). `Ok(None)` means `auto` (defer to the
-    /// [`select`] resolution); unknown names are an error carrying the
-    /// offending string.
-    pub fn parse(s: &str) -> Result<Option<RowShuffleKernel>, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "" | "auto" => Ok(None),
-            "scalar" => Ok(Some(RowShuffleKernel::Scalar)),
-            "block4" => Ok(Some(RowShuffleKernel::Block4)),
-            "block8" => Ok(Some(RowShuffleKernel::Block8)),
-            _ => Err(format!(
-                "unknown IPT_KERNEL {s:?} (expected auto, scalar, block4 or block8)"
-            )),
         }
     }
 
@@ -150,17 +131,8 @@ impl RowShuffleKernel {
     }
 }
 
-/// The `IPT_KERNEL` override, parsed once per process through the shared
-/// warn-once knob contract ([`crate::env::parse_once`]). The inner
-/// `Option` is the parse result (`auto` defers), the outer one is the
-/// unset/garbage fallback — both resolve to "no override".
-fn env_override() -> Option<RowShuffleKernel> {
-    static OVERRIDE: OnceLock<Option<Option<RowShuffleKernel>>> = OnceLock::new();
-    crate::env::parse_once(&OVERRIDE, "IPT_KERNEL", RowShuffleKernel::parse).flatten()
-}
-
-/// Pick the fastest kernel for this shape (the heuristic alone, ignoring
-/// `IPT_KERNEL`) — exposed for tests and the dispatch ablation.
+/// Pick the kernel to run for this shape — the call every dispatch site
+/// uses.
 ///
 /// The run structure makes the trade-off explicit: runs average `c/3`
 /// columns, so blocking pays once runs comfortably cover a strip, and the
@@ -170,7 +142,7 @@ fn env_override() -> Option<RowShuffleKernel> {
 /// copies, so from `c >= 16` blocking already pays; below that the
 /// scalar recurrence measured faster even on memcpy runs (the crossover
 /// is recorded in `EXPERIMENTS.md`).
-pub fn select_auto(p: &C2rParams) -> RowShuffleKernel {
+pub fn select(p: &C2rParams) -> RowShuffleKernel {
     if (p.b == 1 && p.c >= 16) || p.c >= 64 {
         RowShuffleKernel::Block8
     } else if p.c >= 16 {
@@ -180,45 +152,26 @@ pub fn select_auto(p: &C2rParams) -> RowShuffleKernel {
     }
 }
 
-/// Which resolution tier decides kernel choices (see [`active_tier`]).
+/// What decides kernel choices (see [`active_tier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecisionTier {
-    /// The `IPT_KERNEL` environment variable forces the kernel.
-    Override,
-    /// The static [`select_auto`] table decides.
+    /// The static [`select`] table decides.
     Static,
 }
 
 impl DecisionTier {
-    /// Stable identifier used by the bench report stamps.
+    /// Stable identifier used by report stamps.
     pub fn name(self) -> &'static str {
         match self {
-            DecisionTier::Override => "override",
             DecisionTier::Static => "static",
         }
     }
 }
 
-/// Pick the kernel to run for this shape — the call every dispatch site
-/// uses:
-///
-/// 1. **override** — the `IPT_KERNEL` environment variable forces a
-///    specific member (`scalar` / `block4` / `block8`; `auto` and unset
-///    defer — unknown values warn once and defer too);
-/// 2. **static** — the built-in [`select_auto`] table.
-pub fn select(p: &C2rParams) -> RowShuffleKernel {
-    env_override().unwrap_or_else(|| select_auto(p))
-}
-
-/// The tier that decides dispatch for *any* shape in this process:
-/// [`DecisionTier::Override`] when `IPT_KERNEL` forces a kernel, else
-/// [`DecisionTier::Static`]. Benchmarks stamp this into their reports.
+/// The tier that decides dispatch: always [`DecisionTier::Static`], since
+/// [`select`] reads nothing but the shape. Kept for reports that stamp it.
 pub fn active_tier() -> DecisionTier {
-    if env_override().is_some() {
-        DecisionTier::Override
-    } else {
-        DecisionTier::Static
-    }
+    DecisionTier::Static
 }
 
 /// Shuffle every row of an `m x n` row-major buffer with the given kernel:
@@ -380,34 +333,25 @@ mod tests {
     #[test]
     fn select_auto_prefers_blocking_only_with_long_runs() {
         // Coprime: one-element runs, scalar must win.
-        assert_eq!(
-            select_auto(&C2rParams::new(101, 103)),
-            RowShuffleKernel::Scalar
-        );
+        assert_eq!(select(&C2rParams::new(101, 103)), RowShuffleKernel::Scalar);
         // Square: b == 1, runs are memcpy.
         assert_eq!(
-            select_auto(&C2rParams::new(1024, 1024)),
+            select(&C2rParams::new(1024, 1024)),
             RowShuffleKernel::Block8
         );
         // m multiple of n: b == 1 again.
         assert_eq!(
-            select_auto(&C2rParams::new(2048, 1024)),
+            select(&C2rParams::new(2048, 1024)),
             RowShuffleKernel::Block8
         );
         // Large gcd with b > 1.
         assert_eq!(
-            select_auto(&C2rParams::new(1024, 2048)),
+            select(&C2rParams::new(1024, 2048)),
             RowShuffleKernel::Block8
         );
         // Mid-size gcd.
-        assert_eq!(
-            select_auto(&C2rParams::new(48, 36)),
-            RowShuffleKernel::Scalar
-        );
-        assert_eq!(
-            select_auto(&C2rParams::new(96, 80)),
-            RowShuffleKernel::Block4
-        );
+        assert_eq!(select(&C2rParams::new(48, 36)), RowShuffleKernel::Scalar);
+        assert_eq!(select(&C2rParams::new(96, 80)), RowShuffleKernel::Block4);
         // b == 1 with short runs: the measured crossover (u32 and u64, 4 KiB-8 MiB,
         // EXPERIMENTS.md) keeps scalar up to c = 12 and blocks from 16.
         for (m, n, want) in [
@@ -419,47 +363,12 @@ mod tests {
         ] {
             let p = C2rParams::new(m, n);
             assert_eq!(p.b, 1, "{m}x{n}");
-            assert_eq!(select_auto(&p), want, "{m}x{n}");
+            assert_eq!(select(&p), want, "{m}x{n}");
         }
-    }
-
-    #[test]
-    fn parse_accepts_every_kernel_name_and_auto() {
-        for kernel in RowShuffleKernel::ALL {
-            assert_eq!(RowShuffleKernel::parse(kernel.name()), Ok(Some(kernel)));
-        }
-        assert_eq!(RowShuffleKernel::parse("auto"), Ok(None));
-        assert_eq!(RowShuffleKernel::parse(""), Ok(None));
-        assert_eq!(
-            RowShuffleKernel::parse(" block8 "),
-            Ok(Some(RowShuffleKernel::Block8))
-        );
-        assert!(RowShuffleKernel::parse("avx512").is_err());
-    }
-
-    #[test]
-    fn parse_folds_case_like_shell_exports_do() {
-        assert_eq!(
-            RowShuffleKernel::parse("BLOCK8"),
-            Ok(Some(RowShuffleKernel::Block8))
-        );
-        assert_eq!(
-            RowShuffleKernel::parse(" Block4 "),
-            Ok(Some(RowShuffleKernel::Block4))
-        );
-        assert_eq!(
-            RowShuffleKernel::parse("SCALAR"),
-            Ok(Some(RowShuffleKernel::Scalar))
-        );
-        assert_eq!(RowShuffleKernel::parse("AUTO"), Ok(None));
-        // The error still carries the raw (untrimmed, unfolded) value.
-        let err = RowShuffleKernel::parse(" AVX512 ").unwrap_err();
-        assert!(err.contains(" AVX512 "), "{err}");
     }
 
     #[test]
     fn decision_tier_names_are_stable() {
-        assert_eq!(DecisionTier::Override.name(), "override");
         assert_eq!(DecisionTier::Static.name(), "static");
     }
 

@@ -43,6 +43,11 @@ use ipt_core::gcd::gcd;
 use ipt_core::index::C2rParams;
 use ipt_pool::{PoolError, Scratch, WorkerState};
 
+/// Why a group's body may unwrap the matrix's first element: the
+/// executor checks `data.len() == m * n` first and runs no group when
+/// that is zero.
+const NON_EMPTY: &str = "a matrix with a column group has a first element";
+
 /// Rotate every column `j` left by `amount(j)` using the two-phase
 /// cache-aware scheme, column groups of width `w` in parallel. `site` is
 /// the pass's [`phases`] name, its fault sites.
@@ -59,17 +64,14 @@ where
     T: Copy + Send + Sync + 'static,
     A: Fn(usize) -> usize + Send + Sync,
 {
-    crate::assert_shape(data.len(), m, n);
-    if m <= 1 || n == 0 {
-        return Ok(());
-    }
     let h = block_rows.max(1);
-    let fill = data[0];
+    let fill = data.first().copied();
     run_column_groups(
         data,
         (m, n, w),
         site,
         |st: &mut Subrows<T>, g| {
+            let fill = fill.expect(NON_EMPTY);
             let shifts = st.shifts.uninit_buf(g.gw(), 0);
             for (k, a) in shifts.iter_mut().enumerate() {
                 *a = amount(g.j0() + k) % m;
@@ -459,23 +461,19 @@ fn fused<T: Copy + Send + Sync + 'static>(
     inverse: bool,
 ) -> Result<(), PoolError> {
     let (m, n) = (p.m, p.n);
-    crate::assert_shape(data.len(), m, n);
-    if m <= 1 || n == 0 {
-        return Ok(());
-    }
-    let fill = data[0];
-    // Column j0 + k's fine residual is k mod m in every group; the
-    // executor makes a group at most `n` wide.
-    let w = w.min(n);
-    let residuals: Vec<usize> = (0..w).map(|k| k % m).collect();
-    let residuals = &residuals;
+    let fill = data.first().copied();
     run_column_groups(
         data,
         (m, n, w),
         phases::COL_SHUFFLE,
         |st: &mut Subrows<T>, g| {
+            let fill = fill.expect(NON_EMPTY);
             let j0m = g.j0() % m;
-            let res = &residuals[..g.gw()];
+            // Column j0 + k's fine residual is k mod m in every group.
+            let res = st.shifts.uninit_buf(g.gw(), 0);
+            for (k, r) in res.iter_mut().enumerate() {
+                *r = k % m;
+            }
             let visited = st.visited.uninit_buf(m, false);
             let buf = st.buf.uninit_buf(g.gw(), fill);
             let fine = &mut st.fine;

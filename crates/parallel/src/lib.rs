@@ -251,14 +251,6 @@ pub(crate) fn force_multithreaded_pool() {
 /// Tuning knobs for the parallel/cache-aware implementations.
 #[derive(Debug, Clone, Copy)]
 pub struct ParOptions {
-    /// Sub-row width in **elements** for column-group operations — the
-    /// paper sizes this so one sub-row spans a cache line (§4.6; 128 B on
-    /// the K20c). When 0, a per-type default of
-    /// `max(1, 256 bytes / size_of::<T>())` is used — a few cache lines,
-    /// which measures fastest for the CPU cache hierarchies this crate
-    /// targets (see the `ablations` bench). A width of `n` or more is
-    /// one group.
-    pub col_group: usize,
     /// Row-block height for the fine rotation pass (§4.6): the sub-rows
     /// its on-cache window stages per block.
     pub block_rows: usize,
@@ -266,34 +258,31 @@ pub struct ParOptions {
 
 impl Default for ParOptions {
     fn default() -> ParOptions {
-        ParOptions {
-            col_group: 0,
-            block_rows: 256,
-        }
+        ParOptions { block_rows: 256 }
     }
 }
 
 impl ParOptions {
-    /// Resolve the effective sub-row width for element type `T`.
+    /// The sub-row width in elements of element type `T`'s column groups,
+    /// `max(1, 256 bytes / size_of::<T>())`. The paper sizes a sub-row so
+    /// it spans a cache line (§4.6; 128 B on the K20c); a few cache lines
+    /// measure fastest for the CPU cache hierarchies this crate targets
+    /// (see the `ablations` bench). A width of `n` or more is one group.
     pub fn group_width<T>(&self) -> usize {
-        self.width(size_of::<T>())
+        width(size_of::<T>())
     }
+}
 
-    /// The effective sub-row width for `elem_size`-byte elements.
-    fn width(&self, elem_size: usize) -> usize {
-        if self.col_group > 0 {
-            self.col_group
-        } else {
-            (256 / elem_size.max(1)).max(1)
-        }
-    }
+/// [`ParOptions::group_width`] for `elem_size`-byte elements.
+pub(crate) fn width(elem_size: usize) -> usize {
+    (256 / elem_size.max(1)).max(1)
 }
 
 /// Parallel C2R: transpose an `m x n` row-major buffer in place into its
 /// `n x m` row-major transpose, using the global `ipt_pool` thread count.
 /// Its [`Route`] is the element path or, for shapes whose sides are
 /// multiples of a 4 KiB block ([`Plan::tile_side`]), the tiled route, where
-/// `opts.col_group` does not apply (DESIGN.md §7).
+/// `opts` does not apply (DESIGN.md §7).
 pub fn c2r_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
@@ -492,18 +481,20 @@ mod tests {
     fn tiny_group_widths_still_correct() {
         let _phases = phase_lock();
         crate::force_multithreaded_pool();
+        // The element path's passes, driven with widths the default
+        // never picks, both ways.
         for w in [1usize, 2, 3, 5, usize::MAX] {
-            let opts = ParOptions {
-                col_group: w,
-                block_rows: 4,
-            };
             for (m, n) in [(13usize, 21usize), (21, 13), (8, 8), (30, 45)] {
+                let p = C2rParams::new(m, n);
                 let mut a = vec![0u16; m * n];
                 fill_pattern(&mut a);
                 let mut b = a.clone();
-                c2r_parallel(&mut a, m, n, &opts).unwrap();
+                elements(&mut a, Direction::C2r, &p, w, 4).unwrap();
                 ipt_core::c2r(&mut b, m, n, &mut Scratch::new());
                 assert_eq!(a, b, "{m}x{n} w={w}");
+                elements(&mut a, Direction::R2c, &p, w, 4).unwrap();
+                ipt_core::r2c(&mut b, m, n, &mut Scratch::new());
+                assert_eq!(a, b, "{m}x{n} w={w} inverse");
             }
         }
     }

@@ -55,13 +55,14 @@ pub enum Route {
 }
 
 impl Route {
-    /// The element path on `params` for `elem_size`-byte elements, with
-    /// `opts`'s column-group width and fine-window height.
+    /// The element path on `params` for `elem_size`-byte elements: column
+    /// groups of [`ParOptions::group_width`], fine windows of `opts`'s
+    /// height.
     fn elements(params: C2rParams, elem_size: usize, opts: &ParOptions) -> Route {
         Route::Elements {
             params,
             // A group as wide as the matrix is one group.
-            w: opts.width(elem_size).min(params.n),
+            w: crate::width(elem_size).min(params.n),
             h: opts.block_rows,
         }
     }
@@ -137,9 +138,9 @@ impl Plan {
 }
 
 /// Four lines: the direction and view; the route and its sizes; the gcd
-/// and whether the rotation runs; the row-shuffle kernel and the tier
-/// that chose it. The tiled route adds the chunk pass's kernel after the
-/// route. A plan with nothing to do, or on the skinny route, prints the
+/// and whether the rotation runs; the row-shuffle kernel, which
+/// [`kernels::select`] picks from the shape alone. The tiled route adds
+/// the chunk pass's kernel after the route. A plan with nothing to do, or on the skinny route, prints the
 /// first two.
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -185,8 +186,7 @@ impl fmt::Display for Plan {
         };
         let verdict = if p.coprime() { "is skipped" } else { "runs" };
         writeln!(f, "gcd({}, {}) = {}: {rotation} {verdict}", p.m, p.n, p.c)?;
-        let (kernel, tier) = (kernels::select(p).name(), kernels::active_tier().name());
-        write!(f, "row shuffle: {kernel} kernel ({tier} tier)")
+        write!(f, "row shuffle: {} kernel", kernels::select(p).name())
     }
 }
 
@@ -245,7 +245,7 @@ mod tests {
         );
         assert_eq!(lines[1], "route: element path, w = 32, h = 256");
         assert_eq!(lines[2], "gcd(96, 64) = 32: pre_rotate runs");
-        assert!(lines[3].starts_with("row shuffle: "), "{text}");
+        assert_eq!(lines[3], "row shuffle: block4 kernel");
         let text = plan(48, 61, Algorithm::R2c, 8).to_string();
         assert!(
             text.contains("gcd(61, 48) = 1: post_rotate is skipped"),

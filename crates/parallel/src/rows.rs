@@ -57,8 +57,8 @@ pub fn row_shuffle_parallel_with<T: Copy + Send + Sync + 'static>(
 }
 
 /// Parallel C2R row shuffle: row `i` becomes `row[j] = old[d'^-1_i(j)]`
-/// (Eq. 31), with the kernel chosen by [`kernels::select`]
-/// (`IPT_KERNEL` override, else the static table). The selection is
+/// (Eq. 31), with the kernel [`kernels::select`] picks from the shape.
+/// The selection is
 /// recorded once per pass in [`ipt_pool::stats`]'s hit counters.
 pub fn row_shuffle_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],

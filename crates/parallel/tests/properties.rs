@@ -14,7 +14,7 @@ use ipt_core::index::C2rParams;
 use ipt_core::kernels::{RowShuffleKernel, ShuffleDirection};
 use ipt_core::{Layout, Scratch};
 use ipt_parallel::{
-    batched, c2r_parallel, cache_aware, phases, r2c_parallel, tile_side, transpose_parallel,
+    batched, c2r_parallel, cache_aware, phases, r2c_parallel, rows, tile_side, transpose_parallel,
     transpose_skinny_c2r, transpose_skinny_r2c, ParOptions,
 };
 use std::fmt::Debug;
@@ -22,11 +22,19 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const CASES: usize = 128;
 
-fn opts(w: usize, h: usize) -> ParOptions {
-    ParOptions {
-        col_group: w,
-        block_rows: h,
-    }
+/// C2R's element path on `p` as `c2r_parallel` runs it, but with column
+/// groups `w` wide and fine windows `h` rows tall.
+fn c2r_elements<T: Copy + Send + Sync + 'static>(a: &mut [T], p: &C2rParams, w: usize, h: usize) {
+    cache_aware::prerotate(a, p, w, h).unwrap();
+    rows::row_shuffle_parallel(a, p).unwrap();
+    cache_aware::col_shuffle_fused(a, p, w, h).unwrap();
+}
+
+/// R2C's element path on `p`, the inverse of [`c2r_elements`].
+fn r2c_elements<T: Copy + Send + Sync + 'static>(a: &mut [T], p: &C2rParams, w: usize, h: usize) {
+    cache_aware::col_shuffle_fused_inverse(a, p, w, h).unwrap();
+    rows::row_shuffle_forward_parallel(a, p).unwrap();
+    cache_aware::postrotate_inverse(a, p, w, h).unwrap();
 }
 
 /// Widen the global pool so the spawning paths are exercised even when
@@ -59,9 +67,14 @@ fn c2r_parallel_equals_core() {
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let mut b = a.clone();
-        c2r_parallel(&mut a, m, n, &opts(w, h)).unwrap();
+        let mut c = a.clone();
+        c2r_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
         ipt_core::c2r(&mut b, m, n, &mut Scratch::new());
-        assert_eq!(a, b, "case {case}: {m}x{n} w={w} h={h}");
+        assert_eq!(a, b, "case {case}: {m}x{n}");
+        if m > 1 && n > 1 {
+            c2r_elements(&mut c, &C2rParams::new(m, n), w, h);
+            assert_eq!(c, b, "case {case}: {m}x{n} w={w} h={h}");
+        }
     }
 }
 
@@ -76,9 +89,14 @@ fn r2c_parallel_equals_core() {
         let mut a = vec![0u32; m * n];
         fill_pattern(&mut a);
         let mut b = a.clone();
-        r2c_parallel(&mut a, m, n, &opts(w, h)).unwrap();
+        let mut c = a.clone();
+        r2c_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
         ipt_core::r2c(&mut b, m, n, &mut Scratch::new());
-        assert_eq!(a, b, "case {case}: {m}x{n} w={w} h={h}");
+        assert_eq!(a, b, "case {case}: {m}x{n}");
+        if m > 1 && n > 1 {
+            r2c_elements(&mut c, &C2rParams::new(m, n), w, h);
+            assert_eq!(c, b, "case {case}: {m}x{n} w={w} h={h}");
+        }
     }
 }
 

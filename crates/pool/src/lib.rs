@@ -106,7 +106,7 @@ fn parse_env_threads(raw: &str) -> Result<usize, String> {
 
 fn env_threads() -> Option<usize> {
     // Shared warn-once knob contract (ipt_core::env): garbage warns
-    // exactly once on stderr, like IPT_KERNEL and IPT_FAULT, instead of
+    // exactly once on stderr, like IPT_FAULT and IPT_CHECK, instead of
     // silently ignoring a knob the user set.
     ipt_core::env::parse_once(&ENV_THREADS, "IPT_THREADS", parse_env_threads)
 }

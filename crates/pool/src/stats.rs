@@ -16,8 +16,8 @@
 //!   should show near-identical per-worker chunk counts — the paper's
 //!   perfect-load-balance claim).
 //! * **Kernel hits** — which row-shuffle kernel the `ipt-core` dispatcher
-//!   selected for each pass ([`record_kernel`]), making `IPT_KERNEL`
-//!   ablations and silent dispatch changes observable.
+//!   selected for each pass ([`record_kernel`]), making silent dispatch
+//!   changes observable.
 //! * **Phases** — named wall-time and byte accumulators driven by
 //!   monotonic [`std::time::Instant`] timestamps. Engine code wraps each
 //!   pass in [`phase`] and adds its bytes with [`record_phase_bytes`];
@@ -138,8 +138,8 @@ pub(crate) fn record_dispatch(parts: u64, items: u64) {
 ///
 /// Called by `ipt-parallel` with the [`RowShuffleKernel::name`] the
 /// dispatcher selected, once per pass — so snapshot deltas reveal which
-/// kernel actually ran (e.g. whether an `IPT_KERNEL` override or a shape
-/// change silently flipped the dispatch).
+/// kernel actually ran (e.g. whether a shape change silently flipped the
+/// dispatch).
 ///
 /// [`RowShuffleKernel::name`]:
 ///     https://docs.rs/ipt-core/latest/ipt_core/kernels/enum.RowShuffleKernel.html

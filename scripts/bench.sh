@@ -14,11 +14,10 @@
 #                          later run with
 #                          `ipt-cli bench --compare NEW --history DIR`).
 #   IPT_BENCH_HISTORY_KEEP per-suite retention for that archive (default
-#                          24 here): after each run the suite's archive
-#                          is pruned to the newest N files, oldest first,
-#                          so a long-lived history dir stays bounded. The
-#                          CLI reads the same variable itself when --keep
-#                          is omitted; this script just supplies a default.
+#                          24): this script passes it as `--keep`, so
+#                          after each run the suite's archive is pruned
+#                          to the newest N files, oldest first, and a
+#                          long-lived history dir stays bounded.
 #
 # On a multi-core host (nproc > 1) the parallel and aos suites run with
 # --scaling: the report gains the tall-skinny 65536x8 shape and (for
@@ -48,10 +47,8 @@ CLI=target/release/ipt-cli
 
 HISTORY_FLAGS=()
 if [ -n "${IPT_BENCH_HISTORY_DIR:-}" ]; then
-    HISTORY_FLAGS=(--history "$IPT_BENCH_HISTORY_DIR")
-    # Retention rides the CLI's own IPT_BENCH_HISTORY_KEEP routing (one
-    # parser, one warn-once diagnostic); the script only sets the default.
-    export IPT_BENCH_HISTORY_KEEP="${IPT_BENCH_HISTORY_KEEP:-24}"
+    HISTORY_FLAGS=(--history "$IPT_BENCH_HISTORY_DIR"
+        --keep "${IPT_BENCH_HISTORY_KEEP:-24}")
 fi
 
 CORES=$(nproc 2> /dev/null || echo 1)

@@ -6,7 +6,9 @@
 # clippy) passes end-to-end:
 #
 #   tier 0  fmt          cargo fmt --check            (seconds)
-#   tier 0  clippy       cargo clippy -D warnings     (one build)
+#   tier 0  clippy       cargo clippy -D warnings     (one build), and
+#                        again on ipt-bench with its criterion-gated
+#                        bench targets
 #   tier 0  shellcheck   scripts/*.sh, if installed
 #   tier 0  loc          scripts/loc.sh: the non-test line count of
 #                        crates/*/src, printed for the record (no gate)
@@ -18,8 +20,7 @@
 #   tier 2  bench smoke  kernels/aos/batched suites: emit -> parse ->
 #                        compare against the committed BENCH_*.json
 #                        baselines, archiving each run into the history
-#                        dir; every report must stamp the static
-#                        dispatch tier
+#                        dir
 #   tier 2  bench trend  a second kernels run gated against that history
 #                        (trailing-median + drift gate, --history)
 #   tier 3  sanitize     release test run of the concurrency layer with
@@ -259,6 +260,9 @@ main_pipeline() {
 
     stage "clippy (tier 0)"
     cargo clippy --workspace --all-targets -- -D warnings
+    # The criterion-gated bench targets (the ablations among them) build
+    # only with the feature on, so the line above never sees them.
+    cargo clippy -p ipt-bench --all-targets --features criterion -- -D warnings
 
     stage "shellcheck (tier 0)"
     if command -v shellcheck > /dev/null 2>&1; then
@@ -315,9 +319,6 @@ main_pipeline() {
         "$CLI" bench --suite "$suite" --quick --samples 3 --out "$SMOKE" \
             --history "$IPT_BENCH_HISTORY_DIR" > /dev/null
         grep -q '"schema": "ipt-bench-report-v1"' "$SMOKE"
-        # No IPT_KERNEL override is set here: every smoke report must
-        # record that the static table decided dispatch.
-        grep -q '"dispatch_tier": "static"' "$SMOKE"
         "$CLI" bench --compare "$SMOKE" "$SMOKE" > /dev/null  # parse round-trip
         "$CLI" bench --compare "BENCH_${suite}.json" "$SMOKE" --threshold "$THRESHOLD"
     }
