@@ -4,7 +4,7 @@
 //! * §4.4 arithmetic strength reduction — `C2rParams` (fixed-point
 //!   reciprocals) vs the naive `/`, `%` transcription;
 //! * §4.6–4.7 cache-aware parallel engine vs the sequential strided
-//!   `c2r_decomposed`;
+//!   `c2r_decomposed`, and its column-group width from 32 to 1024 bytes;
 //! * gather- vs scatter-based row shuffle (§5.1 chose gather);
 //! * direct column shuffle vs the §4.1 restricted decomposition;
 //! * §4.6 zero-scratch cycle rotation vs Algorithm 1's scratch rotation;
@@ -15,7 +15,7 @@ use ipt_bench::micro::{Criterion, Throughput};
 use ipt_bench::{criterion_group, criterion_main};
 use ipt_core::index::{naive, C2rParams};
 use ipt_core::{permute, Scratch};
-use ipt_parallel::ParOptions;
+use ipt_parallel::{cache_aware, rows, ParOptions};
 use std::hint::black_box;
 
 fn fill(buf: &mut [u64]) {
@@ -73,6 +73,21 @@ fn cache_aware_columns(c: &mut Criterion) {
             ipt_core::c2r::c2r_decomposed(black_box(&mut buf), m, n, &mut s);
         })
     });
+    // The column-group width `ParOptions::group_width` fixes at 256
+    // bytes: C2R's passes with groups of 32 to 1024 bytes (4 to 128 u64).
+    let p = C2rParams::new(m, n);
+    let h = ParOptions::default().block_rows;
+    for bytes in [32usize, 64, 128, 256, 512, 1024] {
+        let w = bytes / 8;
+        g.bench_function(format!("group-width-{bytes}B"), |b| {
+            b.iter(|| {
+                fill(&mut buf);
+                cache_aware::prerotate(black_box(&mut buf), &p, w, h).unwrap();
+                rows::row_shuffle_parallel(&mut buf, &p).unwrap();
+                cache_aware::col_shuffle_fused(&mut buf, &p, w, h).unwrap();
+            })
+        });
+    }
     g.finish();
 }
 
@@ -225,7 +240,7 @@ fn incremental_indexing(c: &mut Criterion) {
     g.bench_function("incremental", |b| {
         b.iter(|| {
             fill(&mut buf);
-            ipt_parallel::rows::row_shuffle_parallel(black_box(&mut buf), &p).unwrap();
+            rows::row_shuffle_parallel(black_box(&mut buf), &p).unwrap();
         })
     });
     g.bench_function("fastdiv-gather", |b| {

@@ -96,9 +96,8 @@ Exit 3 on either.";
 /// run it on the tiled route as one tile transpose.
 const SHAPES: [(usize, usize); 4] = [(192, 256), (320, 96), (257, 131), (512, 512)];
 
-/// The `parallel` suite's extra shape (not under `--quick`): two tiles
-/// per panel and three block columns, so all three steps of the tiled
-/// route run and are stamped.
+/// The `parallel` suite's extra shape (not under `--quick`): 2 x 3
+/// tiles, so both passes of the tiled route run and are stamped.
 const TILED_SHAPE: (usize, usize) = (1024, 1536);
 
 /// The `--quick` subset: small enough that a debug-build smoke run

@@ -39,15 +39,15 @@ traffic. With --max-divergence X the command exits 3 when the total
 variation distance between predicted and measured shares exceeds X
 (the CI smoke gate); without it the divergence is informational.
 Above the table it prints the call's plan: the direction and its
-row-major view, the route (element path with column-group width w and
-window height h, or tiled with tile side L and P tiles per panel, then
-the kernel that transposes its tiles: avx2 4 x 4 for 8-byte elements on
-an AVX2 CPU, else scalar 16 x 16 sub-tile pairs), the gcd and whether
-the rotation runs, and the row-shuffle kernel, which the shape alone
-decides. A shape on the tiled route (a 4 KiB block of
-elements divides both sides) prints its measured phases, each marked
-not modelled: the block-level passes under the element path's names,
-then the two-level transpose's chunk_transpose and block_permute;
+row-major view, then the route: the element path with column-group
+width w and window height h, then the gcd and whether the rotation
+runs, and the row-shuffle kernel, which the shape alone decides; or
+tiled with tile side L and P x Q tiles, then the kernel that
+transposes its tiles (avx2 4 x 4 for 8-byte elements on an AVX2 CPU,
+else scalar 16 x 16 sub-tile pairs) and the page permutation's cycles,
+longest cycle and segments. A shape on the tiled route (a 4 KiB page of
+elements divides both sides) prints its measured phases,
+chunk_transpose and page_permute, each marked not modelled;
 --max-divergence refuses such a shape (exit 2).";
 
 struct ModelOpts {
@@ -227,8 +227,8 @@ type MeasuredPhase = (&'static str, u64, u64);
 /// of `T` elements and return the per-phase stats delta, keeping only
 /// phases that reported payload traffic (a no-op rotation records a
 /// timer call but no bytes, and must not dilute the comparison). The
-/// decomposition's phases come first, in C2R order, then the two-level
-/// transpose's, which the tiled route adds.
+/// decomposition's phases come first, in C2R order, then the tiled
+/// route's.
 fn run_measured<T: Copy + Send + Sync + Default + 'static>(
     alg: &str,
     m: usize,
@@ -255,7 +255,7 @@ fn run_measured<T: Copy + Send + Sync + Default + 'static>(
     let delta = ipt_pool::stats::snapshot().delta_since(&before);
     let tiled = [
         ipt_parallel::phases::CHUNK_TRANSPOSE,
-        ipt_parallel::phases::BLOCK_PERMUTE,
+        ipt_parallel::phases::PAGE_PERMUTE,
     ];
     ipt_parallel::phases::ALL
         .iter()
@@ -380,9 +380,8 @@ pub fn main(args: &[String]) -> ExitCode {
 
 /// The measured table of a shape on the tiled route. `memsim::phases`
 /// predicts the element path on `m x n`, which this route does not run:
-/// its block-level passes move 4 KiB elements and its two-level chunk
-/// and block passes are not in the model. So every row is marked not modelled, and
-/// no share or divergence is compared.
+/// its tile and page passes are not in the model. So every row is
+/// marked not modelled, and no share or divergence is compared.
 fn print_tiled(measured: &[MeasuredPhase]) {
     println!("  the model predicts the element path only: no phase below is modelled");
     println!();

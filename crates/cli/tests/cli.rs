@@ -1011,9 +1011,9 @@ fn model_on_a_tiled_shape_prints_the_route_and_models_no_phase() {
     assert_ok(&out);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("route: tiled, L = 512"), "{stdout}");
-    // Every measured row, the tile and panel passes included, is marked
+    // Both measured rows, the tile pass and the page pass, are marked
     // not modelled, and no element-path share or divergence is printed.
-    for phase in ["chunk_transpose", "block_permute", "row_shuffle"] {
+    for phase in ["chunk_transpose", "page_permute"] {
         let row = stdout
             .lines()
             .find(|l| l.trim_start().starts_with(phase))
@@ -1064,6 +1064,9 @@ fn model_prints_the_plan_of_each_route() {
     let avx2 = std::arch::is_x86_feature_detected!("avx2");
     #[cfg(not(target_arch = "x86_64"))]
     let avx2 = false;
+    // The page permutation is cut into one share per worker, so the
+    // command runs as wide as the plans below are made.
+    let threads = ipt_pool::num_threads().to_string();
     for ((m, n), alg, (rows, cols)) in cases {
         let dir = if alg == Algorithm::C2r { "c2r" } else { "r2c" };
         for elem in [1usize, 2, 4, 8, 16] {
@@ -1079,6 +1082,8 @@ fn model_prints_the_plan_of_each_route() {
                 dir,
                 "--samples",
                 "1",
+                "--threads",
+                &threads,
             ]);
             assert_ok(&out);
             let stdout = String::from_utf8_lossy(&out.stdout);
@@ -1111,6 +1116,40 @@ fn model_prints_the_plan_of_each_route() {
             }
         }
     }
+    // The dram-square plan, 10240 x 15360 u64, made but not run: its page
+    // permutation's cycles, against a walk of the index map. Page
+    // (a, s, b) of [P][L][Q] moves to page (b, s, a) of [Q][L][P].
+    let (m, n, l) = (10240usize, 15360usize, 512usize);
+    let (p, q) = (m / l, n / l);
+    let pages = p * l * q;
+    let dest = |x: usize| {
+        let (a, s, b) = (x / (l * q), x / q % l, x % q);
+        (b * l + s) * p + a
+    };
+    let (mut cycles, mut longest) = (0, 0);
+    let mut seen = vec![false; pages];
+    for x in 0..pages {
+        let (mut len, mut y) = (0, x);
+        while !seen[y] {
+            seen[y] = true;
+            len += 1;
+            y = dest(y);
+        }
+        if len > 0 {
+            cycles += 1;
+            longest = longest.max(len);
+        }
+    }
+    assert_eq!((cycles, longest), (12, 276_784));
+    let core = ipt_core::Plan::new(m * n, m, n, Layout::RowMajor, Algorithm::C2r);
+    let plan = Plan::new(core, 8, &ParOptions::default()).to_string();
+    assert!(
+        plan.contains("route: tiled, L = 512, P = 20, Q = 30"),
+        "{plan}"
+    );
+    let line =
+        format!("page permutation: {pages} pages in {cycles} cycles, the longest {longest} pages");
+    assert!(plan.contains(&line), "{plan}");
 }
 
 #[test]

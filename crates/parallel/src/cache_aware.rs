@@ -25,7 +25,7 @@
 //! * **Row permute** (§4.7): `q`'s cycles have no closed form, so each
 //!   group follows them with a visited mask (`O(m)` scratch per worker),
 //!   moving whole sub-rows. `transpose_blocks` runs it alone, for the
-//!   two-level transpose's block pass.
+//!   §6.1 two-level transpose's block pass.
 //! * **Fused column shuffle** ([`col_shuffle_fused`]): per group,
 //!   `s'_j = p_j ∘ q` factors as a *fine* rotation by `(j - j0) mod m`
 //!   followed by the group-uniform permutation `g(i) = (q(i) + j0) mod m`

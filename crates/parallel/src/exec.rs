@@ -1,69 +1,112 @@
 //! The task executor (paper §5.1, §4.6–4.7, §6.1).
 //!
 //! Every pass of the decomposition splits into independent tasks of
-//! equal cost, and this module runs them all. It has two forms, one per
-//! task shape:
+//! equal cost, and this module runs them all. It has three forms, one
+//! per task shape:
 //!
-//! * [`run_column_groups`] — every column step (the pre-rotation, Eq.
-//!   23; the column shuffle, Eq. 26; its R2C inverse, Eqs. 32–35; the
-//!   post-rotation, Eq. 36) is one gather `dst[i][j] = old[src(i, j)][j]`
-//!   that keeps each element in its column, so the columns split into
-//!   disjoint groups of `w` adjacent columns, one task each;
+//! * [`run_groups`] — disjoint rectangles of a row-major matrix. Every
+//!   column step (the pre-rotation, Eq. 23; the column shuffle, Eq. 26;
+//!   its R2C inverse, Eqs. 32–35; the post-rotation, Eq. 36) is one
+//!   gather `dst[i][j] = old[src(i, j)][j]` that keeps each element in
+//!   its column, so the columns split into disjoint groups of `w`
+//!   adjacent columns, one task each ([`run_column_groups`]); the tiled
+//!   route's tile pass transposes each `L x L` tile where it lies, one
+//!   task each;
 //! * [`run_blocks`] — the row shuffle (Eqs. 24/31) permutes inside each
-//!   row, a batched transpose inside each matrix and the two-level
-//!   transpose's chunk pass inside each chunk, so the buffer splits into
-//!   contiguous `len`-element blocks, one task each.
+//!   row, a batched transpose inside each matrix and the §6.1 chunk pass
+//!   inside each chunk, so the buffer splits into contiguous
+//!   `len`-element blocks, one task each;
+//! * [`run_pages`] — the tiled route's page permutation, whose cycles are
+//!   cut into one segment per worker ([`crate::tiled::Cycles`]), one task
+//!   each.
 //!
-//! Both own everything around a task's body:
+//! The first two own everything around a task's body:
 //!
 //! 1. skip the task when the journal already committed it;
 //! 2. the panic fault site `faulty::maybe_panic(site, task)`;
-//! 3. for column groups, the checked-mode claim of the group's columns
-//!    (a block is a `&mut` slice, so it needs none);
+//! 3. for groups, the checked-mode claim of the group's cells (a block
+//!    is a `&mut` slice, so it needs none);
 //! 4. the journal snapshot of the task, when recovery is armed;
-//! 5. the body — for column groups through a [`Group`] handle whose
-//!    writes pass the skew fault site `faulty::skew_column(site, …)`;
+//! 5. the body — for groups through a [`Group`] handle whose writes pass
+//!    the skew fault site `faulty::skew_column(site, …)`;
 //! 6. the commit.
+//!
+//! The page pass owns the same steps for its segments, except that a
+//! segment snapshots nothing: it records how far it got, and a retry
+//! resumes it from there.
 //!
 //! They also own the per-worker state — each worker thread's parked
 //! [`ipt_pool::Local`] value, kept across passes and calls — and the
 //! recovery ladder ([`run_op`]). The ladder's last rung redoes each
 //! pending task sequentially: a column group from the pass's gather
-//! formula `src` ([`redo_col_gather`]), a block through the caller's
-//! reference `redo`. So a pass states *what* it computes once and its
-//! parallel body only states *how*.
+//! formula `src` ([`redo_col_gather`]), a tile or a block through the
+//! caller's reference `redo`, a segment by resuming it on plain
+//! indexing. So a pass states *what* it computes once and its parallel
+//! body only states *how*.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use crate::tiled::{Cycles, Segment};
 use crate::unsafe_slice::{CheckScope, UnsafeSlice};
 use crate::{assert_shape, grain};
 use ipt_core::kernels::faulty;
 use ipt_pool::recovery::{retry_budget, TaskJournal};
 use ipt_pool::{stats, Local, PoolError, Scratch, WorkerState};
 
-/// One column group's view of an `m x n` row-major matrix: all rows,
-/// columns `[j0, j0 + gw)`, addressed as `(row, k)` with `k` the column
-/// offset inside the group.
+/// One group's view of an `m x n` row-major matrix: rows
+/// `[i0, i0 + h)` (every row for a column group), columns
+/// `[j0, j0 + gw)`, addressed as `(row, k)` with `row` the row offset
+/// and `k` the column offset inside the group.
 ///
 /// The executor claimed exactly these cells for the task before handing
 /// the handle out, so the accessors' safety contract is only that
-/// `row < m` and that `k` (or a run starting at `k = 0`) stays below
-/// `gw`.
+/// `row < h` and that `k` (or a run starting at `k`) stays below `gw`.
 #[derive(Clone, Copy)]
 pub(crate) struct Group<'a, T> {
     us: UnsafeSlice<'a, T>,
     site: &'static str,
     n: usize,
-    m: usize,
+    i0: usize,
+    h: usize,
     j0: usize,
     gw: usize,
 }
 
-impl<T: Copy> Group<'_, T> {
-    /// Rows of the matrix.
+impl<'a, T: Copy> Group<'a, T> {
+    /// Rows of the group: every row of the matrix for a column group.
     #[inline]
     pub(crate) fn m(&self) -> usize {
-        self.m
+        self.h
+    }
+
+    /// The distance in elements between the starts of two rows.
+    #[inline]
+    pub(crate) fn stride(&self) -> usize {
+        self.n
+    }
+
+    /// The `len` cells of row `row` from column offset `k` as a slice,
+    /// for a kernel that moves the claimed cells itself.
+    ///
+    /// # Safety
+    ///
+    /// `row < m` and `k + len <= gw`, and no other reference to those
+    /// cells may be live while the returned one is.
+    #[inline]
+    pub(crate) unsafe fn run_mut(&self, row: usize, k: usize, len: usize) -> &'a mut [T] {
+        // SAFETY: the run is inside the group this task claimed, and the
+        // caller keeps the slice unique.
+        unsafe { self.us.run_mut(self.at(row, k), len) }
+    }
+
+    /// A raw pointer to cell `(0, 0)`, for a kernel that moves the
+    /// claimed cells itself.
+    #[inline]
+    pub(crate) fn ptr(&self) -> *mut T {
+        self.us.ptr_at(self.at(0, 0))
     }
 
     /// The group's first column.
@@ -80,7 +123,7 @@ impl<T: Copy> Group<'_, T> {
 
     #[inline]
     fn at(&self, row: usize, k: usize) -> usize {
-        row * self.n + self.j0 + k
+        (self.i0 + row) * self.n + self.j0 + k
     }
 
     /// Read cell `(row, k)`.
@@ -106,7 +149,7 @@ impl<T: Copy> Group<'_, T> {
         let j = faulty::skew_column(self.site, self.j0 + k, self.j0, self.gw, self.n);
         // SAFETY: inside the group (caller contract); a skewed column is
         // still below n, so the index stays inside the buffer.
-        unsafe { self.us.set(row * self.n + j, v) }
+        unsafe { self.us.set((self.i0 + row) * self.n + j, v) }
     }
 
     /// Copy the first `out.len()` cells of sub-row `row` into `out`.
@@ -134,10 +177,11 @@ impl<T: Copy> Group<'_, T> {
             // SAFETY: one sub-row of the claimed group (caller contract).
             unsafe { self.us.write_run(self.at(row, 0), run) }
         } else {
+            let base = (self.i0 + row) * self.n;
             for (k, &v) in run.iter().enumerate() {
                 // SAFETY: the column is reduced mod n, so the index stays
-                // inside row `row` of the buffer.
-                unsafe { self.us.set(row * self.n + (j + k) % self.n, v) }
+                // inside row `row` of the group.
+                unsafe { self.us.set(base + (j + k) % self.n, v) }
             }
         }
     }
@@ -165,25 +209,54 @@ where
     T: Copy + Send + Sync + 'static,
     S: WorkerState,
 {
+    let w = w.min(n);
+    run_groups(data, (m, n), (m, w), site, body, |data, g| {
+        redo_col_gather(data, m, n, w, g, &src)
+    })
+}
+
+/// Run one pass over the `h x w` rectangles of an `m x n` row-major
+/// matrix: `body(state, group)` for every rectangle, rectangles in
+/// parallel, numbered row band by row band, `state` the worker thread's
+/// parked `S`. Rectangles in the last row band and column are cut
+/// short when `h` does not divide `m` or `w` does not divide `n`.
+///
+/// `redo(data, g)` must leave rectangle `g` as `body` does, on plain
+/// indexing: the recovery ladder's last rung runs it on every pending
+/// rectangle after the journal has restored its prior cells. `site` is
+/// as for [`run_column_groups`].
+pub(crate) fn run_groups<T, S>(
+    data: &mut [T],
+    (m, n): (usize, usize),
+    (h, w): (usize, usize),
+    site: &'static str,
+    body: impl Fn(&mut S, Group<'_, T>) + Sync,
+    redo: impl Fn(&mut [T], usize),
+) -> Result<(), PoolError>
+where
+    T: Copy + Send + Sync + 'static,
+    S: WorkerState,
+{
     assert_shape(data.len(), m, n);
     if m == 0 || n == 0 {
         return Ok(());
     }
-    // A group as wide as the matrix is one group: a wider `w` would only
-    // overflow the grain and size buffers past the matrix.
-    let w = w.min(n);
-    let groups = n.div_ceil(w);
+    // A group as wide (or tall) as the matrix is one group: a wider `w`
+    // would only overflow the grain and size buffers past the matrix.
+    let (h, w) = (h.clamp(1, m), w.clamp(1, n));
+    let across = n.div_ceil(w);
+    let groups = m.div_ceil(h) * across;
     run_op(
         data,
         groups,
         |data, journal| {
             let scope = CheckScope::new(data.len(), n, || {
-                format!("{site}: m={m}, n={n}, group width w={w}")
+                format!("{site}: m={m}, n={n}, group width w={w}, height h={h}")
             });
             let us = UnsafeSlice::new(data, &scope);
             ipt_pool::par_chunks_init(
                 0..groups,
-                grain(m * w),
+                grain(h * w),
                 Local::<(S, Scratch<T>)>::take,
                 |local, sub| {
                     let (state, scratch) = &mut **local;
@@ -192,15 +265,14 @@ where
                             continue;
                         }
                         faulty::maybe_panic(site, g);
-                        let j0 = g * w;
-                        let gw = w.min(n - j0);
-                        us.claim_columns(g, j0, gw);
+                        let (i0, j0) = (g / across * h, g % across * w);
+                        let (gh, gw) = (h.min(m - i0), w.min(n - j0));
+                        us.claim_rect(g, i0..i0 + gh, j0..j0 + gw);
                         if let Some(j) = journal {
+                            let rows = (i0..i0 + gh).map(|r| (r * n + j0, gw));
                             // SAFETY: every snapshot index r*n + j0 + k
                             // (k < gw) is inside the group just claimed.
-                            j.begin(scratch, g, (0..m).map(|r| (r * n + j0, gw)), |idx| unsafe {
-                                us.get(idx)
-                            });
+                            j.begin(scratch, g, rows, |idx| unsafe { us.get(idx) });
                         }
                         body(
                             state,
@@ -208,7 +280,8 @@ where
                                 us,
                                 site,
                                 n,
-                                m,
+                                i0,
+                                h: gh,
                                 j0,
                                 gw,
                             },
@@ -220,7 +293,7 @@ where
                 },
             )
         },
-        |data, g| redo_col_gather(data, m, n, w, g, &src),
+        redo,
     )
 }
 
@@ -272,6 +345,196 @@ pub(crate) fn run_blocks<T: Copy + Send + Sync + 'static>(
         },
         |data, b| redo(&mut Scratch::new(), b, &mut data[b * len..(b + 1) * len]),
     )
+}
+
+/// How far one segment of the page pass got: the state its walk
+/// resumes from. Each on its own cache line, since a worker updates its
+/// segment's after every page it moves. The counters publish nothing
+/// else and are read by another thread only after the dispatch that
+/// wrote them has joined, so `Relaxed` suffices.
+#[repr(align(64))]
+struct Progress {
+    /// The leader of the cycle the next move is on.
+    leader: AtomicUsize,
+    /// The page the next move writes: the leader itself before the
+    /// cycle's first move.
+    to: AtomicUsize,
+    /// Moves of the segment already made.
+    moved: AtomicUsize,
+}
+
+impl Progress {
+    /// Where segment `seg` begins.
+    fn new(seg: &Segment) -> Progress {
+        Progress {
+            leader: seg.leader.into(),
+            to: seg.first.into(),
+            moved: 0.into(),
+        }
+    }
+}
+
+/// One move of the page pass, in pages.
+#[derive(Clone, Copy)]
+enum Move {
+    /// Copy page `from` over page `to`.
+    Page { from: usize, to: usize },
+    /// Copy a cycle's leader into the segment's open page.
+    Open(usize),
+    /// Close a cycle: copy the open page over page `to`.
+    Shut(usize),
+    /// End the segment inside a cycle: copy its close page (the next
+    /// segment's first page, stashed) over page `to`.
+    Close(usize),
+}
+
+/// Run the page permutation `cycles` plans over `data`, whose pages are
+/// its `cycles.page_len()`-element runs: every page moves to its place,
+/// one segment per worker ([`Cycles`]). `site` is the pass's
+/// [`phases`](crate::phases) name.
+///
+/// Each segment owns two stash pages. Before any page moves, a segment
+/// that ends inside a cycle copies the page its last move needs — the
+/// next segment's first page, which that segment overwrites first — into
+/// its close page, and a segment that begins inside a cycle copies the
+/// cycle's leader, which an earlier segment overwrites, into its open
+/// page; the open page then holds the leader of each cycle the segment
+/// moves. So a segment touches only its own pages and stash pages.
+///
+/// A segment's fault site is its middle move. It records each move it
+/// makes ([`Progress`]), and a move leaves its source page intact, so a
+/// torn segment needs no undo: a retry, or the ladder's last rung,
+/// resumes it where it stopped. The undo state is the stash pages and
+/// three counters per segment, not a copy of the pages it wrote.
+pub(crate) fn run_pages<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    cycles: &Cycles,
+    site: &'static str,
+) -> Result<(), PoolError> {
+    let l = cycles.page_len();
+    assert_eq!(data.len(), cycles.pages() * l, "whole pages");
+    let Some(&fill) = data.first() else {
+        return Ok(());
+    };
+    let segments = &cycles.segments;
+    let mut stash = Vec::with_capacity(2 * l * segments.len());
+    for seg in segments {
+        let open = (seg.first != seg.leader).then_some(seg.leader);
+        for y in [open, seg.close] {
+            match y {
+                Some(y) => stash.extend_from_slice(&data[y * l..(y + 1) * l]),
+                None => stash.resize(stash.len() + l, fill),
+            }
+        }
+    }
+    let stash = RefCell::new(stash);
+    let progress: Vec<Progress> = segments.iter().map(Progress::new).collect();
+    run_op(
+        data,
+        segments.len(),
+        |data, journal| {
+            let scope = CheckScope::new(data.len(), l, || {
+                format!("{site}: {} pages of {l} elements", cycles.pages())
+            });
+            let us = UnsafeSlice::new(data, &scope);
+            let mut stash = stash.borrow_mut();
+            ipt_pool::par_chunks_exact_mut(
+                &mut stash,
+                2 * l,
+                1,
+                || (),
+                |(), s, pair| {
+                    if journal.is_some_and(|j| j.is_done(s)) {
+                        return;
+                    }
+                    let (open, close) = pair.split_at_mut(l);
+                    let (seg, pr) = (&segments[s], &progress[s]);
+                    walk(cycles, seg, pr, |mv| {
+                        if pr.moved.load(Ordering::Relaxed) == seg.moves / 2 {
+                            faulty::maybe_panic(site, s);
+                        }
+                        let claim = |y: usize| us.claim_rect(s, y..y + 1, 0..l);
+                        // SAFETY: the segments' pages are disjoint (each lies
+                        // on one cycle, and the segments cover disjoint runs
+                        // of the cycles), so no other task touches a page
+                        // this one claims; every page is below
+                        // `cycles.pages()`, so its run is inside `data`; and
+                        // a move's two pages differ.
+                        unsafe {
+                            match mv {
+                                Move::Page { from, to } => {
+                                    claim(from);
+                                    claim(to);
+                                    us.copy_run(from * l, to * l, l);
+                                }
+                                Move::Open(from) => {
+                                    claim(from);
+                                    us.read_run(from * l, open);
+                                }
+                                Move::Shut(to) => {
+                                    claim(to);
+                                    us.write_run(to * l, open);
+                                }
+                                Move::Close(to) => {
+                                    claim(to);
+                                    us.write_run(to * l, close);
+                                }
+                            }
+                        }
+                    });
+                    if let Some(j) = journal {
+                        j.commit(s);
+                    }
+                },
+            )
+        },
+        |data, s| {
+            let mut stash = stash.borrow_mut();
+            let (open, close) = stash[2 * l * s..2 * l * (s + 1)].split_at_mut(l);
+            let run = |y: usize| y * l..(y + 1) * l;
+            walk(cycles, &cycles.segments[s], &progress[s], |mv| match mv {
+                Move::Page { from, to } => data.copy_within(run(from), to * l),
+                Move::Open(from) => open.copy_from_slice(&data[run(from)]),
+                Move::Shut(to) => data[run(to)].copy_from_slice(open),
+                Move::Close(to) => data[run(to)].copy_from_slice(close),
+            });
+        },
+    )
+}
+
+/// Make segment `seg`'s moves from where `pr` says it stopped, each
+/// through `apply`, recording each in `pr` once it is made.
+// The one walk of the parallel body and the sequential redo: kept out of
+// line so it is one function to measure (EXPERIMENTS.md, "Two sweeps for
+// the tiled route").
+#[inline(never)]
+fn walk(cycles: &Cycles, seg: &Segment, pr: &Progress, mut apply: impl FnMut(Move)) {
+    let load = |a: &AtomicUsize| a.load(Ordering::Relaxed);
+    let (mut leader, mut to, mut moved) = (load(&pr.leader), load(&pr.to), load(&pr.moved));
+    while moved < seg.moves {
+        if to == leader {
+            apply(Move::Open(leader));
+        }
+        let from = cycles.source(to);
+        let shut = from == leader;
+        apply(if shut {
+            Move::Shut(to)
+        } else if moved + 1 == seg.moves {
+            Move::Close(to)
+        } else {
+            Move::Page { from, to }
+        });
+        moved += 1;
+        if !shut {
+            to = from;
+        } else if moved < seg.moves {
+            leader = cycles.next_leader(leader + 1);
+            to = leader;
+        }
+        pr.leader.store(leader, Ordering::Relaxed);
+        pr.to.store(to, Ordering::Relaxed);
+        pr.moved.store(moved, Ordering::Relaxed);
+    }
 }
 
 /// Drive one parallel op through the recovery ladder: undo → retry →
@@ -530,6 +793,56 @@ mod tests {
         out.unwrap();
         assert_eq!(healed, [2, 1, 0, 5, 4, 3, 8, 7, 6, 11, 10, 9]);
         assert!(d.retries_attempted >= 2 && d.recovered >= 1, "{d:?}");
+    }
+
+    #[test]
+    fn page_segments_torn_at_any_move_resume_to_the_same_permutation() {
+        use crate::tiled::Pages;
+        use ipt_core::Direction;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // Pages as single values: 3 x 8 x 5 pages (a cycle of 150 of the
+        // 238 that move) cut into 2 and 3 segments, so segments begin
+        // and end inside cycles and move others whole. Tear every
+        // segment before its k-th move for each k, resume it, and check
+        // that every page holds the page that belongs there.
+        let pages = Pages::of(Direction::C2r, (24, 40), 8);
+        for threads in [2, 3] {
+            let cycles = Cycles::scan(pages, threads);
+            let segments = &cycles.segments;
+            let most = segments.iter().map(|s| s.moves).max().unwrap();
+            for k in 0..=most {
+                let mut v: Vec<usize> = (0..cycles.pages()).collect();
+                let mut stash: Vec<[usize; 2]> = segments
+                    .iter()
+                    .map(|s| [s.leader, s.close.unwrap_or(0)])
+                    .collect();
+                let progress: Vec<Progress> = segments.iter().map(Progress::new).collect();
+                for tear in [Some(k), None] {
+                    for (s, seg) in segments.iter().enumerate() {
+                        let mut made = 0;
+                        let _ = catch_unwind(AssertUnwindSafe(|| {
+                            walk(&cycles, seg, &progress[s], |mv| {
+                                assert!(Some(made) != tear, "torn");
+                                made += 1;
+                                match mv {
+                                    Move::Page { from, to } => v[to] = v[from],
+                                    Move::Open(from) => stash[s][0] = v[from],
+                                    Move::Shut(to) => v[to] = stash[s][0],
+                                    Move::Close(to) => v[to] = stash[s][1],
+                                }
+                            })
+                        }));
+                    }
+                }
+                for (y, &got) in v.iter().enumerate() {
+                    assert_eq!(
+                        got,
+                        cycles.source(y),
+                        "{threads} segments, torn at {k}: page {y}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,28 +24,29 @@
 //!   or the **skinny route** of the §6.1 AoS⇄SoA conversions
 //!   ([`transpose_skinny_c2r`] / [`transpose_skinny_r2c`]). The plan's
 //!   `Display` is what `ipt model` prints;
-//! * one **two-level transpose** under the tiled and skinny routes: a
-//!   stack of `P` contiguous `[K][s]` chunks becomes its `s x P·K`
-//!   transpose by transposing every chunk ([`phases::CHUNK_TRANSPOSE`])
-//!   and then the `P x s` matrix of `K`-element blocks with the §4.7
-//!   sub-row permute ([`phases::BLOCK_PERMUTE`]). A square chunk is
-//!   transposed in place: 8-byte elements with no padding bytes (`u64`,
-//!   `f64`, `[u8; 8]` and the like, [`TileKernel`]) by 4 x 4 blocks in
-//!   AVX2 registers when the CPU has AVX2 and 4 divides the side, every
-//!   other case by a scalar swap of 16 x 16 sub-tile pairs; a
-//!   rectangular one is staged in the worker's scratch. The tiled route
-//!   is C2R on the `m x n/L` matrix of blocks (the element path's
-//!   passes, [`phases::ALL`], with page-sized moves and no fine pass),
-//!   then the two-level transpose of each `m x L` panel, `P = m/L`
-//!   square `L x L` chunks; the skinny route is the two-level transpose
-//!   of the `n x m` AoS in chunks of at most 512 KiB, plus a peeled tail
-//!   when `n` has no divisor that fills one (a struct wider than a chunk
-//!   takes the element path). Their inverses run the steps inverted in
-//!   reverse order;
+//! * the **tiled route** in two sweeps: every `L x L` tile transposed in
+//!   place where it lies ([`phases::CHUNK_TRANSPOSE`]) — 8-byte elements
+//!   with no padding bytes (`u64`, `f64`, `[u8; 8]` and the like,
+//!   [`TileKernel`]) by 4 x 4 blocks in AVX2 registers when the CPU has
+//!   AVX2 and 4 divides the side, every other case by a scalar swap of
+//!   16 x 16 sub-tile pairs — then one cycle-following permutation of
+//!   the buffer's 4 KiB pages ([`phases::PAGE_PERMUTE`]), its cycles
+//!   marked in a bitmap of one bit per page and cut into one segment per
+//!   worker. R2C runs the page permutation of its input first;
+//! * the **two-level transpose** under the skinny route: a stack of `P`
+//!   contiguous `[K][s]` chunks becomes its `s x P·K` transpose by
+//!   transposing every chunk through worker scratch
+//!   ([`phases::CHUNK_TRANSPOSE`]) and then the `P x s` matrix of
+//!   `K`-element blocks with the §4.7 sub-row permute
+//!   ([`phases::BLOCK_PERMUTE`]). The skinny route is the two-level
+//!   transpose of the `n x m` AoS in chunks of at most 512 KiB, plus a
+//!   peeled tail when `n` has no divisor that fills one (a struct wider
+//!   than a chunk takes the element path). Its inverse runs the steps
+//!   inverted in reverse order;
 //! * one task executor under every pass — each [`cache_aware`] pass, the
-//!   two-level chunks, the [`rows`] shuffle and the [`batched`]
-//!   transposes — which owns their fault sites, undo journal and
-//!   recovery;
+//!   tiles, the pages, the §6.1 chunks, the [`rows`] shuffle and the
+//!   [`batched`] transposes — which owns their fault sites, undo state
+//!   and recovery;
 //! * one recorder over every pass: each pass of every route has one
 //!   name, a [`phases`] constant, under which it is timed, its bytes are
 //!   counted once it succeeds, its faults are injected, its checked-mode
@@ -54,12 +55,12 @@
 //!   row shuffle (each worker's temporary row lives in its own cache).
 //!
 //! Work stays `O(mn)` and auxiliary space `O(max(m, n))` *per thread*.
-//! On the tiled route it is one block-matrix row (`n/L` pages) for the
-//! row shuffle, one page and an `m`-entry visited mask per column group,
-//! and a pair of 16 x 16 sub-tiles for the scalar chunk kernel (the AVX2
-//! kernel stages nothing); on the skinny route one chunk and a
-//! `P·m`-entry visited mask.
-//!
+//! On the tiled route it is a pair of 16 x 16 sub-tiles for the scalar
+//! tile kernel (the AVX2 kernel stages nothing) and, for the page pass,
+//! a bitmap of `mn/L` bits plus two pages per worker's segment: within
+//! the budget while `min(m, n) <= 32768` (DESIGN.md §7).
+//! On the skinny route it is one chunk and a `P·m`-entry visited mask.
+
 //! ```
 //! use ipt_parallel::{transpose_parallel, ParOptions};
 //! use ipt_core::Layout;
@@ -84,14 +85,15 @@ mod exec;
 mod plan;
 pub mod rows;
 mod skinny;
+mod tile;
 mod tiled;
 mod two_level;
 mod unsafe_slice;
 
 pub use plan::{Plan, Route};
 pub use skinny::{transpose_skinny_c2r, transpose_skinny_r2c};
+pub use tile::TileKernel;
 pub use tiled::tile_side;
-pub use two_level::TileKernel;
 
 use std::mem::size_of;
 
@@ -194,17 +196,19 @@ pub mod phases {
     /// Every phase name, in C2R execution order.
     pub const ALL: [&str; 4] = [PRE_ROTATE, ROW_SHUFFLE, COL_SHUFFLE, POST_ROTATE];
 
-    /// The two-level transpose's chunk pass, on the tiled and skinny
-    /// routes: transpose every contiguous `[K][s]` chunk, a square one
-    /// (a tile) in place, a rectangular one (a §6.1 chunk of structs)
-    /// staged in worker scratch. Not a step of the general
-    /// decomposition, so not in [`ALL`].
+    /// The chunk pass of the tiled and skinny routes: on the tiled route
+    /// every `L x L` tile transposed in place where it lies, on the §6.1
+    /// route every contiguous `[K][s]` chunk of structs transposed
+    /// through worker scratch. Not a step of the general decomposition,
+    /// so not in [`ALL`].
     pub const CHUNK_TRANSPOSE: &str = "chunk_transpose";
-    /// The two-level transpose's block pass, on the tiled and skinny
-    /// routes: move each stack's `K`-element blocks to their final rows
-    /// with the §4.7 sub-row permute, one stack (a tiled panel, the §6.1
-    /// prefix) at a time; skipped when a stack is one chunk. Not in
-    /// [`ALL`].
+    /// The tiled route's page pass: every 4 KiB page moved to its place
+    /// by one cycle-following sweep; skipped when the matrix is one
+    /// tile. Not in [`ALL`].
+    pub const PAGE_PERMUTE: &str = "page_permute";
+    /// The §6.1 two-level transpose's block pass: move the `K`-element
+    /// blocks to their final rows with the §4.7 sub-row permute; skipped
+    /// when the prefix is one chunk. Not in [`ALL`].
     pub const BLOCK_PERMUTE: &str = "block_permute";
 
     /// The batched entry points ([`crate::batched`]): every matrix of the
@@ -265,9 +269,11 @@ impl Default for ParOptions {
 impl ParOptions {
     /// The sub-row width in elements of element type `T`'s column groups,
     /// `max(1, 256 bytes / size_of::<T>())`. The paper sizes a sub-row so
-    /// it spans a cache line (§4.6; 128 B on the K20c); a few cache lines
-    /// measure fastest for the CPU cache hierarchies this crate targets
-    /// (see the `ablations` bench). A width of `n` or more is one group.
+    /// it spans a cache line (§4.6; 128 B on the K20c). The `ablations`
+    /// bench's width sweep (`ablation/cache-aware/group-width-*`) puts
+    /// 256, 512 and 1024 bytes within run-to-run noise of each other and
+    /// 32–128 bytes 1.2–2.8x slower; 256 bytes is the narrowest width on
+    /// that plateau. A width of `n` or more is one group.
     pub fn group_width<T>(&self) -> usize {
         width(size_of::<T>())
     }
@@ -281,8 +287,8 @@ pub(crate) fn width(elem_size: usize) -> usize {
 /// Parallel C2R: transpose an `m x n` row-major buffer in place into its
 /// `n x m` row-major transpose, using the global `ipt_pool` thread count.
 /// Its [`Route`] is the element path or, for shapes whose sides are
-/// multiples of a 4 KiB block ([`Plan::tile_side`]), the tiled route, where
-/// `opts` does not apply (DESIGN.md §7).
+/// multiples of the elements a 4 KiB page holds ([`Plan::tile_side`]),
+/// the tiled route, where `opts` does not apply (DESIGN.md §7).
 pub fn c2r_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
@@ -296,7 +302,7 @@ pub fn c2r_parallel<T: Copy + Send + Sync + 'static>(
 /// Parallel R2C: the inverse of [`c2r_parallel`] — consumes an `n x m`
 /// row-major buffer, leaves the `m x n` row-major transpose. It takes
 /// the tiled route on the same shapes as [`c2r_parallel`], running its
-/// steps inverted in reverse order.
+/// two passes in reverse order.
 pub fn r2c_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     m: usize,
@@ -344,7 +350,7 @@ fn run<T: Copy + Send + Sync + 'static>(
     match &plan.route {
         Route::Nothing => Ok(()),
         Route::Elements { params, w, h } => elements(data, dir, params, *w, *h),
-        Route::Tiled { blocks, l, p, .. } => tiled::run(data, dir, blocks.as_ref(), *l, *p),
+        Route::Tiled { l, .. } => tiled::run(data, dir, (plan.core.m, plan.core.n), *l),
         Route::Skinny { k, main } => skinny::run(data, dir, (plan.core.m, plan.core.n), *k, *main),
     }
 }

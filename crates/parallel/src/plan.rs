@@ -7,8 +7,9 @@ use std::mem::size_of;
 use ipt_core::index::C2rParams;
 use ipt_core::{kernels, Direction};
 
-use crate::two_level::{self, TileKernel};
-use crate::{phases, skinny, tiled, ParOptions};
+use crate::tile::{self, TileKernel};
+use crate::tiled::{self, Cycles, Pages};
+use crate::{phases, skinny, ParOptions};
 
 /// How a parallel call moves its data.
 #[derive(Debug, Clone, Copy)]
@@ -26,19 +27,16 @@ pub enum Route {
         /// Fine-window height in rows ([`ParOptions::block_rows`]).
         h: usize,
     },
-    /// The tiled route ([`Plan::tile_side`]): the element path on the
-    /// `m x n/L` matrix of 4 KiB blocks with one-block column groups,
-    /// then the two-level transpose of the `m x L` panels, each `P`
-    /// square `L x L` chunks.
+    /// The tiled route ([`Plan::tile_side`]): every `L x L` tile of the
+    /// `m x n` matrix transposed in place, then one cycle-following
+    /// permutation of its 4 KiB pages (DESIGN.md §7).
     Tiled {
-        /// The parameters of the `m x n/L` matrix of blocks; `None` when
-        /// it is one block column, so the block-level passes have
-        /// nothing to do.
-        blocks: Option<C2rParams>,
-        /// Tile side `L`: the elements one 4 KiB block holds.
+        /// Tile side `L`: the elements one 4 KiB page holds.
         l: usize,
-        /// Tiles per panel, `P = m/L`.
+        /// Tile rows of the `m x n` matrix, `P = m/L`.
         p: usize,
+        /// Tile columns of the `m x n` matrix, `Q = n/L`.
+        q: usize,
         /// The kernel that transposes the tiles in place.
         kernel: TileKernel,
     },
@@ -92,7 +90,7 @@ impl Plan {
     /// entry points run: as [`Plan::new`], with the tiled route's chunk
     /// kernel chosen for `T` itself.
     pub(crate) fn of<T: 'static>(core: ipt_core::Plan, opts: &ParOptions) -> Plan {
-        Plan::resolve(core, size_of::<T>(), two_level::padding_free::<T>(), opts)
+        Plan::resolve(core, size_of::<T>(), tile::padding_free::<T>(), opts)
     }
 
     /// [`Plan::new`] on elements that are `plain` when every byte of
@@ -102,9 +100,9 @@ impl Plan {
             None => Route::Nothing,
             Some(params) => match tiled::side(params.m, params.n, elem_size) {
                 Some(l) => Route::Tiled {
-                    blocks: (params.n > l).then(|| C2rParams::new(params.m, params.n / l)),
                     l,
                     p: params.m / l,
+                    q: params.n / l,
                     kernel: TileKernel::select(elem_size, plain, l),
                 },
                 None => Route::elements(params, elem_size, opts),
@@ -137,11 +135,12 @@ impl Plan {
     }
 }
 
-/// Four lines: the direction and view; the route and its sizes; the gcd
-/// and whether the rotation runs; the row-shuffle kernel, which
-/// [`kernels::select`] picks from the shape alone. The tiled route adds
-/// the chunk pass's kernel after the route. A plan with nothing to do, or on the skinny route, prints the
-/// first two.
+/// Four lines: the direction and view; the route and its sizes; then on
+/// the element path the gcd and whether the rotation runs, and the
+/// row-shuffle kernel, which [`kernels::select`] picks from the shape
+/// alone; on the tiled route the tile kernel, and the page permutation's
+/// cycles and segments from the scan its pass runs. A plan with nothing
+/// to do, or on the skinny route, prints the first two.
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "plan: {}", self.core)?;
@@ -153,22 +152,25 @@ impl fmt::Display for Plan {
                 writeln!(f, "route: element path, w = {w}, h = {h}")?;
                 params
             }
-            Route::Tiled {
-                blocks,
-                l,
-                p,
-                kernel,
-            } => {
-                let (m, n) = (self.core.m, self.core.n / l);
+            &Route::Tiled { l, p, q, kernel } => {
                 writeln!(
                     f,
-                    "route: tiled, L = {l}, P = {p} ({m} x {n} blocks of 4 KiB)"
+                    "route: tiled, L = {l}, P = {p}, Q = {q} tiles of {l} x {l}"
                 )?;
                 writeln!(f, "chunk kernel: {}", kernel.name())?;
-                let Some(blocks) = blocks else {
-                    return write!(f, "block-level passes: nothing to do (one block column)");
-                };
-                blocks
+                if p * q == 1 {
+                    return write!(f, "page permutation: nothing to do (one tile)");
+                }
+                let pages = Pages::of(self.core.direction, (self.core.m, self.core.n), l);
+                let c = Cycles::scan(pages, ipt_pool::num_threads());
+                return write!(
+                    f,
+                    "page permutation: {} pages in {} cycles, the longest {} pages, {} segments",
+                    c.pages(),
+                    c.count,
+                    c.longest,
+                    c.segments.len()
+                );
             }
             Route::Skinny { k, main } => {
                 let (m, n) = (self.core.m, self.core.n);
@@ -208,17 +210,12 @@ mod tests {
             assert!(matches!(p.route, Route::Nothing), "{rows}x{cols}");
         }
         match plan(1024, 1536, Algorithm::C2r, 8).route {
-            Route::Tiled { blocks, l, p, .. } => {
-                let blocks = blocks.map(|b| (b.m, b.n));
-                assert_eq!((blocks, l, p), (Some((1024, 3)), 512, 2));
-            }
+            Route::Tiled { l, p, q, .. } => assert_eq!((l, p, q), (512, 2, 3)),
             r => panic!("{r:?}"),
         }
-        // One block column: the block-level passes have nothing to do.
+        // One tile column.
         match plan(1024, 512, Algorithm::C2r, 8).route {
-            Route::Tiled { blocks, l, p, .. } => {
-                assert_eq!((blocks.is_none(), l, p), (true, 512, 2));
-            }
+            Route::Tiled { l, p, q, .. } => assert_eq!((l, p, q), (512, 2, 1)),
             r => panic!("{r:?}"),
         }
         // R2C runs on the swapped parameters: the same 1024 x 1536.

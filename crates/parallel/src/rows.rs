@@ -17,7 +17,7 @@
 //! explicit kernel for tests, benches and ablations.
 
 use crate::exec::run_blocks;
-use crate::phases;
+use crate::{assert_shape, phases};
 use ipt_core::index::C2rParams;
 use ipt_core::kernels::{self, RowShuffleKernel, ShuffleDirection};
 use ipt_pool::PoolError;
@@ -33,12 +33,16 @@ use ipt_pool::PoolError;
 /// `d'`, §4.3). With recovery armed (`IPT_RETRY > 0`) the ladder's last
 /// rung re-gathers each pending row sequentially through `d'` / `d'^-1`
 /// directly, bypassing kernel dispatch.
+///
+/// Panics unless `data` holds the `p.m x p.n` matrix, as every entry
+/// point here does.
 pub fn row_shuffle_parallel_with<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
     kernel: RowShuffleKernel,
     dir: ShuffleDirection,
 ) -> Result<(), PoolError> {
+    assert_shape(data.len(), p.m, p.n);
     run_blocks(
         data,
         p.n,
@@ -183,6 +187,31 @@ mod tests {
                 }
                 assert_eq!(got, want, "{dir:?} {m}x{n}");
             }
+        }
+    }
+
+    #[test]
+    fn a_buffer_a_row_short_is_refused() {
+        // 20 elements are 5 rows of a 6 x 4 plan: every row pass refuses
+        // them rather than shuffle 5 rows and leave the 6th out.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let p = C2rParams::new(6, 4);
+        type Pass = fn(&mut [u32], &C2rParams) -> Result<(), PoolError>;
+        let passes: [(&str, Pass); 3] = [
+            ("row_shuffle_parallel", row_shuffle_parallel),
+            ("row_shuffle_forward_parallel", row_shuffle_forward_parallel),
+            ("row_shuffle_parallel_with", |d, p| {
+                row_shuffle_parallel_with(d, p, RowShuffleKernel::Scalar, ShuffleDirection::Inverse)
+            }),
+        ];
+        for (name, pass) in passes {
+            let mut a = [0u32; 20];
+            let err = catch_unwind(AssertUnwindSafe(|| pass(&mut a, &p))).unwrap_err();
+            let msg = err.downcast_ref::<String>().unwrap();
+            assert!(
+                msg.contains("buffer length must be rows * cols (6 x 4)"),
+                "{name}: {msg}"
+            );
         }
     }
 

@@ -1,36 +1,40 @@
-//! The tiled route: the decomposition on 4 KiB row segments, then the
-//! two-level transpose on `L x L` tiles (DESIGN.md §7).
+//! The tiled route: two sweeps, the tiles in place and then one
+//! permutation of pages (DESIGN.md §7).
 //!
-//! C2R and R2C do not care what an element is. Let a 4 KiB block hold
-//! `L` elements of `T`, with `L` dividing both `m` and `n`. Then an
-//! `m x n` row-major matrix is also an `m x n/L` matrix of blocks, and
-//! its C2R runs as two steps:
+//! Let a 4 KiB page hold `L` elements of `T`, with `L` dividing both `m`
+//! and `n`, and write element `(i, j)` of an `m x n` row-major matrix as
+//! `i = pL + r`, `j = qL + s`, with `P = m/L` tile rows and `Q = n/L`
+//! tile columns. C2R runs:
 //!
-//! 1. **Block-level C2R.** The element path on the matrix of blocks
-//!    leaves `[n/L][m][L]`: `n/L` contiguous `m x L` panels, panel `q`
-//!    holding columns `[qL, (q + 1)L)` of the input. Every move is a
-//!    whole block, and a column group is one block wide, so both fine
-//!    passes are skipped.
-//! 2. **The two-level transpose** ([`two_level`]) of every panel: a
-//!    panel is a stack of `P = m/L` square `L x L` chunks, transposed in
-//!    place, whose `L`-element rows the block pass then puts in order.
-//!    No chunk is staged.
+//! 1. **The tile pass** ([`tile::transpose_tiles`]): every `L x L` tile
+//!    transposed where it lies, its rows `n` elements apart, one executor
+//!    task each. Element `(pL + r, qL + s)` now sits at `(pL + s, qL + r)`.
+//! 2. **The page pass** ([`exec::run_pages`]): the buffer is `[P][L][Q]`
+//!    pages of `L` elements, and page `(p, s, q)` holds the run of row
+//!    `qL + s` of the transpose that belongs at columns `[pL, pL + L)`.
+//!    So page `(p, s, q)` moves to page `(q, s, p)` of `[Q][L][P]`, one
+//!    cycle-following sweep over whole pages.
 //!
-//! R2C runs the inverse two-level transpose, then block-level R2C.
+//! The two sweeps commute, and the page permutation of `(Q, P)` undoes
+//! that of `(P, Q)`: R2C, whose input is the `n x m` matrix, runs the
+//! page permutation of that shape first, then the tiles.
+//!
+//! The page pass marks cycle leaders in a bitmap of one bit per page,
+//! `mn/L` bits, which [`Cycles::scan`] fills once per call. Since `L`
+//! elements are 4096 bytes, those `mn/(8L)` bytes are `min(m, n)/32768`
+//! times the bytes of `max(m, n)` elements: within the paper's
+//! `O(max(m, n))` budget while `min(m, n) <= 32768`.
+//!
+//! [`exec::run_pages`]: crate::exec::run_pages
 
-use std::mem::{size_of, MaybeUninit};
+use std::mem::size_of;
 
-use crate::{elements, two_level, TransposeAborted};
-use ipt_core::index::C2rParams;
+use crate::exec::run_pages;
+use crate::{grain, phases, run_pass, tile, TransposeAborted};
 use ipt_core::Direction;
 
-/// Bytes of one block: a page.
-const BLOCK_BYTES: usize = 4096;
-
-/// One block as raw bytes. Its alignment is 1, and every byte pattern —
-/// a `T`'s padding included — is a valid value, so one type serves every
-/// element type.
-type Block = [MaybeUninit<u8>; BLOCK_BYTES];
+/// Bytes of one page.
+const PAGE_BYTES: usize = 4096;
 
 /// Side `L` of the tiles `c2r_parallel::<T>` cuts an `m x n` matrix
 /// into, or `None` when it takes the element path: the call's
@@ -49,56 +53,212 @@ pub fn tile_side<T>(m: usize, n: usize) -> Option<usize> {
 }
 
 /// The route test of [`crate::Plan::new`]: the tile side `L` when a
-/// 4 KiB block holds `L > 1` whole `elem_size`-byte elements and `L`
-/// divides both `m` and `n`. A 4 KiB element is its own block, so it
+/// 4 KiB page holds `L > 1` whole `elem_size`-byte elements and `L`
+/// divides both `m` and `n`. A 4 KiB element is its own page, so it
 /// takes the element path.
 pub(crate) fn side(m: usize, n: usize, elem_size: usize) -> Option<usize> {
-    if elem_size == 0 || BLOCK_BYTES % elem_size != 0 {
+    if elem_size == 0 || PAGE_BYTES % elem_size != 0 {
         return None;
     }
-    let l = BLOCK_BYTES / elem_size;
+    let l = PAGE_BYTES / elem_size;
     (l > 1 && m % l == 0 && n % l == 0).then_some(l)
 }
 
-/// The tiled route's passes (see [`crate::Route::Tiled`]): C2R runs
-/// block-level C2R, then the two-level transpose of the `m x L` panels,
-/// each `P` tiles of `L x L`; R2C the inverse in reverse order.
+/// The tiled route's two passes on the plan's `m x n` (see
+/// [`crate::Route::Tiled`]): C2R transposes the tiles of the `m x n`
+/// input, then permutes its pages; R2C permutes the pages of its
+/// `n x m` input, then transposes the tiles of the `m x n` result.
 pub(crate) fn run<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     dir: Direction,
-    blocks: Option<&C2rParams>,
+    (m, n): (usize, usize),
     l: usize,
-    p: usize,
 ) -> Result<(), TransposeAborted> {
-    // Column groups are one block wide, so every fine residual is 0 and
-    // no fine window is used: its height does not matter.
-    let block_level = |data: &mut [T]| match blocks {
-        Some(b) => elements(as_blocks(data, l), dir, b, 1, 1),
-        None => Ok(()),
+    let tiles = |data: &mut [T]| {
+        run_pass(phases::CHUNK_TRANSPOSE, data, |d| {
+            tile::transpose_tiles(d, (m, n), l)
+        })
+    };
+    let pages = |data: &mut [T]| {
+        let pages = Pages::of(dir, (m, n), l);
+        if pages.p * pages.q == 1 {
+            return Ok(()); // one tile: every page is in place
+        }
+        run_pass(phases::PAGE_PERMUTE, data, |d| {
+            run_pages(
+                d,
+                &Cycles::scan(pages, ipt_pool::num_threads()),
+                phases::PAGE_PERMUTE,
+            )
+        })
     };
     match dir {
         Direction::C2r => {
-            block_level(data)?;
-            two_level::run(data, (p, l, l), false)
+            tiles(data)?;
+            pages(data)
         }
         Direction::R2c => {
-            two_level::run(data, (p, l, l), true)?;
-            block_level(data)
+            pages(data)?;
+            tiles(data)
         }
     }
 }
 
-/// View `data` as its 4 KiB blocks, `L` elements each.
-fn as_blocks<T: Copy>(data: &mut [T], l: usize) -> &mut [Block] {
-    assert!(l * size_of::<T>() == BLOCK_BYTES && data.len() % l == 0);
-    // SAFETY: `Block` has alignment 1 and exactly `l * size_of::<T>()`
-    // bytes, so the `data.len() / l` blocks cover exactly `data`'s bytes,
-    // and the result reborrows `data` mutably for its whole life. Any
-    // bytes, padding included, are a valid `MaybeUninit<u8>`. The passes
-    // only move whole blocks, and each block boundary is a `T` boundary,
-    // so every `T` slot ends up holding the bytes of some `T` the buffer
-    // held; `T: Copy`, so no value is dropped or owned twice.
-    unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr().cast::<Block>(), data.len() / l) }
+/// The page permutation of a buffer of `[p][l][q]` pages of `l`
+/// elements: page `(a, s, b)` moves to page `(b, s, a)` of `[q][l][p]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pages {
+    p: usize,
+    l: usize,
+    q: usize,
+}
+
+impl Pages {
+    /// The page permutation the tiled route runs in direction `dir` on
+    /// the plan's `m x n` with tile side `l`: that of the `m x n` input
+    /// for C2R, of the `n x m` input for R2C.
+    pub(crate) fn of(dir: Direction, (m, n): (usize, usize), l: usize) -> Pages {
+        let (p, q) = match dir {
+            Direction::C2r => (m / l, n / l),
+            Direction::R2c => (n / l, m / l),
+        };
+        Pages { p, l, q }
+    }
+
+    /// The number of pages.
+    fn count(&self) -> usize {
+        self.p * self.l * self.q
+    }
+
+    /// The page whose content moves to page `y`.
+    #[inline]
+    fn source(&self, y: usize) -> usize {
+        let (t, a) = (y / self.p, y % self.p);
+        let (b, s) = (t / self.l, t % self.l);
+        (a * self.l + s) * self.q + b
+    }
+}
+
+/// Where one worker's segment of the page pass begins, and how far it
+/// goes. Its moves walk cycles against the permutation: each page is
+/// overwritten by its [`Cycles::source`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Segment {
+    /// The leader of the cycle the first move is on.
+    pub(crate) leader: usize,
+    /// The page the first move writes: `leader` when the segment begins
+    /// a cycle, else a page an earlier segment's cut fell before.
+    pub(crate) first: usize,
+    /// The segment's moves: one page written each.
+    pub(crate) moves: usize,
+    /// When the last move falls inside a cycle, the page whose content
+    /// it writes: the next segment's first page, which that segment
+    /// overwrites first.
+    pub(crate) close: Option<usize>,
+}
+
+/// The cycles of a page permutation, and its moves cut into one segment
+/// per worker.
+///
+/// Take the cycles in the order of their leaders (their smallest pages),
+/// each as the moves of its walk, and cut that sequence into equal
+/// segments. A cycle a cut falls inside is cut there; every other cycle
+/// is moved whole by the segment it falls in. So the segment list is as
+/// long as the pool is wide, whatever the number of cycles.
+#[derive(Debug)]
+pub(crate) struct Cycles {
+    pages: Pages,
+    /// One bit per page, clear exactly on the leaders of the cycles with
+    /// pages to move.
+    marks: Vec<u64>,
+    /// Cycles, fixed points included.
+    pub(crate) count: usize,
+    /// Pages in the longest cycle.
+    pub(crate) longest: usize,
+    /// One per worker, in order.
+    pub(crate) segments: Vec<Segment>,
+}
+
+impl Cycles {
+    /// Scan the cycles of `pages` and cut their moves into a segment per
+    /// worker for `threads` workers, fewer when a segment would move less
+    /// than a worker's grain. Index arithmetic only: no page is read.
+    pub(crate) fn scan(pages: Pages, threads: usize) -> Cycles {
+        let total = pages.count();
+        let moved = total - (0..total).filter(|&y| pages.source(y) == y).count();
+        let parts = threads.min(moved / grain(pages.l)).max(1);
+        // The move at which segment `k` begins.
+        let start = |k: usize| k * (moved / parts) + k.min(moved % parts);
+        let mut marks = vec![0u64; total.div_ceil(64)];
+        let mut segments: Vec<Segment> = Vec::with_capacity(parts);
+        let (mut count, mut longest, mut done) = (0, 0, 0);
+        for leader in 0..total {
+            if marks[leader / 64] >> (leader % 64) & 1 == 1 {
+                continue;
+            }
+            count += 1;
+            if pages.source(leader) == leader {
+                // A fixed point: nothing moves, so no segment visits it.
+                marks[leader / 64] |= 1 << (leader % 64);
+                longest = longest.max(1);
+                continue;
+            }
+            let (mut to, mut len) = (leader, 0);
+            loop {
+                let k = segments.len();
+                if k < parts && done + len == start(k) {
+                    if let Some(prev) = segments.last_mut().filter(|_| len > 0) {
+                        prev.close = Some(to);
+                    }
+                    segments.push(Segment {
+                        leader,
+                        first: to,
+                        moves: start(k + 1) - start(k),
+                        close: None,
+                    });
+                }
+                let from = pages.source(to);
+                len += 1;
+                if from == leader {
+                    break;
+                }
+                marks[from / 64] |= 1 << (from % 64);
+                to = from;
+            }
+            longest = longest.max(len);
+            done += len;
+        }
+        Cycles {
+            pages,
+            marks,
+            count,
+            longest,
+            segments,
+        }
+    }
+
+    /// Elements per page, `L`.
+    pub(crate) fn page_len(&self) -> usize {
+        self.pages.l
+    }
+
+    /// The number of pages.
+    pub(crate) fn pages(&self) -> usize {
+        self.pages.count()
+    }
+
+    /// The page whose content moves to page `y`.
+    #[inline]
+    pub(crate) fn source(&self, y: usize) -> usize {
+        self.pages.source(y)
+    }
+
+    /// The first leader of a cycle with pages to move from page `y` on.
+    pub(crate) fn next_leader(&self, y: usize) -> usize {
+        (y..self.pages.count())
+            .find(|&y| self.marks[y / 64] >> (y % 64) & 1 == 0)
+            .expect("a segment ends on its last move")
+    }
 }
 
 #[cfg(test)]
@@ -115,5 +275,90 @@ mod tests {
         assert_eq!(tile_side::<[u8; 4096]>(2, 2), None);
         assert_eq!(tile_side::<[u8; 8192]>(2, 2), None);
         assert_eq!(tile_side::<()>(4096, 4096), None);
+    }
+
+    /// The cycles of `pages` by a brute-force walk of the index map:
+    /// their lengths, in the order of their smallest pages.
+    fn brute_force(pages: Pages) -> Vec<usize> {
+        let total = pages.count();
+        // Where each page moves: the inverse of `source`.
+        let mut dest = vec![usize::MAX; total];
+        for y in 0..total {
+            let (b, s, a) = (y / (pages.l * pages.p), y / pages.p % pages.l, y % pages.p);
+            let x = (a * pages.l + s) * pages.q + b;
+            assert_eq!(pages.source(y), x);
+            assert_eq!(dest[x], usize::MAX, "a bijection");
+            dest[x] = y;
+        }
+        let mut seen = vec![false; total];
+        let mut lengths = Vec::new();
+        for x in 0..total {
+            let mut len = 0;
+            let mut y = x;
+            while !seen[y] {
+                seen[y] = true;
+                len += 1;
+                y = dest[y];
+            }
+            if len > 0 {
+                lengths.push(len);
+            }
+        }
+        lengths
+    }
+
+    #[test]
+    fn the_scan_counts_the_cycles_and_cuts_every_move_into_one_segment() {
+        for (p, l, q) in [
+            (1usize, 8usize, 1usize),
+            (2, 8, 3),
+            (3, 8, 2),
+            (4, 8, 4),
+            (5, 16, 1),
+            (1, 16, 6),
+            (2, 512, 3),
+            (6, 8, 5),
+        ] {
+            let pages = Pages::of(Direction::C2r, (p * l, q * l), l);
+            let lengths = brute_force(pages);
+            let moved: usize = lengths.iter().filter(|&&c| c > 1).sum();
+            for threads in [1usize, 2, 3, 7] {
+                let cycles = Cycles::scan(pages, threads);
+                let what = format!("{p} x {l} x {q}, {threads} threads");
+                assert_eq!(cycles.count, lengths.len(), "{what}");
+                assert_eq!(Some(&cycles.longest), lengths.iter().max(), "{what}");
+                let segments = &cycles.segments;
+                assert!(segments.len() <= threads, "{what}");
+                // Walk each segment as the page pass does: every page that
+                // moves is written once, the segments are equal, and each
+                // one that ends inside a cycle ends where the next begins.
+                let mut written = vec![0u8; pages.count()];
+                for (k, seg) in segments.iter().enumerate() {
+                    let (mut leader, mut y) = (seg.leader, seg.first);
+                    for i in 0..seg.moves {
+                        written[y] += 1;
+                        y = cycles.source(y);
+                        if y == leader && i + 1 < seg.moves {
+                            leader = cycles.next_leader(leader + 1);
+                            y = leader;
+                        }
+                    }
+                    let next = segments.get(k + 1);
+                    let inside = next.is_some_and(|n| n.first != n.leader);
+                    assert_eq!(seg.close.is_some(), inside, "{what}: segment {k}");
+                    if let (Some(close), Some(n)) = (seg.close, next) {
+                        assert_eq!(close, n.first, "{what}");
+                        assert_eq!(y, close, "{what}: segment {k} ends at the next");
+                    }
+                    let (lo, hi) = (moved / segments.len(), moved.div_ceil(segments.len()));
+                    assert!((lo..=hi).contains(&seg.moves), "{what}: {segments:?}");
+                }
+                for (y, &w) in written.iter().enumerate() {
+                    let fixed = cycles.source(y) == y;
+                    assert_eq!(w, u8::from(!fixed), "{what}: page {y}");
+                }
+                assert_eq!(segments.is_empty(), moved == 0, "{what}");
+            }
+        }
     }
 }

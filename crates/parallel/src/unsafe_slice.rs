@@ -4,29 +4,33 @@
 //! `ipt_pool` can split a slice into disjoint *contiguous* chunks safely
 //! (`par_chunks_exact_mut`), but the decomposition's column operations
 //! partition a row-major matrix into disjoint **column groups** — strided,
-//! interleaved index sets that the borrow checker cannot express. This
-//! module provides a `Send + Sync` pointer wrapper whose soundness
-//! argument is purely about index disjointness.
+//! interleaved index sets that the borrow checker cannot express — and
+//! the tiled route into tiles and into the pages of disjoint cycle
+//! segments. This module provides a `Send + Sync` pointer wrapper whose
+//! soundness argument is purely about index disjointness.
 //!
-//! It is one of the workspace's four `unsafe` sites (every other crate
-//! has none, and most forbid it):
+//! It is one of the workspace's three `unsafe` sites (every other crate
+//! has none, and most forbid it). The page pass's page moves add none:
+//! they go through this wrapper.
 //!
-//! * this wrapper, reached only through the column-group executor's
-//!   accessors in `exec`;
-//! * `tiled::as_blocks`, the cast of an element buffer to 4 KiB byte
-//!   blocks;
-//! * `two_level::transpose_tile_avx2`, the AVX2 tile kernel's unaligned
-//!   loads and stores;
+//! * this wrapper, reached only through the executor in `exec`: the
+//!   group accessors, the row slices ([`UnsafeSlice::run_mut`]) the
+//!   scalar tile kernel moves a claimed tile through, and the page
+//!   pass's page moves;
+//! * `tile::transpose_tile_avx2`, the AVX2 tile kernel's unaligned
+//!   loads and stores, through the pointer [`UnsafeSlice::ptr_at`] hands
+//!   out for a claimed tile;
 //! * in `ipt-pool`, the handoff of a lifetime-erased job to the workers.
 //!
 //! # Safety contract
 //!
-//! Every parallel column operation partitions `[0, m) x [0, n)` into
-//! groups of distinct column indices; a task for group `g` only touches
-//! linear indices `i*n + j` with `j` in group `g`. Since the groups
-//! partition the columns, no linear index is reachable from two tasks, so
-//! concurrent `&mut`-like access through the raw pointer never aliases.
-//! All accessors bounds-check in debug builds.
+//! Every parallel group operation partitions `[0, m) x [0, n)` into
+//! disjoint rectangles — column groups of all rows, or `L x L` tiles —
+//! and a task for group `g` only touches linear indices `i*n + j` with
+//! `(i, j)` in group `g`; the page pass partitions the pages among its
+//! segments the same way. No linear index is reachable from two tasks,
+//! so concurrent `&mut`-like access through the raw pointer never
+//! aliases. All accessors bounds-check in debug builds.
 //!
 //! # Checked mode
 //!
@@ -43,10 +47,12 @@
 //! offending `(row, col)`, and the operation's geometry (m, n, group
 //! width — the Eq. 24/31 parameters).
 //!
-//! Claims have one shape, the **column group**
-//! ([`UnsafeSlice::claim_columns`]): all rows of a contiguous column
-//! range, one owner per group (the §5.1 column-parallel passes, all run
-//! by the column-group executor in `exec`).
+//! Claims have one shape, the **rectangle**
+//! ([`UnsafeSlice::claim_rect`]): a contiguous row range by a contiguous
+//! column range, one owner per task. A column group (the §5.1
+//! column-parallel passes) is all rows of its columns, a tile is `L`
+//! rows by `L` columns, and a page of the page pass is one row of a
+//! scope whose rows are pages.
 //!
 //! Each shadow cell stores `epoch << 16 | owner_tag` (`owner_tag` = owner
 //! group + 1; 0 = unclaimed). Claims use an atomic `swap`, so of two
@@ -61,6 +67,7 @@
 //! `cargo test` dogfoods it) and off in release builds.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -253,30 +260,71 @@ impl<'a, T: Copy> UnsafeSlice<'a, T> {
         self.len
     }
 
-    /// Claim columns `[j0, j0 + gw)` across all rows for `owner` (the
-    /// column-group index), and make `owner` this thread's identity for
-    /// subsequent accesses. Panics if any cell is already claimed by a
-    /// different owner in this scope. No-op when checking is off.
-    #[inline]
+    /// Claim columns `[j0, j0 + gw)` across all rows for `owner`: a
+    /// column group, as [`claim_rect`](Self::claim_rect) claims it.
+    #[cfg(test)]
     pub(crate) fn claim_columns(&self, owner: usize, j0: usize, gw: usize) {
+        let rows = self
+            .shadow
+            .map_or(0, |sh| self.len.checked_div(sh.cols).unwrap_or(0));
+        self.claim_rect(owner, 0..rows, j0..j0 + gw);
+    }
+
+    /// Claim the cells of `rows` x `cols` for `owner` (the task index),
+    /// and make `owner` this thread's identity for subsequent accesses.
+    /// Panics if any cell is already claimed by a different owner in this
+    /// scope. No-op when checking is off.
+    #[inline]
+    pub(crate) fn claim_rect(&self, owner: usize, rows: Range<usize>, cols: Range<usize>) {
         let Some(sh) = self.shadow else { return };
         let tag = owner_tag(owner);
         CURRENT_CLAIM.with(|c| c.set((sh.id, tag)));
         let word = sh.word(tag);
-        let rows = self.len.checked_div(sh.cols).unwrap_or(0);
-        for i in 0..rows {
+        for i in rows {
             let base = i * sh.cols;
-            for j in j0..j0 + gw {
+            for j in cols.clone() {
                 // swap: of two racing claimants, one must see the other.
                 let prev = sh.cells[base + j].swap(word, Ordering::Relaxed);
                 match sh.decode(prev) {
                     Some(t) if t != 0 && t != tag => {
-                        violation(sh, "overlapping column claim", base + j, t, tag)
+                        violation(sh, "overlapping claim", base + j, t, tag)
                     }
                     _ => {}
                 }
             }
         }
+    }
+
+    /// The `len` elements from `idx` as a slice, for a kernel that moves
+    /// a claimed run itself. In checked mode every index of the run is
+    /// verified as [`set`](Self::set) verifies one, once, here.
+    ///
+    /// # Safety
+    ///
+    /// `idx + len <= len()`, no concurrent task may touch the run, and no
+    /// other reference to any of its elements may be live while the
+    /// returned one is.
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // the caller's contract makes it unique
+    pub(crate) unsafe fn run_mut(&self, idx: usize, len: usize) -> &'a mut [T] {
+        debug_assert!(idx + len <= self.len);
+        if let Some(sh) = self.shadow {
+            for i in idx..idx + len {
+                self.check_access(sh, i, "unclaimed write");
+            }
+        }
+        // SAFETY: caller guarantees bounds, exclusivity and that no other
+        // reference to the run is live.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(idx), len) }
+    }
+
+    /// A raw pointer to element `idx`, for a kernel that moves a claimed
+    /// rectangle itself. Checked mode verifies the claim, not the
+    /// kernel's accesses through the pointer.
+    #[inline]
+    pub(crate) fn ptr_at(&self, idx: usize) -> *mut T {
+        debug_assert!(idx < self.len);
+        self.ptr.wrapping_add(idx)
     }
 
     /// Verify `idx` is claimed by this thread's current owner.
@@ -346,6 +394,29 @@ impl<'a, T: Copy> UnsafeSlice<'a, T> {
         // SAFETY: caller guarantees bounds and non-aliasing; `out` is a
         // caller-owned buffer, so it cannot overlap the wrapped slice.
         unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(idx), out.as_mut_ptr(), out.len()) }
+    }
+
+    /// Copy the `len` elements starting at `from` over the `len` starting
+    /// at `to` (one page of the page pass). In checked mode every index of
+    /// both runs is verified as [`get`](Self::get) and [`set`](Self::set)
+    /// verify one.
+    ///
+    /// # Safety
+    ///
+    /// Both runs are inside the slice and do not overlap, and no
+    /// concurrent task may write the first or touch the second.
+    #[inline]
+    pub(crate) unsafe fn copy_run(&self, from: usize, to: usize, len: usize) {
+        debug_assert!(from.max(to) + len <= self.len && from.abs_diff(to) >= len);
+        if let Some(sh) = self.shadow {
+            for i in 0..len {
+                self.check_access(sh, from + i, "unclaimed read");
+                self.check_access(sh, to + i, "unclaimed write");
+            }
+        }
+        // SAFETY: caller guarantees bounds, exclusivity and that the runs
+        // do not overlap.
+        unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(from), self.ptr.add(to), len) }
     }
 
     /// Copy `run` into the `run.len()` elements starting at `idx` (one

@@ -318,8 +318,40 @@ fn tiled_route_matches_core_on_large_elements() {
     });
 }
 
-/// Small enough for miri (`scripts/ci.sh miri`), which checks the
-/// route's byte-block cast.
+/// Every grid of `P x Q` tiles with `P, Q <= 6` — one tile, `P == Q`
+/// (the page permutation is an involution), coprime `P` and `Q`, one
+/// tile row or column — on 512-byte (`L = 8`) and 256-byte (`L = 16`)
+/// elements, and the padded 8-byte struct at 1024 x 1536, at one worker
+/// (every cycle moved whole) and at two (long cycles cut into pieces).
+#[test]
+fn tiled_route_matches_core_on_every_grid_up_to_6_x_6() {
+    let _phases = phase_lock();
+    force_multithreaded_pool();
+    #[repr(C)]
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    struct Padded {
+        a: u32,
+        b: u16,
+    }
+    let wide = ipt_pool::num_threads();
+    for threads in [1, wide] {
+        ipt_pool::set_num_threads(threads);
+        for p in 1..=6 {
+            for q in 1..=6 {
+                tiled_matches_core(8 * p, 8 * q, 8, big_u64);
+                tiled_matches_core(16 * p, 16 * q, 16, big_u32);
+            }
+        }
+        tiled_matches_core(1024, 1536, 512, |i| Padded {
+            a: i as u32,
+            b: (i % 65_521) as u16,
+        });
+    }
+    ipt_pool::set_num_threads(wide);
+}
+
+/// Small enough for miri (`scripts/ci.sh miri`), which checks the tile
+/// kernels' and the page pass's accesses.
 #[test]
 fn tiled_route_edge_shapes() {
     let _phases = phase_lock();
@@ -350,7 +382,7 @@ fn shapes_off_the_route_run_no_tile_phase() {
         r2c_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
         let d = ipt_pool::stats::snapshot().delta_since(&before);
         assert_same(&a, &orig, &format!("{m}x{n} round trip"));
-        for name in [phases::CHUNK_TRANSPOSE, phases::BLOCK_PERMUTE] {
+        for name in [phases::CHUNK_TRANSPOSE, phases::PAGE_PERMUTE] {
             assert!(d.phase(name).is_none(), "{m}x{n} ran {name}: {d:?}");
         }
         assert!(d.phase(phases::ROW_SHUFFLE).is_some(), "{d:?}");
@@ -361,22 +393,29 @@ fn shapes_off_the_route_run_no_tile_phase() {
 fn tiled_route_records_every_pass_once_it_succeeds() {
     let _phases = phase_lock();
     force_multithreaded_pool();
-    // 24 x 40 elements of [u64; 64]: L = 8, so P = 3 tiles per panel and
-    // the panel pass runs. The block-level passes are checked as lower
-    // bounds only.
+    // 24 x 40 elements of [u64; 64]: L = 8, so P = 3 by Q = 5 tiles, and
+    // the tile pass and the page pass each run once over the buffer, in
+    // both directions. No other pass runs.
     let (m, n) = (24usize, 40usize);
     let mut a: Vec<[u64; 64]> = (0..m * n).map(big_u64).collect();
-    let before = ipt_pool::stats::snapshot();
-    c2r_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
-    let d = ipt_pool::stats::snapshot().delta_since(&before);
     let pass = 2 * (m * n * 512) as u64;
-    for name in [phases::CHUNK_TRANSPOSE, phases::BLOCK_PERMUTE] {
-        let p = d.phase(name).unwrap_or_else(|| panic!("{name}: {d:?}"));
-        assert_eq!((p.calls, p.bytes), (1, pass), "{name}: {d:?}");
-    }
-    for name in [phases::ROW_SHUFFLE, phases::COL_SHUFFLE] {
-        let p = d.phase(name).unwrap_or_else(|| panic!("{name}: {d:?}"));
-        assert!(p.calls >= 1 && p.bytes >= pass, "{name}: {d:?}");
+    for dir in ["c2r", "r2c"] {
+        let before = ipt_pool::stats::snapshot();
+        if dir == "c2r" {
+            c2r_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
+        } else {
+            r2c_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
+        }
+        let d = ipt_pool::stats::snapshot().delta_since(&before);
+        for name in [phases::CHUNK_TRANSPOSE, phases::PAGE_PERMUTE] {
+            let p = d
+                .phase(name)
+                .unwrap_or_else(|| panic!("{dir} {name}: {d:?}"));
+            assert_eq!((p.calls, p.bytes), (1, pass), "{dir} {name}: {d:?}");
+        }
+        for name in phases::ALL.iter().chain(&[phases::BLOCK_PERMUTE]) {
+            assert!(d.phase(name).is_none(), "{dir} ran {name}: {d:?}");
+        }
     }
 }
 
@@ -397,7 +436,7 @@ fn degenerate_shapes_run_and_record_no_pass() {
         }
         let d = ipt_pool::stats::snapshot().delta_since(&before);
         assert_eq!(a, orig, "{m}x{n}");
-        let tiled = [phases::CHUNK_TRANSPOSE, phases::BLOCK_PERMUTE];
+        let tiled = [phases::CHUNK_TRANSPOSE, phases::PAGE_PERMUTE];
         for name in phases::ALL.iter().chain(&tiled) {
             assert!(d.phase(name).is_none(), "{m}x{n} ran {name}: {d:?}");
         }

@@ -30,10 +30,11 @@
 #                        IPT_FAULT + IPT_CHECK=1 must exit 4 (structured
 #                        abort) or 0 — never SIGSEGV
 #   tier 3  miri         cargo +nightly miri over ipt-core + ipt-pool,
-#                        and ipt-parallel's small tiled, two-level and
-#                        skinny-route tests; then, as a soft step, the
-#                        two-level tests again with AVX2 enabled, so the
-#                        AVX2 tile kernel runs under the interpreter;
+#                        and ipt-parallel's small tiled-route (tiles and
+#                        page pass), two-level and skinny-route tests;
+#                        then, as a soft step, the tile tests again with
+#                        AVX2 enabled, so the AVX2 tile kernel runs under
+#                        the interpreter;
 #                        skips gracefully when no nightly+miri toolchain
 #                        is installed (CI runs it as a soft-fail job)
 #   tier 3  fault smoke  an IPT_FAULT=panic:0.05 bench run must exit
@@ -142,23 +143,24 @@ miri_stage() {
     # skip the soak-sized tests via the harness's own #[ignore] tags.
     MIRIFLAGS="-Zmiri-disable-isolation" \
         rustup run nightly cargo miri test -p ipt-core -p ipt-pool
-    # ipt-parallel's tiled route casts element buffers to 4 KiB byte
-    # blocks: run only its small tests (the route test, the two-level
-    # transpose's tile kernel and stacks, the skinny route's small shapes,
-    # and the edge shapes on 256- and 512-byte elements).
+    # ipt-parallel's raw-pointer paths, through their small tests only:
+    # the tile kernels, the page pass's cycle scan and its resumed
+    # segments, the two-level stacks, the skinny route's small shapes,
+    # and the edge shapes on 256- and 512-byte elements.
     MIRIFLAGS="-Zmiri-disable-isolation" \
         rustup run nightly cargo miri test -p ipt-parallel --lib -- \
-        tiled:: two_level:: skinny::
+        tiled:: tile:: two_level:: skinny:: \
+        exec::tests::page_segments_torn_at_any_move
     MIRIFLAGS="-Zmiri-disable-isolation" \
         rustup run nightly cargo miri test -p ipt-parallel --test properties \
         tiled_route_edge_shapes
     # The steps above run the scalar tile kernel (miri detects no CPU
-    # feature). With AVX2 on at compile time the chunk pass takes the
+    # feature). With AVX2 on at compile time the tile pass takes the
     # AVX2 kernel, so the interpreter checks its raw-pointer loads and
     # stores. Soft: a miri that lacks one of the intrinsics stops with
     # "unsupported operation", which says nothing about the kernel.
     if ! RUSTFLAGS="-C target-feature=+avx2" MIRIFLAGS="-Zmiri-disable-isolation" \
-        rustup run nightly cargo miri test -p ipt-parallel --lib -- two_level::; then
+        rustup run nightly cargo miri test -p ipt-parallel --lib -- tile::; then
         echo "miri: the AVX2 tile kernel step failed (soft; see above)"
     fi
 }

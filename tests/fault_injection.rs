@@ -283,8 +283,8 @@ fn armed_retry_recovers_every_injected_panic() {
             );
             injected_here += panics;
         }
-        // Tiled shapes (L = 512 for u64), both directions: the block-level
-        // passes, the tile pass and the panel permute all fault and heal.
+        // Tiled shapes (L = 512 for u64), both directions: the tile pass
+        // and the page pass both fault and heal.
         for (m, n) in TILED_SHAPES {
             for (dir, (result, panics, _)) in [("C2R", run_c2r(m, n)), ("R2C", run_r2c(m, n))] {
                 assert!(
@@ -427,16 +427,14 @@ fn the_tiled_steps_are_fault_sites_and_name_the_step_that_tore() {
     let _guard = setup();
     set_num_threads(2);
     // Each call's first step with work to do tears, and the abort names
-    // it: R2C opens with the panel permute when a panel holds two tiles
-    // (m = 1024), and with the tiles when it holds one (m = 512, the
-    // permute is skipped); C2R opens with the tiles when there is one
-    // block column (n = 512, block-level C2R is trivial), and with the
-    // block-level pre-rotation otherwise (gcd(512, 2) > 1).
+    // it: C2R opens with the tiles, R2C with the page permutation unless
+    // the matrix is one tile (512 x 512), whose pages are in place.
     let cases = [
-        ("r2c", 1024usize, 512usize, phases::BLOCK_PERMUTE),
-        ("r2c", 512, 1024, phases::CHUNK_TRANSPOSE),
+        ("r2c", 1024usize, 512usize, phases::PAGE_PERMUTE),
+        ("r2c", 512, 1024, phases::PAGE_PERMUTE),
+        ("r2c", 512, 512, phases::CHUNK_TRANSPOSE),
         ("c2r", 1024, 512, phases::CHUNK_TRANSPOSE),
-        ("c2r", 512, 1024, phases::PRE_ROTATE),
+        ("c2r", 512, 1024, phases::CHUNK_TRANSPOSE),
     ];
     let run = |dir, m, n| {
         if dir == "c2r" {
@@ -451,8 +449,10 @@ fn the_tiled_steps_are_fault_sites_and_name_the_step_that_tore() {
     ] {
         let _forced = Forced::new(mode);
         for (dir, m, n, phase) in cases {
-            // The tile pass runs on contiguous blocks: no skew site.
-            if matches!(mode, FaultMode::Skew(_)) && phase == phases::CHUNK_TRANSPOSE {
+            // Neither tiled pass has a skew site: a tile kernel moves its
+            // claimed tile through row slices or a pointer, and a page
+            // move is one run copy.
+            if matches!(mode, FaultMode::Skew(_)) {
                 continue;
             }
             let armed = Armed::new(0);
@@ -509,6 +509,46 @@ fn the_tiled_steps_are_fault_sites_and_name_the_step_that_tore() {
         let _armed = Armed::new(1);
         assert!(run().is_ok(), "{route}: armed run aborted");
     }
+}
+
+#[test]
+fn a_panic_mid_piece_of_a_long_cycle_names_the_page_pass_and_heals_on_retry() {
+    let _guard = setup();
+    set_num_threads(2);
+    // R2C of 1536 x 2560 u64 opens with the page permutation of its
+    // 2560 x 1536 input: P = 5 by Q = 3 tiles of L = 512, 7680 pages. Two
+    // are fixed; the longest cycle holds 6178 of the 7678 that move, more
+    // than a worker's half, so the cut between the two workers' segments
+    // falls inside it and the second segment starts in the middle of it.
+    // The pass's fault site is the middle move of every segment, so at
+    // rate 1.0 each one, that second segment included, tears half moved.
+    let (m, n) = (1536usize, 2560usize);
+    let core = ipt::core::Plan::new(m * n, n, m, Layout::RowMajor, ipt::core::Algorithm::R2c);
+    let plan = ipt::parallel::Plan::new(core, 8, &ParOptions::default()).to_string();
+    assert!(
+        plan.contains("page permutation: 7680 pages in 14 cycles, the longest 6178 pages"),
+        "{plan}"
+    );
+    let _forced = Forced::new(FaultMode::Panic(1.0));
+    let armed = Armed::new(0);
+    let (result, panics, _) = run_r2c(m, n);
+    let e = result.expect_err("rate 1.0 must tear the page pass");
+    assert_eq!(e.phase, phases::PAGE_PERMUTE, "{e}");
+    assert!(
+        e.source.payload.contains("injected panic at page_permute"),
+        "{e}"
+    );
+    assert!(panics >= 2, "every segment has a fault site: {panics}");
+    drop(armed);
+    // Armed, the same tears heal: the retry resumes every segment from
+    // its middle move, which tears it again, and the last rung finishes
+    // each on plain indexing (run_r2c checks the output).
+    let _armed = Armed::new(1);
+    let before = stats::snapshot();
+    let (result, _, _) = run_r2c(m, n);
+    let d = stats::snapshot().delta_since(&before);
+    assert!(result.is_ok(), "armed run aborted: {}", result.unwrap_err());
+    assert!(d.retries_attempted >= 2 && d.recovered >= 1, "{d:?}");
 }
 
 #[test]
