@@ -329,9 +329,13 @@ pub fn main(args: &[String]) -> ExitCode {
     let pred = predict_for(&d, alg, m, n, elem).expect("c2r/r2c always have a prediction");
     let nanos_only: Vec<(&str, u64)> = measured.iter().map(|&(p, ns, _)| (p, ns)).collect();
     let breakdown = PhaseBreakdown::new(&pred, &nanos_only);
+    let w = breakdown
+        .phases
+        .iter()
+        .fold("phase".len(), |w, p| w.max(p.name.len()));
     println!();
     println!(
-        "  {:<12} {:>9} {:>9} {:>7} {:>11} {:>14}",
+        "  {:<w$} {:>9} {:>9} {:>7} {:>11} {:>14}",
         "phase", "predicted", "measured", "|diff|", "meas GB/s", "txns/transpose"
     );
     for p in &breakdown.phases {
@@ -341,7 +345,7 @@ pub fn main(args: &[String]) -> ExitCode {
             .and_then(|&(_, ns, bytes)| (ns > 0).then(|| bytes as f64 / (ns as f64 / 1e9) / 1e9));
         let txns = pred.phase(&p.name).map(|t| t.transactions);
         println!(
-            "  {:<12} {:>8.1}% {:>8.1}% {:>6.1}% {:>11} {:>14}",
+            "  {:<w$} {:>8.1}% {:>8.1}% {:>6.1}% {:>11} {:>14}",
             p.name,
             p.predicted * 100.0,
             p.measured * 100.0,
@@ -384,15 +388,16 @@ pub fn main(args: &[String]) -> ExitCode {
 /// marked not modelled, and no share or divergence is compared.
 fn print_tiled(measured: &[MeasuredPhase]) {
     println!("  the model predicts the element path only: no phase below is modelled");
+    let w = measured.iter().fold("phase".len(), |w, p| w.max(p.0.len()));
     println!();
     println!(
-        "  {:<14} {:>13} {:>9} {:>11}",
+        "  {:<w$} {:>13} {:>9} {:>11}",
         "phase", "predicted", "measured", "meas GB/s"
     );
     let total: u64 = measured.iter().map(|&(_, ns, _)| ns).sum();
     for &(name, ns, bytes) in measured {
         println!(
-            "  {:<14} {:>13} {:>8.1}% {:>11.3}",
+            "  {:<w$} {:>13} {:>8.1}% {:>11.3}",
             name,
             "not modelled",
             ns as f64 / total.max(1) as f64 * 100.0,

@@ -1021,6 +1021,26 @@ fn model_on_a_tiled_shape_prints_the_route_and_models_no_phase() {
         assert!(row.contains("not modelled"), "{row}");
     }
     assert!(!stdout.contains("divergence"), "{stdout}");
+    // The table's columns line up: every row is as long as the heading,
+    // and each right-aligned column ends where its heading does.
+    let table: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("phase"))
+        .take_while(|l| !l.trim().is_empty())
+        .collect();
+    assert_eq!(table.len(), 3, "{stdout}");
+    let head = table[0];
+    for row in &table[1..] {
+        assert_eq!(row.len(), head.len(), "{row:?} under {head:?}");
+        for col in ["predicted", "measured", "GB/s"] {
+            let end = head.find(col).unwrap() + col.len();
+            let b = row.as_bytes();
+            assert!(
+                b[end - 1] != b' ' && b.get(end).is_none_or(|&c| c == b' '),
+                "{col} of {row:?} under {head:?}"
+            );
+        }
+    }
     // The gate cannot judge a route the model does not describe.
     let out = ipt(&[&shape[..], &["--samples", "1", "--max-divergence", "0.9"]].concat());
     assert_eq!(out.status.code(), Some(2));

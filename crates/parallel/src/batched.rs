@@ -1,18 +1,19 @@
 //! Batched transposition: many same-shape matrices in one call.
 //!
 //! Workloads like multi-channel images, attention heads or per-timestep
-//! state often hold a contiguous run of `batch` matrices of identical
-//! shape. Transposing them shares everything the decomposition
-//! precomputes — the `C2rParams` (gcd structure, modular inverses,
-//! strength-reduced reciprocals) are built **once** — and the batch
-//! dimension is embarrassingly parallel, so each worker transposes
-//! whole matrices with its own scratch row (kept by the worker thread
-//! across calls).
+//! state often hold a contiguous run of `batch` matrices (heads) of
+//! identical shape. A batch runs as the element path on the stack of its
+//! heads: the plan and its `C2rParams` (gcd structure, modular inverses,
+//! strength-reduced reciprocals) are resolved **once**, and each pass is
+//! one dispatch over every head — the column passes one task per head
+//! and column group, the row shuffle one task per row of the stack. So a
+//! batched call is recorded, faulted, checked and recovered under the
+//! element path's pass names. A stack never takes the tiled route.
 
-use crate::exec::run_blocks;
-use crate::{phases, run_pass, TransposeAborted};
-use ipt_core::index::C2rParams;
-use ipt_core::{permute, shape_len, Algorithm, Direction, Layout, Plan};
+use std::mem::size_of;
+
+use crate::{elements, Plan, Route, TransposeAborted};
+use ipt_core::{shape_len, Algorithm, Layout};
 
 /// C2R-transpose `batch` contiguous `m x n` row-major matrices in place;
 /// each becomes its `n x m` row-major transpose.
@@ -64,12 +65,8 @@ pub fn transpose_batched<T: Copy + Send + Sync + 'static>(
 }
 
 /// Check that `data` holds `batch` `rows x cols` matrices, resolve one
-/// matrix's plan, and run its direction's sequential `ipt_core::permute`
-/// steps on each matrix, one executor task per matrix, as one
-/// [`phases::BATCHED`] pass. The parameters are built once for the whole
-/// batch, and each task takes a `max(m, n)`-element scratch row. The
-/// steps have no fault site inside, so they are also the recovery
-/// ladder's redo.
+/// matrix's plan ([`Plan::stacked`]), and run its element path on the
+/// stack of `batch` heads.
 fn run<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     batch: usize,
@@ -83,33 +80,13 @@ fn run<T: Copy + Send + Sync + 'static>(
         shape_len(batch, len),
         "buffer must hold `batch` {rows} x {cols} matrices"
     );
-    let plan = Plan::new(len, rows, cols, layout, algorithm);
-    let Some(p) = &plan.params else {
-        return Ok(()); // a vector is its own transpose
-    };
-    if batch == 0 {
-        return Ok(());
+    let core = ipt_core::Plan::new(len, rows, cols, layout, algorithm);
+    match Plan::stacked(core, size_of::<T>()).route {
+        Route::Elements { params, w, h } if batch > 0 => {
+            elements(data, core.direction, &params, w, h, batch)
+        }
+        _ => Ok(()), // no heads, or heads that are vectors
     }
-    let step: fn(&mut [T], &C2rParams, &mut [T]) = match plan.direction {
-        Direction::C2r => |mat, p, tmp| {
-            permute::prerotate_cycles(mat, p);
-            permute::row_shuffle_gather(mat, p, tmp);
-            permute::col_shuffle_decomposed(mat, p, tmp);
-        },
-        Direction::R2c => |mat, p, tmp| {
-            permute::row_permute_inverse(mat, p, tmp);
-            permute::col_rotate_inverse(mat, p);
-            permute::row_shuffle_gather_forward(mat, p, tmp);
-            permute::postrotate_inverse(mat, p);
-        },
-    };
-    let task = |tmp: &mut ipt_pool::Scratch<T>, _: usize, mat: &mut [T]| {
-        let fill = mat[0];
-        step(mat, p, tmp.uninit_buf(p.m.max(p.n), fill));
-    };
-    run_pass(phases::BATCHED, data, |data| {
-        run_blocks(data, len, phases::BATCHED, task, task)
-    })
 }
 
 #[cfg(test)]

@@ -41,6 +41,7 @@ use crate::exec::{run_column_groups, Group};
 use crate::phases;
 use ipt_core::gcd::gcd;
 use ipt_core::index::C2rParams;
+use ipt_core::Direction;
 use ipt_pool::{PoolError, Scratch, WorkerState};
 
 /// Why a group's body may unwrap the matrix's first element: the
@@ -48,14 +49,13 @@ use ipt_pool::{PoolError, Scratch, WorkerState};
 /// that is zero.
 const NON_EMPTY: &str = "a matrix with a column group has a first element";
 
-/// Rotate every column `j` left by `amount(j)` using the two-phase
-/// cache-aware scheme, column groups of width `w` in parallel. `site` is
-/// the pass's [`phases`] name, its fault sites.
+/// Rotate every column `j` of each of a stack of `heads` `m x n`
+/// matrices left by `amount(j)` using the two-phase cache-aware scheme,
+/// column groups of width `w` in parallel, one task per head and group.
+/// `site` is the pass's [`phases`] name, its fault sites.
 pub fn rotate_columns_cache_aware<T, A>(
     data: &mut [T],
-    m: usize,
-    n: usize,
-    w: usize,
+    (heads, m, n, w): (usize, usize, usize, usize),
     block_rows: usize,
     site: &'static str,
     amount: A,
@@ -68,7 +68,7 @@ where
     let fill = data.first().copied();
     run_column_groups(
         data,
-        (m, n, w),
+        (heads, m, n, w),
         site,
         |st: &mut Subrows<T>, g| {
             let fill = fill.expect(NON_EMPTY);
@@ -379,7 +379,7 @@ pub(crate) fn transpose_blocks<T: Copy + Send + Sync + 'static>(
     let fill = data[0];
     run_column_groups(
         data,
-        (m, k, w),
+        (1, m, k, w),
         site,
         |st: &mut Subrows<T>, g| {
             let visited = st.visited.uninit_buf(m, false);
@@ -398,12 +398,7 @@ pub fn prerotate<T: Copy + Send + Sync + 'static>(
     w: usize,
     h: usize,
 ) -> Result<(), PoolError> {
-    if p.coprime() {
-        return Ok(());
-    }
-    rotate_columns_cache_aware(data, p.m, p.n, w, h, phases::PRE_ROTATE, |j| {
-        p.rotate_amount(j)
-    })
+    rotation(data, 1, p, (w, h), Direction::C2r)
 }
 
 /// Cache-aware R2C step 4: undo the pre-rotation (`r^-1_j`, Eq. 36).
@@ -413,13 +408,31 @@ pub fn postrotate_inverse<T: Copy + Send + Sync + 'static>(
     w: usize,
     h: usize,
 ) -> Result<(), PoolError> {
+    rotation(data, 1, p, (w, h), Direction::R2c)
+}
+
+/// The element path's rotation in `dir` — [`prerotate`] for C2R,
+/// [`postrotate_inverse`] for R2C — on every head of a stack of `heads`
+/// `p.m x p.n` matrices; nothing when `gcd(m, n) = 1`.
+pub(crate) fn rotation<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    heads: usize,
+    p: &C2rParams,
+    (w, h): (usize, usize),
+    dir: Direction,
+) -> Result<(), PoolError> {
     if p.coprime() {
         return Ok(());
     }
-    let m = p.m;
-    rotate_columns_cache_aware(data, m, p.n, w, h, phases::POST_ROTATE, move |j| {
-        (m - p.rotate_amount(j) % m) % m
-    })
+    let shape = (heads, p.m, p.n, w);
+    match dir {
+        Direction::C2r => {
+            rotate_columns_cache_aware(data, shape, h, phases::PRE_ROTATE, |j| p.rotate_amount(j))
+        }
+        Direction::R2c => rotate_columns_cache_aware(data, shape, h, phases::POST_ROTATE, |j| {
+            (p.m - p.rotate_amount(j) % p.m) % p.m
+        }),
+    }
 }
 
 /// The entire C2R column shuffle (Eq. 26) in two cache-friendly passes
@@ -435,7 +448,7 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync + 'static>(
     w: usize,
     h: usize,
 ) -> Result<(), PoolError> {
-    fused(data, p, w, h, false)
+    col_shuffle(data, 1, p, (w, h), Direction::C2r)
 }
 
 /// The inverse of [`col_shuffle_fused`] (the R2C side): the group-uniform
@@ -447,24 +460,26 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync + 'static>(
     w: usize,
     h: usize,
 ) -> Result<(), PoolError> {
-    fused(data, p, w, h, true)
+    col_shuffle(data, 1, p, (w, h), Direction::R2c)
 }
 
-/// [`col_shuffle_fused`] (`inverse = false`) or
-/// [`col_shuffle_fused_inverse`] on the executor: one fine rotation and
-/// one sub-row permutation per group, in the direction's order.
-fn fused<T: Copy + Send + Sync + 'static>(
+/// The element path's column shuffle in `dir` — [`col_shuffle_fused`] for
+/// C2R, [`col_shuffle_fused_inverse`] for R2C — on every head of a stack
+/// of `heads` `p.m x p.n` matrices: one fine rotation and one sub-row
+/// permutation per head and group, in the direction's order.
+pub(crate) fn col_shuffle<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
+    heads: usize,
     p: &C2rParams,
-    w: usize,
-    h: usize,
-    inverse: bool,
+    (w, h): (usize, usize),
+    dir: Direction,
 ) -> Result<(), PoolError> {
     let (m, n) = (p.m, p.n);
+    let inverse = dir == Direction::R2c;
     let fill = data.first().copied();
     run_column_groups(
         data,
-        (m, n, w),
+        (heads, m, n, w),
         phases::COL_SHUFFLE,
         |st: &mut Subrows<T>, g| {
             let fill = fill.expect(NON_EMPTY);
@@ -528,7 +543,7 @@ mod tests {
                     let mut a = vec![0u64; m * n];
                     fill_pattern(&mut a);
                     let orig = a.clone();
-                    rotate_columns_cache_aware(&mut a, m, n, w, h, phases::PRE_ROTATE, |j| j)
+                    rotate_columns_cache_aware(&mut a, (1, m, n, w), h, phases::PRE_ROTATE, |j| j)
                         .unwrap();
                     assert_eq!(
                         a,
@@ -548,8 +563,10 @@ mod tests {
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let orig = a.clone();
-        rotate_columns_cache_aware(&mut a, m, n, 6, 4, phases::PRE_ROTATE, |j| (m - j % m) % m)
-            .unwrap();
+        rotate_columns_cache_aware(&mut a, (1, m, n, 6), 4, phases::PRE_ROTATE, |j| {
+            (m - j % m) % m
+        })
+        .unwrap();
         assert_eq!(a, reference_rotate(&orig, m, n, |j| (m - j % m) % m));
     }
 
@@ -562,7 +579,7 @@ mod tests {
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let orig = a.clone();
-        rotate_columns_cache_aware(&mut a, m, n, 8, 5, phases::PRE_ROTATE, |j| j / b).unwrap();
+        rotate_columns_cache_aware(&mut a, (1, m, n, 8), 5, phases::PRE_ROTATE, |j| j / b).unwrap();
         assert_eq!(a, reference_rotate(&orig, m, n, |j| j / b));
     }
 
@@ -580,7 +597,7 @@ mod tests {
         let fill = a[0];
         run_column_groups(
             a,
-            (m, n, w),
+            (1, m, n, w),
             phases::COL_SHUFFLE,
             |st: &mut Subrows<T>, g| {
                 st.fine
@@ -766,7 +783,8 @@ mod tests {
         let mut a = vec![0u16; m * n];
         fill_pattern(&mut a);
         let orig: Vec<u64> = a.iter().map(|&x| x as u64).collect();
-        rotate_columns_cache_aware(&mut a, m, n, 64, 3, phases::PRE_ROTATE, |j| 2 * j + 1).unwrap();
+        rotate_columns_cache_aware(&mut a, (1, m, n, 64), 3, phases::PRE_ROTATE, |j| 2 * j + 1)
+            .unwrap();
         let want = reference_rotate(&orig, m, n, |j| 2 * j + 1);
         for (x, y) in a.iter().zip(&want) {
             assert_eq!(*x as u64, *y);

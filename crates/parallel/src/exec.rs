@@ -9,13 +9,13 @@
 //!   its R2C inverse, Eqs. 32–35; the post-rotation, Eq. 36) is one
 //!   gather `dst[i][j] = old[src(i, j)][j]` that keeps each element in
 //!   its column, so the columns split into disjoint groups of `w`
-//!   adjacent columns, one task each ([`run_column_groups`]); the tiled
-//!   route's tile pass transposes each `L x L` tile where it lies, one
-//!   task each;
+//!   adjacent columns, one task each ([`run_column_groups`]; on a batch,
+//!   each head's groups are tasks of their own, rectangles `m` rows
+//!   tall); the tiled route's tile pass transposes each `L x L` tile
+//!   where it lies, one task each;
 //! * [`run_blocks`] — the row shuffle (Eqs. 24/31) permutes inside each
-//!   row, a batched transpose inside each matrix and the §6.1 chunk pass
-//!   inside each chunk, so the buffer splits into contiguous
-//!   `len`-element blocks, one task each;
+//!   row and the §6.1 chunk pass inside each chunk, so the buffer splits
+//!   into contiguous `len`-element blocks, one task each;
 //! * [`run_pages`] — the tiled route's page permutation, whose cycles are
 //!   cut into one segment per worker ([`crate::tiled::Cycles`]), one task
 //!   each.
@@ -39,10 +39,10 @@
 //! [`ipt_pool::Local`] value, kept across passes and calls — and the
 //! recovery ladder ([`run_op`]). The ladder's last rung redoes each
 //! pending task sequentially: a column group from the pass's gather
-//! formula `src` ([`redo_col_gather`]), a tile or a block through the
-//! caller's reference `redo`, a segment by resuming it on plain
-//! indexing. So a pass states *what* it computes once and its parallel
-//! body only states *how*.
+//! formula `src` inside its own head ([`redo_col_gather`]), a tile or a
+//! block through the caller's reference `redo`, a segment by resuming it
+//! on plain indexing. So a pass states *what* it computes once and its
+//! parallel body only states *how*.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -187,20 +187,21 @@ impl<'a, T: Copy> Group<'a, T> {
     }
 }
 
-/// Run one column pass over an `m x n` row-major matrix: `body(state,
-/// group)` for every group of `w` columns, groups in parallel, `state`
-/// the worker thread's parked `S` (see [`ipt_pool::Local`]), reused
-/// across its groups and kept for the next pass; `body` sizes its
-/// buffers itself.
+/// Run one column pass over a stack of `heads` row-major `m x n`
+/// matrices (one, for a single call): `body(state, group)` for every
+/// group of `w` columns of every head, an `m x w` rectangle, groups in
+/// parallel, `state` the worker thread's parked `S` (see
+/// [`ipt_pool::Local`]), reused across its groups and kept for the next
+/// pass; `body` sizes its buffers itself.
 ///
 /// `body` must leave the group equal to the gather `dst[i][j] =
-/// old[src(i, j)][j]` (`src(i, j) < m`): the recovery ladder redoes a
-/// pending group from that formula. `site` is the pass's
+/// old[src(i, j)][j]` inside its head (`i, src(i, j) < m`): the recovery
+/// ladder redoes a pending group from that formula. `site` is the pass's
 /// [`phases`](crate::phases) name: its fault sites and the label of its
 /// checked-mode violation messages.
 pub(crate) fn run_column_groups<T, S>(
     data: &mut [T],
-    (m, n, w): (usize, usize, usize),
+    (heads, m, n, w): (usize, usize, usize, usize),
     site: &'static str,
     body: impl Fn(&mut S, Group<'_, T>) + Sync,
     src: impl Fn(usize, usize) -> usize,
@@ -209,9 +210,12 @@ where
     T: Copy + Send + Sync + 'static,
     S: WorkerState,
 {
-    let w = w.min(n);
-    run_groups(data, (m, n), (m, w), site, body, |data, g| {
-        redo_col_gather(data, m, n, w, g, &src)
+    let w = w.clamp(1, n.max(1));
+    let across = n.div_ceil(w);
+    let rows = ipt_core::shape_len(heads, m);
+    run_groups(data, (rows, n), (m, w), site, body, |data, g| {
+        let head = &mut data[g / across * m * n..][..m * n];
+        redo_col_gather(head, m, n, w, g % across, &src)
     })
 }
 
@@ -772,7 +776,7 @@ mod tests {
             run_blocks(
                 data,
                 3,
-                crate::phases::BATCHED,
+                crate::phases::CHUNK_TRANSPOSE,
                 |_, b, block| {
                     assert_ne!(b, 1, "block 1 always faults");
                     block.reverse();
@@ -792,6 +796,57 @@ mod tests {
         assert!(aborted.is_err(), "budget 0 must surface the fault");
         out.unwrap();
         assert_eq!(healed, [2, 1, 0, 5, 4, 3, 8, 7, 6, 11, 10, 9]);
+        assert!(d.retries_attempted >= 2 && d.recovered >= 1, "{d:?}");
+    }
+
+    #[test]
+    fn a_stacked_rectangle_that_always_faults_is_redone_in_its_own_head() {
+        let _g = retry_lock();
+        crate::force_multithreaded_pool();
+        // Three 4 x 10 heads, groups 3 wide: each head's rows reversed
+        // (the gather i -> m-1-i). The second head's third group panics
+        // on every parallel attempt, so only the last rung — the gather
+        // redone inside that head — heals it.
+        let (heads, m, n) = (3usize, 4usize, 10usize);
+        let orig: Vec<u32> = (0..(heads * m * n) as u32).collect();
+        let run = |data: &mut [u32]| {
+            run_column_groups(
+                data,
+                (heads, m, n, 3),
+                crate::phases::COL_SHUFFLE,
+                |col: &mut Scratch<u32>, g| {
+                    assert!((g.i0, g.j0()) != (m, 6), "this group always faults");
+                    let col = col.uninit_buf(m, 0);
+                    for k in 0..g.gw() {
+                        for (i, v) in col.iter_mut().enumerate() {
+                            // SAFETY: every row is < m and k < gw.
+                            *v = unsafe { g.get(m - 1 - i, k) };
+                        }
+                        for (i, &v) in col.iter().enumerate() {
+                            // SAFETY: as above.
+                            unsafe { g.set(i, k, v) };
+                        }
+                    }
+                },
+                |i, _| m - 1 - i,
+            )
+        };
+        force_retry(0);
+        let aborted = run(&mut orig.clone());
+        force_retry(1);
+        let before = stats::snapshot();
+        let mut healed = orig.clone();
+        let out = run(&mut healed);
+        let d = stats::snapshot().delta_since(&before);
+        unforce_retry();
+        assert!(aborted.is_err(), "budget 0 must surface the fault");
+        out.unwrap();
+        for (h, head) in healed.chunks_exact(m * n).enumerate() {
+            for i in 0..m {
+                let want = &orig[(h * m + m - 1 - i) * n..][..n];
+                assert_eq!(&head[i * n..][..n], want, "head {h}, row {i}");
+            }
+        }
         assert!(d.retries_attempted >= 2 && d.recovered >= 1, "{d:?}");
     }
 
@@ -877,7 +932,7 @@ mod tests {
         // exactly once, the short last group included.
         run_column_groups(
             &mut a,
-            (m, n, 4),
+            (1, m, n, 4),
             crate::phases::COL_SHUFFLE,
             |block: &mut Scratch<u32>, g| {
                 let gw = g.gw();
@@ -912,7 +967,7 @@ mod tests {
         let orig = a.clone();
         run_column_groups(
             &mut a,
-            (m, n, 3),
+            (1, m, n, 3),
             crate::phases::PRE_ROTATE,
             |col: &mut Scratch<u16>, g| {
                 let col = col.uninit_buf(m, 0);

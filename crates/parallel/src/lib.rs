@@ -43,10 +43,12 @@
 //!   peeled tail when `n` has no divisor that fills one (a struct wider
 //!   than a chunk takes the element path). Its inverse runs the steps
 //!   inverted in reverse order;
+//! * [`batched`] calls: `B` same-shape heads as the element path on
+//!   their `[B·m] x n` stack, one dispatch per pass — column groups one
+//!   head tall, the row shuffle over every row of the stack;
 //! * one task executor under every pass — each [`cache_aware`] pass, the
-//!   tiles, the pages, the §6.1 chunks, the [`rows`] shuffle and the
-//!   [`batched`] transposes — which owns their fault sites, undo state
-//!   and recovery;
+//!   tiles, the pages, the §6.1 chunks and the [`rows`] shuffle — which
+//!   owns their fault sites, undo state and recovery;
 //! * one recorder over every pass: each pass of every route has one
 //!   name, a [`phases`] constant, under which it is timed, its bytes are
 //!   counted once it succeeds, its faults are injected, its checked-mode
@@ -98,6 +100,7 @@ pub use tiled::tile_side;
 use std::mem::size_of;
 
 use ipt_core::index::C2rParams;
+use ipt_core::kernels::ShuffleDirection;
 use ipt_core::{Algorithm, Direction, Layout};
 use ipt_pool::PoolError;
 
@@ -210,10 +213,6 @@ pub mod phases {
     /// blocks to their final rows with the §4.7 sub-row permute; skipped
     /// when the prefix is one chunk. Not in [`ALL`].
     pub const BLOCK_PERMUTE: &str = "block_permute";
-
-    /// The batched entry points ([`crate::batched`]): every matrix of the
-    /// batch transposed whole, one task each. Not in [`ALL`].
-    pub const BATCHED: &str = "batched";
 }
 
 /// Elements of matrix data one worker should own before another thread is
@@ -235,7 +234,7 @@ pub(crate) fn assert_shape(len: usize, rows: usize, cols: usize) {
 }
 
 /// `min_grain` (in tasks) for parallel loops whose task — a row, a
-/// column group, a batch matrix — moves `unit_elems` elements.
+/// column group, a §6.1 chunk — moves `unit_elems` elements.
 pub(crate) fn grain(unit_elems: usize) -> usize {
     (PAR_MIN_ELEMS / unit_elems.max(1)).max(1)
 }
@@ -349,49 +348,46 @@ fn run<T: Copy + Send + Sync + 'static>(
     let dir = plan.core.direction;
     match &plan.route {
         Route::Nothing => Ok(()),
-        Route::Elements { params, w, h } => elements(data, dir, params, *w, *h),
+        Route::Elements { params, w, h } => elements(data, dir, params, *w, *h, 1),
         Route::Tiled { l, .. } => tiled::run(data, dir, (plan.core.m, plan.core.n), *l),
         Route::Skinny { k, main } => skinny::run(data, dir, (plan.core.m, plan.core.n), *k, *main),
     }
 }
 
-/// The element path: C2R's or R2C's passes on the `p.m x p.n`
-/// parameters, with column groups `w` wide and fine windows `h` rows
-/// tall; `p.m, p.n > 1`.
+/// The element path: C2R's or R2C's passes on every head of a stack of
+/// `heads` `p.m x p.n` matrices (one, for a single call), with column
+/// groups `w` wide and fine windows `h` rows tall; `p.m, p.n > 1`. Each
+/// pass is one dispatch over the whole stack.
 pub(crate) fn elements<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     dir: Direction,
     p: &C2rParams,
     w: usize,
     h: usize,
+    heads: usize,
 ) -> Result<(), TransposeAborted> {
+    let rotation = |d: &mut [T]| cache_aware::rotation(d, heads, p, (w, h), dir);
+    let col_shuffle = |d: &mut [T]| cache_aware::col_shuffle(d, heads, p, (w, h), dir);
+    let shuffle = |d: &mut [T], dir| rows::row_shuffle(d, heads, p, rows::selected(p), dir);
     match dir {
         Direction::C2r => {
             if !p.coprime() {
-                run_pass(phases::PRE_ROTATE, data, |d| {
-                    cache_aware::prerotate(d, p, w, h)
-                })?;
+                run_pass(phases::PRE_ROTATE, data, rotation)?;
             }
             run_pass(phases::ROW_SHUFFLE, data, |d| {
-                rows::row_shuffle_parallel(d, p)
+                shuffle(d, ShuffleDirection::Inverse)
             })?;
-            run_pass(phases::COL_SHUFFLE, data, |d| {
-                cache_aware::col_shuffle_fused(d, p, w, h)
-            })
+            run_pass(phases::COL_SHUFFLE, data, col_shuffle)
         }
         Direction::R2c => {
-            run_pass(phases::COL_SHUFFLE, data, |d| {
-                cache_aware::col_shuffle_fused_inverse(d, p, w, h)
-            })?;
+            run_pass(phases::COL_SHUFFLE, data, col_shuffle)?;
             run_pass(phases::ROW_SHUFFLE, data, |d| {
-                rows::row_shuffle_forward_parallel(d, p)
+                shuffle(d, ShuffleDirection::Forward)
             })?;
             if p.coprime() {
                 return Ok(());
             }
-            run_pass(phases::POST_ROTATE, data, |d| {
-                cache_aware::postrotate_inverse(d, p, w, h)
-            })
+            run_pass(phases::POST_ROTATE, data, rotation)
         }
     }
 }
@@ -495,10 +491,10 @@ mod tests {
                 let mut a = vec![0u16; m * n];
                 fill_pattern(&mut a);
                 let mut b = a.clone();
-                elements(&mut a, Direction::C2r, &p, w, 4).unwrap();
+                elements(&mut a, Direction::C2r, &p, w, 4, 1).unwrap();
                 ipt_core::c2r(&mut b, m, n, &mut Scratch::new());
                 assert_eq!(a, b, "{m}x{n} w={w}");
-                elements(&mut a, Direction::R2c, &p, w, 4).unwrap();
+                elements(&mut a, Direction::R2c, &p, w, 4, 1).unwrap();
                 ipt_core::r2c(&mut b, m, n, &mut Scratch::new());
                 assert_eq!(a, b, "{m}x{n} w={w} inverse");
             }
@@ -592,7 +588,7 @@ mod tests {
             }),
             ("rotate_columns_cache_aware", &|a| {
                 let site = phases::PRE_ROTATE;
-                cache_aware::rotate_columns_cache_aware(a, big, 2, 4, 8, site, |j| j).is_ok()
+                cache_aware::rotate_columns_cache_aware(a, (1, big, 2, 4), 8, site, |j| j).is_ok()
             }),
         ];
         for (name, call) in calls {

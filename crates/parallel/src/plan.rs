@@ -126,6 +126,16 @@ impl Plan {
         Plan { core, route }
     }
 
+    /// The plan of each head of a batched call on `elem_size`-byte
+    /// elements: the element path with the default [`ParOptions`], which
+    /// runs on the whole stack of heads, even for a head the tiled route
+    /// would take; nothing to do for a vector.
+    pub(crate) fn stacked(core: ipt_core::Plan, elem_size: usize) -> Plan {
+        let elements = |p| Route::elements(p, elem_size, &ParOptions::default());
+        let route = core.params.map_or(Route::Nothing, elements);
+        Plan { core, route }
+    }
+
     /// The tile side `L` on the tiled route, else `None`.
     pub fn tile_side(&self) -> Option<usize> {
         match self.route {

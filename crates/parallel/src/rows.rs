@@ -20,6 +20,7 @@ use crate::exec::run_blocks;
 use crate::{assert_shape, phases};
 use ipt_core::index::C2rParams;
 use ipt_core::kernels::{self, RowShuffleKernel, ShuffleDirection};
+use ipt_core::shape_len;
 use ipt_pool::PoolError;
 
 /// Parallel row shuffle with an explicit kernel and direction: the
@@ -42,14 +43,27 @@ pub fn row_shuffle_parallel_with<T: Copy + Send + Sync + 'static>(
     kernel: RowShuffleKernel,
     dir: ShuffleDirection,
 ) -> Result<(), PoolError> {
-    assert_shape(data.len(), p.m, p.n);
+    row_shuffle(data, 1, p, kernel, dir)
+}
+
+/// [`row_shuffle_parallel_with`] on every head of a stack of `heads`
+/// `p.m x p.n` matrices: row `i` of the stack is row `i mod m` of its
+/// head.
+pub(crate) fn row_shuffle<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    heads: usize,
+    p: &C2rParams,
+    kernel: RowShuffleKernel,
+    dir: ShuffleDirection,
+) -> Result<(), PoolError> {
+    assert_shape(data.len(), shape_len(heads, p.m), p.n);
     run_blocks(
         data,
         p.n,
         phases::ROW_SHUFFLE,
-        |tmp, i, row| kernel.apply_row(p, i, tmp.copy_of(row), row, dir),
+        |tmp, i, row| kernel.apply_row(p, i % p.m, tmp.copy_of(row), row, dir),
         |tmp, i, row| {
-            let old = tmp.copy_of(row);
+            let (i, old) = (i % p.m, tmp.copy_of(row));
             for (j, v) in row.iter_mut().enumerate() {
                 *v = old[match dir {
                     ShuffleDirection::Inverse => p.d_inv(i, j),
@@ -61,16 +75,13 @@ pub fn row_shuffle_parallel_with<T: Copy + Send + Sync + 'static>(
 }
 
 /// Parallel C2R row shuffle: row `i` becomes `row[j] = old[d'^-1_i(j)]`
-/// (Eq. 31), with the kernel [`kernels::select`] picks from the shape.
-/// The selection is
+/// (Eq. 31), with the kernel [`kernels::select`] picks from the shape,
 /// recorded once per pass in [`ipt_pool::stats`]'s hit counters.
 pub fn row_shuffle_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
 ) -> Result<(), PoolError> {
-    let kernel = kernels::select(p);
-    ipt_pool::stats::record_kernel(kernel.name());
-    row_shuffle_parallel_with(data, p, kernel, ShuffleDirection::Inverse)
+    row_shuffle(data, 1, p, selected(p), ShuffleDirection::Inverse)
 }
 
 /// Parallel R2C row shuffle: gather with `d'_i` directly (§4.3), with
@@ -80,9 +91,15 @@ pub fn row_shuffle_forward_parallel<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
 ) -> Result<(), PoolError> {
+    row_shuffle(data, 1, p, selected(p), ShuffleDirection::Forward)
+}
+
+/// The kernel [`kernels::select`] picks for `p`, recorded in
+/// [`ipt_pool::stats`]'s hit counters: once per pass.
+pub(crate) fn selected(p: &C2rParams) -> RowShuffleKernel {
     let kernel = kernels::select(p);
     ipt_pool::stats::record_kernel(kernel.name());
-    row_shuffle_parallel_with(data, p, kernel, ShuffleDirection::Forward)
+    kernel
 }
 
 #[cfg(test)]

@@ -116,7 +116,7 @@ fn cache_aware_rotation_equals_elementwise() {
         fill_pattern(&mut a);
         let orig = a.clone();
         let site = phases::PRE_ROTATE;
-        cache_aware::rotate_columns_cache_aware(&mut a, m, n, w, h, site, amount).unwrap();
+        cache_aware::rotate_columns_cache_aware(&mut a, (1, m, n, w), h, site, amount).unwrap();
         for j in 0..n {
             let k = amount(j) % m;
             for i in 0..m {

@@ -187,11 +187,12 @@ recovery_stage() {
     # bench must *complete*: exit 0, every per-run verification pass, the
     # regression gate actually evaluated. Exit 4 here means the ladder
     # failed to heal a contained fault; anything else means containment
-    # itself broke. One suite per executor form: column groups and rows
-    # (parallel), the §6.1 chunks (aos), whole batch matrices (batched).
-    # The aos suite makes a few dozen tasks per call (its chunks and
-    # sub-row groups) and the batched suite 16, so they need far higher
-    # rates than 0.05 for any injection to fire (aos at 0.05 draws none).
+    # itself broke. Column groups and rows (parallel), the §6.1 chunks
+    # (aos), and column groups one head tall over a stack of 16 heads
+    # with its rows (batched). The aos suite makes a few dozen tasks per
+    # call (its chunks and sub-row groups), so it needs a far higher rate
+    # than 0.05 for any injection to fire (aos at 0.05 draws none); the
+    # batched suite keeps the 0.5 it had when a call was 16 tasks.
     local suite_rate suite rate out rc
     for suite_rate in parallel:0.05 aos:0.3 batched:0.5; do
         suite="${suite_rate%%:*}"

@@ -142,13 +142,22 @@ fn every_route_records_each_pass_once_with_its_bytes() {
     }
     assert!(a == orig, "soa_to_aos must invert aos_to_soa");
 
-    // A batched call is one pass over every matrix of the batch.
+    // A batched call of 24 x 36 heads runs R2C's element path on the
+    // stack of heads (gcd 12: the post-rotation runs): each pass once,
+    // over every head of the batch.
     let (batch, rows, cols) = (16usize, 24usize, 36usize);
     let mut b: Vec<u64> = (0..(batch * rows * cols) as u64).collect();
     let before = stats::snapshot();
     transpose_batched(&mut b, batch, rows, cols, Layout::RowMajor).unwrap();
     let d = stats::snapshot().delta_since(&before);
-    let p = d.phase(phases::BATCHED).unwrap_or_else(|| panic!("{d:?}"));
     let pass = 2 * (batch * rows * cols * 8) as u64;
-    assert_eq!((p.calls, p.bytes), (1, pass), "{d:?}");
+    for name in [
+        phases::COL_SHUFFLE,
+        phases::ROW_SHUFFLE,
+        phases::POST_ROTATE,
+    ] {
+        let p = d.phase(name).unwrap_or_else(|| panic!("{name}: {d:?}"));
+        assert_eq!((p.calls, p.bytes), (1, pass), "{name}: {d:?}");
+    }
+    assert!(d.phase(phases::PRE_ROTATE).is_none(), "{d:?}");
 }
