@@ -18,11 +18,12 @@
 //!
 //! * each contiguous chunk of `K` structs (at most 512 KiB) is transposed
 //!   in the worker's scratch, `[K][s] ⇄ [s][K]`;
-//! * the chunks' `K`-element blocks move to their final places, a §4.7
-//!   sub-row permute over page-sized runs.
+//! * the chunks' `K`-element blocks move to their final places, one
+//!   cycle-following sweep over the blocks as pages (the page pass of
+//!   `ipt_parallel`'s tiled route).
 //!
-//! Auxiliary space is one chunk per worker plus a small visited mask,
-//! independent of `N`.
+//! Auxiliary space is one chunk and two blocks per worker, and a bitmap
+//! of one bit per block.
 //!
 //! [`aos_to_soa`] / [`soa_to_aos`] wrap this for the two conversion
 //! directions, and [`SoaView`] gives typed access to the converted data.

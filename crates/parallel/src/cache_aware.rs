@@ -24,8 +24,7 @@
 //!   columns.
 //! * **Row permute** (§4.7): `q`'s cycles have no closed form, so each
 //!   group follows them with a visited mask (`O(m)` scratch per worker),
-//!   moving whole sub-rows. `transpose_blocks` runs it alone, for the
-//!   §6.1 two-level transpose's block pass.
+//!   moving whole sub-rows.
 //! * **Fused column shuffle** ([`col_shuffle_fused`]): per group,
 //!   `s'_j = p_j ∘ q` factors as a *fine* rotation by `(j - j0) mod m`
 //!   followed by the group-uniform permutation `g(i) = (q(i) + j0) mod m`
@@ -352,42 +351,6 @@ fn permute_subrows<T: Copy + Send + Sync>(
             i = src;
         }
     }
-}
-
-/// Transpose the `rows x cols` row-major matrix of `k`-element blocks
-/// that `data` holds, in place, with the §4.7 scheme. On the view of
-/// `data` as `m = rows·cols` rows of `k` elements, block `(a, b)` sits in
-/// row `a·cols + b` and moves to row `b·rows + a`, so row `r` gathers row
-/// `(r mod rows)·cols + r div rows` — a quotient and a remainder, which
-/// cannot overflow. Column groups of width `w` run in parallel, each
-/// following that gather's cycles with a visited mask (`O(m)` per worker)
-/// and moving `w`-wide sub-rows: with `w` a page of elements, every move
-/// is one page-sized run however far apart the rows are. `site` names the
-/// pass's fault sites.
-pub(crate) fn transpose_blocks<T: Copy + Send + Sync + 'static>(
-    data: &mut [T],
-    (rows, cols): (usize, usize),
-    k: usize,
-    w: usize,
-    site: &'static str,
-) -> Result<(), PoolError> {
-    let m = ipt_core::shape_len(rows, cols);
-    if m <= 1 || k == 0 {
-        return Ok(());
-    }
-    let perm = |r: usize| (r % rows) * cols + r / rows;
-    let fill = data[0];
-    run_column_groups(
-        data,
-        (1, m, k, w),
-        site,
-        |st: &mut Subrows<T>, g| {
-            let visited = st.visited.uninit_buf(m, false);
-            let buf = st.buf.uninit_buf(g.gw(), fill);
-            permute_subrows(g, perm, visited, buf);
-        },
-        |i, _| perm(i),
-    )
 }
 
 /// Cache-aware C2R step 1: pre-rotation by `floor(j/b)` (Eq. 23). The fine

@@ -16,9 +16,9 @@
 //! * [`run_blocks`] — the row shuffle (Eqs. 24/31) permutes inside each
 //!   row and the §6.1 chunk pass inside each chunk, so the buffer splits
 //!   into contiguous `len`-element blocks, one task each;
-//! * [`run_pages`] — the tiled route's page permutation, whose cycles are
-//!   cut into one segment per worker ([`crate::tiled::Cycles`]), one task
-//!   each.
+//! * [`run_pages`] — the page permutation of the tiled route and of the
+//!   §6.1 block pass, whose cycles are cut into one segment per worker
+//!   ([`crate::tiled::Cycles`]), one task each.
 //!
 //! The first two own everything around a task's body:
 //!
@@ -855,15 +855,20 @@ mod tests {
         use crate::tiled::Pages;
         use ipt_core::Direction;
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        // Pages as single values: 3 x 8 x 5 pages (a cycle of 150 of the
-        // 238 that move) cut into 2 and 3 segments, so segments begin
-        // and end inside cycles and move others whole. Tear every
-        // segment before its k-th move for each k, resume it, and check
-        // that every page holds the page that belongs there.
-        let pages = Pages::of(Direction::C2r, (24, 40), 8);
-        for threads in [2, 3] {
+        // Pages as single values: the tiled route's 2 x 64 x 3 pages of
+        // 64 elements (a cycle of 144 of the 382 that move) and the
+        // §6.1 block pass's 12 x 7 blocks of 512 elements, each cut into
+        // 2 and 3 segments, so segments begin and end inside cycles and
+        // move others whole. (Pages so short that a worker's grain
+        // exceeds the moves are one segment.) Tear every segment before
+        // its k-th move for each k, resume it, and check that every page
+        // holds the page that belongs there.
+        let tiled = Pages::of(Direction::C2r, (128, 192), 64);
+        let blocks = Pages::blocks((12, 7), 512);
+        for (pages, threads) in [(tiled, 2), (tiled, 3), (blocks, 2), (blocks, 3)] {
             let cycles = Cycles::scan(pages, threads);
             let segments = &cycles.segments;
+            assert_eq!(segments.len(), threads, "{pages:?}");
             let most = segments.iter().map(|s| s.moves).max().unwrap();
             for k in 0..=most {
                 let mut v: Vec<usize> = (0..cycles.pages()).collect();
@@ -893,7 +898,7 @@ mod tests {
                     assert_eq!(
                         got,
                         cycles.source(y),
-                        "{threads} segments, torn at {k}: page {y}"
+                        "{pages:?}, {threads} segments, torn at {k}: page {y}"
                     );
                 }
             }

@@ -33,16 +33,14 @@
 //!   the buffer's 4 KiB pages ([`phases::PAGE_PERMUTE`]), its cycles
 //!   marked in a bitmap of one bit per page and cut into one segment per
 //!   worker. R2C runs the page permutation of its input first;
-//! * the **two-level transpose** under the skinny route: a stack of `P`
-//!   contiguous `[K][s]` chunks becomes its `s x P·K` transpose by
-//!   transposing every chunk through worker scratch
-//!   ([`phases::CHUNK_TRANSPOSE`]) and then the `P x s` matrix of
-//!   `K`-element blocks with the §4.7 sub-row permute
-//!   ([`phases::BLOCK_PERMUTE`]). The skinny route is the two-level
-//!   transpose of the `n x m` AoS in chunks of at most 512 KiB, plus a
-//!   peeled tail when `n` has no divisor that fills one (a struct wider
-//!   than a chunk takes the element path). Its inverse runs the steps
-//!   inverted in reverse order;
+//! * the **skinny route** as a two-level transpose: the `n x m` AoS, `P`
+//!   contiguous `[K][m]` chunks of at most 512 KiB, becomes its
+//!   `m x P·K` transpose by transposing every chunk through worker
+//!   scratch ([`phases::CHUNK_TRANSPOSE`]) and then the `P x m` matrix of
+//!   `K`-element blocks with the tiled route's page pass, each block a
+//!   page ([`phases::PAGE_PERMUTE`]), plus a peeled tail when `n` has no
+//!   divisor that fills a chunk (a struct wider than a chunk takes the
+//!   element path). Its inverse runs the steps inverted in reverse order;
 //! * [`batched`] calls: `B` same-shape heads as the element path on
 //!   their `[B·m] x n` stack, one dispatch per pass — column groups one
 //!   head tall, the row shuffle over every row of the stack;
@@ -61,7 +59,8 @@
 //! tile kernel (the AVX2 kernel stages nothing) and, for the page pass,
 //! a bitmap of `mn/L` bits plus two pages per worker's segment: within
 //! the budget while `min(m, n) <= 32768` (DESIGN.md §7).
-//! On the skinny route it is one chunk and a `P·m`-entry visited mask.
+//! On the skinny route it is one chunk per worker, a bitmap of `P·m`
+//! bits and two `K`-element pages per segment.
 
 //! ```
 //! use ipt_parallel::{transpose_parallel, ParOptions};
@@ -89,7 +88,6 @@ pub mod rows;
 mod skinny;
 mod tile;
 mod tiled;
-mod two_level;
 mod unsafe_slice;
 
 pub use plan::{Plan, Route};
@@ -147,8 +145,8 @@ impl std::error::Error for TransposeAborted {
 /// pass has succeeded, its payload — a read and a write of every element
 /// of `data`, the *useful bytes* convention `memsim::phases` predicts —
 /// goes to [`ipt_pool::stats::record_phase_bytes`]. A pass with nothing
-/// to do (a rotation when `gcd(m, n) = 1`, a block permute over stacks
-/// of one chunk) is not run, so it records nothing.
+/// to do (a rotation when `gcd(m, n) = 1`, a page pass with every page
+/// in place) is not run, so it records nothing.
 pub(crate) fn run_pass<T>(
     name: &'static str,
     data: &mut [T],
@@ -205,14 +203,12 @@ pub mod phases {
     /// through worker scratch. Not a step of the general decomposition,
     /// so not in [`ALL`].
     pub const CHUNK_TRANSPOSE: &str = "chunk_transpose";
-    /// The tiled route's page pass: every 4 KiB page moved to its place
-    /// by one cycle-following sweep; skipped when the matrix is one
-    /// tile. Not in [`ALL`].
+    /// The page pass of the tiled and skinny routes: every page moved to
+    /// its place by one cycle-following sweep — a 4 KiB run on the tiled
+    /// route, a `K`-struct block of one field on the §6.1 route; skipped
+    /// when the matrix is one tile or the prefix one chunk. Not in
+    /// [`ALL`].
     pub const PAGE_PERMUTE: &str = "page_permute";
-    /// The §6.1 two-level transpose's block pass: move the `K`-element
-    /// blocks to their final rows with the §4.7 sub-row permute; skipped
-    /// when the prefix is one chunk. Not in [`ALL`].
-    pub const BLOCK_PERMUTE: &str = "block_permute";
 }
 
 /// Elements of matrix data one worker should own before another thread is

@@ -149,8 +149,9 @@ impl Plan {
 /// the element path the gcd and whether the rotation runs, and the
 /// row-shuffle kernel, which [`kernels::select`] picks from the shape
 /// alone; on the tiled route the tile kernel, and the page permutation's
-/// cycles and segments from the scan its pass runs. A plan with nothing
-/// to do, or on the skinny route, prints the first two.
+/// cycles and segments from the scan its pass runs. The skinny route
+/// prints the page permutation after its first two lines, a plan with
+/// nothing to do only the first two.
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "plan: {}", self.core)?;
@@ -168,28 +169,19 @@ impl fmt::Display for Plan {
                     "route: tiled, L = {l}, P = {p}, Q = {q} tiles of {l} x {l}"
                 )?;
                 writeln!(f, "chunk kernel: {}", kernel.name())?;
-                if p * q == 1 {
-                    return write!(f, "page permutation: nothing to do (one tile)");
-                }
                 let pages = Pages::of(self.core.direction, (self.core.m, self.core.n), l);
-                let c = Cycles::scan(pages, ipt_pool::num_threads());
-                return write!(
-                    f,
-                    "page permutation: {} pages in {} cycles, the longest {} pages, {} segments",
-                    c.pages(),
-                    c.count,
-                    c.longest,
-                    c.segments.len()
-                );
+                return page_permutation(f, pages, "tile");
             }
-            Route::Skinny { k, main } => {
+            &Route::Skinny { k, main } => {
                 let (m, n) = (self.core.m, self.core.n);
-                return write!(
+                writeln!(
                     f,
                     "route: skinny (§6.1), K = {k}, P = {} chunks of {k} x {m}, {} structs peeled",
                     main / k,
                     n - main
-                );
+                )?;
+                let pages = skinny::pages(self.core.direction, (main / k, k, m));
+                return page_permutation(f, pages, "chunk");
             }
         };
         let rotation = match self.core.direction {
@@ -200,6 +192,24 @@ impl fmt::Display for Plan {
         writeln!(f, "gcd({}, {}) = {}: {rotation} {verdict}", p.m, p.n, p.c)?;
         write!(f, "row shuffle: {} kernel", kernels::select(p).name())
     }
+}
+
+/// The page pass's line: its pages, cycles and segments from the scan
+/// the pass runs, or nothing to do when every page is in place (one
+/// `unit`).
+fn page_permutation(f: &mut fmt::Formatter<'_>, pages: Pages, unit: &str) -> fmt::Result {
+    if pages.fixed() {
+        return write!(f, "page permutation: nothing to do (one {unit})");
+    }
+    let c = Cycles::scan(pages, ipt_pool::num_threads());
+    write!(
+        f,
+        "page permutation: {} pages in {} cycles, the longest {} pages, {} segments",
+        c.pages(),
+        c.count,
+        c.longest,
+        c.segments.len()
+    )
 }
 
 #[cfg(test)]
@@ -275,9 +285,37 @@ mod tests {
         Plan::skinny(core, 8)
     }
 
+    /// The cycles of the transpose of a `rows x cols` grid, by a
+    /// brute-force walk: how many, and the longest.
+    fn grid_cycles(rows: usize, cols: usize) -> (usize, usize) {
+        let dest = |i: usize| (i % cols) * rows + i / cols;
+        let mut seen = vec![false; rows * cols];
+        let (mut count, mut longest) = (0, 0);
+        for x in 0..rows * cols {
+            let (mut y, mut len) = (x, 0);
+            while !seen[y] {
+                seen[y] = true;
+                len += 1;
+                y = dest(y);
+            }
+            if len > 0 {
+                count += 1;
+                longest = longest.max(len);
+            }
+        }
+        (count, longest)
+    }
+
     #[test]
     fn the_skinny_route_chunks_the_structs_and_peels_without_a_divisor() {
+        // Both page passes below move more pages than workers, so each
+        // worker gets a segment.
+        crate::force_multithreaded_pool();
+        let threads = ipt_pool::num_threads();
         // aos-skinny: 5120 divides 13,107,200 and its chunk fits 512 KiB.
+        // Its page pass transposes the 2560 x 12 grid of 5120-struct
+        // blocks.
+        assert_eq!(grid_cycles(2560, 12), (60, 1104));
         let p = aos_to_soa(13_107_200, 12);
         assert!(
             matches!(
@@ -295,10 +333,15 @@ mod tests {
             [
                 "plan: R2C on the row-major 13107200 x 12 view of a row-major matrix",
                 "route: skinny (§6.1), K = 5120, P = 2560 chunks of 5120 x 12, 0 structs peeled",
+                &format!(
+                    "page permutation: 30720 pages in 60 cycles, the longest 1104 pages, {threads} segments"
+                ),
             ]
         );
         // A prime struct count: the largest chunk that fits, 8192 structs
         // of 8 fields, and the 65521 mod 8192 = 8177 left over are peeled.
+        // C2R's page pass transposes the 8 x 7 grid of blocks.
+        assert_eq!(grid_cycles(8, 7), (6, 20));
         let core = ipt_core::Plan::new(8 * 65_521, 8, 65_521, Layout::RowMajor, Algorithm::C2r);
         let p = Plan::skinny(core, 8);
         assert!(
@@ -317,7 +360,19 @@ mod tests {
             [
                 "plan: C2R on the row-major 8 x 65521 view of a row-major matrix",
                 "route: skinny (§6.1), K = 8192, P = 7 chunks of 8192 x 8, 8177 structs peeled",
+                &format!(
+                    "page permutation: 56 pages in 6 cycles, the longest 20 pages, {threads} segments"
+                ),
             ]
+        );
+        // A prefix of one chunk has no page to move.
+        let text = aos_to_soa(1000, 12).to_string();
+        assert!(
+            text.ends_with(
+                "route: skinny (§6.1), K = 1000, P = 1 chunks of 1000 x 12, 0 structs peeled\n\
+                 page permutation: nothing to do (one chunk)"
+            ),
+            "{text}"
         );
         // One field, or no struct, is nothing to do.
         assert!(matches!(aos_to_soa(50, 1).route, Route::Nothing));

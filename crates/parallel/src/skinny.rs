@@ -1,24 +1,35 @@
-//! The §6.1 skinny route (DESIGN.md §7): AoS⇄SoA as the two-level
-//! transpose. With `m` fields and `n` structs, the AoS `n x m` is one
-//! stack `[P][K][m]` of `P` chunks of `K` structs, `n = P·K`: AoS → SoA
-//! (R2C) is its two-level transpose, each chunk (at most 512 KiB) staged
-//! in the worker's scratch, and SoA → AoS (C2R) the inverse. Auxiliary
-//! space is one chunk per worker plus a `P·m`-entry visited mask, not
-//! Theorem 6's `O(max(m, n))`. When `n` has no divisor that makes a
-//! useful chunk (a prime `n`, say), the last `n mod K` structs are
-//! **peeled**: stashed (at most one chunk), the two passes run on the
-//! divisible prefix, and one `copy_within` sweep moves each field's run
-//! to its final offset. A struct wider than a chunk has no chunk of
-//! whole structs to stage, so such a call takes the element path.
+//! The §6.1 skinny route (DESIGN.md §7): AoS⇄SoA as a two-level
+//! transpose. With `m` fields and `n` structs, the AoS `n x m` is `P`
+//! contiguous chunks `[K][m]` of `K` structs, `n = P·K`, and AoS → SoA
+//! (R2C) runs two passes: the chunk pass ([`phases::CHUNK_TRANSPOSE`])
+//! transposes every chunk, `[K][m] → [m][K]`, through a copy in the
+//! worker's scratch (at most 512 KiB), one executor task each; the page
+//! pass ([`phases::PAGE_PERMUTE`]) then transposes the `P x m` matrix of
+//! `K`-element blocks, each block a page ([`Pages::blocks`]). SoA → AoS
+//! (C2R) runs the page pass of the `m x P` block matrix, then the chunks
+//! back. Auxiliary space is one chunk per worker, a bitmap of `P·m` bits
+//! and two `K`-element pages per segment of the page pass, not Theorem
+//! 6's `O(max(m, n))`. When `n` has no divisor that makes a useful chunk
+//! (a prime `n`, say), the last `n mod K` structs are **peeled**: stashed
+//! (at most one chunk), the two passes run on the divisible prefix, and
+//! one `copy_within` sweep moves each field's run to its final offset. A
+//! struct wider than a chunk has no chunk of whole structs to stage, so
+//! such a call takes the element path.
 
 use std::mem::size_of;
 
-use crate::two_level::{self, RUN_BYTES};
-use crate::{Plan, Route, TransposeAborted};
+use crate::exec::run_blocks;
+use crate::tiled::{page_pass, Pages, PAGE_BYTES};
+use crate::{phases, run_pass, Plan, Route, TransposeAborted};
 use ipt_core::{Algorithm, Direction, Layout};
+use ipt_pool::Scratch;
 
 /// Bytes of one chunk: the most the chunk pass stages per task.
 const CHUNK_BYTES: usize = 512 * 1024;
+
+/// Source rows per tile of a staged chunk's gather: a tile of up to 32
+/// fields of `u64` stays in L1 while its columns are written out.
+const TILE: usize = 64;
 
 /// Skinny C2R (SoA → AoS): identical contract to `ipt_core::c2r(data,
 /// m, n)`, for a small `m` (the struct's field count) — consumes an
@@ -54,7 +65,7 @@ pub(crate) fn fits_a_chunk(m: usize, size: usize) -> bool {
 /// The route of a conversion of `n` structs of `m` fields of `size`
 /// bytes: [`Route::Skinny`] with `K` the largest divisor of `n` whose
 /// chunk fits [`CHUNK_BYTES`]; when that divisor is too small to fill
-/// one [`RUN_BYTES`] run, `K` is the largest chunk that fits and the
+/// one [`PAGE_BYTES`] page, `K` is the largest chunk that fits and the
 /// tail is peeled.
 pub(crate) fn route(m: usize, n: usize, size: usize) -> Route {
     let size = size.max(1);
@@ -63,7 +74,7 @@ pub(crate) fn route(m: usize, n: usize, size: usize) -> Route {
         n
     } else {
         match largest_divisor_at_most(n, cap) {
-            d if d * size >= RUN_BYTES => d,
+            d if d * size >= PAGE_BYTES => d,
             _ => cap,
         }
     };
@@ -87,6 +98,17 @@ fn largest_divisor_at_most(n: usize, cap: usize) -> usize {
     best
 }
 
+/// The page permutation of the skinny route's block pass in direction
+/// `dir` on `p` chunks of `k` structs of `m` fields: the transpose of the
+/// `p x m` matrix of `k`-element blocks for R2C, of the `m x p` one for
+/// C2R.
+pub(crate) fn pages(dir: Direction, (p, k, m): (usize, usize, usize)) -> Pages {
+    match dir {
+        Direction::R2c => Pages::blocks((p, m), k),
+        Direction::C2r => Pages::blocks((m, p), k),
+    }
+}
+
 /// The skinny route on the plan's `m x n` (`m` fields, `n` structs): the
 /// two-level transpose of the `main`-struct prefix in chunks of `k`
 /// structs, and the peel of the other `n - main`.
@@ -97,7 +119,7 @@ pub(crate) fn run<T: Copy + Send + Sync + 'static>(
     k: usize,
     main: usize,
 ) -> Result<(), TransposeAborted> {
-    let stack = (main / k, k, m);
+    let pages = pages(dir, (main / k, k, m));
     match dir {
         Direction::C2r => {
             // Peel: gather the tail structs (AoS order), then close each
@@ -116,12 +138,14 @@ pub(crate) fn run<T: Copy + Send + Sync + 'static>(
             // buffer a permutation of its input should a pass abort.
             let (head, tail) = data.split_at_mut(main * m);
             tail.copy_from_slice(&stash);
-            two_level::run(head, stack, true)
+            page_pass(head, pages)?;
+            chunk_pass(head, (m, k))
         }
         Direction::R2c => {
             let (head, tail) = data.split_at_mut(main * m);
             let stash = tail.to_vec();
-            two_level::run(head, stack, false)?;
+            chunk_pass(head, (k, m))?;
+            page_pass(head, pages)?;
             // Peel: open each field's run out to `v·n`, last field first
             // (each moves right), then drop the tail structs' fields into
             // the gaps.
@@ -140,29 +164,72 @@ pub(crate) fn run<T: Copy + Send + Sync + 'static>(
     }
 }
 
+/// Transpose every contiguous `rows x cols` chunk of `data` through a
+/// copy in worker scratch, one task each. The body has no fault site,
+/// so it is its own redo.
+fn chunk_pass<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    (rows, cols): (usize, usize),
+) -> Result<(), TransposeAborted> {
+    let len = rows * cols;
+    assert!(len > 0 && data.len() % len == 0, "whole chunks");
+    let site = phases::CHUNK_TRANSPOSE;
+    run_pass(site, data, |data| {
+        let f = |scratch: &mut Scratch<T>, _: usize, chunk: &mut [T]| {
+            transpose_into(scratch.copy_of(chunk), chunk, rows, cols)
+        };
+        run_blocks(data, len, site, f, f)
+    })
+}
+
+/// Out-of-place transpose of the `rows x cols` row-major `src` into
+/// `dst`, `TILE` source rows at a time.
+// A whole chunk per call, shared by the task body and its redo: kept out
+// of line so unrelated code cannot move it in or out of the executor
+// (EXPERIMENTS.md, "One two-level transpose").
+#[inline(never)]
+fn transpose_into<T: Copy>(src: &[T], dst: &mut [T], rows: usize, cols: usize) {
+    for r0 in (0..rows).step_by(TILE) {
+        let r1 = (r0 + TILE).min(rows);
+        for c in 0..cols {
+            let out = &mut dst[c * rows + r0..c * rows + r1];
+            for (o, r) in out.iter_mut().zip(r0..r1) {
+                *o = src[r * cols + c];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_level::block_width;
     use ipt_core::check::fill_pattern;
     use ipt_core::Scratch;
 
-    /// What a conversion resolves to: the route's chunking and the block
-    /// pass's width on a pool `threads` wide.
-    #[derive(Debug)]
-    struct Plan {
-        k: usize,
-        main: usize,
-        w: usize,
-    }
-
-    impl Plan {
-        fn new(m: usize, n: usize, size: usize, threads: usize) -> Plan {
-            let Route::Skinny { k, main } = route(m, n, size) else {
-                unreachable!("the skinny route");
-            };
-            let w = block_width(k, size, threads);
-            Plan { k, main, w }
+    #[test]
+    fn a_stack_turns_into_its_transpose_and_back() {
+        // P chunks of [K][s], square and rectangular, one chunk and
+        // several: R2C leaves the s x P·K transpose, C2R undoes it.
+        crate::force_multithreaded_pool();
+        for (p, k, s) in [
+            (2usize, 64usize, 64usize),
+            (3, 5, 5),
+            (4, 70, 3),
+            (3, 3, 70),
+            (1, 9, 4),
+        ] {
+            let (rows, cols) = (p * k, s);
+            let orig: Vec<u64> = (0..(rows * cols) as u64).collect();
+            let mut a = orig.clone();
+            run(&mut a, Direction::R2c, (s, rows), k, rows).unwrap();
+            for i in 0..cols {
+                for j in 0..rows {
+                    let what = format!("{p}x[{k}][{s}] ({i},{j})");
+                    assert_eq!(a[i * rows + j], orig[j * cols + i], "{what}");
+                }
+            }
+            run(&mut a, Direction::C2r, (s, rows), k, rows).unwrap();
+            assert_eq!(a, orig, "{p}x[{k}][{s}] round trip");
         }
     }
 
@@ -251,19 +318,18 @@ mod tests {
                 let cap = CHUNK_BYTES / (m * size);
                 let counts = [2, 97, cap, cap + 1, 3 * cap, 65_521, 65_536, 13_107_200];
                 for n in counts {
-                    for threads in [1usize, 2, 4] {
-                        let p = Plan::new(m, n, size, threads);
-                        let what = format!("m={m} n={n} size={size} threads={threads}: {p:?}");
-                        assert_eq!(p.main % p.k, 0, "{what}");
-                        assert!(p.main <= n && n - p.main < p.k, "{what}");
-                        assert!(p.k * m * size <= CHUNK_BYTES, "{what}");
-                        assert!(1 <= p.w && p.w <= p.k, "{what}");
-                        let d = largest_divisor_at_most(n, cap);
-                        let usable = n <= cap || d * size >= RUN_BYTES;
-                        assert_eq!(p.main < n, !usable && n % cap != 0, "{what}");
-                        if usable {
-                            assert_eq!(p.k, if n <= cap { n } else { d }, "{what}");
-                        }
+                    let Route::Skinny { k, main } = route(m, n, size) else {
+                        unreachable!("the skinny route");
+                    };
+                    let what = format!("m={m} n={n} size={size}: K = {k}, main = {main}");
+                    assert_eq!(main % k, 0, "{what}");
+                    assert!(main <= n && n - main < k, "{what}");
+                    assert!(k * m * size <= CHUNK_BYTES, "{what}");
+                    let d = largest_divisor_at_most(n, cap);
+                    let usable = n <= cap || d * size >= PAGE_BYTES;
+                    assert_eq!(main < n, !usable && n % cap != 0, "{what}");
+                    if usable {
+                        assert_eq!(k, if n <= cap { n } else { d }, "{what}");
                     }
                 }
             }

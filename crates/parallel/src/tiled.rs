@@ -25,6 +25,10 @@
 //! times the bytes of `max(m, n)` elements: within the paper's
 //! `O(max(m, n))` budget while `min(m, n) <= 32768`.
 //!
+//! The §6.1 skinny route's block pass is the same page pass with `Q = 1`
+//! and pages of `K` elements, one `K`-struct block of a field each
+//! ([`Pages::blocks`]): [`page_pass`] runs both.
+//!
 //! [`exec::run_pages`]: crate::exec::run_pages
 
 use std::mem::size_of;
@@ -34,7 +38,7 @@ use crate::{grain, phases, run_pass, tile, TransposeAborted};
 use ipt_core::Direction;
 
 /// Bytes of one page.
-const PAGE_BYTES: usize = 4096;
+pub(crate) const PAGE_BYTES: usize = 4096;
 
 /// Side `L` of the tiles `c2r_parallel::<T>` cuts an `m x n` matrix
 /// into, or `None` when it takes the element path: the call's
@@ -79,63 +83,89 @@ pub(crate) fn run<T: Copy + Send + Sync + 'static>(
             tile::transpose_tiles(d, (m, n), l)
         })
     };
-    let pages = |data: &mut [T]| {
-        let pages = Pages::of(dir, (m, n), l);
-        if pages.p * pages.q == 1 {
-            return Ok(()); // one tile: every page is in place
-        }
-        run_pass(phases::PAGE_PERMUTE, data, |d| {
-            run_pages(
-                d,
-                &Cycles::scan(pages, ipt_pool::num_threads()),
-                phases::PAGE_PERMUTE,
-            )
-        })
-    };
+    let pages = Pages::of(dir, (m, n), l);
     match dir {
         Direction::C2r => {
             tiles(data)?;
-            pages(data)
+            page_pass(data, pages)
         }
         Direction::R2c => {
-            pages(data)?;
+            page_pass(data, pages)?;
             tiles(data)
         }
     }
 }
 
-/// The page permutation of a buffer of `[p][l][q]` pages of `l`
-/// elements: page `(a, s, b)` moves to page `(b, s, a)` of `[q][l][p]`.
+/// The page pass of the tiled and skinny routes, recorded as
+/// [`phases::PAGE_PERMUTE`]: every page of `data` moved to its place by
+/// `pages`, one segment per worker. Not run when every page is in place.
+pub(crate) fn page_pass<T: Copy + Send + Sync + 'static>(
+    data: &mut [T],
+    pages: Pages,
+) -> Result<(), TransposeAborted> {
+    if pages.fixed() {
+        return Ok(());
+    }
+    run_pass(phases::PAGE_PERMUTE, data, |d| {
+        run_pages(
+            d,
+            &Cycles::scan(pages, ipt_pool::num_threads()),
+            phases::PAGE_PERMUTE,
+        )
+    })
+}
+
+/// The page permutation of a buffer of `[p][s][q]` pages of `len`
+/// elements: page `(a, c, b)` moves to page `(b, c, a)` of `[q][s][p]`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pages {
     p: usize,
-    l: usize,
+    s: usize,
     q: usize,
+    len: usize,
 }
 
 impl Pages {
     /// The page permutation the tiled route runs in direction `dir` on
     /// the plan's `m x n` with tile side `l`: that of the `m x n` input
-    /// for C2R, of the `n x m` input for R2C.
+    /// for C2R, of the `n x m` input for R2C. Its pages are `l` long.
     pub(crate) fn of(dir: Direction, (m, n): (usize, usize), l: usize) -> Pages {
         let (p, q) = match dir {
             Direction::C2r => (m / l, n / l),
             Direction::R2c => (n / l, m / l),
         };
-        Pages { p, l, q }
+        Pages { p, s: l, q, len: l }
+    }
+
+    /// The transpose of a `rows x cols` row-major matrix of `k`-element
+    /// blocks, the §6.1 block pass: block `(a, b)` is page `(a, b, 0)` of
+    /// `[rows][cols][1]` and moves to page `(0, b, a)` of `[1][cols][rows]`.
+    pub(crate) fn blocks((rows, cols): (usize, usize), k: usize) -> Pages {
+        Pages {
+            p: rows,
+            s: cols,
+            q: 1,
+            len: k,
+        }
+    }
+
+    /// Whether every page is in place already: one tile (`p = q = 1`),
+    /// or one row or column of blocks (`s = 1` and `p` or `q` is 1).
+    pub(crate) fn fixed(&self) -> bool {
+        self.p.max(self.q) == 1 || (self.s == 1 && self.p.min(self.q) == 1)
     }
 
     /// The number of pages.
     fn count(&self) -> usize {
-        self.p * self.l * self.q
+        self.p * self.s * self.q
     }
 
     /// The page whose content moves to page `y`.
     #[inline]
     fn source(&self, y: usize) -> usize {
         let (t, a) = (y / self.p, y % self.p);
-        let (b, s) = (t / self.l, t % self.l);
-        (a * self.l + s) * self.q + b
+        let (b, c) = (t / self.s, t % self.s);
+        (a * self.s + c) * self.q + b
     }
 }
 
@@ -186,7 +216,7 @@ impl Cycles {
     pub(crate) fn scan(pages: Pages, threads: usize) -> Cycles {
         let total = pages.count();
         let moved = total - (0..total).filter(|&y| pages.source(y) == y).count();
-        let parts = threads.min(moved / grain(pages.l)).max(1);
+        let parts = threads.min(moved / grain(pages.len)).max(1);
         // The move at which segment `k` begins.
         let start = |k: usize| k * (moved / parts) + k.min(moved % parts);
         let mut marks = vec![0u64; total.div_ceil(64)];
@@ -237,9 +267,9 @@ impl Cycles {
         }
     }
 
-    /// Elements per page, `L`.
+    /// Elements per page.
     pub(crate) fn page_len(&self) -> usize {
-        self.pages.l
+        self.pages.len
     }
 
     /// The number of pages.
@@ -284,8 +314,8 @@ mod tests {
         // Where each page moves: the inverse of `source`.
         let mut dest = vec![usize::MAX; total];
         for y in 0..total {
-            let (b, s, a) = (y / (pages.l * pages.p), y / pages.p % pages.l, y % pages.p);
-            let x = (a * pages.l + s) * pages.q + b;
+            let (b, c, a) = (y / (pages.s * pages.p), y / pages.p % pages.s, y % pages.p);
+            let x = (a * pages.s + c) * pages.q + b;
             assert_eq!(pages.source(y), x);
             assert_eq!(dest[x], usize::MAX, "a bijection");
             dest[x] = y;
@@ -309,7 +339,10 @@ mod tests {
 
     #[test]
     fn the_scan_counts_the_cycles_and_cuts_every_move_into_one_segment() {
-        for (p, l, q) in [
+        // The tiled route's [P][L][Q] pages of L elements, then the §6.1
+        // block pass's [P][s][1] pages of K elements, K not s, one row
+        // and one column of blocks (every page in place) included.
+        let tiled = [
             (1usize, 8usize, 1usize),
             (2, 8, 3),
             (3, 8, 2),
@@ -318,13 +351,23 @@ mod tests {
             (1, 16, 6),
             (2, 512, 3),
             (6, 8, 5),
-        ] {
-            let pages = Pages::of(Direction::C2r, (p * l, q * l), l);
+        ]
+        .map(|(p, l, q)| Pages::of(Direction::C2r, (p * l, q * l), l));
+        let blocks = [
+            (7usize, 12usize, 5usize),
+            (12, 7, 3),
+            (2, 3, 70),
+            (1, 4, 9),
+            (4, 1, 9),
+        ]
+        .map(|(p, s, k)| Pages::blocks((p, s), k));
+        for pages in tiled.into_iter().chain(blocks) {
             let lengths = brute_force(pages);
             let moved: usize = lengths.iter().filter(|&&c| c > 1).sum();
+            assert_eq!(pages.fixed(), moved == 0, "{pages:?}");
             for threads in [1usize, 2, 3, 7] {
                 let cycles = Cycles::scan(pages, threads);
-                let what = format!("{p} x {l} x {q}, {threads} threads");
+                let what = format!("{pages:?}, {threads} threads");
                 assert_eq!(cycles.count, lengths.len(), "{what}");
                 assert_eq!(Some(&cycles.longest), lengths.iter().max(), "{what}");
                 let segments = &cycles.segments;

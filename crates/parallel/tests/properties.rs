@@ -413,7 +413,7 @@ fn tiled_route_records_every_pass_once_it_succeeds() {
                 .unwrap_or_else(|| panic!("{dir} {name}: {d:?}"));
             assert_eq!((p.calls, p.bytes), (1, pass), "{dir} {name}: {d:?}");
         }
-        for name in phases::ALL.iter().chain(&[phases::BLOCK_PERMUTE]) {
+        for name in phases::ALL {
             assert!(d.phase(name).is_none(), "{dir} ran {name}: {d:?}");
         }
     }

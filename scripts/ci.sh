@@ -31,7 +31,7 @@
 #                        abort) or 0 — never SIGSEGV
 #   tier 3  miri         cargo +nightly miri over ipt-core + ipt-pool,
 #                        and ipt-parallel's small tiled-route (tiles and
-#                        page pass), two-level and skinny-route tests;
+#                        page pass) and skinny-route tests;
 #                        then, as a soft step, the tile tests again with
 #                        AVX2 enabled, so the AVX2 tile kernel runs under
 #                        the interpreter;
@@ -145,11 +145,11 @@ miri_stage() {
         rustup run nightly cargo miri test -p ipt-core -p ipt-pool
     # ipt-parallel's raw-pointer paths, through their small tests only:
     # the tile kernels, the page pass's cycle scan and its resumed
-    # segments, the two-level stacks, the skinny route's small shapes,
+    # segments, the skinny route's small shapes,
     # and the edge shapes on 256- and 512-byte elements.
     MIRIFLAGS="-Zmiri-disable-isolation" \
         rustup run nightly cargo miri test -p ipt-parallel --lib -- \
-        tiled:: tile:: two_level:: skinny:: \
+        tiled:: tile:: skinny:: \
         exec::tests::page_segments_torn_at_any_move
     MIRIFLAGS="-Zmiri-disable-isolation" \
         rustup run nightly cargo miri test -p ipt-parallel --test properties \
@@ -190,7 +190,7 @@ recovery_stage() {
     # itself broke. Column groups and rows (parallel), the §6.1 chunks
     # (aos), and column groups one head tall over a stack of 16 heads
     # with its rows (batched). The aos suite makes a few dozen tasks per
-    # call (its chunks and sub-row groups), so it needs a far higher rate
+    # call (its chunks and page-pass segments), so it needs a far higher rate
     # than 0.05 for any injection to fire (aos at 0.05 draws none); the
     # batched suite keeps the 0.5 it had when a call was 16 tasks.
     local suite_rate suite rate out rc
@@ -215,23 +215,25 @@ recovery_stage() {
         fi
     done
 
-    # Skews, through the CLI: checked mode must catch the §6.1 block
-    # permute's skewed writes and the ladder's sequential redo must heal
-    # them (rate 0.05 hits several of its column groups per call).
+    # Skews, through the CLI: checked mode must catch the element path's
+    # skewed column-group writes and the ladder's sequential redo must
+    # heal them (rate 0.05 hits several column groups per call). The
+    # §6.1 passes have no skew site: a chunk is a block and a page move
+    # one run copy.
     rc=0
     out="$(IPT_FAULT="skew:0.05" IPT_CHECK=1 IPT_RETRY=2 \
-        target/release/ipt-cli bench --suite aos --quick --samples 2 \
+        target/release/ipt-cli bench --suite parallel --quick --samples 2 \
         --out "$(mktemp)" 2>&1)" || rc=$?
     if [ "$rc" -ne 0 ]; then
         echo "$out"
-        echo "recovery smoke (aos skew): armed bench must exit 0, got $rc"
+        echo "recovery smoke (parallel skew): armed bench must exit 0, got $rc"
         return 1
     fi
     if grep -q "recovery:" <<< "$out"; then
-        echo "recovery smoke (aos skew): armed bench completed; healed runs:"
+        echo "recovery smoke (parallel skew): armed bench completed; healed runs:"
         grep "recovery:" <<< "$out" | head -3
     else
-        echo "recovery smoke (aos skew): WARNING: armed bench saw no" \
+        echo "recovery smoke (parallel skew): WARNING: armed bench saw no" \
              "injection (deterministic decisions all missed)"
     fi
 

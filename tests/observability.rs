@@ -133,7 +133,7 @@ fn every_route_records_each_pass_once_with_its_bytes() {
         let before = stats::snapshot();
         convert(&mut a, structs, fields).unwrap();
         let d = stats::snapshot().delta_since(&before);
-        for name in [phases::CHUNK_TRANSPOSE, phases::BLOCK_PERMUTE] {
+        for name in [phases::CHUNK_TRANSPOSE, phases::PAGE_PERMUTE] {
             let p = d
                 .phase(name)
                 .unwrap_or_else(|| panic!("{dir} {name}: {d:?}"));
