@@ -1,44 +1,35 @@
-//! Cache-aware column primitives (paper §4.6–§4.7).
+//! Cache-aware column passes (paper §4.6–§4.7).
 //!
 //! A naive column rotation touches one element per row per column —
 //! worst-case one cache line per element. The paper's fix operates on
 //! **sub-rows**: groups of `w` adjacent columns whose per-row slice spans
 //! one cache line.
 //!
-//! * **Coarse phase** (§4.6): all `w` columns of a group are rotated
-//!   *together* by a common coarse amount, following the rotation's
-//!   analytic cycles (`z = gcd(m, r)` cycles, enumerable in closed form)
-//!   and moving whole sub-rows — no cycle descriptors, no scratch beyond
-//!   one sub-row.
-//! * **Fine phase** (§4.6): the residual per-column rotation is bounded
-//!   (`< w` for all the rotation families the algorithm uses), so it is
-//!   **staged** block by block through an on-cache window of `h`
-//!   sub-rows: each block's source sub-rows are copied in with one
-//!   contiguous run apiece (the `maxres` rows it shares with the next
-//!   block carried forward, the wrap-around rows served from a small
-//!   stash), the rotation runs inside the window, and each destination
-//!   sub-row is stored back with one run. The strided matrix sees only
-//!   whole sub-rows, never a per-element diagonal gather. The fine pass
-//!   is skipped entirely when every residual is zero — common for the
-//!   pre-rotation, whose amount `floor(j/b)` changes only every `b`
-//!   columns.
-//! * **Row permute** (§4.7): `q`'s cycles have no closed form, so each
-//!   group follows them with a visited mask (`O(m)` scratch per worker),
-//!   moving whole sub-rows.
-//! * **Fused column shuffle** ([`col_shuffle_fused`]): per group,
-//!   `s'_j = p_j ∘ q` factors as a *fine* rotation by `(j - j0) mod m`
-//!   followed by the group-uniform permutation `g(i) = (q(i) + j0) mod m`
-//!   — folding the coarse rotation into the permutation's cycle walk and
-//!   saving one full read+write pass over the array.
+//! Every element-path column pass is one body, `column_pass`: column `j`
+//! rotates left by `a(j)` and every column's rows move by one shared
+//! permutation `u`, the paper's `s'_j = p_j ∘ q` (Eqs. 26, 32–34). The
+//! C2R shuffle is `a(j) = j mod m` then `u = q`; its inverse `u = q⁻¹`
+//! then `a(j) = (m − j mod m) mod m`; the pre- and post-rotation
+//! (Eqs. 23, 36) are `a(j) = ±floor(j/b)` with no `u`. Per group:
+//!
+//! * each `a(j)` is split into a group-wide *coarse* amount and a
+//!   *residual* below the group width;
+//! * the residuals run as the **staged fine rotation** (§4.6) through an
+//!   on-cache window of `h` sub-rows, each source sub-row read and each
+//!   destination sub-row stored with one contiguous run, so the strided
+//!   matrix sees only whole sub-rows; skipped when every residual is zero;
+//! * rotations of one column add, so the coarse amount folds into `u`,
+//!   and one **sub-row walk** (§4.7) follows the folded permutation's
+//!   cycles with a visited mask (`O(m)` scratch per worker), moving whole
+//!   sub-rows; skipped when there is no `u` and the coarse amount is zero.
 //!
 //! Every pass runs on the column-group executor
 //! (`exec::run_column_groups`), which owns the claims, fault sites,
-//! journal and redo; the functions here only say how one group is
-//! permuted.
+//! journal and redo; `column_pass` says how one group is permuted and
+//! which gather its redo replays.
 
 use crate::exec::{run_column_groups, Group};
 use crate::phases;
-use ipt_core::gcd::gcd;
 use ipt_core::index::C2rParams;
 use ipt_core::Direction;
 use ipt_pool::{PoolError, Scratch, WorkerState};
@@ -48,13 +39,16 @@ use ipt_pool::{PoolError, Scratch, WorkerState};
 /// that is zero.
 const NON_EMPTY: &str = "a matrix with a column group has a first element";
 
+/// A column pass with no shared row permutation: a pure rotation.
+const NO_PERMUTATION: Option<fn(usize) -> usize> = None;
+
 /// Rotate every column `j` of each of a stack of `heads` `m x n`
-/// matrices left by `amount(j)` using the two-phase cache-aware scheme,
-/// column groups of width `w` in parallel, one task per head and group.
-/// `site` is the pass's [`phases`] name, its fault sites.
+/// matrices left by `amount(j)` as a `column_pass`, column groups of
+/// width `w` in parallel, one task per head and group. `site` is the
+/// pass's [`phases`] name, its fault sites.
 pub fn rotate_columns_cache_aware<T, A>(
     data: &mut [T],
-    (heads, m, n, w): (usize, usize, usize, usize),
+    shape: (usize, usize, usize, usize),
     block_rows: usize,
     site: &'static str,
     amount: A,
@@ -63,7 +57,34 @@ where
     T: Copy + Send + Sync + 'static,
     A: Fn(usize) -> usize + Send + Sync,
 {
-    let h = block_rows.max(1);
+    column_pass(data, shape, block_rows, site, amount, NO_PERMUTATION, true)
+}
+
+/// Every element-path column pass on each of a stack of `heads` `m x n`
+/// matrices, one task per head and group of `w` columns: column `j`
+/// rotates left by `a(j)` and the rows move by `u` (gather `dst[i] =
+/// src[u(i)]`), the rotation first when `rotate_first` is set. Each group
+/// splits its amounts ([`split_coarse`]), runs the residuals through the
+/// fine window (`h` rows tall) and folds the coarse amount into the one
+/// sub-row walk: `u'(i) = (u(i) + coarse) mod m` after the fine pass,
+/// `u((i + coarse) mod m)` before it. Rotations of one column commute, so
+/// column `j` ends as [`gather`] with its whole `a(j)`: the redo.
+fn column_pass<T, A, U>(
+    data: &mut [T],
+    (heads, m, n, w): (usize, usize, usize, usize),
+    h: usize,
+    site: &'static str,
+    a: A,
+    u: Option<U>,
+    rotate_first: bool,
+) -> Result<(), PoolError>
+where
+    T: Copy + Send + Sync + 'static,
+    A: Fn(usize) -> usize + Sync,
+    U: Fn(usize) -> usize + Sync,
+{
+    let h = h.max(1);
+    let u = u.as_ref();
     let fill = data.first().copied();
     run_column_groups(
         data,
@@ -71,93 +92,76 @@ where
         site,
         |st: &mut Subrows<T>, g| {
             let fill = fill.expect(NON_EMPTY);
-            let shifts = st.shifts.uninit_buf(g.gw(), 0);
-            for (k, a) in shifts.iter_mut().enumerate() {
-                *a = amount(g.j0() + k) % m;
+            let res = st.shifts.uninit_buf(g.gw(), 0);
+            for (k, r) in res.iter_mut().enumerate() {
+                *r = a(g.j0() + k) % m;
             }
-            let buf = st.buf.uninit_buf(g.gw(), fill);
-            rotate_group(g, shifts, h, &mut st.fine, buf, fill);
+            let coarse = split_coarse(res, m);
+            if rotate_first {
+                st.fine.rotate(g, res, h, fill);
+            }
+            if coarse != 0 || u.is_some() {
+                let visited = st.visited.uninit_buf(m, false);
+                let buf = st.buf.uninit_buf(g.gw(), fill);
+                let walk = |i| gather(m, coarse, u, rotate_first, i);
+                permute_subrows(g, walk, visited, buf);
+            }
+            if !rotate_first {
+                st.fine.rotate(g, res, h, fill);
+            }
         },
-        |i, j| (i + amount(j)) % m,
+        |i, j| gather(m, a(j) % m, u, rotate_first, i),
     )
 }
 
-/// One group's two-phase rotation. `shifts[k]` is the (already reduced)
-/// left-rotation of column `j0 + k`; it is overwritten with the fine
-/// residual. `buf` holds one sub-row; `fill` initializes buffer growth.
-fn rotate_group<T: Copy + Send + Sync>(
-    g: Group<'_, T>,
-    shifts: &mut [usize],
-    h: usize,
-    fine: &mut FineWindow<T>,
-    buf: &mut [T],
-    fill: T,
-) {
-    let m = g.m();
-    // Pick the coarse amount that minimizes the worst residual. For the
-    // four rotation families the algorithm uses, amounts step by +1 or -1
-    // (per column or per b columns), so one of the group's endpoints gives
-    // residuals bounded by the group width (§4.6); any other amount
-    // function still gets a correct, if less tight, bound.
-    let residual_bound = |coarse: usize| {
-        shifts
-            .iter()
-            .map(|&a| (a + m - coarse) % m)
-            .max()
-            .unwrap_or(0)
-    };
+/// The row that row `i` of a column gathers from after a left rotation
+/// by `r` and the row permutation `u`: `(u(i) + r) mod m` rotating first,
+/// `u((i + r) mod m)` permuting first (the outer gather applies last).
+/// `i, r < m`, so `mod m` is a compare-and-subtract: the sub-row walk
+/// evaluates this once per sub-row.
+#[inline]
+fn gather<U: Fn(usize) -> usize>(
+    m: usize,
+    r: usize,
+    u: Option<&U>,
+    rotate_first: bool,
+    i: usize,
+) -> usize {
+    let add = |x: usize| if x + r >= m { x + r - m } else { x + r };
+    match u {
+        None => add(i),
+        Some(u) if rotate_first => add(u(i)),
+        Some(u) => u(add(i)),
+    }
+}
+
+/// Split one group's left rotations `shifts[k] < m` into a group-wide
+/// coarse amount, returned, and the residuals `(shifts[k] − coarse) mod
+/// m`, left in `shifts`. The coarse amount is the endpoint that minimizes
+/// the worst residual: every rotation the algorithm uses steps by +1 or
+/// −1 (per column or per `b` columns), so one of the group's endpoints
+/// bounds the residuals by the group width (§4.6); any other amount
+/// function still gets a correct, if less tight, bound.
+fn split_coarse(shifts: &mut [usize], m: usize) -> usize {
+    let residual = |a: usize, coarse: usize| (a + m - coarse) % m;
+    let bound = |c: usize| shifts.iter().map(|&a| residual(a, c)).max();
     let (first, last) = (shifts[0], shifts[shifts.len() - 1]);
-    let coarse = if residual_bound(first) <= residual_bound(last) {
+    let coarse = if bound(first) <= bound(last) {
         first
     } else {
         last
     };
     for a in shifts.iter_mut() {
-        *a = (*a + m - coarse) % m;
+        *a = residual(*a, coarse);
     }
-
-    // Coarse phase: rotate the group's m sub-rows left by `coarse`,
-    // following the analytic cycles with one sub-row of scratch.
-    coarse_rotate_subrows(g, coarse, buf);
-
-    // Fine phase: apply the bounded residual rotations block by block.
-    fine.rotate(g, shifts, h, false, fill);
+    coarse
 }
 
-/// Coarse sub-row rotation: rows of the group move `i <- (i + r) mod m`
-/// as whole `buf.len()`-wide units along the rotation's analytic cycles
-/// (§4.6), with `buf` holding each cycle's first sub-row.
-fn coarse_rotate_subrows<T: Copy + Send + Sync>(g: Group<'_, T>, r: usize, buf: &mut [T]) {
-    let m = g.m();
-    let r = r % m;
-    if r == 0 {
-        return;
-    }
-    // SAFETY (whole function): every row is < m and every column offset
-    // k < buf.len() = gw.
-    let z = gcd(m as u64, r as u64) as usize;
-    for y in 0..z {
-        unsafe { g.read_run(y, buf) };
-        let mut i = y;
-        loop {
-            let src = i + r - if i + r >= m { m } else { 0 };
-            if src == y {
-                unsafe { g.write_run(i, buf) };
-                break;
-            }
-            for k in 0..buf.len() {
-                unsafe { g.set(i, k, g.get(src, k)) };
-            }
-            i = src;
-        }
-    }
-}
-
-/// One worker's buffers for every cache-aware pass: the staged fine
-/// window, one sub-row, the group's per-column shifts and a permutation's
-/// visited mask. The rotations and the fused shuffles share one set per
-/// element type and worker thread (the executor's parked state), so a
-/// thread keeps one window however many kinds of pass it runs.
+/// One worker's buffers for every column pass: the staged fine window,
+/// one sub-row, the group's per-column residuals and the walk's visited
+/// mask. Every column pass shares one set per element type and worker
+/// thread (the executor's parked state), so a thread keeps one window
+/// however many kinds of pass it runs.
 struct Subrows<T> {
     fine: FineWindow<T>,
     buf: Scratch<T>,
@@ -238,18 +242,13 @@ impl<T> Default for FineWindow<T> {
 }
 
 impl<T: Copy + Send + Sync> FineWindow<T> {
-    /// Rotate column `j0 + k` by `residuals[k]`: **left** (gather
-    /// `dst[i] = src[(i + r) mod m]`), or **right** when `right` is set
-    /// (gather `dst[i] = src[(i - r) mod m]`).
-    ///
-    /// A right rotation is a left rotation of the rows taken in reverse
-    /// order, so both directions run one top-down sweep over *sweep rows*
-    /// `s`, which are matrix rows `s` (left) or `m - 1 - s` (right). Window
-    /// row `t` holds sweep row `i0 + t`, and the stash holds sweep rows
-    /// `[0, maxres)` — the rows the sweep overwrites first and reads last.
+    /// Rotate column `j0 + k` left by `residuals[k]` (gather `dst[i] =
+    /// src[(i + r) mod m]`) in one top-down sweep. Window row `t` holds
+    /// row `i0 + t`, and the stash holds rows `[0, maxres)` — the rows
+    /// the sweep overwrites first and reads last.
     ///
     /// `fill` initializes buffer growth; every cell read is written first.
-    fn rotate(&mut self, g: Group<'_, T>, residuals: &[usize], h: usize, right: bool, fill: T) {
+    fn rotate(&mut self, g: Group<'_, T>, residuals: &[usize], h: usize, fill: T) {
         let m = g.m();
         let gw = residuals.len();
         let maxres = residuals.iter().copied().max().unwrap_or(0);
@@ -266,16 +265,15 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
         let window = self.window.uninit_buf(span * gw, fill);
         let stash = self.stash.uninit_buf(maxres * gw, fill);
         let row = self.row.uninit_buf(gw, fill);
-        // Destination sweep row i, column k reads window row i + r.
+        // Destination row i, column k reads window row i + r.
         let offs = self.offs.uninit_buf(gw, 0);
         for (k, (off, &r)) in offs.iter_mut().zip(residuals).enumerate() {
             *off = r * gw + k;
         }
         // SAFETY (whole function): every run is the gw-wide sub-row of a
-        // matrix row row(s) < m — one sub-row of this task's group.
-        let row_of = |s: usize| if right { m - 1 - s } else { s };
+        // row < m — one sub-row of this task's group.
         for (s, run) in stash.chunks_exact_mut(gw).enumerate() {
-            unsafe { g.read_run(row_of(s), run) };
+            unsafe { g.read_run(s, run) };
         }
         let mut carried = 0;
         let mut i0 = 0;
@@ -285,7 +283,7 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
             for t in carried..rows {
                 let (src, run) = (i0 + t, &mut window[t * gw..(t + 1) * gw]);
                 if src < m {
-                    unsafe { g.read_run(row_of(src), run) };
+                    unsafe { g.read_run(src, run) };
                 } else {
                     run.copy_from_slice(&stash[(src - m) * gw..(src - m + 1) * gw]);
                 }
@@ -298,9 +296,9 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
                 for (slot, &off) in row.iter_mut().zip(offs.iter()) {
                     *slot = src[off];
                 }
-                unsafe { g.write_run(row_of(i0 + i), row) };
+                unsafe { g.write_run(i0 + i, row) };
             }
-            // Sweep rows [i0 + he, i0 + rows) open the next window.
+            // Rows [i0 + he, i0 + rows) open the next window.
             window.copy_within(he * gw..rows * gw, 0);
             carried = maxres;
             i0 += he;
@@ -310,7 +308,8 @@ impl<T: Copy + Send + Sync> FineWindow<T> {
 
 /// Uniform sub-row permutation within one group: gather `dst[i] =
 /// src[perm(i)]`, cycles followed with a visited mask and one sub-row of
-/// scratch (both caller-provided and reused across groups).
+/// scratch (both caller-provided and reused across groups), `perm`
+/// evaluated once per row.
 fn permute_subrows<T: Copy + Send + Sync>(
     g: Group<'_, T>,
     perm: impl Fn(usize) -> usize,
@@ -328,28 +327,21 @@ fn permute_subrows<T: Copy + Send + Sync>(
             continue;
         }
         visited[start] = true;
-        let first_src = perm(start);
-        if first_src == start {
+        let mut src = perm(start);
+        if src == start {
             continue;
         }
-        for (k, slot) in buf.iter_mut().enumerate() {
-            *slot = unsafe { g.get(start, k) };
-        }
+        unsafe { g.read_run(start, buf) };
         let mut i = start;
-        loop {
-            let src = perm(i);
-            if src == start {
-                for (k, &v) in buf.iter().enumerate() {
-                    unsafe { g.set(i, k, v) };
-                }
-                break;
-            }
+        while src != start {
             visited[src] = true;
             for k in 0..buf.len() {
                 unsafe { g.set(i, k, g.get(src, k)) };
             }
             i = src;
+            src = perm(i);
         }
+        unsafe { g.write_run(i, buf) };
     }
 }
 
@@ -387,24 +379,32 @@ pub(crate) fn rotation<T: Copy + Send + Sync + 'static>(
     if p.coprime() {
         return Ok(());
     }
+    let site = match dir {
+        Direction::C2r => phases::PRE_ROTATE,
+        Direction::R2c => phases::POST_ROTATE,
+    };
     let shape = (heads, p.m, p.n, w);
-    match dir {
-        Direction::C2r => {
-            rotate_columns_cache_aware(data, shape, h, phases::PRE_ROTATE, |j| p.rotate_amount(j))
+    rotate_columns_cache_aware(data, shape, h, site, rotation_amount(p, dir))
+}
+
+/// Column `j`'s left rotation in the element path's rotation in `dir`:
+/// `floor(j/b)` for C2R (Eq. 23), `(m − floor(j/b) mod m) mod m` for R2C
+/// (Eq. 36).
+fn rotation_amount(p: &C2rParams, dir: Direction) -> impl Fn(usize) -> usize + Send + Sync + '_ {
+    let c2r = dir == Direction::C2r;
+    move |j| {
+        let k = p.rotate_amount(j);
+        if c2r {
+            k
+        } else {
+            (p.m - k % p.m) % p.m
         }
-        Direction::R2c => rotate_columns_cache_aware(data, shape, h, phases::POST_ROTATE, |j| {
-            (p.m - p.rotate_amount(j) % p.m) % p.m
-        }),
     }
 }
 
-/// The entire C2R column shuffle (Eq. 26) in two cache-friendly passes
-/// per group: a *fine* left rotation by `(j - j0) mod m` followed by the
-/// group-uniform sub-row permutation `g(i) = (q(i) + j0) mod m`.
-///
-/// Correctness: gathering first with the fine rotation and then with `g`
-/// composes (gather-then-gather applies the outer function last) to
-/// `old[(g(i) + (j - j0)) mod m] = old[(q(i) + j) mod m] = old[s'_j(i)]`.
+/// The entire C2R column shuffle (Eq. 26) as one `column_pass`: column
+/// `j` rotates left by `j mod m`, then the rows move by `q`, so column
+/// `j` gathers `old[(q(i) + j) mod m] = old[s'_j(i)]`.
 pub fn col_shuffle_fused<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
@@ -414,9 +414,9 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync + 'static>(
     col_shuffle(data, 1, p, (w, h), Direction::C2r)
 }
 
-/// The inverse of [`col_shuffle_fused`] (the R2C side): the group-uniform
-/// permutation `g^-1(i) = q^-1((i - j0) mod m)` followed by the fine
-/// **right** rotation by `(j - j0) mod m`.
+/// The inverse of [`col_shuffle_fused`] (the R2C side): the rows move by
+/// `q^-1`, then column `j` rotates left by `(m − j mod m) mod m`, so
+/// column `j` gathers `old[q^-1((i − j) mod m)]`.
 pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     p: &C2rParams,
@@ -428,8 +428,7 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync + 'static>(
 
 /// The element path's column shuffle in `dir` — [`col_shuffle_fused`] for
 /// C2R, [`col_shuffle_fused_inverse`] for R2C — on every head of a stack
-/// of `heads` `p.m x p.n` matrices: one fine rotation and one sub-row
-/// permutation per head and group, in the direction's order.
+/// of `heads` `p.m x p.n` matrices.
 pub(crate) fn col_shuffle<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     heads: usize,
@@ -437,44 +436,35 @@ pub(crate) fn col_shuffle<T: Copy + Send + Sync + 'static>(
     (w, h): (usize, usize),
     dir: Direction,
 ) -> Result<(), PoolError> {
-    let (m, n) = (p.m, p.n);
-    let inverse = dir == Direction::R2c;
-    let fill = data.first().copied();
-    run_column_groups(
+    let (a, u, rotate_first) = shuffle_pass(p, dir);
+    let shape = (heads, p.m, p.n, w);
+    column_pass(
         data,
-        (heads, m, n, w),
+        shape,
+        h,
         phases::COL_SHUFFLE,
-        |st: &mut Subrows<T>, g| {
-            let fill = fill.expect(NON_EMPTY);
-            let j0m = g.j0() % m;
-            // Column j0 + k's fine residual is k mod m in every group.
-            let res = st.shifts.uninit_buf(g.gw(), 0);
-            for (k, r) in res.iter_mut().enumerate() {
-                *r = k % m;
-            }
-            let visited = st.visited.uninit_buf(m, false);
-            let buf = st.buf.uninit_buf(g.gw(), fill);
-            let fine = &mut st.fine;
-            if inverse {
-                permute_subrows(g, |i| p.q_inv((i + m - j0m) % m), visited, buf);
-                fine.rotate(g, res, h, true, fill);
-            } else {
-                fine.rotate(g, res, h, false, fill);
-                permute_subrows(g, |i| (p.q(i) + j0m) % m, visited, buf);
-            }
-        },
-        // Per column, the pair composes to the direct gather: s'_j(i)
-        // forward (see the fn docs), q^-1((i - j) mod m) inverse.
-        |i, j| {
-            if inverse {
-                p.q_inv((i + m - j % m) % m)
-            } else {
-                p.s(j, i)
-            }
-        },
+        a,
+        Some(u),
+        rotate_first,
     )
 }
 
+/// The column shuffle in `dir` as a [`column_pass`]'s column rotation,
+/// shared row permutation and order: `s'_j = p_j ∘ q` (Eqs. 32–34) for
+/// C2R, rotation first; its inverse for R2C, permutation first.
+fn shuffle_pass(
+    p: &C2rParams,
+    dir: Direction,
+) -> (
+    impl Fn(usize) -> usize + Sync + '_,
+    impl Fn(usize) -> usize + Sync + '_,
+    bool,
+) {
+    let (m, c2r) = (p.m, dir == Direction::C2r);
+    let a = move |j: usize| if c2r { j % m } else { (m - j % m) % m };
+    let u = move |i| if c2r { p.q(i) } else { p.q_inv(i) };
+    (a, u, c2r)
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,60 +537,43 @@ mod tests {
     }
 
     /// Run the staged fine pass over every column group of an `m x n`
-    /// matrix on the executor, column `j` rotating by `res[j]` (left, or
-    /// right), one `FineWindow` per worker reused across its groups.
+    /// matrix on the executor, column `j` rotating left by `res[j]`, one
+    /// `FineWindow` per worker reused across its groups.
     fn staged_fine<T: Copy + Send + Sync + 'static>(
         a: &mut [T],
         (m, n): (usize, usize),
         w: usize,
         h: usize,
         res: &[usize],
-        right: bool,
     ) {
         let fill = a[0];
         run_column_groups(
             a,
             (1, m, n, w),
             phases::COL_SHUFFLE,
-            |st: &mut Subrows<T>, g| {
-                st.fine
-                    .rotate(g, &res[g.j0()..g.j0() + g.gw()], h, right, fill)
-            },
-            |i, j| {
-                if right {
-                    (i + m - res[j]) % m
-                } else {
-                    (i + res[j]) % m
-                }
-            },
+            |st: &mut Subrows<T>, g| st.fine.rotate(g, &res[g.j0()..g.j0() + g.gw()], h, fill),
+            |i, j| (i + res[j]) % m,
         )
         .unwrap();
     }
 
-    /// Column `j` rotated left (gather `(i + r) mod m`) or right (gather
-    /// `(i - r) mod m`) by `res[j]`, element by element.
-    fn reference_fine<T: Copy>(
-        orig: &[T],
-        m: usize,
-        n: usize,
-        res: &[usize],
-        right: bool,
-    ) -> Vec<T> {
+    /// Column `j` rotated left (gather `(i + r) mod m`) by `res[j]`,
+    /// element by element.
+    fn reference_fine<T: Copy>(orig: &[T], m: usize, n: usize, res: &[usize]) -> Vec<T> {
         let mut out = orig.to_vec();
         for (j, &r) in res.iter().enumerate() {
             for i in 0..m {
-                let src = if right { (i + m - r) % m } else { (i + r) % m };
-                out[i * n + j] = orig[src * n + j];
+                out[i * n + j] = orig[((i + r) % m) * n + j];
             }
         }
         out
     }
 
     /// Random shapes, group widths, block heights and per-column
-    /// residuals against the reference rotation, both directions, for
-    /// one element type. `encode` must be injective below `max_elems`.
-    /// Every case counts toward the edge conditions the staged window
-    /// has to get right, and each must be hit.
+    /// residuals against the reference rotation, for one element type.
+    /// `encode` must be injective below `max_elems`. Every case counts
+    /// toward the edge conditions the staged window has to get right,
+    /// and each must be hit.
     fn staged_fine_property<T>(seed: u64, max_elems: usize, encode: impl Fn(usize) -> T)
     where
         T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static,
@@ -622,15 +595,13 @@ mod tests {
             one_wide += usize::from(w == 1 && maxres > 0);
             short_last += usize::from(n % w != 0 && n > w && maxres > 0);
             let orig: Vec<T> = (0..m * n).map(&encode).collect();
-            for right in [false, true] {
-                let mut a = orig.clone();
-                staged_fine(&mut a, (m, n), w, h, &res, right);
-                assert_eq!(
-                    a,
-                    reference_fine(&orig, m, n, &res, right),
-                    "case {case}: {m}x{n} w={w} h={h} right={right} res={res:?}"
-                );
-            }
+            let mut a = orig.clone();
+            staged_fine(&mut a, (m, n), w, h, &res);
+            assert_eq!(
+                a,
+                reference_fine(&orig, m, n, &res),
+                "case {case}: {m}x{n} w={w} h={h} res={res:?}"
+            );
         }
         for (name, hits) in [
             (
@@ -657,17 +628,30 @@ mod tests {
     }
 
     #[test]
-    fn fine_right_inverts_fine_left() {
-        for (m, n) in [(9usize, 13usize), (20, 7), (5, 40)] {
-            for w in [3usize, 6, 64] {
-                for h in [2usize, 5, 128] {
-                    let mut a = vec![0u64; m * n];
-                    fill_pattern(&mut a);
-                    let orig = a.clone();
-                    let res: Vec<usize> = (0..n).map(|j| ((j % w) * 2 + 1) % m).collect();
-                    staged_fine(&mut a, (m, n), w, h, &res, false);
-                    staged_fine(&mut a, (m, n), w, h, &res, true);
-                    assert_eq!(a, orig, "{m}x{n} w={w} h={h}");
+    fn each_pass_gathers_the_papers_formula() {
+        // The redo gather every column pass derives from its rotation,
+        // shared permutation and order, against the paper's per-column
+        // formula: s'_j(i) (Eq. 26), q^-1((i - j) mod m) (Eqs. 34-35),
+        // (i + floor(j/b)) mod m (Eq. 23) and its inverse (Eq. 36).
+        let mut rng = Rng::new(0xc01_9a55);
+        for _ in 0..96 {
+            let (m, n) = (rng.range(2..48), rng.range(2..48));
+            let p = C2rParams::new(m, n);
+            for dir in [Direction::C2r, Direction::R2c] {
+                let (a, u, rotate_first) = shuffle_pass(&p, dir);
+                let amount = rotation_amount(&p, dir);
+                for j in 0..n {
+                    let k = j / p.b;
+                    for i in 0..m {
+                        let (shuffle, rotation) = match dir {
+                            Direction::C2r => (p.s(j, i), (i + k) % m),
+                            Direction::R2c => (p.q_inv((i + m - j % m) % m), (i + m - k % m) % m),
+                        };
+                        let got = gather(m, a(j) % m, Some(&u), rotate_first, i);
+                        assert_eq!(got, shuffle, "{dir:?} shuffle {m}x{n} ({i},{j})");
+                        let got = gather(m, amount(j) % m, NO_PERMUTATION.as_ref(), true, i);
+                        assert_eq!(got, rotation, "{dir:?} rotation {m}x{n} ({i},{j})");
+                    }
                 }
             }
         }

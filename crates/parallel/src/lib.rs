@@ -12,10 +12,12 @@
 //!   own `ipt-pool` executor on persistent workers (the paper's §5.1 OpenMP CPU
 //!   implementation, and the thread-grid skeleton of its GPU
 //!   implementation);
-//! * [`cache_aware`] — the §4.6 two-phase (coarse cycle-following + fine
-//!   blocked) column rotation and the §4.7 sub-row cycle-following row
-//!   permute, which turn strided column traffic into cache-line-sized
-//!   sub-row traffic;
+//! * [`cache_aware`] — every element-path column pass as one body: a
+//!   per-column rotation (§4.6, a staged fine window for the residual
+//!   below the group width) plus one row permutation shared by every
+//!   column (§4.7, a sub-row cycle walk that also carries the
+//!   group-wide coarse rotation), which turn strided column traffic into
+//!   cache-line-sized sub-row traffic;
 //! * one [`Plan`] per call: every entry point resolves its shape check,
 //!   direction and view ([`ipt_core::Plan`]) and its [`Route`] once, then
 //!   runs a `match` on the route — nothing to do for a vector or an
@@ -345,7 +347,9 @@ fn run<T: Copy + Send + Sync + 'static>(
     match &plan.route {
         Route::Nothing => Ok(()),
         Route::Elements { params, w, h } => elements(data, dir, params, *w, *h, 1),
-        Route::Tiled { l, .. } => tiled::run(data, dir, (plan.core.m, plan.core.n), *l),
+        Route::Tiled { l, kernel, .. } => {
+            tiled::run(data, dir, (plan.core.m, plan.core.n), *l, *kernel)
+        }
         Route::Skinny { k, main } => skinny::run(data, dir, (plan.core.m, plan.core.n), *k, *main),
     }
 }

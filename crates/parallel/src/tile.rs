@@ -21,20 +21,11 @@ const SUB: usize = 16;
 const SIMD_SUB: usize = 32;
 
 /// Transpose every `l x l` tile of the `m x n` row-major `data` in
-/// place, one task each, with the kernel [`TileKernel::of`] picks. `l`
-/// divides `m` and `n`.
+/// place, one task each, with `kernel` (the plan's), which falls back to
+/// the scalar kernel where [`TileKernel::of`] would not pick AVX2. `l`
+/// divides `m` and `n`. A tile's redo is the element swaps of its
+/// transpose.
 pub(crate) fn transpose_tiles<T: Copy + Send + Sync + 'static>(
-    data: &mut [T],
-    (m, n): (usize, usize),
-    l: usize,
-) -> Result<(), PoolError> {
-    each_tile(data, (m, n), l, TileKernel::of::<T>(l))
-}
-
-/// [`transpose_tiles`] with `kernel`, which falls back to the scalar
-/// kernel where [`TileKernel::of`] would not pick AVX2. A tile's redo is
-/// the element swaps of its transpose.
-fn each_tile<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     (m, n): (usize, usize),
     l: usize,
@@ -352,7 +343,7 @@ mod tests {
     {
         let orig: Vec<T> = (0..m * n).map(&encode).collect();
         let mut got = orig.clone();
-        each_tile(&mut got, (m, n), l, kernel).unwrap();
+        transpose_tiles(&mut got, (m, n), l, kernel).unwrap();
         for i in 0..m {
             for j in 0..n {
                 let (p, r, q, s) = (i / l, i % l, j / l, j % l);

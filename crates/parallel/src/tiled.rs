@@ -34,7 +34,8 @@
 use std::mem::size_of;
 
 use crate::exec::run_pages;
-use crate::{grain, phases, run_pass, tile, TransposeAborted};
+use crate::tile::{self, TileKernel};
+use crate::{grain, phases, run_pass, TransposeAborted};
 use ipt_core::Direction;
 
 /// Bytes of one page.
@@ -69,18 +70,20 @@ pub(crate) fn side(m: usize, n: usize, elem_size: usize) -> Option<usize> {
 }
 
 /// The tiled route's two passes on the plan's `m x n` (see
-/// [`crate::Route::Tiled`]): C2R transposes the tiles of the `m x n`
-/// input, then permutes its pages; R2C permutes the pages of its
-/// `n x m` input, then transposes the tiles of the `m x n` result.
+/// [`crate::Route::Tiled`]), the tiles transposed with the plan's
+/// `kernel`: C2R transposes the tiles of the `m x n` input, then permutes
+/// its pages; R2C permutes the pages of its `n x m` input, then
+/// transposes the tiles of the `m x n` result.
 pub(crate) fn run<T: Copy + Send + Sync + 'static>(
     data: &mut [T],
     dir: Direction,
     (m, n): (usize, usize),
     l: usize,
+    kernel: TileKernel,
 ) -> Result<(), TransposeAborted> {
     let tiles = |data: &mut [T]| {
         run_pass(phases::CHUNK_TRANSPOSE, data, |d| {
-            tile::transpose_tiles(d, (m, n), l)
+            tile::transpose_tiles(d, (m, n), l, kernel)
         })
     };
     let pages = Pages::of(dir, (m, n), l);

@@ -12,10 +12,10 @@
 use ipt_core::check::{fill_pattern, Rng};
 use ipt_core::index::C2rParams;
 use ipt_core::kernels::{RowShuffleKernel, ShuffleDirection};
-use ipt_core::{Layout, Scratch};
+use ipt_core::{permute, Algorithm, Layout, Scratch};
 use ipt_parallel::{
     batched, c2r_parallel, cache_aware, phases, r2c_parallel, rows, tile_side, transpose_parallel,
-    transpose_skinny_c2r, transpose_skinny_r2c, ParOptions,
+    transpose_skinny_c2r, transpose_skinny_r2c, ParOptions, Plan, Route,
 };
 use std::fmt::Debug;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -184,6 +184,59 @@ fn batched_equals_loop() {
         }
         batched::c2r_batched(&mut a, batch, m, n).unwrap();
         assert_eq!(a, want, "case {case}: batch={batch} {m}x{n}");
+    }
+}
+
+/// The four column passes on stacks of 2-4 heads, each one dispatch over
+/// the stack, with column groups wider than `m` (so `j mod m` wraps
+/// inside a group): every head of a batched C2R and R2C against the
+/// `ipt_core::permute` steps on that head alone. Most shapes share a
+/// factor `c > 1`, so the rotations run too.
+#[test]
+fn column_passes_on_stacks_match_core_permute() {
+    let _phases = phase_lock();
+    force_multithreaded_pool();
+    let mut rng = Rng::new(0x9a11_0010);
+    for case in 0..CASES {
+        let batch = rng.range(2..5);
+        let c = rng.range(1..5);
+        let (m, n) = (c * rng.range(2..8), c * rng.range(9..20));
+        for algorithm in [Algorithm::C2r, Algorithm::R2c] {
+            let c2r = algorithm == Algorithm::C2r;
+            let (rows, cols) = if c2r { (m, n) } else { (n, m) };
+            let core = ipt_core::Plan::new(m * n, rows, cols, Layout::RowMajor, algorithm);
+            let Route::Elements { params: p, w, .. } =
+                Plan::new(core, 8, &ParOptions::default()).route
+            else {
+                panic!("case {case}: {rows}x{cols} u64 takes the element path");
+            };
+            assert!(w > p.m, "case {case}: groups {w} wide on {}x{}", p.m, p.n);
+            let mut a = vec![0u64; batch * m * n];
+            fill_pattern(&mut a);
+            let mut want = a.clone();
+            let mut tmp = vec![0u64; m.max(n)];
+            for head in want.chunks_exact_mut(m * n) {
+                if c2r {
+                    permute::prerotate_cycles(head, &p);
+                    permute::row_shuffle_gather(head, &p, &mut tmp);
+                    permute::col_shuffle_decomposed(head, &p, &mut tmp);
+                } else {
+                    permute::row_permute_inverse(head, &p, &mut tmp);
+                    permute::col_rotate_inverse(head, &p);
+                    permute::row_shuffle_gather_forward(head, &p, &mut tmp);
+                    permute::postrotate_inverse(head, &p);
+                }
+            }
+            if c2r {
+                batched::c2r_batched(&mut a, batch, m, n).unwrap();
+            } else {
+                batched::r2c_batched(&mut a, batch, m, n).unwrap();
+            }
+            assert_eq!(
+                a, want,
+                "case {case}: {algorithm:?} batch={batch} {rows}x{cols} w={w}"
+            );
+        }
     }
 }
 

@@ -31,7 +31,7 @@
 #                        abort) or 0 — never SIGSEGV
 #   tier 3  miri         cargo +nightly miri over ipt-core + ipt-pool,
 #                        and ipt-parallel's small tiled-route (tiles and
-#                        page pass) and skinny-route tests;
+#                        page pass), skinny-route and column-pass tests;
 #                        then, as a soft step, the tile tests again with
 #                        AVX2 enabled, so the AVX2 tile kernel runs under
 #                        the interpreter;
@@ -129,7 +129,7 @@ contained_bench() {
 }
 
 miri_stage() {
-    stage "miri: ipt-core, ipt-pool, the tiled and skinny routes under the interpreter (tier 3, soft)"
+    stage "miri: ipt-core, ipt-pool, the tiled and skinny routes and the column pass under the interpreter (tier 3, soft)"
     # Miri interprets the unsafe core (raw-pointer kernels, the scoped
     # executor) and catches UB tests can't. It needs a nightly toolchain
     # with the miri component — not part of the pinned CI toolchain — so
@@ -145,12 +145,16 @@ miri_stage() {
         rustup run nightly cargo miri test -p ipt-core -p ipt-pool
     # ipt-parallel's raw-pointer paths, through their small tests only:
     # the tile kernels, the page pass's cycle scan and its resumed
-    # segments, the skinny route's small shapes,
-    # and the edge shapes on 256- and 512-byte elements.
+    # segments, the skinny route's small shapes, the column pass's
+    # group accessors (fine window and sub-row walk) and the gathers its
+    # redo derives, and the edge shapes on 256- and 512-byte elements.
     MIRIFLAGS="-Zmiri-disable-isolation" \
         rustup run nightly cargo miri test -p ipt-parallel --lib -- \
         tiled:: tile:: skinny:: \
-        exec::tests::page_segments_torn_at_any_move
+        exec::tests::page_segments_torn_at_any_move \
+        cache_aware::tests::step_wrappers_match_sequential_permute \
+        cache_aware::tests::decreasing_amount_family \
+        cache_aware::tests::each_pass_gathers_the_papers_formula
     MIRIFLAGS="-Zmiri-disable-isolation" \
         rustup run nightly cargo miri test -p ipt-parallel --test properties \
         tiled_route_edge_shapes
